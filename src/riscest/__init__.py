@@ -19,7 +19,6 @@ from .channel import (
     exp_correlation_matrix,
     path_loss,
     ris_steering_vector,
-    sample_realization,
 )
 from .errors import ConfigurationError, DomainError, NumericalError
 from .estimators import (
@@ -27,13 +26,7 @@ from .estimators import (
     EstimateResult,
     EstimatorKind,
     asymptotic_mse,
-    correlated_grouping_lmmse,
-    error_covariance,
-    grouping_baseline,
-    lmmse_conventional,
-    ls_conventional,
     make_estimator,
-    normalized_mse,
 )
 from .moments import (
     MomentSet,
@@ -50,7 +43,6 @@ from .montecarlo import (
     SweepRow,
     received_snr_to_power,
     run_sweep,
-    run_trial,
 )
 from .scenario import (
     RunConfig,

@@ -369,7 +369,3 @@ class ChannelSampler:
         cascade = a_unit * g_unit[:, None, :]  # (n_draws, M, N)
         return np.concatenate([b_part, cascade.reshape(n_draws, -1)], axis=1)
 
-
-def sample_realization(stats: ChannelStatistics, rng: np.random.Generator) -> ChannelRealization:
-    """One correlated Rician draw of all links; see ChannelSampler for the fast path."""
-    return ChannelSampler(stats).sample(rng)

@@ -13,21 +13,21 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .errors import ConfigurationError
-from .estimators import EstimatorKind, asymptotic_mse, make_estimator
-from .moments import build_moments
+# The F401 names are unused here but stay: perfbench/tracing.py patches them on this module.
+from .estimators import EstimatorKind, asymptotic_mse, make_estimator  # noqa: F401
+from .moments import build_moments  # noqa: F401
 from .montecarlo import (
     MseReport,
     SweepConfig,
-    applicable_kinds,
+    build_cell_bank,
     received_snr_to_power,
     resolve_workers,
     run_sweep,
+    theory_means,
 )
 from .scenario import RunConfig, SweepSettings, config_digest, load_config
-from .training import make_training_config, pilot_overhead
+from .training import make_training_config, pilot_overhead  # noqa: F401
 from .validation import run_validation
 
 SWEEP_COLUMNS = [
@@ -126,43 +126,15 @@ def cmd_theory(config: RunConfig) -> int:
     if not kinds:
         raise ConfigurationError("no estimators selected")
     rows = []
-    floor_cache: dict[tuple[int, int], float] = {}  # power-independent, per (cell, user)
     for n_groups in config.sweep.n_groups:
-        cell_kinds = applicable_kinds(kinds, n_groups, stats.n_elements)
+        floors: dict[int, float] = {}
         for snr in config.sweep.snr_points():
             rho = received_snr_to_power(snr, config.scenario)
-            tconfig = make_training_config(
-                stats.n_elements, stats.n_users, n_groups=n_groups,
-                rho=rho, sigma_w2=config.scenario.sigma_w2,
-            )
-            moments = [build_moments(stats, k, tconfig) for k in range(stats.n_users)]
-            ideal = None
-            if EstimatorKind.GROUPING_LMMSE in cell_kinds:
-                ideal = [
-                    build_moments(stats, k, tconfig, block_ideal=True)
-                    for k in range(stats.n_users)
-                ]
-            for k in range(stats.n_users):
-                if (n_groups, k) not in floor_cache:
-                    floor_cache[(n_groups, k)] = asymptotic_mse(moments[k])
-            for kind in cell_kinds:
-                known_floor = kind in (
-                    EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE
-                )
-                filters = [
-                    make_estimator(
-                        kind, moments[k], ideal[k] if ideal else None,
-                        floor=floor_cache[(n_groups, k)] if known_floor else None,
-                    )
-                    for k in range(stats.n_users)
-                ]
-                nmse = float(np.mean([f.nmse for f in filters]))
-                trace = float(np.mean([f.mse_trace for f in filters]))
-                floors = [f.nmse_floor for f in filters]
-                floor = (
-                    float(np.mean(floors)) if all(f is not None for f in floors) else math.nan
-                )
-                rows.append([kind, n_groups, snr, rho, nmse, trace, floor])
+            # each bank is reduced and freed before the next one is built
+            bank = build_cell_bank(stats, config.scenario.sigma_w2, n_groups, rho, kinds, floors)
+            for kind, filters in bank.filters.items():
+                rows.append([kind, n_groups, snr, rho, *theory_means(filters)])
+            del bank
     comments = [f"config_hash={config_digest(config)}"] + _overhead_comments(config)
     write_csv(config.output_path, THEORY_COLUMNS, rows, comments)
     return 0

@@ -75,7 +75,6 @@ class AffineEstimator:
     nmse: float
     nmse_floor: float | None = None
     degenerate: bool = False
-    prior_trace: float = float("nan")
 
     def estimate(self, y: np.ndarray) -> EstimateResult:
         if self.innovation:
@@ -168,7 +167,6 @@ def _finalize(
         kind=kind, W=w_full, mean_s=m.mean_s, mean_y=m.mean_y,
         innovation=innovation, error_cov=error_cov, mse_trace=trace,
         nmse=trace / prior, nmse_floor=floor, degenerate=degenerate,
-        prior_trace=prior,
     )
 
 
@@ -184,21 +182,30 @@ def conventional_lmmse_filter(m: MomentSet, floor: float | None = None) -> Affin
     return _finalize(EstimatorKind.LMMSE, w, m, floor=floor)
 
 
-def _ls_pinv(z: np.ndarray, rho: float) -> np.ndarray:
-    return np.linalg.pinv(z, rcond=PINV_RCOND) / np.sqrt(rho)
+def _ls_pinv(z: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
+    """Minimum-norm LS filter for z, flagged degenerate when z is rank deficient.
+
+    trace(pinv(z) @ z) is the rank the pseudo-inverse kept; it falls short of
+    the active (nonzero) column count exactly when an active column lies
+    outside the row space of z.  Blocked columns add nothing to the trace.
+    """
+    pinv = np.linalg.pinv(z, rcond=PINV_RCOND)
+    kept_rank = np.einsum("ij,ji->", pinv, z).real
+    active = np.count_nonzero(np.any(z != 0, axis=0))
+    return pinv / np.sqrt(rho), bool(kept_rank < active - 0.5)
 
 
 def conventional_ls_filter(m: MomentSet) -> AffineEstimator:
     """Least squares on the raw observation; minimum-norm on blocked columns."""
-    w = _ls_pinv(m.Z, m.rho)
-    return _finalize(EstimatorKind.LS, w, m, innovation=False)
+    w, degenerate = _ls_pinv(m.Z, m.rho)
+    return _finalize(EstimatorKind.LS, w, m, innovation=False, degenerate=degenerate)
 
 
 def grouping_ls_filter(m: MomentSet) -> AffineEstimator:
     """LS of the group aggregates, expanded by equal division."""
     expand = group_expansion_matrix(m.m_antennas, m.groups, m.Z.shape[1] // m.m_antennas - 1)
-    w = expand @ _ls_pinv(m.Z_G, m.rho)
-    return _finalize(EstimatorKind.GROUPING_LS, w, m)
+    w_u, degenerate = _ls_pinv(m.Z_G, m.rho)
+    return _finalize(EstimatorKind.GROUPING_LS, expand @ w_u, m, degenerate=degenerate)
 
 
 def grouping_lmmse_filter(m: MomentSet, m_model: MomentSet) -> AffineEstimator:
@@ -260,49 +267,6 @@ def make_estimator(
     if kind == EstimatorKind.CORRELATED_GROUPING_LMMSE:
         return correlated_grouping_filter(m, floor=floor)
     raise ValueError(f"unknown estimator kind {kind!r}")
-
-
-def lmmse_conventional(y: np.ndarray, m: MomentSet) -> EstimateResult:
-    """Conventional LMMSE estimate of the cascaded target."""
-    return conventional_lmmse_filter(m).estimate(y)
-
-
-def ls_conventional(y: np.ndarray, z: np.ndarray, rho_k: float) -> EstimateResult:
-    """Least-squares estimate from the stacked observation matrix alone."""
-    s_hat, _, rank, _ = np.linalg.lstsq(z, y, rcond=PINV_RCOND)
-    nonzero_cols = int(np.sum(np.any(z != 0, axis=0)))
-    if rank < nonzero_cols:
-        raise NumericalError(
-            f"mixing matrix is rank deficient ({rank} < {nonzero_cols} active columns)"
-        )
-    return EstimateResult(s_hat=s_hat / np.sqrt(rho_k))
-
-
-def grouping_baseline(
-    y: np.ndarray,
-    m: MomentSet,
-    kind: EstimatorKind,
-    m_model: MomentSet | None = None,
-) -> EstimateResult:
-    """Plain grouping estimate (LS or block-ideal LMMSE) expanded to elements."""
-    if kind not in (EstimatorKind.GROUPING_LS, EstimatorKind.GROUPING_LMMSE):
-        raise ValueError(f"not a grouping baseline kind: {kind!r}")
-    return make_estimator(kind, m, m_model).estimate(y)
-
-
-def correlated_grouping_lmmse(y: np.ndarray, m: MomentSet) -> EstimateResult:
-    """Two-stage correlation-aware grouped LMMSE estimate."""
-    return correlated_grouping_filter(m).estimate(y)
-
-
-def error_covariance(m: MomentSet) -> np.ndarray:
-    """Exact error covariance of the correlated-grouping estimator."""
-    return correlated_grouping_filter(m).error_cov
-
-
-def normalized_mse(error_cov: np.ndarray, cov_ss: np.ndarray) -> float:
-    """Error trace over prior trace; both traces are real for Hermitian inputs."""
-    return float(np.trace(error_cov).real / np.trace(cov_ss).real)
 
 
 def asymptotic_mse(m: MomentSet) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSampler
+from .channel import ChannelSampler, ChannelStatistics
 from .errors import ConfigurationError, NumericalError
 from .estimators import (
     AffineEstimator,
@@ -44,8 +44,6 @@ class SweepConfig:
     n_trials: int
     n_groups: tuple[int, ...]
     base_seed: int
-    normalize: bool = True  # divide squared errors by the prior trace
-    power_db_axis: bool = False  # snr_db holds pilot power in dBW directly
 
     def __post_init__(self):
         self.estimators = tuple(EstimatorKind(e) for e in self.estimators)
@@ -123,6 +121,60 @@ class _CellBank:
     rho: float
 
 
+def build_cell_bank(
+    stats: ChannelStatistics,
+    sigma_w2: float,
+    n_groups: int,
+    rho: float,
+    kinds: tuple[EstimatorKind, ...],
+    floors: dict[int, float],
+) -> _CellBank:
+    """Training config, mixing matrices and per-user filters of one (G, power) cell.
+
+    floors maps user index to the power-independent floor for this group
+    count; it is filled on first use and shared by every power point.
+    """
+    tconfig = make_training_config(
+        n_elements=stats.n_elements,
+        n_users=stats.n_users,
+        n_groups=n_groups,
+        rho=rho,
+        sigma_w2=sigma_w2,
+    )
+    kinds = applicable_kinds(kinds, n_groups, stats.n_elements)
+    filters: dict[EstimatorKind, list[AffineEstimator]] = {k: [] for k in kinds}
+    prior_traces = np.empty(stats.n_users)
+    z_full, z_grouped = [], []
+    for k in range(stats.n_users):
+        m_true = build_moments(stats, k, tconfig)
+        m_model = None
+        if EstimatorKind.GROUPING_LMMSE in kinds:
+            m_model = build_moments(stats, k, tconfig, block_ideal=True)
+        for kind in kinds:
+            floor = None
+            if kind in (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE):
+                if k not in floors:
+                    floors[k] = asymptotic_mse(m_true)
+                floor = floors[k]
+            filters[kind].append(make_estimator(kind, m_true, m_model, floor=floor))
+        prior_traces[k] = np.trace(m_true.cov_ss).real
+        z_full.append(m_true.Z)
+        z_grouped.append(m_true.Z_G)
+    return _CellBank(
+        tconfig=tconfig, z_full=np.stack(z_full), z_grouped=np.stack(z_grouped),
+        filters=filters, prior_traces=prior_traces, rho=rho,
+    )
+
+
+def theory_means(filters: list[AffineEstimator]) -> tuple[float, float, float]:
+    """Per-user means of closed-form NMSE, error trace and floor (NaN if any floor is unset)."""
+    nmse = float(np.mean([f.nmse for f in filters]))
+    trace = float(np.mean([f.mse_trace for f in filters]))
+    floors = [f.nmse_floor for f in filters]
+    floor = float(np.mean(floors)) if all(f is not None for f in floors) else float("nan")
+    return nmse, trace, floor
+
+
 class SweepEngine:
     """Builds samplers/filters once and evaluates trials; safe to share read-only."""
 
@@ -131,51 +183,18 @@ class SweepEngine:
         self.stats = config.scenario.statistics()
         self.sampler = ChannelSampler(self.stats)
         self._banks: dict[tuple[int, int], _CellBank] = {}
-        self._floors: dict[tuple[int, int], float] = {}  # power-independent, per (cell, user)
+        self._floors: dict[int, dict[int, float]] = {}  # group index -> user -> floor
 
     def bank(self, group_index: int, snr_index: int) -> _CellBank:
         key = (group_index, snr_index)
         if key not in self._banks:
-            self._banks[key] = self._build_bank(*key)
+            cfg = self.config
+            self._banks[key] = build_cell_bank(
+                self.stats, cfg.scenario.sigma_w2, cfg.n_groups[group_index],
+                received_snr_to_power(cfg.snr_db[snr_index], cfg.scenario),
+                cfg.estimators, self._floors.setdefault(group_index, {}),
+            )
         return self._banks[key]
-
-    def _build_bank(self, group_index: int, snr_index: int) -> _CellBank:
-        cfg = self.config
-        n_groups = cfg.n_groups[group_index]
-        if cfg.power_db_axis:
-            rho = 10.0 ** (cfg.snr_db[snr_index] / 10.0)
-        else:
-            rho = received_snr_to_power(cfg.snr_db[snr_index], cfg.scenario)
-        tconfig = make_training_config(
-            n_elements=self.stats.n_elements,
-            n_users=self.stats.n_users,
-            n_groups=n_groups,
-            rho=rho,
-            sigma_w2=cfg.scenario.sigma_w2,
-        )
-        kinds = applicable_kinds(cfg.estimators, n_groups, self.stats.n_elements)
-        filters: dict[EstimatorKind, list[AffineEstimator]] = {k: [] for k in kinds}
-        prior_traces = np.empty(self.stats.n_users)
-        z_full, z_grouped = [], []
-        for k in range(self.stats.n_users):
-            m_true = build_moments(self.stats, k, tconfig)
-            m_model = None
-            if EstimatorKind.GROUPING_LMMSE in kinds:
-                m_model = build_moments(self.stats, k, tconfig, block_ideal=True)
-            for kind in kinds:
-                floor = None
-                if kind in (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE):
-                    if (group_index, k) not in self._floors:
-                        self._floors[(group_index, k)] = asymptotic_mse(m_true)
-                    floor = self._floors[(group_index, k)]
-                filters[kind].append(make_estimator(kind, m_true, m_model, floor=floor))
-            prior_traces[k] = np.trace(m_true.cov_ss).real
-            z_full.append(m_true.Z)
-            z_grouped.append(m_true.Z_G)
-        return _CellBank(
-            tconfig=tconfig, z_full=np.stack(z_full), z_grouped=np.stack(z_grouped),
-            filters=filters, prior_traces=prior_traces, rho=rho,
-        )
 
     def trial_rng(self, snr_index: int, trial_index: int) -> np.random.Generator:
         seq = np.random.SeedSequence((self.config.base_seed, snr_index, trial_index))
@@ -212,27 +231,6 @@ class SweepEngine:
                 np.ascontiguousarray(obs.y_combined).tobytes()
             ).hexdigest()
         return errors, obs_digest
-
-
-@dataclass
-class TrialResult:
-    """Per-estimator squared errors of one trial, keyed by group count."""
-
-    errors: dict[tuple[int, EstimatorKind], np.ndarray]
-    observation_digests: dict[int, str]
-
-
-def run_trial(config: SweepConfig, snr_index: int, trial_index: int) -> TrialResult:
-    """Evaluate one paired trial across all group cells of a sweep config."""
-    engine = SweepEngine(config)
-    errors: dict[tuple[int, EstimatorKind], np.ndarray] = {}
-    digests: dict[int, str] = {}
-    for gi, n_groups in enumerate(config.n_groups):
-        cell_errors, digest = engine.run_cell_trial(gi, snr_index, trial_index, digest=True)
-        for kind, err in cell_errors.items():
-            errors[(n_groups, kind)] = err
-        digests[n_groups] = digest
-    return TrialResult(errors=errors, observation_digests=digests)
 
 
 def _trial_block(engine: SweepEngine, group_index: int, snr_index: int,
@@ -313,10 +311,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> MseReport:
             per_trial = np.concatenate(
                 [blocks[(gi, si, lo)] for lo in range(0, n_trials, chunk)], axis=0
             )  # (n_trials, n_kinds, K)
-            if config.normalize:
-                samples_per_user = per_trial / bank.prior_traces[None, None, :]
-            else:
-                samples_per_user = per_trial
+            samples_per_user = per_trial / bank.prior_traces[None, None, :]
             for ki, kind in enumerate(kinds):
                 user_samples = samples_per_user[:, ki, :]  # (n_trials, K)
                 failures = int(np.isnan(user_samples).any(axis=1).sum())
@@ -327,12 +322,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> MseReport:
                     stderr = float(trial_means.std(ddof=1) / np.sqrt(trial_means.size))
                 else:
                     stderr = float("nan")
-                theory = float(np.mean([f.nmse for f in bank.filters[kind]]))
-                floors = [f.nmse_floor for f in bank.filters[kind]]
-                floor = float(np.mean(floors)) if all(f is not None for f in floors) else float("nan")
-                if not config.normalize:
-                    theory = float(np.mean([f.mse_trace for f in bank.filters[kind]]))
-                    floor = float("nan")
+                theory, _, floor = theory_means(bank.filters[kind])
                 if valid.size:
                     per_user = tuple(float(v) for v in valid.mean(axis=0))
                 else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, ChannelSampler, path_loss
+from .channel import ChannelRealization, ChannelSampler, ChannelStatistics, path_loss
 from .errors import NumericalError
 from .estimators import (
     EstimatorKind,
@@ -24,7 +24,7 @@ from .estimators import (
     grouping_ls_filter,
 )
 from .moments import build_moments, cov_ss, group_aggregation_matrix, mean_s
-from .montecarlo import SweepConfig, received_snr_to_power, run_sweep, run_trial
+from .montecarlo import SweepConfig, SweepEngine, received_snr_to_power, run_sweep
 from .scenario import Scenario, desk_scenario
 from .training import (
     build_Z,
@@ -34,6 +34,9 @@ from .training import (
     synthesize_received,
     training_patterns,
 )
+
+
+ORACLE_DRAWS = 200_000  # seeded cascade draws behind the sample-moment checks
 
 
 @dataclass
@@ -66,7 +69,29 @@ def check_unit_modulus(vectors: np.ndarray, name: str, tol: float = 1e-12) -> Ch
     return CheckResult(f"channel.unit_modulus[{name}]", dev <= tol, f"max deviation {dev:.2e}")
 
 
-def _scenario_checks(scenario: Scenario) -> list[CheckResult]:
+def _sample_cascade_moments(stats: ChannelStatistics) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and covariance of the first user's cascaded target, from seeded draws.
+
+    One draw serves as the oracle for both the channel mean and the moment
+    covariance checks.
+    """
+    sampler = ChannelSampler(stats)
+    rng = np.random.default_rng(19)
+    chunk = 40_000
+    dim = stats.m_antennas * (stats.n_elements + 1)
+    acc_mu = np.zeros(dim, complex)
+    acc_cov = np.zeros((dim, dim), complex)
+    for _ in range(ORACLE_DRAWS // chunk):
+        s = sampler.sample_cascade(0, chunk, rng)
+        acc_mu += s.sum(axis=0)
+        acc_cov += s.T @ s.conj()
+    mu_hat = acc_mu / ORACLE_DRAWS
+    return mu_hat, acc_cov / ORACLE_DRAWS - np.outer(mu_hat, mu_hat.conj())
+
+
+def _scenario_checks(
+    scenario: Scenario, oracle: tuple[np.ndarray, np.ndarray]
+) -> list[CheckResult]:
     stats = scenario.statistics()
     out = [check_correlation_matrix(stats.R0, "R0")]
     for k in range(stats.n_users):
@@ -87,18 +112,13 @@ def _scenario_checks(scenario: Scenario) -> list[CheckResult]:
     )
     out.append(CheckResult("channel.sampling_deterministic", same, "seed 123 replayed"))
 
-    rng = np.random.default_rng(19)
-    n_draws, chunk = 200_000, 40_000
-    acc = np.zeros(stats.m_antennas * (stats.n_elements + 1), dtype=complex)
-    for _ in range(n_draws // chunk):
-        acc += sampler.sample_cascade(0, chunk, rng).sum(axis=0)
-    mu_hat = acc / n_draws
+    mu_hat, _ = oracle
     mu = mean_s(stats, 0)
     dev = float(np.abs(mu_hat - mu).max() / np.abs(mu).max())
     out.append(
         CheckResult(
             "channel.sample_mean_matches", dev < 0.05,
-            f"max deviation {dev:.3f} of largest mean entry at {n_draws} draws",
+            f"max deviation {dev:.3f} of largest mean entry at {ORACLE_DRAWS} draws",
         )
     )
     return out
@@ -175,7 +195,9 @@ def _training_checks(scenario: Scenario) -> list[CheckResult]:
     return out
 
 
-def _moment_checks(scenario: Scenario) -> list[CheckResult]:
+def _moment_checks(
+    scenario: Scenario, oracle: tuple[np.ndarray, np.ndarray]
+) -> list[CheckResult]:
     out = []
     stats = scenario.statistics()
     rho = received_snr_to_power(10.0, scenario)
@@ -206,24 +228,13 @@ def _moment_checks(scenario: Scenario) -> list[CheckResult]:
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     out.append(CheckResult("moments.aggregation_quadratic_form", worst < 1e-10, f"max rel {worst:.2e}"))
 
-    sampler = ChannelSampler(stats)
-    rng = np.random.default_rng(19)
-    n_draws, chunk = 200_000, 40_000
-    dim = stats.m_antennas * (stats.n_elements + 1)
-    acc_mu = np.zeros(dim, complex)
-    acc_cov = np.zeros((dim, dim), complex)
-    for _ in range(n_draws // chunk):
-        s = sampler.sample_cascade(0, chunk, rng)
-        acc_mu += s.sum(axis=0)
-        acc_cov += s.T @ s.conj()
-    mu_hat = acc_mu / n_draws
-    cov_hat = acc_cov / n_draws - np.outer(mu_hat, mu_hat.conj())
+    _, cov_hat = oracle
     c_true = cov_ss(stats, 0)
     dev = float(np.abs(cov_hat - c_true).max() / np.abs(c_true).max())
     out.append(
         CheckResult(
             "moments.sample_covariance_matches", dev < 0.05,
-            f"max deviation {dev:.4f} of largest entry at {n_draws} draws",
+            f"max deviation {dev:.4f} of largest entry at {ORACLE_DRAWS} draws",
         )
     )
     return out
@@ -366,10 +377,10 @@ def _montecarlo_checks(scenario: Scenario) -> list[CheckResult]:
     )
     out.append(CheckResult("montecarlo.order_independent", same, "1 vs 2 workers"))
 
-    t1 = run_trial(cfg, 0, 7)
-    t2 = run_trial(cfg, 0, 7)
-    same = t1.observation_digests == t2.observation_digests and all(
-        np.array_equal(t1.errors[k], t2.errors[k]) for k in t1.errors
+    errors_1, digest_1 = SweepEngine(cfg).run_cell_trial(0, 0, 7, digest=True)
+    errors_2, digest_2 = SweepEngine(cfg).run_cell_trial(0, 0, 7, digest=True)
+    same = digest_1 == digest_2 and all(
+        np.array_equal(errors_1[k], errors_2[k]) for k in errors_1
     )
     out.append(CheckResult("montecarlo.paired_trials_reproducible", same, "digest equality"))
 
@@ -429,10 +440,11 @@ def run_validation(scenario: Scenario | None = None) -> list[CheckResult]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         scenario = scenario or desk_scenario()
+        oracle = _sample_cascade_moments(scenario.statistics())
         results = []
-        results += _scenario_checks(scenario)
+        results += _scenario_checks(scenario, oracle)
         results += _training_checks(scenario)
-        results += _moment_checks(scenario)
+        results += _moment_checks(scenario, oracle)
         results += _estimator_checks(scenario)
         results += _montecarlo_checks(scenario)
         results += _cli_checks()

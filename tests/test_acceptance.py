@@ -16,8 +16,7 @@ from riscest.estimators import (
     asymptotic_mse,
     conventional_lmmse_filter,
     correlated_grouping_filter,
-    error_covariance,
-    normalized_mse,
+    make_estimator,
 )
 from riscest.moments import build_moments, cov_ss, mean_s
 from riscest.montecarlo import SweepConfig, received_snr_to_power, run_sweep
@@ -170,7 +169,7 @@ def test_criterion_5_power_floor(desk):
     rho = received_snr_to_power(20.0, scenario) * 1e12
     tc = make_training_config(16, 2, n_groups=4, rho=rho, sigma_w2=scenario.sigma_w2)
     m = build_moments(stats, 0, tc)
-    at_limit = normalized_mse(error_covariance(m), m.cov_ss)
+    at_limit = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).nmse
     floor = asymptotic_mse(m)
     rel = abs(at_limit - floor) / floor
 

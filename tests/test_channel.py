@@ -16,7 +16,6 @@ from riscest.channel import (
     path_loss,
     psd_factor,
     ris_steering_vector,
-    sample_realization,
 )
 from riscest.errors import DomainError, NumericalError
 from riscest.scenario import desk_scenario
@@ -249,14 +248,14 @@ class TestPsdFactor:
 class TestSampling:
     def test_deterministic_per_seed(self):
         stats = desk_scenario().statistics()
-        a = sample_realization(stats, np.random.default_rng(99))
-        b = sample_realization(stats, np.random.default_rng(99))
+        a = ChannelSampler(stats).sample(np.random.default_rng(99))
+        b = ChannelSampler(stats).sample(np.random.default_rng(99))
         for field in ("b", "g", "A", "s"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_blocked_direct_is_exactly_zero(self):
         stats = desk_scenario().statistics()
-        real = sample_realization(stats, np.random.default_rng(0))
+        real = ChannelSampler(stats).sample(np.random.default_rng(0))
         np.testing.assert_array_equal(real.b, 0.0)
         np.testing.assert_array_equal(real.s[:, : stats.m_antennas], 0.0)
 

@@ -9,16 +9,10 @@ from riscest.estimators import (
     conventional_lmmse_filter,
     conventional_ls_filter,
     correlated_grouping_filter,
-    correlated_grouping_lmmse,
-    error_covariance,
-    grouping_baseline,
     grouping_lmmse_filter,
     grouping_ls_filter,
     hermitian_pinv,
-    lmmse_conventional,
-    ls_conventional,
     make_estimator,
-    normalized_mse,
 )
 from riscest.moments import MomentSet, build_moments, cov_ss
 from riscest.montecarlo import received_snr_to_power
@@ -43,6 +37,19 @@ def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
     )
 
 
+def linear_moments(cov, z_mat, rho, sigma2):
+    """Zero-mean target with covariance cov seen through z_mat, for the ungrouped kinds."""
+    n_y, n_s = z_mat.shape
+    cov_sy = np.sqrt(rho) * cov @ z_mat.conj().T
+    return MomentSet(
+        mean_s=np.zeros(n_s, complex), cov_ss=cov, cov_uu=cov,
+        mean_y=np.zeros(n_y, complex), cov_sy=cov_sy, cov_uy=cov_sy,
+        cov_yy=rho * z_mat @ cov @ z_mat.conj().T + sigma2 * np.eye(n_y),
+        Z=z_mat, Z_G=z_mat, rho=rho, sigma_w2=sigma2, n_users=1,
+        m_antennas=1, groups=[np.array([0])],
+    )
+
+
 @pytest.fixture(scope="module")
 def desk():
     scenario = desk_scenario()
@@ -62,17 +69,18 @@ class TestConventionalLmmse:
     def test_scalar_textbook_formula(self):
         c, z, rho, sigma2 = 2.0, 1.5 - 0.5j, 0.8, 0.3
         m = scalar_moments(c, z, rho, sigma2)
+        filt = make_estimator(EstimatorKind.LMMSE, m)
         rng = np.random.default_rng(0)
         for _ in range(5):
             y = rng.standard_normal(1) + 1j * rng.standard_normal(1)
             expected = np.sqrt(rho) * c * np.conj(z) * y / (rho * abs(z) ** 2 * c + sigma2)
-            got = lmmse_conventional(y, m).s_hat
+            got = filt.estimate(y).s_hat
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_zero_innovation_returns_prior_mean(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=16)
-        res = lmmse_conventional(m.mean_y.copy(), m)
+        res = make_estimator(EstimatorKind.LMMSE, m).estimate(m.mean_y.copy())
         np.testing.assert_allclose(res.s_hat, m.mean_s, atol=1e-12)
 
     def test_empirical_mse_matches_trace(self, desk):
@@ -92,7 +100,7 @@ class TestConventionalLmmse:
     def test_zero_noise_rank_deficient_raises(self):
         m = scalar_moments(sigma2=0.0, z=0.0)
         with pytest.raises(NumericalError):
-            lmmse_conventional(np.zeros(1, complex), m)
+            make_estimator(EstimatorKind.LMMSE, m)
 
 
 class TestConventionalLs:
@@ -101,7 +109,9 @@ class TestConventionalLs:
         tc = make_training_config(16, 2, n_groups=16, rho=0.5, sigma_w2=0.0)
         real = ChannelSampler(stats).sample(np.random.default_rng(22))
         obs = synthesize_received(real, stats, tc, np.random.default_rng(23))
-        res = ls_conventional(obs.y_combined[0], obs.Z[0], 0.5)
+        m = build_moments(stats, 0, tc)
+        np.testing.assert_array_equal(m.Z, obs.Z[0])
+        res = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
         err = np.linalg.norm(res.s_hat - real.s[0]) / np.linalg.norm(real.s[0])
         assert err < 1e-9
 
@@ -123,7 +133,9 @@ class TestConventionalLs:
         gram = z.conj().T @ z
         np.testing.assert_allclose(gram, gram[0, 0] * np.eye(4), atol=1e-12)
         direct = z.conj().T @ obs.y_combined[0] / (np.sqrt(0.9) * gram[0, 0].real)
-        res = ls_conventional(obs.y_combined[0], z, 0.9)
+        m = build_moments(stats, 0, tc)
+        np.testing.assert_array_equal(m.Z, z)
+        res = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
         np.testing.assert_allclose(res.s_hat, direct, rtol=1e-10)
 
     def test_ls_never_beats_lmmse_in_theory(self, desk):
@@ -136,8 +148,8 @@ class TestConventionalLs:
         z = np.zeros((4, 3), dtype=complex)
         z[:, 0] = 1.0
         z[:, 1] = 1.0  # duplicated active column
-        with pytest.raises(NumericalError):
-            ls_conventional(np.ones(4, complex), z, 1.0)
+        m = linear_moments(np.eye(3, dtype=complex), z, rho=1.0, sigma2=1.0)
+        assert make_estimator(EstimatorKind.LS, m).degenerate
 
 
 class TestGroupingBaselines:
@@ -164,7 +176,7 @@ class TestGroupingBaselines:
         rng = np.random.default_rng(25)
         real = ChannelSampler(stats).sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
-        res = grouping_baseline(obs.y_combined[0], m, EstimatorKind.GROUPING_LMMSE, mi)
+        res = make_estimator(EstimatorKind.GROUPING_LMMSE, m, mi).estimate(obs.y_combined[0])
         rel = np.linalg.norm(res.s_hat - real.s[0]) / np.linalg.norm(real.s[0])
         assert rel < 1e-2  # per-draw error scale is sqrt(nmse) ~ 1e-3
 
@@ -175,8 +187,9 @@ class TestGroupingBaselines:
         rng = np.random.default_rng(26)
         real = ChannelSampler(stats).sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
-        a = grouping_baseline(obs.y_combined[0], m, EstimatorKind.GROUPING_LS).s_hat
-        b = ls_conventional(obs.y_combined[0], obs.Z[0], 0.7).s_hat
+        np.testing.assert_array_equal(m.Z, obs.Z[0])
+        a = make_estimator(EstimatorKind.GROUPING_LS, m).estimate(obs.y_combined[0]).s_hat
+        b = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0]).s_hat
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_grouping_lmmse_collapses_under_uncorrelated_scattering(self):
@@ -189,8 +202,8 @@ class TestGroupingBaselines:
         rng = np.random.default_rng(27)
         real = ChannelSampler(stats).sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
-        a = grouping_baseline(obs.y_combined[0], m, EstimatorKind.GROUPING_LMMSE, mi).s_hat
-        b = lmmse_conventional(obs.y_combined[0], m).s_hat
+        a = make_estimator(EstimatorKind.GROUPING_LMMSE, m, mi).estimate(obs.y_combined[0]).s_hat
+        b = make_estimator(EstimatorKind.LMMSE, m).estimate(obs.y_combined[0]).s_hat
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_exponential_model_floors_above_correlated_grouping(self, desk):
@@ -205,7 +218,7 @@ class TestGroupingBaselines:
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=4)
         with pytest.raises(ValueError):
-            grouping_baseline(np.zeros(m.mean_y.size, complex), m, EstimatorKind.LMMSE)
+            make_estimator("grouping", m)
 
 
 class TestCorrelatedGrouping:
@@ -214,15 +227,15 @@ class TestCorrelatedGrouping:
         m = desk_moments(scenario, stats, n_groups=16)
         rng = np.random.default_rng(28)
         y = m.mean_y + (rng.standard_normal(m.mean_y.size) + 1j * rng.standard_normal(m.mean_y.size))
-        a = correlated_grouping_lmmse(y, m)
-        b = lmmse_conventional(y, m)
+        a = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).estimate(y)
+        b = make_estimator(EstimatorKind.LMMSE, m).estimate(y)
         assert np.linalg.norm(a.s_hat - b.s_hat) / np.linalg.norm(b.s_hat) < 1e-8
         assert a.mse_trace == pytest.approx(b.mse_trace, rel=1e-8)
 
     def test_zero_innovation(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=4)
-        res = correlated_grouping_lmmse(m.mean_y.copy(), m)
+        res = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).estimate(m.mean_y.copy())
         np.testing.assert_allclose(res.s_hat, m.mean_s, atol=1e-12)
 
     def test_degenerate_inner_gram_flagged(self, desk):
@@ -238,7 +251,7 @@ class TestCorrelatedGrouping:
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(29)
         filt = correlated_grouping_filter(m)
-        expected = np.trace(error_covariance(m)).real
+        expected = np.trace(make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov).real
         errs = []
         for _ in range(3000):
             real = sampler.sample(rng)
@@ -251,7 +264,7 @@ class TestErrorCovariance:
     def test_zero_power_returns_prior(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=4, rho_scale=1e-30)
-        c = error_covariance(m)
+        c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
         assert np.trace(c).real / np.trace(m.cov_ss).real == pytest.approx(1.0, rel=1e-6)
 
     def test_matches_reduction_formula_at_moderate_power(self, desk):
@@ -263,7 +276,8 @@ class TestErrorCovariance:
         gram_pinv, _ = hermitian_pinv(0.5 * (gram + gram.conj().T))
         f = m.cov_sy @ x
         direct = m.cov_ss - f @ gram_pinv @ f.conj().T
-        np.testing.assert_allclose(error_covariance(m), direct, atol=1e-10 * np.abs(direct).max())
+        c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
+        np.testing.assert_allclose(c, direct, atol=1e-10 * np.abs(direct).max())
 
     def test_hermitian_psd_and_bounded_fuzz(self, desk):
         scenario, stats = desk
@@ -272,7 +286,7 @@ class TestErrorCovariance:
             n_groups = int(rng.choice([1, 2, 4, 8, 16]))
             snr = float(rng.uniform(-20, 60))
             m = desk_moments(scenario, stats, n_groups=n_groups, snr_db=snr)
-            c = error_covariance(m)
+            c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
             assert np.abs(c - c.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() > -1e-8
             assert np.trace(c).real <= np.trace(m.cov_ss).real * (1 + 1e-10)
@@ -281,15 +295,19 @@ class TestErrorCovariance:
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=16, snr_db=15.0)
         conv = m.cov_ss - m.cov_sy @ np.linalg.solve(m.cov_yy, m.cov_sy.conj().T)
-        c = error_covariance(m)
+        c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
         assert np.abs(c - conv).max() < 1e-8 * np.abs(conv).max()
 
 
 class TestNormalizedMse:
     def test_trivial_values(self):
+        # an unobserved target keeps its prior as the error; a noiseless
+        # identity observation leaves none
         c = np.diag([1.0, 2.0]).astype(complex)
-        assert normalized_mse(c, c) == 1.0
-        assert normalized_mse(np.zeros_like(c), c) == 0.0
+        blind = linear_moments(c, np.zeros((2, 2), complex), rho=1.0, sigma2=1.0)
+        assert make_estimator(EstimatorKind.LMMSE, blind).nmse == 1.0
+        exact = linear_moments(c, np.eye(2, dtype=complex), rho=1.0, sigma2=0.0)
+        assert make_estimator(EstimatorKind.LS, exact).nmse == 0.0
 
     def test_scalar_lmmse_value(self):
         c, z, rho, sigma2 = 2.0, 1.5 - 0.5j, 0.8, 0.3
@@ -297,7 +315,7 @@ class TestNormalizedMse:
         filt = conventional_lmmse_filter(m)
         expected = sigma2 / (rho * abs(z) ** 2 * c + sigma2)
         assert filt.nmse == pytest.approx(expected, rel=1e-12)
-        assert normalized_mse(filt.error_cov, m.cov_ss) == pytest.approx(expected, rel=1e-12)
+        assert make_estimator(EstimatorKind.LMMSE, m).nmse == pytest.approx(expected, rel=1e-12)
 
 
 class TestAsymptoticMse:
@@ -311,7 +329,7 @@ class TestAsymptoticMse:
         m = desk_moments(scenario, stats, n_groups=4, snr_db=20.0)
         m_hi = desk_moments(scenario, stats, n_groups=4, snr_db=20.0, rho_scale=1e12)
         floor = asymptotic_mse(m)
-        at_hi = normalized_mse(error_covariance(m_hi), m_hi.cov_ss)
+        at_hi = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m_hi).nmse
         assert at_hi == pytest.approx(floor, rel=0.01)
 
     def test_lower_bounds_finite_power(self, desk):

@@ -10,7 +10,6 @@ from riscest.montecarlo import (
     received_snr_to_power,
     resolve_workers,
     run_sweep,
-    run_trial,
 )
 from riscest.scenario import desk_scenario
 
@@ -78,49 +77,46 @@ class TestSnrMapping:
             scenario.sigma_w2 / gain, rel=1e-12
         )
 
-    def test_power_axis_mode(self):
-        cfg = desk_config(power_db_axis=True, snr_db=(0.0,), estimators=GROUPED)
-        engine = SweepEngine(cfg)
-        assert engine.bank(0, 0).rho == pytest.approx(1.0)
-
 
 class TestRunTrial:
     def test_bit_identical_replay(self):
         cfg = desk_config()
-        a = run_trial(cfg, snr_index=1, trial_index=3)
-        b = run_trial(cfg, snr_index=1, trial_index=3)
-        assert a.observation_digests == b.observation_digests
-        assert set(a.errors) == set(b.errors)
-        for key in a.errors:
-            np.testing.assert_array_equal(a.errors[key], b.errors[key])
+        errors_a, digest_a = SweepEngine(cfg).run_cell_trial(0, 1, 3, digest=True)
+        errors_b, digest_b = SweepEngine(cfg).run_cell_trial(0, 1, 3, digest=True)
+        assert digest_a == digest_b
+        assert set(errors_a) == set(errors_b)
+        for key in errors_a:
+            np.testing.assert_array_equal(errors_a[key], errors_b[key])
 
     def test_estimator_subsets_share_observations(self):
         # the digest depends only on the seed triple, not on which estimators run
         cfg_a = desk_config(estimators=(EstimatorKind.CORRELATED_GROUPING_LMMSE,))
         cfg_b = desk_config(estimators=GROUPED)
-        a = run_trial(cfg_a, snr_index=0, trial_index=5)
-        b = run_trial(cfg_b, snr_index=0, trial_index=5)
-        assert a.observation_digests == b.observation_digests
-        key = (4, EstimatorKind.CORRELATED_GROUPING_LMMSE)
-        np.testing.assert_array_equal(a.errors[key], b.errors[key])
+        errors_a, digest_a = SweepEngine(cfg_a).run_cell_trial(0, 0, 5, digest=True)
+        errors_b, digest_b = SweepEngine(cfg_b).run_cell_trial(0, 0, 5, digest=True)
+        assert digest_a == digest_b
+        key = EstimatorKind.CORRELATED_GROUPING_LMMSE
+        np.testing.assert_array_equal(errors_a[key], errors_b[key])
 
-    def test_noiseless_ls_recovers_exactly(self):
+    def test_noiseless_ls_recovers_exactly(self, monkeypatch):
+        # unit pilot power (rho = 1) with no noise
+        monkeypatch.setattr("riscest.montecarlo.received_snr_to_power", lambda snr, scenario: 1.0)
         scenario = desk_scenario()
         scenario.sigma_w2 = 0.0
         cfg = SweepConfig(
             scenario=scenario, estimators=(EstimatorKind.LS,), snr_db=(0.0,),
-            n_trials=1, n_groups=(16,), base_seed=7, power_db_axis=True,
+            n_trials=1, n_groups=(16,), base_seed=7,
         )
-        result = run_trial(cfg, snr_index=0, trial_index=0)
-        errors = result.errors[(16, EstimatorKind.LS)]
         engine = SweepEngine(cfg)
+        errors = engine.run_cell_trial(0, 0, 0, digest=True)[0][EstimatorKind.LS]
+        assert engine.bank(0, 0).rho == 1.0
         scale = engine.bank(0, 0).prior_traces
         assert np.all(errors / scale < 1e-16)
 
     def test_trial_errors_are_per_user(self):
         cfg = desk_config()
-        result = run_trial(cfg, snr_index=0, trial_index=0)
-        for err in result.errors.values():
+        errors, _ = SweepEngine(cfg).run_cell_trial(0, 0, 0, digest=True)
+        for err in errors.values():
             assert err.shape == (2,)
             assert np.all(err >= 0)
 
@@ -182,16 +178,6 @@ class TestRunSweep:
         cg = by_kind[EstimatorKind.CORRELATED_GROUPING_LMMSE]
         assert 0 < cg.nmse_floor < cg.nmse_theory < 1
         assert np.isnan(by_kind[EstimatorKind.GROUPING_LS].nmse_floor)
-
-    def test_unnormalized_mode_reports_raw_traces(self):
-        cfg = desk_config(
-            n_trials=200, snr_db=(20.0,),
-            estimators=(EstimatorKind.CORRELATED_GROUPING_LMMSE,), normalize=False,
-        )
-        report = run_sweep(cfg)
-        row = report.rows[0]
-        assert row.nmse_empirical == pytest.approx(row.nmse_theory, rel=0.15)
-        assert row.nmse_theory > 1.0  # raw trace scale, not the normalized ratio
 
     def test_estimator_failure_recorded_not_fatal(self, monkeypatch):
         cfg = desk_config(n_trials=5, snr_db=(10.0,), estimators=GROUPED)
