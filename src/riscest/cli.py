@@ -130,11 +130,12 @@ def cmd_theory(config: RunConfig) -> int:
         floors: dict[int, float] = {}
         for snr in config.sweep.snr_points():
             rho = received_snr_to_power(snr, config.scenario)
-            # each bank is reduced and freed before the next one is built
             bank = build_cell_bank(stats, config.scenario.sigma_w2, n_groups, rho, kinds, floors)
-            for kind, filters in bank.filters.items():
-                rows.append([kind, n_groups, snr, rho, *theory_means(filters)])
-            del bank
+            rows += [
+                [kind, n_groups, snr, rho, *theory_means(filters)]
+                for kind, filters in bank.filters.items()
+            ]
+            del bank  # free this cell's filters before the next cell's are built
     comments = [f"config_hash={config_digest(config)}"] + _overhead_comments(config)
     write_csv(config.output_path, THEORY_COLUMNS, rows, comments)
     return 0
