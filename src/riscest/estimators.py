@@ -282,7 +282,7 @@ def asymptotic_mse(m: MomentSet) -> float:
     f = m.cov_ss @ m.Z.conj().T @ q @ zg_cuu  # (n_s, n_u)
     gram = _hermitize(zg_cuu.conj().T @ q @ zg_cuu)
     gram_pinv, _ = hermitian_pinv(gram)
-    reduction = np.einsum("ij,jk,ik->", f, gram_pinv, f.conj()).real
+    reduction = ((f @ gram_pinv) * f.conj()).sum().real
     trace = float(np.trace(m.cov_ss).real - reduction)
     return max(trace, 0.0) / float(np.trace(m.cov_ss).real)
 
