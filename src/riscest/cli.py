@@ -91,7 +91,7 @@ def _sweep_config(config: RunConfig) -> SweepConfig:
     sw = config.sweep
     return SweepConfig(
         scenario=config.scenario,
-        estimators=tuple(EstimatorKind(e) for e in sw.estimators),
+        estimators=tuple(sw.estimators),
         snr_db=tuple(sw.snr_points()),
         n_trials=sw.trials,
         n_groups=tuple(sw.n_groups),
@@ -121,16 +121,16 @@ def _overhead_comments(config: RunConfig) -> list[str]:
 
 def cmd_theory(config: RunConfig) -> int:
     """Evaluate the closed-form NMSE of every selected estimator over the sweep grid."""
-    stats = config.scenario.statistics()
-    kinds = tuple(EstimatorKind(e) for e in config.sweep.estimators)
-    if not kinds:
-        raise ConfigurationError("no estimators selected")
+    cfg = _sweep_config(config)  # the sweep's checks of estimators, group counts and grid
+    stats = cfg.scenario.statistics()
     rows = []
-    for n_groups in config.sweep.n_groups:
+    for n_groups in cfg.n_groups:
         floors: dict[int, float] = {}
-        for snr in config.sweep.snr_points():
-            rho = received_snr_to_power(snr, config.scenario)
-            bank = build_cell_bank(stats, config.scenario.sigma_w2, n_groups, rho, kinds, floors)
+        for snr in cfg.snr_db:
+            rho = received_snr_to_power(snr, cfg.scenario)
+            bank = build_cell_bank(
+                stats, cfg.scenario.sigma_w2, n_groups, rho, cfg.estimators, floors
+            )
             rows += [
                 [kind, n_groups, snr, rho, *theory_means(filters)]
                 for kind, filters in bank.filters.items()
@@ -150,7 +150,7 @@ def cmd_sweep(config: RunConfig, workers: int | None = None) -> int:
 
 
 def cmd_validate(out=sys.stdout) -> int:
-    """Run every module's invariant suite and print a pass/fail table."""
+    """Run the validation registry and print a pass/fail table."""
     results = run_validation()
     width = max(len(r.name) for r in results)
     failed = 0
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("theory", help="closed-form NMSE curves"), needs_trials=False)
     add_common(sub.add_parser("sweep", help="Monte Carlo NMSE sweep"))
-    sub.add_parser("validate", help="run all module invariant checks")
+    sub.add_parser("validate", help="run every invariant check and acceptance criterion")
     add_common(sub.add_parser("reproduce-fig2", help="estimator comparison at the reference setup"))
     add_common(sub.add_parser("reproduce-fig3", help="group-count comparison at the reference setup"))
     return parser

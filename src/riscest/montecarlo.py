@@ -46,7 +46,11 @@ class SweepConfig:
     base_seed: int
 
     def __post_init__(self):
-        self.estimators = tuple(EstimatorKind(e) for e in self.estimators)
+        try:
+            self.estimators = tuple(EstimatorKind(e) for e in self.estimators)
+        except ValueError as exc:
+            choices = " ".join(k.value for k in EstimatorKind)
+            raise ConfigurationError(f"{exc}; choose from {choices}") from None
         self.snr_db = tuple(float(s) for s in self.snr_db)
         self.n_groups = tuple(int(g) for g in self.n_groups)
         if self.n_trials < 1:
@@ -212,8 +216,7 @@ class SweepEngine:
         rng = self.trial_rng(snr_index, trial_index)
         realization = self.sampler.sample(rng)
         obs = synthesize_received(
-            realization, self.stats, bank.tconfig, rng,
-            z_full=bank.z_full, z_grouped=bank.z_grouped,
+            realization, self.stats, bank.tconfig, rng, z_full=bank.z_full
         )
         k_users = self.stats.n_users
         errors: dict[EstimatorKind, np.ndarray] = {}

@@ -235,17 +235,15 @@ def build_Z(
 
 @dataclass
 class ObservationSet:
-    """Raw per-slot observations plus per-user combined vectors and matrices.
+    """Per-user combined observations and mixing matrices of one pilot phase.
 
-    y_raw[t, i] is the BS vector in slot i of pattern t; noise_raw holds the
-    matching AWGN draws so the linear model can be reconstructed exactly.
+    noise_raw[t, i] is the AWGN draw added to the BS vector in slot i of
+    pattern t, kept so the linear model can be reconstructed exactly.
     """
 
-    y_raw: np.ndarray  # (T, K, M)
     noise_raw: np.ndarray  # (T, K, M)
     y_combined: np.ndarray  # (K, M*T)
     Z: np.ndarray  # (K, M*T, M*(N+1))
-    Z_G: np.ndarray  # (K, M*T, M*(n_groups+1))
 
 
 def synthesize_received(
@@ -254,16 +252,14 @@ def synthesize_received(
     config: TrainingConfig,
     rng: np.random.Generator,
     z_full: np.ndarray | None = None,
-    z_grouped: np.ndarray | None = None,
 ) -> ObservationSet:
     """Simulate the pilot phase and combine per-user observations.
 
     Per slot, every user's pilot rides through its cascaded channel under the
     active RIS pattern; combining with conjugated pilots isolates user k with
     combined noise covariance K*sigma_w2*I.  Noise is drawn once, so every
-    estimator consuming this set sees identical observations.  z_full and
-    z_grouped may be passed in to avoid rebuilding the per-user matrices in
-    tight loops.
+    estimator consuming this set sees identical observations.  z_full may be
+    passed in to avoid rebuilding the per-user matrices in tight loops.
     """
     m, n = stats.m_antennas, stats.n_elements
     k_users, t_pats = config.n_users, config.n_patterns
@@ -271,8 +267,6 @@ def synthesize_received(
         raise ConfigurationError("realization does not match the configured sizes")
     if z_full is None:
         z_full = np.stack([build_Z(k, stats, config) for k in range(k_users)])
-    if z_grouped is None:
-        z_grouped = np.stack([build_Z(k, stats, config, grouped=True) for k in range(k_users)])
 
     # c[k, t] = sqrt(rho_k) * (per-slot mixing) @ s_k, before pilot scaling
     c = np.empty((k_users, t_pats, m), dtype=complex)
@@ -284,6 +278,4 @@ def synthesize_received(
     phi = config.pilot_matrix  # (K, K), row k = user k
     y_raw = np.einsum("ktm,ki->tim", c, phi) + noise
     y_combined = np.einsum("tim,ki->ktm", y_raw, phi.conj()).reshape(k_users, t_pats * m)
-    return ObservationSet(
-        y_raw=y_raw, noise_raw=noise, y_combined=y_combined, Z=z_full, Z_G=z_grouped
-    )
+    return ObservationSet(noise_raw=noise, y_combined=y_combined, Z=z_full)

@@ -154,6 +154,15 @@ class TestTheoryCommand:
         assert len(header.split("=", 1)[1]) == 16
 
 
+@pytest.mark.parametrize("command", ["theory", "sweep"])
+@pytest.mark.parametrize("bad", [["--groups", "3"], ["--estimators", "bogus"]])
+def test_bad_input_is_usage_error(command, bad, desk_ini, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", desk_ini, "--out", "-"] + bad)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSweepCommand:
     def test_byte_identical_reruns_and_worker_counts(self, desk_ini, tmp_path):
         args = ["sweep", "--config", desk_ini, "--trials", "6", "--groups", "4"]

@@ -93,7 +93,7 @@ class TestConventionalLmmse:
         errs = []
         for _ in range(3000):
             real = sampler.sample(rng)
-            obs = synthesize_received(real, stats, tc, rng, z_full=None, z_grouped=None)
+            obs = synthesize_received(real, stats, tc, rng, z_full=None)
             errs.append(filt.squared_error(obs.y_combined[0], real.s[0]))
         assert np.mean(errs) == pytest.approx(filt.mse_trace, rel=0.05)
 

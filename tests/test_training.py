@@ -239,9 +239,8 @@ class TestSynthesis:
         dim = stats.m_antennas * tc.n_patterns
         acc = np.zeros((dim, dim), dtype=complex)
         z_full = np.stack([build_Z(k, stats, tc) for k in range(2)])
-        z_grp = np.stack([build_Z(k, stats, tc, grouped=True) for k in range(2)])
         for _ in range(n_draws):
-            obs = synthesize_received(zero, stats, tc, rng, z_full=z_full, z_grouped=z_grp)
+            obs = synthesize_received(zero, stats, tc, rng, z_full=z_full)
             y = obs.y_combined[0]
             acc += np.outer(y, y.conj())
         cov = acc / n_draws

@@ -1,9 +1,7 @@
 import io
 
-import pytest
-
 from riscest.cli import cmd_validate
-from riscest.validation import CheckResult, run_validation
+from riscest.validation import CheckResult
 
 
 # one identifier per invariant stated in the module contracts
@@ -37,21 +35,25 @@ EXPECTED_CHECKS = {
     "montecarlo.stderr_scaling",
     "cli.csv_roundtrip_17_digits",
     "cli.config_hash_logged",
+    "1-moment-oracle",
+    "2-theory-vs-empirical",
+    "3-collapse-identity",
+    "4-ordering",
+    "5-power-floor",
+    "6-lmmse-dominance",
+    "7-protocol-invariants",
+    "8-determinism",
+    "9-overhead-accounting",
 }
 
 
-@pytest.fixture(scope="module")
-def results():
-    return run_validation()
-
-
-def test_fresh_build_passes_every_check(results):
-    failed = [r.name for r in results if not r.passed]
+def test_fresh_build_passes_every_check(validation_results):
+    failed = [r.name for r in validation_results if not r.passed]
     assert not failed, f"failed checks: {failed}"
 
 
-def test_report_covers_every_stated_invariant(results):
-    names = {r.name for r in results}
+def test_report_covers_every_stated_invariant(validation_results):
+    names = {r.name for r in validation_results}
     assert names == EXPECTED_CHECKS
 
 
