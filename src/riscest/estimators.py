@@ -11,18 +11,28 @@ Every estimator is affine in the observation, so each carries a precomputed
 filter matrix plus its exact error covariance evaluated under the true
 moments; error covariances use the stabilized (sum-of-PSD-terms) arrangement
 to stay accurate at very high transmit power.
+
+Each filter function runs on the blocks of its moment set
+(`MomentSet.blocks`): one block for a dense set, and for the antenna-domain
+form the aligned block plus the orthogonal block standing for M-1 copies.
+Traces add up over the blocks with their multiplicities; the dense filter is
+assembled from the blocks eagerly, the dense error covariance on first read.
+Every pseudo-inverse cutoff is relative to the largest eigenvalue over all
+blocks, i.e. of the whole block-diagonal matrix, so both forms keep the same
+spectra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .moments import MomentSet, group_expansion_matrix
+from .moments import AntennaMomentSet, MomentSet, combine_blocks, group_expansion_matrix
 
 PINV_RCOND = 1e-10
 
@@ -62,7 +72,9 @@ class AffineEstimator:
 
     error_cov / mse_trace / nmse are the exact second-order error statistics
     of this rule under the true observation moments; nmse_floor, when set, is
-    the infinite-power limit.
+    the infinite-power limit.  error_cov is assembled on first read from
+    error_blocks, the per-block error covariances of the moment set whose
+    antenna factor is r (None for a dense set).
     """
 
     kind: EstimatorKind
@@ -70,41 +82,59 @@ class AffineEstimator:
     mean_s: np.ndarray
     mean_y: np.ndarray
     innovation: bool  # False: raw-linear rule W y with no mean terms
-    error_cov: np.ndarray
+    error_blocks: tuple[np.ndarray, ...]
+    r: np.ndarray | None
     mse_trace: float
     nmse: float
     nmse_floor: float | None = None
     degenerate: bool = False
 
-    def estimate(self, y: np.ndarray) -> EstimateResult:
+    @cached_property
+    def error_cov(self) -> np.ndarray:
+        return combine_blocks(self.r, self.error_blocks)
+
+    def _s_hat(self, y: np.ndarray) -> np.ndarray:
         if self.innovation:
-            s_hat = self.mean_s + self.W @ (y - self.mean_y)
-        else:
-            s_hat = self.W @ y
+            return self.mean_s + self.W @ (y - self.mean_y)
+        return self.W @ y
+
+    def estimate(self, y: np.ndarray) -> EstimateResult:
         return EstimateResult(
-            s_hat=s_hat, error_cov=self.error_cov, mse_trace=self.mse_trace,
+            s_hat=self._s_hat(y), error_cov=self.error_cov, mse_trace=self.mse_trace,
             nmse_theory=self.nmse, nmse_floor=self.nmse_floor,
             degenerate=self.degenerate,
         )
 
     def squared_error(self, y: np.ndarray, s_true: np.ndarray) -> float:
-        diff = self.estimate(y).s_hat - s_true
+        diff = self._s_hat(y) - s_true
         return float(np.real(np.vdot(diff, diff)))
 
 
-def hermitian_pinv(mat: np.ndarray, rcond: float = PINV_RCOND) -> tuple[np.ndarray, bool]:
-    """Pseudo-inverse of a Hermitian PSD matrix via eigendecomposition.
+def hermitian_pinvs(
+    mats: list[np.ndarray], rcond: float = PINV_RCOND
+) -> tuple[list[np.ndarray], bool]:
+    """Pseudo-inverses of the diagonal blocks of one Hermitian PSD matrix.
 
-    Eigenvalues at or below rcond times the largest are dropped; the second
-    return flags whether anything was dropped.
+    Eigenvalues at or below rcond times the largest eigenvalue of any block
+    are dropped; the second return flags whether anything was dropped.
     """
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    cutoff = rcond * max(float(eigvals[-1]), 0.0)  # eigh returns ascending order
-    keep = eigvals > cutoff
-    inv_vals = np.zeros_like(eigvals)
-    inv_vals[keep] = 1.0 / eigvals[keep]
-    pinv = (eigvecs * inv_vals[None, :]) @ eigvecs.conj().T
-    return pinv, bool(np.any(~keep))
+    eigs = [np.linalg.eigh(mat) for mat in mats]
+    # eigh returns ascending order
+    cutoff = rcond * max(0.0, *(float(vals[-1]) for vals, _ in eigs))
+    pinvs, clipped = [], False
+    for eigvals, eigvecs in eigs:
+        keep = eigvals > cutoff
+        inv_vals = np.zeros_like(eigvals)
+        inv_vals[keep] = 1.0 / eigvals[keep]
+        pinvs.append((eigvecs * inv_vals[None, :]) @ eigvecs.conj().T)
+        clipped = clipped or bool(np.any(~keep))
+    return pinvs, clipped
+
+
+def hermitian_pinv(mat: np.ndarray, rcond: float = PINV_RCOND) -> tuple[np.ndarray, bool]:
+    """Pseudo-inverse of one Hermitian PSD matrix; see hermitian_pinvs."""
+    (pinv,), clipped = hermitian_pinvs([mat], rcond)
+    return pinv, clipped
 
 
 def _solve_cyy(cov_yy: np.ndarray, rhs: np.ndarray, noise_floor: float = 0.0) -> np.ndarray:
@@ -151,35 +181,44 @@ def _stabilized_error_cov(
 
 def _finalize(
     kind: EstimatorKind,
-    w_full: np.ndarray,
-    m: MomentSet,
+    ws: list[np.ndarray],
+    m: MomentSet | AntennaMomentSet,
     innovation: bool = True,
     degenerate: bool = False,
     floor: float | None = None,
 ) -> AffineEstimator:
-    bias = None
-    if not innovation:
-        # raw-linear rule: the deterministic residual (I - sqrt(rho) W Z) E[s]
-        bias = m.mean_s - np.sqrt(m.rho) * (w_full @ (m.Z @ m.mean_s))
-    error_cov, trace = _stabilized_error_cov(w_full, m, bias)
-    prior = float(np.trace(m.cov_ss).real)
+    """Estimator from the per-block filters ws of m."""
+    covs, trace = [], 0.0
+    for (b, mult), w in zip(m.blocks, ws):
+        bias = None
+        if not innovation:
+            # raw-linear rule: the deterministic residual (I - sqrt(rho) W Z) E[s]
+            bias = b.mean_s - np.sqrt(b.rho) * (w @ (b.Z @ b.mean_s))
+        cov, block_trace = _stabilized_error_cov(w, b, bias)
+        covs.append(cov)
+        trace += mult * block_trace
     return AffineEstimator(
-        kind=kind, W=w_full, mean_s=m.mean_s, mean_y=m.mean_y,
-        innovation=innovation, error_cov=error_cov, mse_trace=trace,
-        nmse=trace / prior, nmse_floor=floor, degenerate=degenerate,
+        kind=kind, W=combine_blocks(m.r, ws, "s", "y"), mean_s=m.mean_s, mean_y=m.mean_y,
+        innovation=innovation, error_blocks=tuple(covs), r=m.r, mse_trace=trace,
+        nmse=trace / m.prior_trace, nmse_floor=floor, degenerate=degenerate,
     )
 
 
-def conventional_lmmse_filter(m: MomentSet, floor: float | None = None) -> AffineEstimator:
+def conventional_lmmse_filter(
+    m: MomentSet | AntennaMomentSet, floor: float | None = None
+) -> AffineEstimator:
     """Classic one-shot LMMSE of the full target from the stacked observation.
 
     floor short-circuits the power-independent limit when the caller has
     already evaluated it for this pattern configuration.
     """
-    w = _solve_cyy(m.cov_yy, m.cov_sy.conj().T, m.n_users * m.sigma_w2).conj().T
+    ws = [
+        _solve_cyy(b.cov_yy, b.cov_sy.conj().T, b.n_users * b.sigma_w2).conj().T
+        for b, _ in m.blocks
+    ]
     if floor is None and _full_rank_patterns(m):
         floor = asymptotic_mse(m)
-    return _finalize(EstimatorKind.LMMSE, w, m, floor=floor)
+    return _finalize(EstimatorKind.LMMSE, ws, m, floor=floor)
 
 
 def _ls_pinv(z: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
@@ -188,6 +227,8 @@ def _ls_pinv(z: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
     trace(pinv(z) @ z) is the rank the pseudo-inverse kept; it falls short of
     the active (nonzero) column count exactly when an active column lies
     outside the row space of z.  Blocked columns add nothing to the trace.
+    Every block of a moment set shares its z, so the cutoff relative to the
+    largest singular value is the dense matrix's.
     """
     pinv = np.linalg.pinv(z, rcond=PINV_RCOND)
     kept_rank = np.einsum("ij,ji->", pinv, z).real
@@ -195,53 +236,75 @@ def _ls_pinv(z: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
     return pinv / np.sqrt(rho), bool(kept_rank < active - 0.5)
 
 
-def conventional_ls_filter(m: MomentSet) -> AffineEstimator:
+def conventional_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """Least squares on the raw observation; minimum-norm on blocked columns."""
-    w, degenerate = _ls_pinv(m.Z, m.rho)
-    return _finalize(EstimatorKind.LS, w, m, innovation=False, degenerate=degenerate)
+    ws, degenerate = zip(*(_ls_pinv(b.Z, b.rho) for b, _ in m.blocks))
+    return _finalize(
+        EstimatorKind.LS, list(ws), m, innovation=False, degenerate=any(degenerate)
+    )
 
 
-def grouping_ls_filter(m: MomentSet) -> AffineEstimator:
+def _expansion(b: MomentSet) -> np.ndarray:
+    return group_expansion_matrix(b.m_antennas, b.groups, b.Z.shape[1] // b.m_antennas - 1)
+
+
+def grouping_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """LS of the group aggregates, expanded by equal division."""
-    expand = group_expansion_matrix(m.m_antennas, m.groups, m.Z.shape[1] // m.m_antennas - 1)
-    w_u, degenerate = _ls_pinv(m.Z_G, m.rho)
-    return _finalize(EstimatorKind.GROUPING_LS, expand @ w_u, m, degenerate=degenerate)
+    ws, degenerate = [], False
+    for b, _ in m.blocks:
+        w_u, deg = _ls_pinv(b.Z_G, b.rho)
+        ws.append(_expansion(b) @ w_u)
+        degenerate = degenerate or deg
+    return _finalize(EstimatorKind.GROUPING_LS, ws, m, degenerate=degenerate)
 
 
-def grouping_lmmse_filter(m: MomentSet, m_model: MomentSet) -> AffineEstimator:
+def grouping_lmmse_filter(
+    m: MomentSet | AntennaMomentSet, m_model: MomentSet | AntennaMomentSet
+) -> AffineEstimator:
     """Grouping LMMSE designed under the idealized block-correlation prior.
 
     m_model supplies the (mismatched) prior the baseline believes in; the
     returned error statistics are still evaluated under the true moments m.
+    Both sets must come in the same form (both dense or both antenna-domain).
     """
-    w_u = _solve_cyy(
-        m_model.cov_yy, m_model.cov_uy.conj().T, m_model.n_users * m_model.sigma_w2
-    ).conj().T
-    expand = group_expansion_matrix(m.m_antennas, m.groups, m.Z.shape[1] // m.m_antennas - 1)
-    return _finalize(EstimatorKind.GROUPING_LMMSE, expand @ w_u, m)
+    if len(m.blocks) != len(m_model.blocks):
+        raise ValueError("the model moments and the true moments are in different forms")
+    ws = []
+    for (b, _), (b_model, _) in zip(m.blocks, m_model.blocks):
+        w_u = _solve_cyy(
+            b_model.cov_yy, b_model.cov_uy.conj().T, b_model.n_users * b_model.sigma_w2
+        ).conj().T
+        ws.append(_expansion(b) @ w_u)
+    return _finalize(EstimatorKind.GROUPING_LMMSE, ws, m)
 
 
-def correlated_grouping_filter(m: MomentSet, floor: float | None = None) -> AffineEstimator:
+def correlated_grouping_filter(
+    m: MomentSet | AntennaMomentSet, floor: float | None = None
+) -> AffineEstimator:
     """Two-stage LMMSE: group aggregates first, then the full target from them.
 
     The combined filter is C_sy C_yy^-1 C_uy^H G^+ C_uy C_yy^-1 with the inner
     Gram G = C_uy C_yy^-1 C_uy^H pseudo-inverted at a relative cutoff; a
     clipped inner spectrum is flagged as degenerate.
     """
-    x = _solve_cyy(m.cov_yy, m.cov_uy.conj().T, m.n_users * m.sigma_w2)  # (n_y, n_u)
-    gram = m.cov_uy @ x
-    gram = 0.5 * (gram + gram.conj().T)
-    gram_pinv, clipped = hermitian_pinv(gram)
-    w = (m.cov_sy @ x) @ gram_pinv @ x.conj().T
+    xs = [  # (n_y, n_u) per block
+        _solve_cyy(b.cov_yy, b.cov_uy.conj().T, b.n_users * b.sigma_w2) for b, _ in m.blocks
+    ]
+    grams = [_hermitize(b.cov_uy @ x) for (b, _), x in zip(m.blocks, xs)]
+    gram_pinvs, clipped = hermitian_pinvs(grams)
+    ws = [
+        (b.cov_sy @ x) @ gram_pinv @ x.conj().T
+        for (b, _), x, gram_pinv in zip(m.blocks, xs, gram_pinvs)
+    ]
     if floor is None:
         floor = asymptotic_mse(m)
     return _finalize(
-        EstimatorKind.CORRELATED_GROUPING_LMMSE, w, m,
+        EstimatorKind.CORRELATED_GROUPING_LMMSE, ws, m,
         degenerate=clipped, floor=floor,
     )
 
 
-def _full_rank_patterns(m: MomentSet) -> bool:
+def _full_rank_patterns(m: MomentSet | AntennaMomentSet) -> bool:
     """True when the pattern count supports the ungrouped target dimension."""
     n_y, n_s = m.Z.shape
     return n_y >= n_s
@@ -249,8 +312,8 @@ def _full_rank_patterns(m: MomentSet) -> bool:
 
 def make_estimator(
     kind: EstimatorKind,
-    m: MomentSet,
-    m_model: MomentSet | None = None,
+    m: MomentSet | AntennaMomentSet,
+    m_model: MomentSet | AntennaMomentSet | None = None,
     floor: float | None = None,
 ) -> AffineEstimator:
     """Build any estimator kind; grouping LMMSE needs its model-prior moments."""
@@ -269,7 +332,7 @@ def make_estimator(
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def asymptotic_mse(m: MomentSet) -> float:
+def asymptotic_mse(m: MomentSet | AntennaMomentSet) -> float:
     """Infinite-power limit of the correlated-grouping normalized MSE.
 
     Noise-free substitution of the error-covariance trace; pseudo-inverses
@@ -277,14 +340,19 @@ def asymptotic_mse(m: MomentSet) -> float:
     appear in that limit.  The tiny negative traces produced by the cutoff
     are clamped to zero.
     """
-    q, _ = hermitian_pinv(_hermitize(m.Z @ m.cov_ss @ m.Z.conj().T))
-    zg_cuu = m.Z_G @ m.cov_uu
-    f = m.cov_ss @ m.Z.conj().T @ q @ zg_cuu  # (n_s, n_u)
-    gram = _hermitize(zg_cuu.conj().T @ q @ zg_cuu)
-    gram_pinv, _ = hermitian_pinv(gram)
-    reduction = ((f @ gram_pinv) * f.conj()).sum().real
-    trace = float(np.trace(m.cov_ss).real - reduction)
-    return max(trace, 0.0) / float(np.trace(m.cov_ss).real)
+    qs, _ = hermitian_pinvs([_hermitize(b.Z @ b.cov_ss @ b.Z.conj().T) for b, _ in m.blocks])
+    fs, grams = [], []
+    for (b, _), q in zip(m.blocks, qs):
+        zg_cuu = b.Z_G @ b.cov_uu
+        fs.append(b.cov_ss @ b.Z.conj().T @ q @ zg_cuu)  # (n_s, n_u)
+        grams.append(_hermitize(zg_cuu.conj().T @ q @ zg_cuu))
+    gram_pinvs, _ = hermitian_pinvs(grams)
+    reduction = sum(
+        mult * ((f @ gram_pinv) * f.conj()).sum().real
+        for (_, mult), f, gram_pinv in zip(m.blocks, fs, gram_pinvs)
+    )
+    prior = m.prior_trace
+    return max(prior - reduction, 0.0) / prior
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:

@@ -7,17 +7,35 @@ keeps the direct-link block of the prior covariance at the identity whenever
 that link exists.  A blocked direct link zeroes both the corresponding
 observation columns and the prior block, so the unobservable coordinates
 carry no phantom error.
+
+Antenna domain.  When the RIS-BS LoS vectors share one RIS-side factor,
+a_bar = outer(r, v) with unit-modulus r (as `bs_los_vectors` builds them),
+user k's prior is (r r^H) (x) A + I_M (x) B in the antenna-major order and
+every mixing matrix is I_M (x) Z_0.  Rotating the antennas by any unitary
+whose first column is r/sqrt(M) splits the M(N+1)-dimensional problem into
+independent (N+1)-dimensional ones: one "aligned" block with prior M A + B
+and mean sqrt(M) coef (v . g_bar_k), and M-1 identical "orthogonal" blocks
+with prior B and zero mean.  `build_moments` returns that form
+(`AntennaMomentSet`); its dense fields are assembled only when read.
+`observation_moments` builds the dense `MomentSet` directly and is the
+oracle the tests hold the antenna form to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelStatistics
 from .errors import DomainError
 from .training import TrainingConfig, _check_partition, build_Z, contiguous_groups
+
+# a_bar factors as outer(r, v) when it matches within this absolute
+# tolerance; its entries are unit modulus, so this is relative too.
+FACTOR_TOL = 1e-12
 
 
 @dataclass
@@ -49,14 +67,155 @@ class MomentSet:
     def group_size(self) -> int:
         return len(self.groups[0])
 
+    @property
+    def r(self) -> None:
+        """A dense set carries no antenna factor."""
+        return None
+
+    @property
+    def blocks(self) -> tuple[tuple[MomentSet, int], ...]:
+        """The independent problems making up this set, with their multiplicities."""
+        return ((self, 1),)
+
+    @property
+    def prior_trace(self) -> float:
+        return float(np.trace(self.cov_ss).real)
+
+
+def _antenna_order(m_antennas: int, per_antenna: int, observation: bool) -> np.ndarray:
+    """Antenna-major position (m, i) of every dense index.
+
+    Dense target and aggregate vectors run [b_1..b_M; (m, n)], where i = 0 is
+    antenna m's direct entry; observations run (t, m).
+    """
+    idx = np.arange(m_antennas * per_antenna).reshape(m_antennas, per_antenna)
+    if observation:
+        return idx.T.ravel()
+    return np.concatenate([idx[:, 0], idx[:, 1:].ravel()])
+
+
+def combine_blocks(
+    r: np.ndarray | None,
+    xs: Sequence[np.ndarray],
+    rows: str = "s",
+    cols: str = "s",
+) -> np.ndarray:
+    """Dense matrix of a block-diagonal operator given by its per-block values.
+
+    With r None there is one block and it is returned as is.  Otherwise xs
+    holds the aligned and orthogonal blocks X_0, X_1, and the dense matrix
+    is (r r^H / M) (x) (X_0 - X_1) + I_M (x) X_1, reordered from antenna-major
+    into the dense index order: rows and cols are "s" for target or aggregate
+    indices and "y" for observation indices.  The result is C-contiguous.
+    """
+    if r is None:
+        return xs[0]
+    x0, x1 = xs
+    m = r.size
+    p, q = x0.shape
+    diag = np.arange(m)
+    # x[m1, i, m2, j] = r_m1 conj(r_m2) / M (X_0 - X_1)[i, j] + delta(m1, m2) X_1[i, j]
+    x = (np.outer(r, r.conj()) / m)[:, None, :, None] * (x0 - x1)[None, :, None, :]
+    x[diag, :, diag, :] += x1
+    x = x.reshape(m * p, m * q)[:, _antenna_order(m, q, cols == "y")]
+    return x[_antenna_order(m, p, rows == "y")]  # a row gather is C-contiguous
+
+
+@dataclass(eq=False, repr=False)
+class AntennaMomentSet:
+    """User moments split into the aligned and orthogonal antenna-domain blocks.
+
+    aligned and orthogonal are single-antenna (N+1)-dimensional moment sets;
+    the orthogonal one stands for M-1 identical blocks.  Z and Z_G are the
+    dense observation matrices.  Every other dense MomentSet field is
+    assembled from the blocks on first read.
+    """
+
+    r: np.ndarray  # (M,) unit modulus, a_bar = outer(r, a_bar[0])
+    aligned: MomentSet
+    orthogonal: MomentSet
+    Z: np.ndarray
+    Z_G: np.ndarray
+    rho: float
+    sigma_w2: float
+    n_users: int
+    groups: list[np.ndarray]
+
+    @property
+    def m_antennas(self) -> int:
+        return self.r.size
+
+    @property
+    def blocks(self) -> tuple[tuple[MomentSet, int], ...]:
+        return ((self.aligned, 1), (self.orthogonal, self.m_antennas - 1))
+
+    @property
+    def prior_trace(self) -> float:
+        return sum(mult * b.prior_trace for b, mult in self.blocks)
+
+    def _dense(self, field: str, rows: str, cols: str) -> np.ndarray:
+        xs = (getattr(self.aligned, field), getattr(self.orthogonal, field))
+        return combine_blocks(self.r, xs, rows, cols)
+
+    def _dense_mean(self, field: str, observation: bool) -> np.ndarray:
+        # only the aligned block has a nonzero mean
+        x0 = getattr(self.aligned, field)
+        x = np.kron(self.r / np.sqrt(self.m_antennas), x0)
+        return x[_antenna_order(self.m_antennas, x0.size, observation)]
+
+    @cached_property
+    def mean_s(self) -> np.ndarray:
+        return self._dense_mean("mean_s", observation=False)
+
+    @cached_property
+    def mean_y(self) -> np.ndarray:
+        return self._dense_mean("mean_y", observation=True)
+
+    @cached_property
+    def cov_ss(self) -> np.ndarray:
+        return self._dense("cov_ss", "s", "s")
+
+    @cached_property
+    def cov_uu(self) -> np.ndarray:
+        return self._dense("cov_uu", "s", "s")
+
+    @cached_property
+    def cov_sy(self) -> np.ndarray:
+        return self._dense("cov_sy", "s", "y")
+
+    @cached_property
+    def cov_uy(self) -> np.ndarray:
+        return self._dense("cov_uy", "s", "y")
+
+    @cached_property
+    def cov_yy(self) -> np.ndarray:
+        return self._dense("cov_yy", "y", "y")
+
+
+def antenna_factor(a_bar: np.ndarray) -> np.ndarray | None:
+    """Unit-modulus r with a_bar == outer(r, a_bar[0]), or None.
+
+    None also for a single antenna, whose dense problem is already one block.
+    """
+    if a_bar.shape[0] < 2 or a_bar[0, 0] == 0:
+        return None
+    r = a_bar[:, 0] / a_bar[0, 0]
+    unit = np.allclose(np.abs(r), 1.0, rtol=0.0, atol=FACTOR_TOL)
+    if not (unit and np.allclose(np.outer(r, a_bar[0]), a_bar, rtol=0.0, atol=FACTOR_TOL)):
+        return None
+    return r
+
+
+def _mean(stats: ChannelStatistics, k: int, a_bar: np.ndarray) -> np.ndarray:
+    ka, kg = stats.fading.kappa_a, stats.fading.kappa_g
+    coef = np.sqrt(ka * kg / ((1.0 + ka) * (1.0 + kg)))
+    cascade = coef * (a_bar * stats.g_bar[k][None, :])  # (M, N)
+    return np.concatenate([np.zeros(a_bar.shape[0], dtype=complex), cascade.reshape(-1)])
+
 
 def mean_s(stats: ChannelStatistics, k: int) -> np.ndarray:
     """Mean of the cascaded target: LoS products scaled by both Rician weights."""
-    ka, kg = stats.fading.kappa_a, stats.fading.kappa_g
-    m, n = stats.m_antennas, stats.n_elements
-    coef = np.sqrt(ka * kg / ((1.0 + ka) * (1.0 + kg)))
-    cascade = coef * (stats.a_bar * stats.g_bar[k][None, :])  # (M, N)
-    return np.concatenate([np.zeros(m, dtype=complex), cascade.reshape(-1)])
+    return _mean(stats, k, stats.a_bar)
 
 
 def _cascade_cov(
@@ -81,23 +240,42 @@ def _cascade_cov(
     return cross.transpose(0, 2, 1, 3).reshape(m * n, m * n)
 
 
+def _prior(
+    stats: ChannelStatistics,
+    k: int,
+    a_bar: np.ndarray,
+    r0: np.ndarray,
+    rk: np.ndarray,
+    direct_present: bool,
+) -> np.ndarray:
+    """[b; cascade] prior covariance for the LoS rows a_bar, shape (M'(N+1), M'(N+1))."""
+    m, n = a_bar.shape
+    out = np.zeros((m * (n + 1), m * (n + 1)), dtype=complex)
+    if direct_present:
+        out[:m, :m] = np.eye(m)
+    out[m:, m:] = _cascade_cov(
+        a_bar, stats.g_bar[k], r0, rk, stats.fading.kappa_a, stats.fading.kappa_g,
+    )
+    return out
+
+
+def _block_correlation(n_elements: int, groups: list[np.ndarray]) -> np.ndarray:
+    """All-ones within a group, zero across groups."""
+    block = np.zeros((n_elements, n_elements), dtype=complex)
+    for idx in groups:
+        block[np.ix_(idx, idx)] = 1.0
+    return block
+
+
 def cov_ss(stats: ChannelStatistics, k: int, direct_present: bool | None = None) -> np.ndarray:
     """Prior covariance of the cascaded target for user k, shape (M(N+1), M(N+1)).
 
     The direct-link block is the identity when that link exists and zero when
     it is blocked (rho_b[k] == 0), matching what the sampler actually emits.
     """
-    m, n = stats.m_antennas, stats.n_elements
     if direct_present is None:
         direct_present = stats.rho_b[k] > 0
-    out = np.zeros((m * (n + 1), m * (n + 1)), dtype=complex)
-    if direct_present:
-        out[:m, :m] = np.eye(m)
-    out[m:, m:] = _cascade_cov(
-        stats.a_bar, stats.g_bar[k], stats.R0, stats.R[k],
-        stats.fading.kappa_a, stats.fading.kappa_g,
-    )
-    return out
+    return _prior(stats, k, stats.a_bar, stats.R0, stats.R[k], direct_present)
 
 
 def cov_ss_block_ideal(
@@ -110,19 +288,8 @@ def cov_ss_block_ideal(
     that elements in a group share identical scattering while groups are
     independent.
     """
-    n = stats.n_elements
-    block = np.zeros((n, n), dtype=complex)
-    for idx in groups:
-        block[np.ix_(idx, idx)] = 1.0
-    m = stats.m_antennas
-    out = np.zeros((m * (n + 1), m * (n + 1)), dtype=complex)
-    if stats.rho_b[k] > 0:
-        out[:m, :m] = np.eye(m)
-    out[m:, m:] = _cascade_cov(
-        stats.a_bar, stats.g_bar[k], block, block,
-        stats.fading.kappa_a, stats.fading.kappa_g,
-    )
-    return out
+    block = _block_correlation(stats.n_elements, groups)
+    return _prior(stats, k, stats.a_bar, block, block, stats.rho_b[k] > 0)
 
 
 def group_aggregation_matrix(m_antennas: int, groups: list[np.ndarray], n_elements: int) -> np.ndarray:
@@ -174,6 +341,33 @@ def cov_uu(
     return p @ cov_ss_mat @ p.T
 
 
+def _complete(
+    mu_s: np.ndarray,
+    c_ss: np.ndarray,
+    z_full: np.ndarray,
+    z_grouped: np.ndarray,
+    rho_k: float,
+    sigma_w2: float,
+    n_users: int,
+    m_antennas: int,
+    groups: list[np.ndarray],
+) -> MomentSet:
+    """Observation moments of a target with mean mu_s and prior c_ss seen through z_full."""
+    c_uu = cov_uu(c_ss, m_antennas, groups)
+    sqrt_rho = np.sqrt(rho_k)
+    mean_y = sqrt_rho * (z_full @ mu_s)
+    cov_sy = sqrt_rho * (c_ss @ z_full.conj().T)
+    cov_uy_mat = sqrt_rho * (c_uu @ z_grouped.conj().T)
+    n_y = z_full.shape[0]
+    cov_yy = rho_k * (z_full @ c_ss @ z_full.conj().T) + n_users * sigma_w2 * np.eye(n_y)
+    return MomentSet(
+        mean_s=mu_s, cov_ss=c_ss, cov_uu=c_uu, mean_y=mean_y,
+        cov_sy=cov_sy, cov_uy=cov_uy_mat, cov_yy=cov_yy,
+        Z=z_full, Z_G=z_grouped, rho=rho_k, sigma_w2=sigma_w2,
+        n_users=n_users, m_antennas=m_antennas, groups=list(groups),
+    )
+
+
 def observation_moments(
     stats: ChannelStatistics,
     k: int,
@@ -185,25 +379,15 @@ def observation_moments(
     groups: list[np.ndarray] | None = None,
     cov_ss_mat: np.ndarray | None = None,
 ) -> MomentSet:
-    """Complete the moment set for one user given its observation matrices."""
+    """Complete the dense moment set for one user given its observation matrices."""
     if groups is None:
         n_g = z_grouped.shape[1] // stats.m_antennas - 1
         groups = contiguous_groups(stats.n_elements, n_g)
     if cov_ss_mat is None:
         cov_ss_mat = cov_ss(stats, k)
-    mu_s = mean_s(stats, k)
-    c_uu = cov_uu(cov_ss_mat, stats.m_antennas, groups)
-    sqrt_rho = np.sqrt(rho_k)
-    mean_y = sqrt_rho * (z_full @ mu_s)
-    cov_sy = sqrt_rho * (cov_ss_mat @ z_full.conj().T)
-    cov_uy_mat = sqrt_rho * (c_uu @ z_grouped.conj().T)
-    n_y = z_full.shape[0]
-    cov_yy = rho_k * (z_full @ cov_ss_mat @ z_full.conj().T) + n_users * sigma_w2 * np.eye(n_y)
-    return MomentSet(
-        mean_s=mu_s, cov_ss=cov_ss_mat, cov_uu=c_uu, mean_y=mean_y,
-        cov_sy=cov_sy, cov_uy=cov_uy_mat, cov_yy=cov_yy,
-        Z=z_full, Z_G=z_grouped, rho=rho_k, sigma_w2=sigma_w2,
-        n_users=n_users, m_antennas=stats.m_antennas, groups=list(groups),
+    return _complete(
+        mean_s(stats, k), cov_ss_mat, z_full, z_grouped,
+        rho_k, sigma_w2, n_users, stats.m_antennas, groups,
     )
 
 
@@ -212,23 +396,44 @@ def build_moments(
     k: int,
     config: TrainingConfig,
     block_ideal: bool = False,
-) -> MomentSet:
+) -> MomentSet | AntennaMomentSet:
     """Moment set for user k under a training configuration.
 
     block_ideal swaps in the idealized block-correlation prior used by the
-    plain grouping baselines.
+    plain grouping baselines.  The set is in the antenna-domain form when
+    a_bar factors (see the module docstring) and dense otherwise.
     """
     if config.n_elements != stats.n_elements or config.n_users != stats.n_users:
         raise DomainError("training configuration does not match the statistics")
     z_full = build_Z(k, stats, config)
     z_grouped = build_Z(k, stats, config, grouped=True)
-    c_ss = (
-        cov_ss_block_ideal(stats, k, config.groups)
-        if block_ideal
-        else cov_ss(stats, k)
-    )
-    return observation_moments(
-        stats, k, z_full, z_grouped,
-        rho_k=float(config.rho[k]), sigma_w2=config.sigma_w2,
-        n_users=config.n_users, groups=config.groups, cov_ss_mat=c_ss,
+    if block_ideal:
+        r0 = rk = _block_correlation(stats.n_elements, config.groups)
+    else:
+        r0, rk = stats.R0, stats.R[k]
+    rho_k, direct = float(config.rho[k]), stats.rho_b[k] > 0
+    r = antenna_factor(stats.a_bar)
+    if r is None:
+        return observation_moments(
+            stats, k, z_full, z_grouped,
+            rho_k=rho_k, sigma_w2=config.sigma_w2, n_users=config.n_users,
+            groups=config.groups, cov_ss_mat=_prior(stats, k, stats.a_bar, r0, rk, direct),
+        )
+    m, n, n_g = r.size, stats.n_elements, config.n_groups
+    # antenna 1's rows and columns: Z is I_M (x) Z_0 up to the index order
+    z0 = z_full[::m][:, np.r_[0, m : m + n]]
+    zg0 = z_grouped[::m][:, np.r_[0, m : m + n_g]]
+
+    def block(a_row: np.ndarray) -> MomentSet:
+        return _complete(
+            _mean(stats, k, a_row), _prior(stats, k, a_row, r0, rk, direct), z0, zg0,
+            rho_k, config.sigma_w2, config.n_users, 1, config.groups,
+        )
+
+    return AntennaMomentSet(
+        r=r,
+        aligned=block(np.sqrt(m) * stats.a_bar[:1]),
+        orthogonal=block(np.zeros_like(stats.a_bar[:1])),
+        Z=z_full, Z_G=z_grouped, rho=rho_k, sigma_w2=config.sigma_w2,
+        n_users=config.n_users, groups=list(config.groups),
     )

@@ -161,7 +161,7 @@ def build_cell_bank(
                     floors[k] = asymptotic_mse(m_true)
                 floor = floors[k]
             filters[kind].append(make_estimator(kind, m_true, m_model, floor=floor))
-        prior_traces[k] = np.trace(m_true.cov_ss).real
+        prior_traces[k] = m_true.prior_trace
         z_full.append(m_true.Z)
         z_grouped.append(m_true.Z_G)
     return _CellBank(

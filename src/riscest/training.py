@@ -205,11 +205,20 @@ def make_training_config(
     )
 
 
-def _mixing_block(rho_b: float, rho_g: float, rho_a: float, pattern: np.ndarray, m: int) -> np.ndarray:
-    """Per-pattern mixing [sqrt(rho_b) I_M, sqrt(rho_g rho_a) I_M (x) theta], (M, M(N+1))."""
-    direct = np.sqrt(rho_b) * np.eye(m, dtype=complex)
-    cascade = np.sqrt(rho_g * rho_a) * np.kron(np.eye(m, dtype=complex), pattern[None, :])
-    return np.hstack([direct, cascade])
+def _mixing_block(
+    rho_b: float, rho_g: float, rho_a: float, pattern: np.ndarray, m: int
+) -> np.ndarray:
+    """Mixing [sqrt(rho_b) I_M, sqrt(rho_g rho_a) I_M (x) theta] of each pattern theta.
+
+    pattern has shape (..., N); the result has shape (..., M, M(N+1)).
+    """
+    *lead, n = pattern.shape
+    diag = np.arange(m)
+    out = np.zeros((*lead, m, m * (n + 1)), dtype=complex)
+    out[..., diag, diag] = np.sqrt(rho_b)
+    cascade = out[..., m:].reshape(*lead, m, m, n)  # a view: (row antenna, column antenna, n)
+    cascade[..., diag, diag, :] = (np.sqrt(rho_g * rho_a) * pattern)[..., None, :]
+    return out
 
 
 def build_Z(
@@ -220,17 +229,13 @@ def build_Z(
 ) -> np.ndarray:
     """Stacked observation matrix for user k, shape (M*T, M*(N+1)).
 
-    With grouped=True the group patterns are used instead, giving
-    (M*T, M*(n_groups+1)); the combining gain K is included.
+    Rows run (t, m).  With grouped=True the group patterns are used instead,
+    giving (M*T, M*(n_groups+1)); the combining gain K is included.
     """
     m = stats.m_antennas
     pats = config.group_patterns if grouped else config.patterns
-    blocks = [
-        config.n_users
-        * _mixing_block(stats.rho_b[k], stats.rho_g[k], stats.rho_a, pats[t], m)
-        for t in range(config.n_patterns)
-    ]
-    return np.vstack(blocks)
+    blocks = _mixing_block(stats.rho_b[k], stats.rho_g[k], stats.rho_a, pats, m)
+    return config.n_users * blocks.reshape(config.n_patterns * m, -1)
 
 
 @dataclass

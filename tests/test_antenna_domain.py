@@ -1,0 +1,174 @@
+"""The antenna-domain block path against the dense M(N+1)-dimensional oracle.
+
+The oracle is `observation_moments` fed with `build_Z`, evaluated by the
+named filter functions; the block path is `build_moments` evaluated by
+`make_estimator` and `asymptotic_mse`.
+"""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+
+from riscest.estimators import (
+    EstimatorKind,
+    asymptotic_mse,
+    conventional_lmmse_filter,
+    conventional_ls_filter,
+    correlated_grouping_filter,
+    grouping_lmmse_filter,
+    grouping_ls_filter,
+    make_estimator,
+)
+from riscest.moments import (
+    AntennaMomentSet,
+    MomentSet,
+    antenna_factor,
+    build_moments,
+    cov_ss_block_ideal,
+    observation_moments,
+)
+from riscest.montecarlo import received_snr_to_power
+from riscest.scenario import default_scenario, desk_scenario
+from riscest.training import PatternOrthogonalityWarning, build_Z, make_training_config
+
+MOMENT_FIELDS = ("mean_s", "cov_ss", "cov_uu", "mean_y", "cov_sy", "cov_uy", "cov_yy", "Z", "Z_G")
+
+
+def _desk_unblocked():
+    scenario = desk_scenario()
+    scenario.fading.direct_blocked = False
+    return scenario
+
+
+SCENARIOS = {"desk": desk_scenario, "desk-unblocked": _desk_unblocked, "reference": default_scenario}
+
+# (scenario, n_groups, snr_db, users); None means every user
+CASES = [
+    ("desk", 4, -10.0, None),
+    ("desk", 4, 40.0, None),
+    ("desk", 16, -10.0, None),
+    ("desk", 16, 40.0, None),
+    ("desk-unblocked", 4, 10.0, None),
+    ("desk-unblocked", 16, 30.0, None),
+    ("reference", 16, 0.0, (0,)),
+    ("reference", 16, 50.0, (0,)),
+    ("reference", 64, 20.0, (0,)),
+]
+
+
+@pytest.fixture(scope="module")
+def statistics():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            scenario = SCENARIOS[name]()
+            cache[name] = scenario, scenario.statistics()
+        return cache[name]
+
+    return get
+
+
+def _training(scenario, stats, n_groups, snr_db):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PatternOrthogonalityWarning)
+        return make_training_config(
+            stats.n_elements, stats.n_users, n_groups=n_groups,
+            rho=received_snr_to_power(snr_db, scenario), sigma_w2=scenario.sigma_w2,
+        )
+
+
+def _dense(stats, k, tc, block_ideal=False):
+    c_ss = cov_ss_block_ideal(stats, k, tc.groups) if block_ideal else None
+    return observation_moments(
+        stats, k, build_Z(k, stats, tc), build_Z(k, stats, tc, grouped=True),
+        rho_k=float(tc.rho[k]), sigma_w2=tc.sigma_w2, n_users=tc.n_users,
+        groups=tc.groups, cov_ss_mat=c_ss,
+    )
+
+
+def _dense_filters(m, m_model):
+    return {
+        EstimatorKind.LS: conventional_ls_filter(m),
+        EstimatorKind.LMMSE: conventional_lmmse_filter(m),
+        EstimatorKind.GROUPING_LS: grouping_ls_filter(m),
+        EstimatorKind.GROUPING_LMMSE: grouping_lmmse_filter(m, m_model),
+        EstimatorKind.CORRELATED_GROUPING_LMMSE: correlated_grouping_filter(m),
+    }
+
+
+def _check_floor(got, want, ungrouped):
+    if want is None:
+        assert got is None
+    elif ungrouped:
+        # The exact floor is 0 (Z_0 has full column rank), so both values are
+        # cutoff noise.  The dense oracle's noise grows with the spread of
+        # Z C_ss Z^H and reaches 1.5e-11 with an unblocked direct link, so
+        # the block path is held to the exact value instead.
+        assert 0.0 <= got <= 1e-12
+    else:
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "name,n_groups,snr_db,users", CASES, ids=[f"{c[0]}-G{c[1]}-{c[2]:g}dB" for c in CASES]
+)
+def test_block_path_matches_dense_oracle(statistics, name, n_groups, snr_db, users):
+    scenario, stats = statistics(name)
+    tc = _training(scenario, stats, n_groups, snr_db)
+    ungrouped = n_groups == stats.n_elements
+    for k in users or range(stats.n_users):
+        m = build_moments(stats, k, tc)
+        m_model = build_moments(stats, k, tc, block_ideal=True)
+        assert isinstance(m, AntennaMomentSet) and isinstance(m_model, AntennaMomentSet)
+        d, d_model = _dense(stats, k, tc), _dense(stats, k, tc, block_ideal=True)
+        _check_floor(asymptotic_mse(m), asymptotic_mse(d), ungrouped)
+        for kind, want in _dense_filters(d, d_model).items():
+            got = make_estimator(kind, m, m_model)
+            assert got.nmse == pytest.approx(want.nmse, rel=1e-10), kind
+            assert got.mse_trace == pytest.approx(want.mse_trace, rel=1e-10), kind
+            assert got.degenerate == want.degenerate, kind
+            _check_floor(got.nmse_floor, want.nmse_floor, ungrouped)
+            assert got.W.shape == want.W.shape and got.W.flags.c_contiguous
+            assert np.abs(got.W - want.W).max() <= 1e-8 * np.abs(want.W).max(), kind
+            scale = np.abs(want.error_cov).max()
+            np.testing.assert_allclose(got.error_cov, want.error_cov, rtol=1e-8, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("block_ideal", [False, True])
+@pytest.mark.parametrize("name", ["desk", "desk-unblocked"])
+def test_assembled_moments_match_dense(statistics, name, block_ideal):
+    scenario, stats = statistics(name)
+    tc = _training(scenario, stats, 4, 20.0)
+    for k in range(stats.n_users):
+        m = build_moments(stats, k, tc, block_ideal=block_ideal)
+        d = _dense(stats, k, tc, block_ideal=block_ideal)
+        assert m.prior_trace == pytest.approx(d.prior_trace, rel=1e-12)
+        for field in MOMENT_FIELDS:
+            want = getattr(d, field)
+            np.testing.assert_allclose(
+                getattr(m, field), want, rtol=0.0, atol=1e-13 * np.abs(want).max(), err_msg=field
+            )
+
+
+def test_unfactored_los_falls_back_to_dense(statistics):
+    scenario, stats = statistics("desk")
+    # two different RIS-side LoS vectors: a_bar has rank 2
+    rng = np.random.default_rng(31)
+    v = np.exp(2j * np.pi * rng.random((2, stats.n_elements)))
+    a_bar = np.repeat(v, stats.m_antennas // 2, axis=0)
+    stats = dataclasses.replace(stats, a_bar=a_bar)
+    assert np.linalg.matrix_rank(a_bar) == 2
+    assert antenna_factor(a_bar) is None
+    assert antenna_factor(a_bar[:1]) is None  # one antenna is already one block
+    tc = _training(scenario, stats, 4, 20.0)
+    m = build_moments(stats, 1, tc)
+    assert isinstance(m, MomentSet)
+    d = _dense(stats, 1, tc)
+    for field in MOMENT_FIELDS:
+        np.testing.assert_array_equal(getattr(m, field), getattr(d, field), err_msg=field)
+    assert (m.rho, m.sigma_w2, m.n_users, m.m_antennas) == (d.rho, d.sigma_w2, d.n_users, d.m_antennas)
+    assert len(m.groups) == len(d.groups)
+    assert all(np.array_equal(a, b) for a, b in zip(m.groups, d.groups))

@@ -17,7 +17,7 @@ from riscest.estimators import (
 from riscest.moments import MomentSet, build_moments, cov_ss
 from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import desk_scenario
-from riscest.training import make_training_config, synthesize_received
+from riscest.training import build_Z, make_training_config, synthesize_received
 
 from test_moments import scalar_stats
 
@@ -90,10 +90,11 @@ class TestConventionalLmmse:
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(21)
         filt = conventional_lmmse_filter(m)
+        z_full = np.stack([build_Z(k, stats, tc) for k in range(stats.n_users)])
         errs = []
         for _ in range(3000):
             real = sampler.sample(rng)
-            obs = synthesize_received(real, stats, tc, rng, z_full=None)
+            obs = synthesize_received(real, stats, tc, rng, z_full=z_full)
             errs.append(filt.squared_error(obs.y_combined[0], real.s[0]))
         assert np.mean(errs) == pytest.approx(filt.mse_trace, rel=0.05)
 
