@@ -23,7 +23,6 @@ from .channel import (
 from .errors import ConfigurationError, DomainError, NumericalError
 from .estimators import (
     AffineEstimator,
-    EstimateResult,
     EstimatorKind,
     asymptotic_mse,
     make_estimator,

@@ -164,7 +164,7 @@ def cmd_validate(out=sys.stdout) -> int:
 
 def _reproduce(config: RunConfig, workers: int | None) -> int:
     for line in _overhead_comments(config):
-        print(line)
+        print(line, file=sys.stderr)  # stdout may carry the CSV
     return cmd_sweep(config, workers=workers)
 
 

@@ -15,11 +15,11 @@ to stay accurate at very high transmit power.
 Each filter function runs on the blocks of its moment set
 (`MomentSet.blocks`): one block for a dense set, and for the antenna-domain
 form the aligned block plus the orthogonal block standing for M-1 copies.
-Traces add up over the blocks with their multiplicities; the dense filter is
-assembled from the blocks eagerly, the dense error covariance on first read.
-Every pseudo-inverse cutoff is relative to the largest eigenvalue over all
-blocks, i.e. of the whole block-diagonal matrix, so both forms keep the same
-spectra.
+An estimator keeps its per-block filters and error covariances; traces add
+up over the blocks with their multiplicities, and the dense filter and error
+covariance are each assembled from the blocks on first read.  Every
+pseudo-inverse cutoff is relative to the largest eigenvalue over all blocks,
+i.e. of the whole block-diagonal matrix, so both forms keep the same spectra.
 """
 
 from __future__ import annotations
@@ -55,30 +55,19 @@ GROUPED_KINDS = frozenset(
 
 
 @dataclass
-class EstimateResult:
-    """One estimate plus the theory attached to the estimator that made it."""
-
-    s_hat: np.ndarray
-    error_cov: np.ndarray | None = None
-    mse_trace: float | None = None
-    nmse_theory: float | None = None
-    nmse_floor: float | None = None
-    degenerate: bool = False
-
-
-@dataclass
 class AffineEstimator:
     """Precomputed affine rule s_hat = mean_s + W (y - mean_y) (or W y raw).
 
     error_cov / mse_trace / nmse are the exact second-order error statistics
     of this rule under the true observation moments; nmse_floor, when set, is
-    the infinite-power limit.  error_cov is assembled on first read from
-    error_blocks, the per-block error covariances of the moment set whose
-    antenna factor is r (None for a dense set).
+    the infinite-power limit.  w_blocks and error_blocks are the per-block
+    filters and error covariances of the moment set whose antenna factor is
+    r (None for a dense set); W and error_cov are assembled from them on
+    first read.
     """
 
     kind: EstimatorKind
-    W: np.ndarray  # (n_s, n_y)
+    w_blocks: tuple[np.ndarray, ...]
     mean_s: np.ndarray
     mean_y: np.ndarray
     innovation: bool  # False: raw-linear rule W y with no mean terms
@@ -90,23 +79,20 @@ class AffineEstimator:
     degenerate: bool = False
 
     @cached_property
+    def W(self) -> np.ndarray:
+        return combine_blocks(self.r, self.w_blocks, "s", "y")
+
+    @cached_property
     def error_cov(self) -> np.ndarray:
         return combine_blocks(self.r, self.error_blocks)
 
-    def _s_hat(self, y: np.ndarray) -> np.ndarray:
+    def estimate(self, y: np.ndarray) -> np.ndarray:
         if self.innovation:
             return self.mean_s + self.W @ (y - self.mean_y)
         return self.W @ y
 
-    def estimate(self, y: np.ndarray) -> EstimateResult:
-        return EstimateResult(
-            s_hat=self._s_hat(y), error_cov=self.error_cov, mse_trace=self.mse_trace,
-            nmse_theory=self.nmse, nmse_floor=self.nmse_floor,
-            degenerate=self.degenerate,
-        )
-
     def squared_error(self, y: np.ndarray, s_true: np.ndarray) -> float:
-        diff = self._s_hat(y) - s_true
+        diff = self.estimate(y) - s_true
         return float(np.real(np.vdot(diff, diff)))
 
 
@@ -129,12 +115,6 @@ def hermitian_pinvs(
         pinvs.append((eigvecs * inv_vals[None, :]) @ eigvecs.conj().T)
         clipped = clipped or bool(np.any(~keep))
     return pinvs, clipped
-
-
-def hermitian_pinv(mat: np.ndarray, rcond: float = PINV_RCOND) -> tuple[np.ndarray, bool]:
-    """Pseudo-inverse of one Hermitian PSD matrix; see hermitian_pinvs."""
-    (pinv,), clipped = hermitian_pinvs([mat], rcond)
-    return pinv, clipped
 
 
 def _solve_cyy(cov_yy: np.ndarray, rhs: np.ndarray, noise_floor: float = 0.0) -> np.ndarray:
@@ -198,7 +178,7 @@ def _finalize(
         covs.append(cov)
         trace += mult * block_trace
     return AffineEstimator(
-        kind=kind, W=combine_blocks(m.r, ws, "s", "y"), mean_s=m.mean_s, mean_y=m.mean_y,
+        kind=kind, w_blocks=tuple(ws), mean_s=m.mean_s, mean_y=m.mean_y,
         innovation=innovation, error_blocks=tuple(covs), r=m.r, mse_trace=trace,
         nmse=trace / m.prior_trace, nmse_floor=floor, degenerate=degenerate,
     )
@@ -238,9 +218,10 @@ def _ls_pinv(z: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
 
 def conventional_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """Least squares on the raw observation; minimum-norm on blocked columns."""
-    ws, degenerate = zip(*(_ls_pinv(b.Z, b.rho) for b, _ in m.blocks))
+    b, _ = m.blocks[0]
+    w, degenerate = _ls_pinv(b.Z, b.rho)
     return _finalize(
-        EstimatorKind.LS, list(ws), m, innovation=False, degenerate=any(degenerate)
+        EstimatorKind.LS, [w] * len(m.blocks), m, innovation=False, degenerate=degenerate
     )
 
 
@@ -250,12 +231,10 @@ def _expansion(b: MomentSet) -> np.ndarray:
 
 def grouping_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """LS of the group aggregates, expanded by equal division."""
-    ws, degenerate = [], False
-    for b, _ in m.blocks:
-        w_u, deg = _ls_pinv(b.Z_G, b.rho)
-        ws.append(_expansion(b) @ w_u)
-        degenerate = degenerate or deg
-    return _finalize(EstimatorKind.GROUPING_LS, ws, m, degenerate=degenerate)
+    b, _ = m.blocks[0]
+    w_u, degenerate = _ls_pinv(b.Z_G, b.rho)
+    w = _expansion(b) @ w_u
+    return _finalize(EstimatorKind.GROUPING_LS, [w] * len(m.blocks), m, degenerate=degenerate)
 
 
 def grouping_lmmse_filter(

@@ -16,9 +16,10 @@ whose first column is r/sqrt(M) splits the M(N+1)-dimensional problem into
 independent (N+1)-dimensional ones: one "aligned" block with prior M A + B
 and mean sqrt(M) coef (v . g_bar_k), and M-1 identical "orthogonal" blocks
 with prior B and zero mean.  `build_moments` returns that form
-(`AntennaMomentSet`); its dense fields are assembled only when read.
-`observation_moments` builds the dense `MomentSet` directly and is the
-oracle the tests hold the antenna form to.
+(`AntennaMomentSet`), which holds the two blocks, the dense observation
+matrices and the dense means; `combine_blocks` assembles any dense matrix
+from its per-block values.  `observation_moments` builds the dense
+`MomentSet` directly and is the oracle the tests hold the antenna form to.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class MomentSet:
     n_users: int
     m_antennas: int
     groups: list[np.ndarray]
-
-    @property
-    def group_size(self) -> int:
-        return len(self.groups[0])
 
     @property
     def r(self) -> None:
@@ -127,8 +124,8 @@ class AntennaMomentSet:
 
     aligned and orthogonal are single-antenna (N+1)-dimensional moment sets;
     the orthogonal one stands for M-1 identical blocks.  Z and Z_G are the
-    dense observation matrices.  Every other dense MomentSet field is
-    assembled from the blocks on first read.
+    dense observation matrices; the dense means are assembled on first read.
+    A dense covariance is combine_blocks over the two blocks' values.
     """
 
     r: np.ndarray  # (M,) unit modulus, a_bar = outer(r, a_bar[0])
@@ -153,10 +150,6 @@ class AntennaMomentSet:
     def prior_trace(self) -> float:
         return sum(mult * b.prior_trace for b, mult in self.blocks)
 
-    def _dense(self, field: str, rows: str, cols: str) -> np.ndarray:
-        xs = (getattr(self.aligned, field), getattr(self.orthogonal, field))
-        return combine_blocks(self.r, xs, rows, cols)
-
     def _dense_mean(self, field: str, observation: bool) -> np.ndarray:
         # only the aligned block has a nonzero mean
         x0 = getattr(self.aligned, field)
@@ -170,26 +163,6 @@ class AntennaMomentSet:
     @cached_property
     def mean_y(self) -> np.ndarray:
         return self._dense_mean("mean_y", observation=True)
-
-    @cached_property
-    def cov_ss(self) -> np.ndarray:
-        return self._dense("cov_ss", "s", "s")
-
-    @cached_property
-    def cov_uu(self) -> np.ndarray:
-        return self._dense("cov_uu", "s", "s")
-
-    @cached_property
-    def cov_sy(self) -> np.ndarray:
-        return self._dense("cov_sy", "s", "y")
-
-    @cached_property
-    def cov_uy(self) -> np.ndarray:
-        return self._dense("cov_uy", "s", "y")
-
-    @cached_property
-    def cov_yy(self) -> np.ndarray:
-        return self._dense("cov_yy", "y", "y")
 
 
 def antenna_factor(a_bar: np.ndarray) -> np.ndarray | None:

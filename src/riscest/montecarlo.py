@@ -264,9 +264,16 @@ def _worker_block(args: tuple[int, int, int, int]) -> tuple[tuple[int, int, int]
 
 
 def resolve_workers(workers: int | None) -> int:
+    """The worker count: workers if given, else the RISCEST_WORKERS variable, else 1."""
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    return max(1, workers)
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigurationError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
+    if workers < 1:
+        raise ConfigurationError(f"need at least one worker, got {workers}")
+    return workers
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> MseReport:

@@ -130,7 +130,7 @@ class TrainingConfig:
 
     group_of maps each element to its group index; n_groups == N recovers
     the ungrouped protocol.  tau_p = K*T is the pilot overhead actually
-    spent; coherence_slots is carried as metadata only.
+    spent.
     """
 
     n_patterns: int
@@ -141,7 +141,6 @@ class TrainingConfig:
     rho: np.ndarray  # (K,) pilot powers, watts
     sigma_w2: float  # noise power, watts
     groups: list[np.ndarray] = field(default_factory=list)
-    coherence_slots: int | None = None
 
     def __post_init__(self):
         self.rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
@@ -276,8 +275,8 @@ def synthesize_received(
     # c[k, t] = sqrt(rho_k) * (per-slot mixing) @ s_k, before pilot scaling
     c = np.empty((k_users, t_pats, m), dtype=complex)
     for k in range(k_users):
-        per_slot = z_full[k] / k_users  # the combining gain K is not present per slot
-        c[k] = (np.sqrt(config.rho[k]) * (per_slot @ realization.s[k])).reshape(t_pats, m)
+        per_slot = z_full[k] @ realization.s[k] / k_users  # no combining gain K per slot
+        c[k] = (np.sqrt(config.rho[k]) * per_slot).reshape(t_pats, m)
 
     noise = np.sqrt(config.sigma_w2) * _crandn(rng, (t_pats, k_users, m))
     phi = config.pilot_matrix  # (K, K), row k = user k

@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import ChannelRealization, ChannelSampler, ChannelStatistics, path_loss
 from .estimators import AffineEstimator, EstimatorKind, make_estimator
-from .moments import build_moments, cov_ss, group_aggregation_matrix, mean_s
+from .moments import build_moments, combine_blocks, cov_ss, group_aggregation_matrix, mean_s
 from .montecarlo import SweepConfig, SweepEngine, SweepRow, received_snr_to_power, run_sweep
 from .scenario import Scenario, config_digest, desk_scenario, load_config
 from .training import (
@@ -272,9 +272,11 @@ def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list
     out = []
     tc = _training(scenario, stats, stats.n_elements // 4, received_snr_to_power(10.0, scenario))
     m = build_moments(stats, 0, tc)
-    herm = float(np.max(np.abs(m.cov_ss - m.cov_ss.conj().T)))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m.cov_ss + m.cov_ss.conj().T)).min())
-    min_eig_u = float(np.linalg.eigvalsh(0.5 * (m.cov_uu + m.cov_uu.conj().T)).min())
+    c_ss = combine_blocks(m.r, [b.cov_ss for b, _ in m.blocks])
+    c_uu = combine_blocks(m.r, [b.cov_uu for b, _ in m.blocks])
+    herm = float(np.max(np.abs(c_ss - c_ss.conj().T)))
+    min_eig = float(np.linalg.eigvalsh(0.5 * (c_ss + c_ss.conj().T)).min())
+    min_eig_u = float(np.linalg.eigvalsh(0.5 * (c_uu + c_uu.conj().T)).min())
     ok = herm < 1e-12 and min_eig > -1e-8 and min_eig_u > -1e-8
     out.append(
         CheckResult(
@@ -287,10 +289,10 @@ def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(20):
-        v = rng.standard_normal(m.cov_uu.shape[0]) + 1j * rng.standard_normal(m.cov_uu.shape[0])
-        lhs = np.vdot(v, m.cov_uu @ v).real
+        v = rng.standard_normal(c_uu.shape[0]) + 1j * rng.standard_normal(c_uu.shape[0])
+        lhs = np.vdot(v, c_uu @ v).real
         w = p.T @ v
-        rhs = np.vdot(w, m.cov_ss @ w).real
+        rhs = np.vdot(w, c_ss @ w).real
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     out.append(CheckResult("moments.aggregation_quadratic_form", worst < 1e-10, f"max rel {worst:.2e}"))
 
@@ -377,7 +379,7 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     for _ in range(n_trials):
         real = sampler.sample(rng)
         obs = synthesize_received(real, stats, tc, rng, z_full=z_full)
-        acc += cg.estimate(obs.y_combined[0]).s_hat - real.s[0]
+        acc += cg.estimate(obs.y_combined[0]) - real.s[0]
     mean_err = acc / n_trials
     # 3 standard errors of the estimator error norm, err entries ~ error covariance
     se = np.sqrt(np.diagonal(cg.error_cov).real.sum() / n_trials)
@@ -521,8 +523,8 @@ def _acceptance_criteria(scenario: Scenario, stats: ChannelStatistics, oracle, s
         worst_trace = max(worst_trace, abs(conv.mse_trace - corr.mse_trace) / conv.mse_trace)
         real = sampler.sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
-        a = conv.estimate(obs.y_combined[k]).s_hat
-        b = corr.estimate(obs.y_combined[k]).s_hat
+        a = conv.estimate(obs.y_combined[k])
+        b = corr.estimate(obs.y_combined[k])
         worst_est = max(worst_est, float(np.linalg.norm(a - b) / np.linalg.norm(a)))
     out.append(
         CheckResult(

@@ -1,8 +1,9 @@
 """The antenna-domain block path against the dense M(N+1)-dimensional oracle.
 
-The oracle is `observation_moments` fed with `build_Z`, evaluated by the
-named filter functions; the block path is `build_moments` evaluated by
-`make_estimator` and `asymptotic_mse`.
+The oracle is `observation_moments` fed with `build_Z`
+(`conftest.dense_moments`), evaluated by the named filter functions; the
+block path is `build_moments` evaluated by `make_estimator` and
+`asymptotic_mse`.
 """
 
 import dataclasses
@@ -26,14 +27,20 @@ from riscest.moments import (
     MomentSet,
     antenna_factor,
     build_moments,
-    cov_ss_block_ideal,
-    observation_moments,
+    combine_blocks,
 )
 from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import default_scenario, desk_scenario
-from riscest.training import PatternOrthogonalityWarning, build_Z, make_training_config
+from riscest.training import PatternOrthogonalityWarning, make_training_config
+
+from conftest import dense_moments
 
 MOMENT_FIELDS = ("mean_s", "cov_ss", "cov_uu", "mean_y", "cov_sy", "cov_uy", "cov_yy", "Z", "Z_G")
+# the dense covariance fields and the index kinds ("s" or "y") of their rows and columns
+COVARIANCE_INDEX = {
+    "cov_ss": ("s", "s"), "cov_uu": ("s", "s"), "cov_sy": ("s", "y"),
+    "cov_uy": ("s", "y"), "cov_yy": ("y", "y"),
+}
 
 
 def _desk_unblocked():
@@ -80,15 +87,6 @@ def _training(scenario, stats, n_groups, snr_db):
         )
 
 
-def _dense(stats, k, tc, block_ideal=False):
-    c_ss = cov_ss_block_ideal(stats, k, tc.groups) if block_ideal else None
-    return observation_moments(
-        stats, k, build_Z(k, stats, tc), build_Z(k, stats, tc, grouped=True),
-        rho_k=float(tc.rho[k]), sigma_w2=tc.sigma_w2, n_users=tc.n_users,
-        groups=tc.groups, cov_ss_mat=c_ss,
-    )
-
-
 def _dense_filters(m, m_model):
     return {
         EstimatorKind.LS: conventional_ls_filter(m),
@@ -123,7 +121,7 @@ def test_block_path_matches_dense_oracle(statistics, name, n_groups, snr_db, use
         m = build_moments(stats, k, tc)
         m_model = build_moments(stats, k, tc, block_ideal=True)
         assert isinstance(m, AntennaMomentSet) and isinstance(m_model, AntennaMomentSet)
-        d, d_model = _dense(stats, k, tc), _dense(stats, k, tc, block_ideal=True)
+        d, d_model = dense_moments(stats, k, tc), dense_moments(stats, k, tc, block_ideal=True)
         _check_floor(asymptotic_mse(m), asymptotic_mse(d), ungrouped)
         for kind, want in _dense_filters(d, d_model).items():
             got = make_estimator(kind, m, m_model)
@@ -144,12 +142,17 @@ def test_assembled_moments_match_dense(statistics, name, block_ideal):
     tc = _training(scenario, stats, 4, 20.0)
     for k in range(stats.n_users):
         m = build_moments(stats, k, tc, block_ideal=block_ideal)
-        d = _dense(stats, k, tc, block_ideal=block_ideal)
+        d = dense_moments(stats, k, tc, block_ideal=block_ideal)
         assert m.prior_trace == pytest.approx(d.prior_trace, rel=1e-12)
         for field in MOMENT_FIELDS:
             want = getattr(d, field)
+            if field in COVARIANCE_INDEX:
+                blocks = [getattr(b, field) for b, _ in m.blocks]
+                got = combine_blocks(m.r, blocks, *COVARIANCE_INDEX[field])
+            else:
+                got = getattr(m, field)
             np.testing.assert_allclose(
-                getattr(m, field), want, rtol=0.0, atol=1e-13 * np.abs(want).max(), err_msg=field
+                got, want, rtol=0.0, atol=1e-13 * np.abs(want).max(), err_msg=field
             )
 
 
@@ -166,7 +169,7 @@ def test_unfactored_los_falls_back_to_dense(statistics):
     tc = _training(scenario, stats, 4, 20.0)
     m = build_moments(stats, 1, tc)
     assert isinstance(m, MomentSet)
-    d = _dense(stats, 1, tc)
+    d = dense_moments(stats, 1, tc)
     for field in MOMENT_FIELDS:
         np.testing.assert_array_equal(getattr(m, field), getattr(d, field), err_msg=field)
     assert (m.rho, m.sigma_w2, m.n_users, m.m_antennas) == (d.rho, d.sigma_w2, d.n_users, d.m_antennas)

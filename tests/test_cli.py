@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riscest.cli import main, read_csv, write_csv
+from riscest.cli import SWEEP_COLUMNS, main, read_csv, write_csv
 from riscest.errors import ConfigurationError
 from riscest.scenario import (
     config_digest,
@@ -163,6 +163,20 @@ def test_bad_input_is_usage_error(command, bad, desk_ini, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "env,argv", [("two", ["theory"]), ("-1", ["theory"]), (None, ["sweep", "--workers", "0"])]
+)
+def test_bad_worker_count_is_usage_error(env, argv, desk_ini, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("RISCEST_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("RISCEST_WORKERS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", desk_ini, "--out", "-"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSweepCommand:
     def test_byte_identical_reruns_and_worker_counts(self, desk_ini, tmp_path):
         args = ["sweep", "--config", desk_ini, "--trials", "6", "--groups", "4"]
@@ -208,11 +222,18 @@ class TestReproduceCommands:
             "--out", str(out),
         ])
         assert code == 0
-        printed = capsys.readouterr().out
+        printed = capsys.readouterr().err
         assert "tau_p_full=260" in printed
         assert "tau_p_grouped=68" in printed
         comments = [l for l in out.read_text().splitlines() if l.startswith("#")]
         assert any("tau_p_full=260" in c and "tau_p_grouped=68" in c for c in comments)
+
+    def test_fig3_stdout_is_csv(self, desk_ini, capsys):
+        assert main(["reproduce-fig3", "--config", desk_ini, "--groups", "4", "--trials", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert lines[header].split(",") == SWEEP_COLUMNS
+        assert len(lines) == header + 1 + 2 * 3  # two estimators at three SNR points
 
 
 class TestValidation:

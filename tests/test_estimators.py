@@ -11,7 +11,7 @@ from riscest.estimators import (
     correlated_grouping_filter,
     grouping_lmmse_filter,
     grouping_ls_filter,
-    hermitian_pinv,
+    hermitian_pinvs,
     make_estimator,
 )
 from riscest.moments import MomentSet, build_moments, cov_ss
@@ -19,6 +19,7 @@ from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import desk_scenario
 from riscest.training import build_Z, make_training_config, synthesize_received
 
+from conftest import dense_moments
 from test_moments import scalar_stats
 
 
@@ -56,12 +57,16 @@ def desk():
     return scenario, scenario.statistics()
 
 
-def desk_moments(scenario, stats, n_groups, snr_db=20.0, k=0, rho_scale=1.0, ideal=False):
+def desk_training(scenario, stats, n_groups, snr_db=20.0, rho_scale=1.0):
     rho = received_snr_to_power(snr_db, scenario) * rho_scale
-    tc = make_training_config(
+    return make_training_config(
         stats.n_elements, stats.n_users, n_groups=n_groups,
         rho=rho, sigma_w2=scenario.sigma_w2,
     )
+
+
+def desk_moments(scenario, stats, n_groups, snr_db=20.0, k=0, rho_scale=1.0, ideal=False):
+    tc = desk_training(scenario, stats, n_groups, snr_db, rho_scale)
     return build_moments(stats, k, tc, block_ideal=ideal)
 
 
@@ -74,14 +79,14 @@ class TestConventionalLmmse:
         for _ in range(5):
             y = rng.standard_normal(1) + 1j * rng.standard_normal(1)
             expected = np.sqrt(rho) * c * np.conj(z) * y / (rho * abs(z) ** 2 * c + sigma2)
-            got = filt.estimate(y).s_hat
+            got = filt.estimate(y)
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_zero_innovation_returns_prior_mean(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=16)
-        res = make_estimator(EstimatorKind.LMMSE, m).estimate(m.mean_y.copy())
-        np.testing.assert_allclose(res.s_hat, m.mean_s, atol=1e-12)
+        s_hat = make_estimator(EstimatorKind.LMMSE, m).estimate(m.mean_y.copy())
+        np.testing.assert_allclose(s_hat, m.mean_s, atol=1e-12)
 
     def test_empirical_mse_matches_trace(self, desk):
         scenario, stats = desk
@@ -112,8 +117,8 @@ class TestConventionalLs:
         obs = synthesize_received(real, stats, tc, np.random.default_rng(23))
         m = build_moments(stats, 0, tc)
         np.testing.assert_array_equal(m.Z, obs.Z[0])
-        res = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
-        err = np.linalg.norm(res.s_hat - real.s[0]) / np.linalg.norm(real.s[0])
+        s_hat = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
+        err = np.linalg.norm(s_hat - real.s[0]) / np.linalg.norm(real.s[0])
         assert err < 1e-9
 
     def test_orthogonal_column_solve_equivalence(self):
@@ -136,8 +141,8 @@ class TestConventionalLs:
         direct = z.conj().T @ obs.y_combined[0] / (np.sqrt(0.9) * gram[0, 0].real)
         m = build_moments(stats, 0, tc)
         np.testing.assert_array_equal(m.Z, z)
-        res = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
-        np.testing.assert_allclose(res.s_hat, direct, rtol=1e-10)
+        s_hat = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
+        np.testing.assert_allclose(s_hat, direct, rtol=1e-10)
 
     def test_ls_never_beats_lmmse_in_theory(self, desk):
         scenario, stats = desk
@@ -177,8 +182,8 @@ class TestGroupingBaselines:
         rng = np.random.default_rng(25)
         real = ChannelSampler(stats).sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
-        res = make_estimator(EstimatorKind.GROUPING_LMMSE, m, mi).estimate(obs.y_combined[0])
-        rel = np.linalg.norm(res.s_hat - real.s[0]) / np.linalg.norm(real.s[0])
+        s_hat = make_estimator(EstimatorKind.GROUPING_LMMSE, m, mi).estimate(obs.y_combined[0])
+        rel = np.linalg.norm(s_hat - real.s[0]) / np.linalg.norm(real.s[0])
         assert rel < 1e-2  # per-draw error scale is sqrt(nmse) ~ 1e-3
 
     def test_grouping_ls_collapses_to_ls(self, desk):
@@ -189,8 +194,8 @@ class TestGroupingBaselines:
         real = ChannelSampler(stats).sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
         np.testing.assert_array_equal(m.Z, obs.Z[0])
-        a = make_estimator(EstimatorKind.GROUPING_LS, m).estimate(obs.y_combined[0]).s_hat
-        b = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0]).s_hat
+        a = make_estimator(EstimatorKind.GROUPING_LS, m).estimate(obs.y_combined[0])
+        b = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_grouping_lmmse_collapses_under_uncorrelated_scattering(self):
@@ -203,8 +208,8 @@ class TestGroupingBaselines:
         rng = np.random.default_rng(27)
         real = ChannelSampler(stats).sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
-        a = make_estimator(EstimatorKind.GROUPING_LMMSE, m, mi).estimate(obs.y_combined[0]).s_hat
-        b = make_estimator(EstimatorKind.LMMSE, m).estimate(obs.y_combined[0]).s_hat
+        a = make_estimator(EstimatorKind.GROUPING_LMMSE, m, mi).estimate(obs.y_combined[0])
+        b = make_estimator(EstimatorKind.LMMSE, m).estimate(obs.y_combined[0])
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_exponential_model_floors_above_correlated_grouping(self, desk):
@@ -228,16 +233,17 @@ class TestCorrelatedGrouping:
         m = desk_moments(scenario, stats, n_groups=16)
         rng = np.random.default_rng(28)
         y = m.mean_y + (rng.standard_normal(m.mean_y.size) + 1j * rng.standard_normal(m.mean_y.size))
-        a = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).estimate(y)
-        b = make_estimator(EstimatorKind.LMMSE, m).estimate(y)
-        assert np.linalg.norm(a.s_hat - b.s_hat) / np.linalg.norm(b.s_hat) < 1e-8
+        a = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m)
+        b = make_estimator(EstimatorKind.LMMSE, m)
+        a_hat, b_hat = a.estimate(y), b.estimate(y)
+        assert np.linalg.norm(a_hat - b_hat) / np.linalg.norm(b_hat) < 1e-8
         assert a.mse_trace == pytest.approx(b.mse_trace, rel=1e-8)
 
     def test_zero_innovation(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=4)
-        res = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).estimate(m.mean_y.copy())
-        np.testing.assert_allclose(res.s_hat, m.mean_s, atol=1e-12)
+        s_hat = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).estimate(m.mean_y.copy())
+        np.testing.assert_allclose(s_hat, m.mean_s, atol=1e-12)
 
     def test_degenerate_inner_gram_flagged(self, desk):
         # blocked direct link zeroes inner-Gram rows, so clipping must engage
@@ -264,19 +270,21 @@ class TestCorrelatedGrouping:
 class TestErrorCovariance:
     def test_zero_power_returns_prior(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=4, rho_scale=1e-30)
+        tc = desk_training(scenario, stats, n_groups=4, rho_scale=1e-30)
+        m, d = build_moments(stats, 0, tc), dense_moments(stats, 0, tc)
         c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
-        assert np.trace(c).real / np.trace(m.cov_ss).real == pytest.approx(1.0, rel=1e-6)
+        assert np.trace(c).real / np.trace(d.cov_ss).real == pytest.approx(1.0, rel=1e-6)
 
     def test_matches_reduction_formula_at_moderate_power(self, desk):
         # independent oracle: the prior-minus-reduction arrangement
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=4, snr_db=10.0)
-        x = np.linalg.solve(m.cov_yy, m.cov_uy.conj().T)
-        gram = m.cov_uy @ x
-        gram_pinv, _ = hermitian_pinv(0.5 * (gram + gram.conj().T))
-        f = m.cov_sy @ x
-        direct = m.cov_ss - f @ gram_pinv @ f.conj().T
+        tc = desk_training(scenario, stats, n_groups=4, snr_db=10.0)
+        m, d = build_moments(stats, 0, tc), dense_moments(stats, 0, tc)
+        x = np.linalg.solve(d.cov_yy, d.cov_uy.conj().T)
+        gram = d.cov_uy @ x
+        (gram_pinv,), _ = hermitian_pinvs([0.5 * (gram + gram.conj().T)])
+        f = d.cov_sy @ x
+        direct = d.cov_ss - f @ gram_pinv @ f.conj().T
         c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
         np.testing.assert_allclose(c, direct, atol=1e-10 * np.abs(direct).max())
 
@@ -286,16 +294,18 @@ class TestErrorCovariance:
         for _ in range(100):
             n_groups = int(rng.choice([1, 2, 4, 8, 16]))
             snr = float(rng.uniform(-20, 60))
-            m = desk_moments(scenario, stats, n_groups=n_groups, snr_db=snr)
+            tc = desk_training(scenario, stats, n_groups=n_groups, snr_db=snr)
+            m, d = build_moments(stats, 0, tc), dense_moments(stats, 0, tc)
             c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
             assert np.abs(c - c.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() > -1e-8
-            assert np.trace(c).real <= np.trace(m.cov_ss).real * (1 + 1e-10)
+            assert np.trace(c).real <= np.trace(d.cov_ss).real * (1 + 1e-10)
 
     def test_ungrouped_equals_conventional_error_covariance(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=16, snr_db=15.0)
-        conv = m.cov_ss - m.cov_sy @ np.linalg.solve(m.cov_yy, m.cov_sy.conj().T)
+        tc = desk_training(scenario, stats, n_groups=16, snr_db=15.0)
+        m, d = build_moments(stats, 0, tc), dense_moments(stats, 0, tc)
+        conv = d.cov_ss - d.cov_sy @ np.linalg.solve(d.cov_yy, d.cov_sy.conj().T)
         c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
         assert np.abs(c - conv).max() < 1e-8 * np.abs(conv).max()
 

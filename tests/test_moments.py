@@ -194,7 +194,8 @@ class TestObservationMoments:
         tc = make_training_config(16, 2, n_groups=4, rho=0.0, sigma_w2=2.0)
         m = build_moments(stats, 0, tc)
         np.testing.assert_array_equal(m.mean_y, 0.0)
-        np.testing.assert_allclose(m.cov_yy, 2 * 2.0 * np.eye(m.cov_yy.shape[0]), atol=1e-15)
+        for b, _ in m.blocks:
+            np.testing.assert_allclose(b.cov_yy, 2 * 2.0 * np.eye(b.cov_yy.shape[0]), atol=1e-15)
 
     def test_scalar_noiseless(self):
         stats = scalar_stats()
@@ -226,18 +227,18 @@ class TestObservationMoments:
                 n, 1, n_groups=n_groups, rho=float(rng.uniform(0, 2)),
                 sigma_w2=float(rng.uniform(1e-6, 1.0)),
             )
-            m = build_moments(stats, 0, tc)
-            assert np.abs(m.cov_yy - m.cov_yy.conj().T).max() < 1e-10
-            assert np.linalg.eigvalsh(0.5 * (m.cov_yy + m.cov_yy.conj().T)).min() > -1e-8
+            for b, _ in build_moments(stats, 0, tc).blocks:
+                assert np.abs(b.cov_yy - b.cov_yy.conj().T).max() < 1e-10
+                assert np.linalg.eigvalsh(0.5 * (b.cov_yy + b.cov_yy.conj().T)).min() > -1e-8
 
     def test_grouped_observation_covariance_identity(self):
         # group-constant patterns make Z C_ss Z^H and Z_G C_uu Z_G^H agree
         stats = desk_scenario().statistics()
         tc = make_training_config(16, 2, n_groups=4, rho=0.4, sigma_w2=1e-9)
-        m = build_moments(stats, 0, tc)
-        lhs = m.Z @ m.cov_ss @ m.Z.conj().T
-        rhs = m.Z_G @ m.cov_uu @ m.Z_G.conj().T
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-20)
+        for b, _ in build_moments(stats, 0, tc).blocks:
+            lhs = b.Z @ b.cov_ss @ b.Z.conj().T
+            rhs = b.Z_G @ b.cov_uu @ b.Z_G.conj().T
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-20)
 
     def test_block_ideal_prior_structure(self):
         stats = desk_scenario().statistics()

@@ -7,6 +7,7 @@ from riscest.montecarlo import (
     SweepConfig,
     SweepEngine,
     applicable_kinds,
+    build_cell_bank,
     received_snr_to_power,
     resolve_workers,
     run_sweep,
@@ -60,6 +61,15 @@ class TestConfig:
         assert resolve_workers(2) == 2
         monkeypatch.delenv("RISCEST_WORKERS")
         assert resolve_workers(None) == 1
+
+    @pytest.mark.parametrize("env,workers", [("two", None), ("0", None), ("2.5", None), (None, 0)])
+    def test_malformed_worker_count_rejected(self, monkeypatch, env, workers):
+        if env is None:
+            monkeypatch.delenv("RISCEST_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("RISCEST_WORKERS", env)
+        with pytest.raises(ConfigurationError):
+            resolve_workers(workers)
 
 
 class TestSnrMapping:
@@ -119,6 +129,20 @@ class TestRunTrial:
         for err in errors.values():
             assert err.shape == (2,)
             assert np.all(err >= 0)
+
+
+@pytest.mark.parametrize("n_groups", [4, 16])
+def test_bank_assembles_dense_arrays_only_when_read(n_groups):
+    scenario = desk_scenario()
+    stats = scenario.statistics()
+    rho = received_snr_to_power(20.0, scenario)
+    bank = build_cell_bank(stats, scenario.sigma_w2, n_groups, rho, ALL_KINDS, {})
+    filters = [f for per_user in bank.filters.values() for f in per_user]
+    assert len(filters) == stats.n_users * len(applicable_kinds(ALL_KINDS, n_groups, 16))
+    for f in filters:
+        assert "W" not in vars(f) and "error_cov" not in vars(f), f.kind
+    for f in filters:
+        assert f.W.flags.c_contiguous, f.kind
 
 
 class TestRunSweep:
