@@ -9,11 +9,17 @@ linear array with spacing delta_0.
 Large-scale gains follow a power law rho_0 * d^(-alpha).  UE-RIS and
 RIS-BS links are Rician with spatially correlated scattering; the direct
 UE-BS links are Rayleigh (optionally blocked entirely).
+
+A realization carries each user's estimation target both as the dense
+vector s = [b; a_1*g; ...; a_M*g] and as the (N+1) x M matrix
+S = [b; (a_m*g)^T] (`target_matrix`), whose column m is antenna m's share;
+trials synthesise and score in the matrix form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +164,25 @@ class ChannelRealization:
     g: np.ndarray  # (K, N)
     A: np.ndarray  # (M, N)
     s: np.ndarray  # (K, M*(N+1))
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """The targets as (K, N+1, M) matrices; column m is antenna m's [b_m; a_m*g]."""
+        return target_matrix(self.s, self.A.shape[0])
+
+
+def target_matrix(s: np.ndarray, m_antennas: int) -> np.ndarray:
+    """Dense targets (..., M(N+1)) as (..., N+1, M) matrices [b; (a_m*g)^T]."""
+    lead = s.shape[:-1]
+    cascade = s[..., m_antennas:].reshape(*lead, m_antennas, -1)
+    return np.concatenate([s[..., None, :m_antennas], np.swapaxes(cascade, -1, -2)], axis=-2)
+
+
+def target_vector(s_mat: np.ndarray) -> np.ndarray:
+    """Inverse of target_matrix: (..., N+1, M) matrices back to the dense order."""
+    lead = s_mat.shape[:-2]
+    cascade = np.swapaxes(s_mat[..., 1:, :], -1, -2).reshape(*lead, -1)
+    return np.concatenate([s_mat[..., 0, :], cascade], axis=-1)
 
 
 def path_loss(distance: float, alpha: float, rho_0: float) -> float:
@@ -335,7 +360,7 @@ class ChannelSampler:
         self._mu_a = np.sqrt(ka / (1.0 + ka)) * stats.a_bar  # (M, N)
         scale_g = np.sqrt(1.0 / (1.0 + kg))
         scale_a = np.sqrt(1.0 / (1.0 + ka))
-        self._L_g = [scale_g * psd_factor(stats.R[k]) for k in range(stats.n_users)]
+        self._L_g = np.stack([scale_g * psd_factor(stats.R[k]) for k in range(stats.n_users)])
         self._L_a = scale_a * psd_factor(stats.R0)
 
     def sample(self, rng: np.random.Generator) -> ChannelRealization:
@@ -343,19 +368,19 @@ class ChannelSampler:
         k_users, n, m = st.n_users, st.n_elements, st.m_antennas
 
         zb = _crandn(rng, (k_users, m))
-        g_unit = np.empty((k_users, n), dtype=complex)
-        for k in range(k_users):
-            g_unit[k] = self._mu_g[k] + self._L_g[k] @ _crandn(rng, n)
+        # user k's real then imaginary parts, the stream of one _crandn(rng, n) per user
+        parts = rng.standard_normal((k_users, 2, n))
+        w_g = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+        g_unit = self._mu_g + (self._L_g @ w_g[:, :, None])[:, :, 0]
         a_unit = self._mu_a + _crandn(rng, (m, n)) @ self._L_a.T  # rows independent
 
         b = np.sqrt(st.rho_b)[:, None] * zb
         g = np.sqrt(st.rho_g)[:, None] * g_unit
         a_mat = np.sqrt(st.rho_a) * a_unit
 
-        s = np.empty((k_users, m * (n + 1)), dtype=complex)
-        for k in range(k_users):
-            b_part = zb[k] if st.rho_b[k] > 0 else np.zeros(m, dtype=complex)
-            s[k] = np.concatenate([b_part, (a_unit * g_unit[k][None, :]).reshape(-1)])
+        b_part = np.where((st.rho_b > 0)[:, None], zb, 0.0)
+        cascade = (a_unit[None, :, :] * g_unit[:, None, :]).reshape(k_users, m * n)
+        s = np.concatenate([b_part, cascade], axis=1)
         return ChannelRealization(b=b, g=g, A=a_mat, s=s)
 
     def sample_cascade(self, k: int, n_draws: int, rng: np.random.Generator) -> np.ndarray:

@@ -233,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(config, workers=workers)
         if args.command == "reproduce-fig2":
             if not getattr(args, "groups", None):
-                config.sweep.n_groups = [16, config.scenario.geometry.n_elements]
+                # one cell when N = 16, since a repeated group count is an error
+                config.sweep.n_groups = sorted({16, config.scenario.geometry.n_elements})
             return _reproduce(config, workers)
         if args.command == "reproduce-fig3":
             if not getattr(args, "groups", None):

@@ -16,10 +16,13 @@ Each filter function runs on the blocks of its moment set
 (`MomentSet.blocks`): one block for a dense set, and for the antenna-domain
 form the aligned block plus the orthogonal block standing for M-1 copies.
 An estimator keeps its per-block filters and error covariances; traces add
-up over the blocks with their multiplicities, and the dense filter and error
-covariance are each assembled from the blocks on first read.  Every
-pseudo-inverse cutoff is relative to the largest eigenvalue over all blocks,
-i.e. of the whole block-diagonal matrix, so both forms keep the same spectra.
+up over the blocks with their multiplicities.  Trials apply the per-block
+filters to the split observation [Y P; Y (I - P)] (`moments.split_observation`)
+and compare with the (N+1)-by-M target matrix, so no dense filter is formed;
+the dense filter and error covariance are assembled from the blocks only
+when read.  Every pseudo-inverse cutoff is relative to the largest
+eigenvalue over all blocks, i.e. of the whole block-diagonal matrix, so both
+forms keep the same spectra.
 """
 
 from __future__ import annotations
@@ -32,7 +35,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .moments import AntennaMomentSet, MomentSet, combine_blocks, group_expansion_matrix
+from .channel import target_vector
+from .moments import (
+    AntennaMomentSet,
+    MomentSet,
+    combine_blocks,
+    group_expansion_matrix,
+    split_observation,
+    split_target,
+)
 
 PINV_RCOND = 1e-10
 
@@ -62,8 +73,9 @@ class AffineEstimator:
     of this rule under the true observation moments; nmse_floor, when set, is
     the infinite-power limit.  w_blocks and error_blocks are the per-block
     filters and error covariances of the moment set whose antenna factor is
-    r (None for a dense set); W and error_cov are assembled from them on
-    first read.
+    r (None for a dense set).  The rule runs on the split forms of
+    `split_observation` and `split_target` as S_hat = offset + H X with
+    H = [W_0, W_1]; the dense W and error_cov are assembled only on read.
     """
 
     kind: EstimatorKind
@@ -86,13 +98,30 @@ class AffineEstimator:
     def error_cov(self) -> np.ndarray:
         return combine_blocks(self.r, self.error_blocks)
 
-    def estimate(self, y: np.ndarray) -> np.ndarray:
-        if self.innovation:
-            return self.mean_s + self.W @ (y - self.mean_y)
-        return self.W @ y
+    @cached_property
+    def H(self) -> np.ndarray:
+        """The per-block filters side by side, acting on a split observation."""
+        return np.hstack(self.w_blocks)
 
-    def squared_error(self, y: np.ndarray, s_true: np.ndarray) -> float:
-        diff = self.estimate(y) - s_true
+    @cached_property
+    def offset(self) -> np.ndarray | float:
+        """split(mean_s) - H split(mean_y) for an innovation rule, 0 for the raw one."""
+        if not self.innovation:
+            return 0.0
+        return split_target(self.r, self.mean_s) - self.H @ split_observation(self.r, self.mean_y)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Estimate in the split target form from a split observation x."""
+        return self.offset + self.H @ x
+
+    def estimate(self, y: np.ndarray) -> np.ndarray:
+        """Estimate of the dense target from the dense observation y."""
+        s_hat = self.apply(split_observation(self.r, y))
+        return s_hat[..., 0] if self.r is None else target_vector(s_hat)
+
+    def squared_error(self, x: np.ndarray, target: np.ndarray) -> float:
+        """Squared error norm against target, both in the split forms."""
+        diff = self.apply(x) - target
         return float(np.real(np.vdot(diff, diff)))
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelStatistics
+from .channel import ChannelStatistics, target_matrix
 from .errors import DomainError
 from .training import TrainingConfig, _check_partition, build_Z, contiguous_groups
 
@@ -116,6 +116,31 @@ def combine_blocks(
     x[diag, :, diag, :] += x1
     x = x.reshape(m * p, m * q)[:, _antenna_order(m, q, cols == "y")]
     return x[_antenna_order(m, p, rows == "y")]  # a row gather is C-contiguous
+
+
+def split_observation(r: np.ndarray | None, y: np.ndarray) -> np.ndarray:
+    """Dense observations (..., M*T) in the form the per-block filters act on.
+
+    With r None the observation is one column (..., M*T, 1).  Otherwise Y is
+    the (..., T, M) matrix of y, P = conj(r) r^T / M, and the result is the
+    (..., 2T, M) stack [Y P; Y (I - P)], so that [W_0, W_1] applied to it is
+    the combine_blocks filter applied to y, in the target_matrix form.
+    """
+    if r is None:
+        return y[..., None]
+    m = r.size
+    y_mat = y.reshape(*y.shape[:-1], -1, m)
+    aligned = y_mat @ (np.outer(r.conj(), r) / m)
+    return np.concatenate([aligned, y_mat - aligned], axis=-2)
+
+
+def split_target(r: np.ndarray | None, s: np.ndarray) -> np.ndarray:
+    """Dense targets (..., M(N+1)) in the form a split observation estimates.
+
+    One column (..., M(N+1), 1) with r None, else the (..., N+1, M) target
+    matrices of `target_matrix`.
+    """
+    return s[..., None] if r is None else target_matrix(s, r.size)
 
 
 @dataclass(eq=False, repr=False)

@@ -4,8 +4,15 @@ A sweep cell is one (group count, SNR) pair.  Within a trial every estimator
 consumes the same channel realization and the same synthesized observation,
 so estimator comparisons are paired.  The per-trial random stream is derived
 from (base_seed, snr_index, trial_index) through numpy's SeedSequence, which
-makes every result independent of execution order and worker count; the same
-triple also shares the channel realization across group cells.
+makes every result independent of execution order and worker count.  The
+same triple shares the channel realization across group cells: it is drawn
+once per (SNR, trial), and every cell draws its noise from the generator
+state right after the channel draws.
+
+Trials run in the antenna domain: synthesis multiplies each user's
+(T, N+1) mixing block with its (N+1, M) target matrix, and each estimator
+applies its per-block filters to the split observation (see
+`estimators.AffineEstimator`), so no dense mixing matrix or filter is formed.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSampler, ChannelStatistics
+from .channel import ChannelRealization, ChannelSampler, ChannelStatistics
 from .errors import ConfigurationError, NumericalError
 from .estimators import (
     AffineEstimator,
@@ -27,9 +34,15 @@ from .estimators import (
     asymptotic_mse,
     make_estimator,
 )
-from .moments import build_moments
+from .moments import build_moments, split_observation, split_target
 from .scenario import Scenario
-from .training import TrainingConfig, make_training_config, synthesize_received
+from .training import (
+    TrainingConfig,
+    build_Z,
+    make_training_config,
+    mixing_blocks,
+    synthesize_received,
+)
 
 WORKERS_ENV = "RISCEST_WORKERS"
 
@@ -63,6 +76,13 @@ class SweepConfig:
         for g in self.n_groups:
             if g < 1 or n % g != 0:
                 raise ConfigurationError(f"group count {g} does not divide N = {n}")
+        for name, values in (
+            ("group count", [str(g) for g in self.n_groups]),
+            ("estimator", [k.value for k in self.estimators]),
+        ):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigurationError(f"{name} repeated: {' '.join(repeated)}")
 
 
 @dataclass
@@ -79,7 +99,7 @@ class SweepRow:
     nmse_theory: float
     nmse_floor: float
     seed: int
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # its trial chunks' time, split evenly over their group cells
     failures: int = 0
     nmse_per_user: tuple[float, ...] = ()
 
@@ -117,12 +137,27 @@ def applicable_kinds(
 class _CellBank:
     """Precomputed per-(group count, SNR) machinery shared by all trials."""
 
+    stats: ChannelStatistics
     tconfig: TrainingConfig
-    z_full: np.ndarray  # (K, MT, M(N+1))
-    z_grouped: np.ndarray
+    mixing: np.ndarray  # (K, T, N+1), see training.mixing_blocks
+    r: np.ndarray | None  # antenna factor of every user's moment set
     filters: dict[EstimatorKind, list[AffineEstimator]]  # kind -> per-user
     prior_traces: np.ndarray  # (K,)
     rho: float
+
+    def _stacked_z(self, grouped: bool) -> np.ndarray:
+        n_users = self.stats.n_users
+        return np.stack([build_Z(k, self.stats, self.tconfig, grouped) for k in range(n_users)])
+
+    @property
+    def z_full(self) -> np.ndarray:
+        """Dense (K, MT, M(N+1)) mixing matrices, built on every read; trials never read them."""
+        return self._stacked_z(grouped=False)
+
+    @property
+    def z_grouped(self) -> np.ndarray:
+        """Dense grouped mixing matrices, built on every read like z_full."""
+        return self._stacked_z(grouped=True)
 
 
 def build_cell_bank(
@@ -133,7 +168,7 @@ def build_cell_bank(
     kinds: tuple[EstimatorKind, ...],
     floors: dict[int, float],
 ) -> _CellBank:
-    """Training config, mixing matrices and per-user filters of one (G, power) cell.
+    """Training config, mixing blocks and per-user filters of one (G, power) cell.
 
     floors maps user index to the power-independent floor for this group
     count; it is filled on first use and shared by every power point.
@@ -148,7 +183,7 @@ def build_cell_bank(
     kinds = applicable_kinds(kinds, n_groups, stats.n_elements)
     filters: dict[EstimatorKind, list[AffineEstimator]] = {k: [] for k in kinds}
     prior_traces = np.empty(stats.n_users)
-    z_full, z_grouped = [], []
+    r = None
     for k in range(stats.n_users):
         m_true = build_moments(stats, k, tconfig)
         m_model = None
@@ -162,10 +197,9 @@ def build_cell_bank(
                 floor = floors[k]
             filters[kind].append(make_estimator(kind, m_true, m_model, floor=floor))
         prior_traces[k] = m_true.prior_trace
-        z_full.append(m_true.Z)
-        z_grouped.append(m_true.Z_G)
+        r = m_true.r
     return _CellBank(
-        tconfig=tconfig, z_full=np.stack(z_full), z_grouped=np.stack(z_grouped),
+        stats=stats, tconfig=tconfig, mixing=mixing_blocks(stats, tconfig), r=r,
         filters=filters, prior_traces=prior_traces, rho=rho,
     )
 
@@ -180,7 +214,13 @@ def theory_means(filters: list[AffineEstimator]) -> tuple[float, float, float]:
 
 
 class SweepEngine:
-    """Builds samplers/filters once and evaluates trials; safe to share read-only."""
+    """Builds samplers/filters once and evaluates trials.
+
+    Banks are cached per cell.  The last (SNR, trial) realization is cached
+    with its generator, so sibling group cells reuse it; calls may come in
+    any order, but run_cell_trial mutates that cache, so an engine is not
+    safe to share between threads.  Each worker process builds its own.
+    """
 
     def __init__(self, config: SweepConfig):
         self.config = config
@@ -188,6 +228,9 @@ class SweepEngine:
         self.sampler = ChannelSampler(self.stats)
         self._banks: dict[tuple[int, int], _CellBank] = {}
         self._floors: dict[int, dict[int, float]] = {}  # group index -> user -> floor
+        # ((snr_index, trial_index), realization, its generator, generator state after it)
+        self._draw: tuple[tuple[int, int], ChannelRealization, np.random.Generator, dict] | None
+        self._draw = None
 
     def bank(self, group_index: int, snr_index: int) -> _CellBank:
         key = (group_index, snr_index)
@@ -204,6 +247,25 @@ class SweepEngine:
         seq = np.random.SeedSequence((self.config.base_seed, snr_index, trial_index))
         return np.random.default_rng(seq)
 
+    def _realization(
+        self, snr_index: int, trial_index: int
+    ) -> tuple[ChannelRealization, np.random.Generator]:
+        """The trial's channel realization and its generator, positioned for the noise draws.
+
+        The realization is drawn once per (SNR, trial); a later cell of the
+        same trial gets it back with the generator reset to the state right
+        after the channel draws, so its noise is what a fresh draw would give.
+        """
+        key = (snr_index, trial_index)
+        if self._draw is None or self._draw[0] != key:
+            rng = self.trial_rng(snr_index, trial_index)
+            realization = self.sampler.sample(rng)
+            self._draw = (key, realization, rng, rng.bit_generator.state)
+            return realization, rng
+        _, realization, rng, state = self._draw
+        rng.bit_generator.state = state
+        return realization, rng
+
     def run_cell_trial(
         self, group_index: int, snr_index: int, trial_index: int, digest: bool = False
     ) -> tuple[dict[EstimatorKind, np.ndarray], str | None]:
@@ -213,18 +275,19 @@ class SweepEngine:
         rather than aborting the sweep.
         """
         bank = self.bank(group_index, snr_index)
-        rng = self.trial_rng(snr_index, trial_index)
-        realization = self.sampler.sample(rng)
+        realization, rng = self._realization(snr_index, trial_index)
         obs = synthesize_received(
-            realization, self.stats, bank.tconfig, rng, z_full=bank.z_full
+            realization, self.stats, bank.tconfig, rng, mixing=bank.mixing
         )
+        xs = split_observation(bank.r, obs.y_combined)
+        targets = split_target(bank.r, realization.s)
         k_users = self.stats.n_users
         errors: dict[EstimatorKind, np.ndarray] = {}
         for kind, per_user in bank.filters.items():
             err = np.empty(k_users)
             for k in range(k_users):
                 try:
-                    err[k] = per_user[k].squared_error(obs.y_combined[k], realization.s[k])
+                    err[k] = per_user[k].squared_error(xs[k], targets[k])
                 except NumericalError:
                     err[k] = np.nan
             errors[kind] = err
@@ -236,17 +299,24 @@ class SweepEngine:
         return errors, obs_digest
 
 
-def _trial_block(engine: SweepEngine, group_index: int, snr_index: int,
-                 lo: int, hi: int) -> np.ndarray:
-    """Per-trial per-user squared errors for trials lo..hi-1, shape (hi-lo, n_kinds, K)."""
-    bank = engine.bank(group_index, snr_index)
-    kinds = list(bank.filters)
-    out = np.empty((hi - lo, len(kinds), engine.stats.n_users))
+def _trial_block(
+    engine: SweepEngine, snr_index: int, lo: int, hi: int
+) -> tuple[list[np.ndarray], float]:
+    """Trials lo..hi-1 at one SNR over every group cell, and the seconds they took.
+
+    Returns one (hi-lo, n_kinds, K) block of per-trial per-user squared
+    errors per group cell.  The cells run inside each trial, so the
+    realization is drawn once per trial.
+    """
+    start = time.perf_counter()
+    banks = [engine.bank(gi, snr_index) for gi in range(len(engine.config.n_groups))]
+    out = [np.empty((hi - lo, len(b.filters), engine.stats.n_users)) for b in banks]
     for j, trial in enumerate(range(lo, hi)):
-        errors, _ = engine.run_cell_trial(group_index, snr_index, trial)
-        for ki, kind in enumerate(kinds):
-            out[j, ki] = errors[kind]
-    return out
+        for gi, bank in enumerate(banks):
+            errors, _ = engine.run_cell_trial(gi, snr_index, trial)
+            for ki, kind in enumerate(bank.filters):
+                out[gi][j, ki] = errors[kind]
+    return out, time.perf_counter() - start
 
 
 _WORKER_ENGINE: SweepEngine | None = None
@@ -257,10 +327,10 @@ def _init_worker(config: SweepConfig) -> None:
     _WORKER_ENGINE = SweepEngine(config)
 
 
-def _worker_block(args: tuple[int, int, int, int]) -> tuple[tuple[int, int, int], np.ndarray]:
-    group_index, snr_index, lo, hi = args
+def _worker_block(args: tuple[int, int, int]) -> tuple[list[np.ndarray], float]:
+    snr_index, lo, hi = args
     assert _WORKER_ENGINE is not None
-    return (group_index, snr_index, lo), _trial_block(_WORKER_ENGINE, group_index, snr_index, lo, hi)
+    return _trial_block(_WORKER_ENGINE, snr_index, lo, hi)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -285,33 +355,28 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> MseReport:
     """
     workers = resolve_workers(workers)
     engine = SweepEngine(config)
-    n_trials = config.n_trials
+    n_trials, n_cells = config.n_trials, len(config.n_groups)
 
-    blocks: dict[tuple[int, int, int], np.ndarray] = {}
-    tasks = []
     chunk = n_trials if workers == 1 else max(1, -(-n_trials // (workers * 4)))
-    for gi in range(len(config.n_groups)):
-        for si in range(len(config.snr_db)):
-            for lo in range(0, n_trials, chunk):
-                tasks.append((gi, si, lo, min(lo + chunk, n_trials)))
-
-    cell_times: dict[tuple[int, int], float] = {}
+    tasks = [
+        (si, lo, min(lo + chunk, n_trials))
+        for si in range(len(config.snr_db))
+        for lo in range(0, n_trials, chunk)
+    ]
     if workers == 1:
-        for gi, si, lo, hi in tasks:
-            start = time.perf_counter()
-            blocks[(gi, si, lo)] = _trial_block(engine, gi, si, lo, hi)
-            cell_times[(gi, si)] = cell_times.get((gi, si), 0.0) + time.perf_counter() - start
+        results = [_trial_block(engine, *task) for task in tasks]
     else:
-        start = time.perf_counter()
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(config,)
         ) as pool:
-            for key, block in pool.map(_worker_block, tasks):
-                blocks[key] = block
-        elapsed = time.perf_counter() - start
-        for gi in range(len(config.n_groups)):
-            for si in range(len(config.snr_db)):
-                cell_times[(gi, si)] = elapsed / (len(config.n_groups) * len(config.snr_db))
+            results = list(pool.map(_worker_block, tasks))
+
+    blocks: dict[tuple[int, int, int], np.ndarray] = {}
+    cell_times: dict[tuple[int, int], float] = {}
+    for (si, lo, _), (cell_blocks, elapsed) in zip(tasks, results):
+        for gi, block in enumerate(cell_blocks):
+            blocks[(gi, si, lo)] = block
+            cell_times[(gi, si)] = cell_times.get((gi, si), 0.0) + elapsed / n_cells
 
     report = MseReport()
     for gi, n_groups in enumerate(config.n_groups):

@@ -4,6 +4,11 @@ One training round holds T RIS patterns; under each pattern every one of the
 K users sends one pilot symbol, so the pilot overhead is K*T symbol slots.
 Patterns come from Hadamard rows and are constant within an element group,
 which reduces the minimum identifiable T from N+1 to n_groups+1.
+
+Every antenna sees the same single-antenna mixing block Z_0 (T x (N+1)), so
+synthesis multiplies each user's Z_0 with its (N+1) x M target matrix;
+`build_Z` assembles the dense (MT) x M(N+1) matrix I_M (x) Z_0, in the dense
+index orders, for the moment formulas and the tests.
 """
 
 from __future__ import annotations
@@ -237,17 +242,30 @@ def build_Z(
     return config.n_users * blocks.reshape(config.n_patterns * m, -1)
 
 
+def mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.ndarray:
+    """Every user's single-antenna mixing block with sqrt(rho_k)/K folded in, (K, T, N+1).
+
+    Block k is sqrt(rho_k)/K Z_0 with Z_0 = K [sqrt(rho_b) 1, sqrt(rho_g rho_a) Theta],
+    so user k's pilot contribution per slot is the (T, M) matrix block_k @ S_k.
+    """
+    k_users = config.n_users
+    out = np.empty((k_users, config.n_patterns, config.n_elements + 1), dtype=complex)
+    for k in range(k_users):
+        block = _mixing_block(stats.rho_b[k], stats.rho_g[k], stats.rho_a, config.patterns, 1)
+        out[k] = np.sqrt(config.rho[k]) * block[:, 0, :]
+    return out
+
+
 @dataclass
 class ObservationSet:
-    """Per-user combined observations and mixing matrices of one pilot phase.
+    """Per-user combined observations of one pilot phase.
 
     noise_raw[t, i] is the AWGN draw added to the BS vector in slot i of
     pattern t, kept so the linear model can be reconstructed exactly.
     """
 
     noise_raw: np.ndarray  # (T, K, M)
-    y_combined: np.ndarray  # (K, M*T)
-    Z: np.ndarray  # (K, M*T, M*(N+1))
+    y_combined: np.ndarray  # (K, M*T), rows run (t, m)
 
 
 def synthesize_received(
@@ -255,31 +273,28 @@ def synthesize_received(
     stats: ChannelStatistics,
     config: TrainingConfig,
     rng: np.random.Generator,
-    z_full: np.ndarray | None = None,
+    mixing: np.ndarray | None = None,
 ) -> ObservationSet:
     """Simulate the pilot phase and combine per-user observations.
 
     Per slot, every user's pilot rides through its cascaded channel under the
     active RIS pattern; combining with conjugated pilots isolates user k with
-    combined noise covariance K*sigma_w2*I.  Noise is drawn once, so every
-    estimator consuming this set sees identical observations.  z_full may be
-    passed in to avoid rebuilding the per-user matrices in tight loops.
+    combined noise covariance K*sigma_w2*I.  The per-slot contributions are
+    one batched product of the users' mixing blocks with their target
+    matrices; mixing (from `mixing_blocks`) may be passed in to avoid
+    rebuilding it in tight loops.  Noise is drawn once, so every estimator
+    consuming this set sees identical observations.
     """
     m, n = stats.m_antennas, stats.n_elements
     k_users, t_pats = config.n_users, config.n_patterns
     if realization.s.shape != (k_users, m * (n + 1)):
         raise ConfigurationError("realization does not match the configured sizes")
-    if z_full is None:
-        z_full = np.stack([build_Z(k, stats, config) for k in range(k_users)])
+    if mixing is None:
+        mixing = mixing_blocks(stats, config)
 
-    # c[k, t] = sqrt(rho_k) * (per-slot mixing) @ s_k, before pilot scaling
-    c = np.empty((k_users, t_pats, m), dtype=complex)
-    for k in range(k_users):
-        per_slot = z_full[k] @ realization.s[k] / k_users  # no combining gain K per slot
-        c[k] = (np.sqrt(config.rho[k]) * per_slot).reshape(t_pats, m)
-
+    c = mixing @ realization.S  # (K, T, M): user k's slot contributions before pilot scaling
     noise = np.sqrt(config.sigma_w2) * _crandn(rng, (t_pats, k_users, m))
     phi = config.pilot_matrix  # (K, K), row k = user k
     y_raw = np.einsum("ktm,ki->tim", c, phi) + noise
     y_combined = np.einsum("tim,ki->ktm", y_raw, phi.conj()).reshape(k_users, t_pats * m)
-    return ObservationSet(noise_raw=noise, y_combined=y_combined, Z=z_full)
+    return ObservationSet(noise_raw=noise, y_combined=y_combined)

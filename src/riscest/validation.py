@@ -43,6 +43,7 @@ from .training import (
     build_Z,
     hadamard,
     make_training_config,
+    mixing_blocks,
     pilot_overhead,
     pilot_sequences,
     synthesize_received,
@@ -245,7 +246,7 @@ def _training_checks(scenario: Scenario, stats: ChannelStatistics) -> list[Check
     for k in range(k_users):
         # reconstruct through the combined linear model with the recorded noise
         w_comb = np.einsum("tim,ki->ktm", obs.noise_raw, tc.pilot_matrix.conj())[k].reshape(-1)
-        model = np.sqrt(tc.rho[k]) * (obs.Z[k] @ real.s[k]) + w_comb
+        model = np.sqrt(tc.rho[k]) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
         worst = max(
             worst,
             float(
@@ -308,7 +309,7 @@ def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list
 
 def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> list[CheckResult]:
     out = []
-    n, k_users = stats.n_elements, stats.n_users
+    n = stats.n_elements
     n_groups = n // 4
 
     # monotone theory curve over a log-spaced power sweep
@@ -372,13 +373,13 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
 
     # unbiasedness of the estimate mean over many trials
     rng = np.random.default_rng(11)
-    z_full = np.stack([build_Z(k, stats, tc) for k in range(k_users)])
+    mixing = mixing_blocks(stats, tc)
     sampler = ChannelSampler(stats)
     n_trials = 10_000
     acc = np.zeros(cg.mean_s.size, complex)
     for _ in range(n_trials):
         real = sampler.sample(rng)
-        obs = synthesize_received(real, stats, tc, rng, z_full=z_full)
+        obs = synthesize_received(real, stats, tc, rng, mixing=mixing)
         acc += cg.estimate(obs.y_combined[0]) - real.s[0]
     mean_err = acc / n_trials
     # 3 standard errors of the estimator error norm, err entries ~ error covariance

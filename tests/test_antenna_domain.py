@@ -22,16 +22,19 @@ from riscest.estimators import (
     grouping_ls_filter,
     make_estimator,
 )
+from riscest.channel import ChannelSampler
 from riscest.moments import (
     AntennaMomentSet,
     MomentSet,
     antenna_factor,
     build_moments,
     combine_blocks,
+    split_observation,
+    split_target,
 )
 from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import default_scenario, desk_scenario
-from riscest.training import PatternOrthogonalityWarning, make_training_config
+from riscest.training import PatternOrthogonalityWarning, make_training_config, synthesize_received
 
 from conftest import dense_moments
 
@@ -49,7 +52,23 @@ def _desk_unblocked():
     return scenario
 
 
-SCENARIOS = {"desk": desk_scenario, "desk-unblocked": _desk_unblocked, "reference": default_scenario}
+def _desk_single_antenna():
+    scenario = desk_scenario()
+    scenario.geometry.m_antennas = 1
+    return scenario
+
+
+def _rank_two_los(stats):
+    """stats with two different RIS-side LoS vectors, so a_bar has rank 2."""
+    rng = np.random.default_rng(31)
+    v = np.exp(2j * np.pi * rng.random((2, stats.n_elements)))
+    return dataclasses.replace(stats, a_bar=np.repeat(v, stats.m_antennas // 2, axis=0))
+
+
+SCENARIOS = {
+    "desk": desk_scenario, "desk-unblocked": _desk_unblocked, "reference": default_scenario,
+    "desk-single-antenna": _desk_single_antenna,
+}
 
 # (scenario, n_groups, snr_db, users); None means every user
 CASES = [
@@ -158,11 +177,8 @@ def test_assembled_moments_match_dense(statistics, name, block_ideal):
 
 def test_unfactored_los_falls_back_to_dense(statistics):
     scenario, stats = statistics("desk")
-    # two different RIS-side LoS vectors: a_bar has rank 2
-    rng = np.random.default_rng(31)
-    v = np.exp(2j * np.pi * rng.random((2, stats.n_elements)))
-    a_bar = np.repeat(v, stats.m_antennas // 2, axis=0)
-    stats = dataclasses.replace(stats, a_bar=a_bar)
+    stats = _rank_two_los(stats)
+    a_bar = stats.a_bar
     assert np.linalg.matrix_rank(a_bar) == 2
     assert antenna_factor(a_bar) is None
     assert antenna_factor(a_bar[:1]) is None  # one antenna is already one block
@@ -175,3 +191,44 @@ def test_unfactored_los_falls_back_to_dense(statistics):
     assert (m.rho, m.sigma_w2, m.n_users, m.m_antennas) == (d.rho, d.sigma_w2, d.n_users, d.m_antennas)
     assert len(m.groups) == len(d.groups)
     assert all(np.array_equal(a, b) for a, b in zip(m.groups, d.groups))
+
+
+# (scenario, n_groups, users, rank-2 a_bar); the last two give dense sets (r None)
+SPLIT_CASES = [
+    ("desk", 4, None, False),
+    ("desk", 16, None, False),
+    ("reference", 64, (0,), False),
+    ("desk", 16, (1,), True),
+    ("desk-single-antenna", 16, None, False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,n_groups,users,rank_two", SPLIT_CASES,
+    ids=[f"{c[0]}-G{c[1]}" + ("-rank2" if c[3] else "") for c in SPLIT_CASES],
+)
+def test_split_rule_matches_dense_rule(statistics, name, n_groups, users, rank_two):
+    """estimate and squared_error on the split forms against the assembled dense W."""
+    scenario, stats = statistics(name)
+    if rank_two:
+        stats = _rank_two_los(stats)
+    tc = _training(scenario, stats, n_groups, 20.0)
+    sampler = ChannelSampler(stats)
+    rng = np.random.default_rng(41)
+    draws = [sampler.sample(rng) for _ in range(3)]
+    observations = [synthesize_received(real, stats, tc, rng) for real in draws]
+    for k in users or range(stats.n_users):
+        m = build_moments(stats, k, tc)
+        m_model = build_moments(stats, k, tc, block_ideal=True)
+        assert (m.r is None) == (rank_two or stats.m_antennas == 1)
+        for kind in EstimatorKind:
+            f = make_estimator(kind, m, m_model)
+            for real, obs in zip(draws, observations):
+                y, s = obs.y_combined[k], real.s[k]
+                want = f.mean_s + f.W @ (y - f.mean_y) if f.innovation else f.W @ y
+                got = f.estimate(y)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), kind
+                want_err = float(np.vdot(want - s, want - s).real)
+                got_err = f.squared_error(split_observation(f.r, y), split_target(f.r, s))
+                assert got_err == pytest.approx(want_err, rel=1e-10), kind

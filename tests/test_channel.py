@@ -16,9 +16,11 @@ from riscest.channel import (
     path_loss,
     psd_factor,
     ris_steering_vector,
+    target_vector,
+    _crandn,
 )
 from riscest.errors import DomainError, NumericalError
-from riscest.scenario import desk_scenario
+from riscest.scenario import default_scenario, desk_scenario
 
 
 WAVELENGTH = 0.1
@@ -245,7 +247,48 @@ class TestPsdFactor:
             psd_factor(m)
 
 
+def _sample_per_user(sampler, rng):
+    """The per-user draw loop of the original sampler: the oracle of its random stream."""
+    st = sampler.stats
+    k_users, n, m = st.n_users, st.n_elements, st.m_antennas
+    zb = _crandn(rng, (k_users, m))
+    g_unit = np.empty((k_users, n), dtype=complex)
+    for k in range(k_users):
+        g_unit[k] = sampler._mu_g[k] + sampler._L_g[k] @ _crandn(rng, n)
+    a_unit = sampler._mu_a + _crandn(rng, (m, n)) @ sampler._L_a.T
+    s = np.empty((k_users, m * (n + 1)), dtype=complex)
+    for k in range(k_users):
+        b_part = zb[k] if st.rho_b[k] > 0 else np.zeros(m, dtype=complex)
+        s[k] = np.concatenate([b_part, (a_unit * g_unit[k][None, :]).reshape(-1)])
+    return {
+        "b": np.sqrt(st.rho_b)[:, None] * zb, "g": np.sqrt(st.rho_g)[:, None] * g_unit,
+        "A": np.sqrt(st.rho_a) * a_unit, "s": s,
+    }
+
+
 class TestSampling:
+    @pytest.mark.parametrize("scenario", [desk_scenario, default_scenario])
+    def test_batched_draws_match_per_user_loop(self, scenario):
+        sampler = ChannelSampler(scenario().statistics())
+        for seed in range(50):
+            real = sampler.sample(np.random.default_rng(seed))
+            want = _sample_per_user(sampler, np.random.default_rng(seed))
+            for field, value in want.items():
+                np.testing.assert_array_equal(getattr(real, field), value, err_msg=field)
+
+    def test_target_matrix_round_trip(self):
+        stats = desk_scenario().statistics()
+        real = ChannelSampler(stats).sample(np.random.default_rng(8))
+        m, n = stats.m_antennas, stats.n_elements
+        assert real.S.shape == (stats.n_users, n + 1, m)
+        for k in range(stats.n_users):
+            np.testing.assert_array_equal(real.S[k, 0], real.s[k, :m])
+            for ant in range(m):
+                np.testing.assert_array_equal(
+                    real.S[k, 1:, ant], real.s[k, m + ant * n : m + (ant + 1) * n]
+                )
+        np.testing.assert_array_equal(target_vector(real.S), real.s)
+
     def test_deterministic_per_seed(self):
         stats = desk_scenario().statistics()
         a = ChannelSampler(stats).sample(np.random.default_rng(99))

@@ -155,7 +155,10 @@ class TestTheoryCommand:
 
 
 @pytest.mark.parametrize("command", ["theory", "sweep"])
-@pytest.mark.parametrize("bad", [["--groups", "3"], ["--estimators", "bogus"]])
+@pytest.mark.parametrize("bad", [
+    ["--groups", "3"], ["--estimators", "bogus"],
+    ["--groups", "16", "16"], ["--estimators", "lmmse", "lmmse"],
+])
 def test_bad_input_is_usage_error(command, bad, desk_ini, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", desk_ini, "--out", "-"] + bad)

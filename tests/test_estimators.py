@@ -14,13 +14,18 @@ from riscest.estimators import (
     hermitian_pinvs,
     make_estimator,
 )
-from riscest.moments import MomentSet, build_moments, cov_ss
+from riscest.moments import MomentSet, build_moments, cov_ss, split_observation, split_target
 from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import desk_scenario
-from riscest.training import build_Z, make_training_config, synthesize_received
+from riscest.training import build_Z, make_training_config, mixing_blocks, synthesize_received
 
 from conftest import dense_moments
 from test_moments import scalar_stats
+
+
+def split_trial(filt, obs, real, k=0):
+    """User k's observation and target in the split forms squared_error takes."""
+    return split_observation(filt.r, obs.y_combined[k]), split_target(filt.r, real.s[k])
 
 
 def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
@@ -95,12 +100,12 @@ class TestConventionalLmmse:
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(21)
         filt = conventional_lmmse_filter(m)
-        z_full = np.stack([build_Z(k, stats, tc) for k in range(stats.n_users)])
+        mixing = mixing_blocks(stats, tc)
         errs = []
         for _ in range(3000):
             real = sampler.sample(rng)
-            obs = synthesize_received(real, stats, tc, rng, z_full=z_full)
-            errs.append(filt.squared_error(obs.y_combined[0], real.s[0]))
+            obs = synthesize_received(real, stats, tc, rng, mixing=mixing)
+            errs.append(filt.squared_error(*split_trial(filt, obs, real)))
         assert np.mean(errs) == pytest.approx(filt.mse_trace, rel=0.05)
 
     def test_zero_noise_rank_deficient_raises(self):
@@ -116,7 +121,7 @@ class TestConventionalLs:
         real = ChannelSampler(stats).sample(np.random.default_rng(22))
         obs = synthesize_received(real, stats, tc, np.random.default_rng(23))
         m = build_moments(stats, 0, tc)
-        np.testing.assert_array_equal(m.Z, obs.Z[0])
+        np.testing.assert_array_equal(m.Z, build_Z(0, stats, tc))
         s_hat = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
         err = np.linalg.norm(s_hat - real.s[0]) / np.linalg.norm(real.s[0])
         assert err < 1e-9
@@ -135,7 +140,7 @@ class TestConventionalLs:
         rng = np.random.default_rng(24)
         real = ChannelSampler(stats).sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
-        z = obs.Z[0]
+        z = build_Z(0, stats, tc)
         gram = z.conj().T @ z
         np.testing.assert_allclose(gram, gram[0, 0] * np.eye(4), atol=1e-12)
         direct = z.conj().T @ obs.y_combined[0] / (np.sqrt(0.9) * gram[0, 0].real)
@@ -193,7 +198,7 @@ class TestGroupingBaselines:
         rng = np.random.default_rng(26)
         real = ChannelSampler(stats).sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
-        np.testing.assert_array_equal(m.Z, obs.Z[0])
+        np.testing.assert_array_equal(m.Z, build_Z(0, stats, tc))
         a = make_estimator(EstimatorKind.GROUPING_LS, m).estimate(obs.y_combined[0])
         b = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
@@ -263,7 +268,7 @@ class TestCorrelatedGrouping:
         for _ in range(3000):
             real = sampler.sample(rng)
             obs = synthesize_received(real, stats, tc, rng)
-            errs.append(filt.squared_error(obs.y_combined[0], real.s[0]))
+            errs.append(filt.squared_error(*split_trial(filt, obs, real)))
         assert np.mean(errs) == pytest.approx(expected, rel=0.05)
 
 

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from riscest.channel import ChannelSampler
 from riscest.errors import ConfigurationError, NumericalError
 from riscest.estimators import AffineEstimator, EstimatorKind
 from riscest.montecarlo import (
@@ -46,6 +49,12 @@ class TestConfig:
             desk_config(n_groups=(3,))
         with pytest.raises(ConfigurationError):
             desk_config(estimators=())
+
+    def test_rejects_repeated_entries(self):
+        with pytest.raises(ConfigurationError, match="group count repeated: 4"):
+            desk_config(n_groups=(4, 16, 4))
+        with pytest.raises(ConfigurationError, match="estimator repeated: lmmse"):
+            desk_config(estimators=("lmmse", "ls", EstimatorKind.LMMSE))
 
     def test_estimator_coercion(self):
         cfg = desk_config(estimators=("lmmse", "ls"))
@@ -123,6 +132,17 @@ class TestRunTrial:
         scale = engine.bank(0, 0).prior_traces
         assert np.all(errors / scale < 1e-16)
 
+    def test_sibling_cell_reuses_the_realization(self):
+        cfg = desk_config(n_groups=(4, 16))
+        errors_fresh, digest_fresh = SweepEngine(cfg).run_cell_trial(1, 1, 3, digest=True)
+        engine = SweepEngine(cfg)
+        engine.run_cell_trial(0, 1, 3)
+        errors_shared, digest_shared = engine.run_cell_trial(1, 1, 3, digest=True)
+        assert digest_shared == digest_fresh
+        assert set(errors_shared) == set(errors_fresh)
+        for key in errors_fresh:
+            np.testing.assert_array_equal(errors_shared[key], errors_fresh[key])
+
     def test_trial_errors_are_per_user(self):
         cfg = desk_config()
         errors, _ = SweepEngine(cfg).run_cell_trial(0, 0, 0, digest=True)
@@ -143,6 +163,11 @@ def test_bank_assembles_dense_arrays_only_when_read(n_groups):
         assert "W" not in vars(f) and "error_cov" not in vars(f), f.kind
     for f in filters:
         assert f.W.flags.c_contiguous, f.kind
+    engine = SweepEngine(desk_config(snr_db=(20.0,), n_groups=(n_groups,)))
+    engine.run_cell_trial(0, 0, 0)
+    for per_user in engine.bank(0, 0).filters.values():
+        for f in per_user:
+            assert "W" not in vars(f) and "error_cov" not in vars(f), f.kind
 
 
 class TestRunSweep:
@@ -182,6 +207,31 @@ class TestRunSweep:
                 assert ra.nmse_empirical == rb.nmse_empirical
                 assert ra.stderr == rb.stderr
                 assert ra.nmse_theory == rb.nmse_theory
+
+    def test_rows_equal_across_worker_counts_with_two_group_cells(self):
+        cfg = desk_config(n_trials=12, snr_db=(0.0, 30.0), n_groups=(4, 16))
+
+        def fields(report):
+            return [
+                {k: v for k, v in dataclasses.asdict(row).items() if k != "wall_time"}
+                for row in report.rows
+            ]
+
+        serial, pooled = run_sweep(cfg, workers=1), run_sweep(cfg, workers=2)
+        np.testing.assert_equal(fields(pooled), fields(serial))
+
+    def test_draws_each_realization_once_per_snr_and_trial(self, monkeypatch):
+        calls = []
+        original = ChannelSampler.sample
+
+        def counting(self, rng):
+            calls.append(1)
+            return original(self, rng)
+
+        monkeypatch.setattr(ChannelSampler, "sample", counting)
+        cfg = desk_config(n_trials=7, snr_db=(0.0, 20.0), n_groups=(4, 16))
+        run_sweep(cfg)
+        assert len(calls) == len(cfg.snr_db) * cfg.n_trials
 
     def test_stderr_shrinks_with_sqrt_trials(self):
         cfg_a = desk_config(

@@ -11,6 +11,7 @@ from riscest.training import (
     contiguous_groups,
     hadamard,
     make_training_config,
+    mixing_blocks,
     pilot_overhead,
     pilot_sequences,
     synthesize_received,
@@ -200,7 +201,7 @@ class TestSynthesis:
         tc = make_training_config(16, 1, n_groups=4, rho=0.25, sigma_w2=0.0)
         real = ChannelSampler(stats1).sample(np.random.default_rng(0))
         obs = synthesize_received(real, stats1, tc, np.random.default_rng(1))
-        expected = np.sqrt(0.25) * (obs.Z[0] @ real.s[0])
+        expected = np.sqrt(0.25) * (build_Z(0, stats1, tc) @ real.s[0])
         np.testing.assert_allclose(obs.y_combined[0], expected, rtol=1e-12)
 
     def test_interuser_cancellation(self, desk):
@@ -224,7 +225,7 @@ class TestSynthesis:
             w_comb = np.einsum(
                 "tim,i->tm", obs.noise_raw, tc.pilot_matrix[k].conj()
             ).reshape(-1)
-            model = np.sqrt(tc.rho[k]) * (obs.Z[k] @ real.s[k]) + w_comb
+            model = np.sqrt(tc.rho[k]) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
             rel = np.linalg.norm(obs.y_combined[k] - model) / np.linalg.norm(model)
             assert rel < 1e-10
 
@@ -238,9 +239,9 @@ class TestSynthesis:
         n_draws = 10_000
         dim = stats.m_antennas * tc.n_patterns
         acc = np.zeros((dim, dim), dtype=complex)
-        z_full = np.stack([build_Z(k, stats, tc) for k in range(2)])
+        mixing = mixing_blocks(stats, tc)
         for _ in range(n_draws):
-            obs = synthesize_received(zero, stats, tc, rng, z_full=z_full)
+            obs = synthesize_received(zero, stats, tc, rng, mixing=mixing)
             y = obs.y_combined[0]
             acc += np.outer(y, y.conj())
         cov = acc / n_draws
