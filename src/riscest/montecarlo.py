@@ -20,7 +20,6 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .estimators import (
     asymptotic_mse,
     make_estimator,
 )
-from .moments import build_moments, split_observation, split_target
+from .moments import antenna_factor, build_moments, split_observation
 from .scenario import Scenario
 from .training import (
     TrainingConfig,
@@ -99,7 +98,7 @@ class SweepRow:
     nmse_theory: float
     nmse_floor: float
     seed: int
-    wall_time: float = 0.0  # its trial chunks' time, split evenly over their group cells
+    wall_time: float = 0.0  # not measured; stays 0.0
     failures: int = 0
     nmse_per_user: tuple[float, ...] = ()
 
@@ -140,7 +139,7 @@ class _CellBank:
     stats: ChannelStatistics
     tconfig: TrainingConfig
     mixing: np.ndarray  # (K, T, N+1), see training.mixing_blocks
-    r: np.ndarray | None  # antenna factor of every user's moment set
+    r: np.ndarray | None  # antenna_factor(a_bar), shared by every user's filters
     filters: dict[EstimatorKind, list[AffineEstimator]]  # kind -> per-user
     prior_traces: np.ndarray  # (K,)
     rho: float
@@ -183,7 +182,6 @@ def build_cell_bank(
     kinds = applicable_kinds(kinds, n_groups, stats.n_elements)
     filters: dict[EstimatorKind, list[AffineEstimator]] = {k: [] for k in kinds}
     prior_traces = np.empty(stats.n_users)
-    r = None
     for k in range(stats.n_users):
         m_true = build_moments(stats, k, tconfig)
         m_model = None
@@ -197,9 +195,9 @@ def build_cell_bank(
                 floor = floors[k]
             filters[kind].append(make_estimator(kind, m_true, m_model, floor=floor))
         prior_traces[k] = m_true.prior_trace
-        r = m_true.r
     return _CellBank(
-        stats=stats, tconfig=tconfig, mixing=mixing_blocks(stats, tconfig), r=r,
+        stats=stats, tconfig=tconfig, mixing=mixing_blocks(stats, tconfig),
+        r=antenna_factor(stats.a_bar),
         filters=filters, prior_traces=prior_traces, rho=rho,
     )
 
@@ -280,7 +278,7 @@ class SweepEngine:
             realization, self.stats, bank.tconfig, rng, mixing=bank.mixing
         )
         xs = split_observation(bank.r, obs.y_combined)
-        targets = split_target(bank.r, realization.s)
+        targets = realization.s[..., None] if bank.r is None else realization.S
         k_users = self.stats.n_users
         errors: dict[EstimatorKind, np.ndarray] = {}
         for kind, per_user in bank.filters.items():
@@ -299,16 +297,13 @@ class SweepEngine:
         return errors, obs_digest
 
 
-def _trial_block(
-    engine: SweepEngine, snr_index: int, lo: int, hi: int
-) -> tuple[list[np.ndarray], float]:
-    """Trials lo..hi-1 at one SNR over every group cell, and the seconds they took.
+def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[np.ndarray]:
+    """Trials lo..hi-1 at one SNR over every group cell.
 
     Returns one (hi-lo, n_kinds, K) block of per-trial per-user squared
     errors per group cell.  The cells run inside each trial, so the
     realization is drawn once per trial.
     """
-    start = time.perf_counter()
     banks = [engine.bank(gi, snr_index) for gi in range(len(engine.config.n_groups))]
     out = [np.empty((hi - lo, len(b.filters), engine.stats.n_users)) for b in banks]
     for j, trial in enumerate(range(lo, hi)):
@@ -316,7 +311,7 @@ def _trial_block(
             errors, _ = engine.run_cell_trial(gi, snr_index, trial)
             for ki, kind in enumerate(bank.filters):
                 out[gi][j, ki] = errors[kind]
-    return out, time.perf_counter() - start
+    return out
 
 
 _WORKER_ENGINE: SweepEngine | None = None
@@ -327,7 +322,7 @@ def _init_worker(config: SweepConfig) -> None:
     _WORKER_ENGINE = SweepEngine(config)
 
 
-def _worker_block(args: tuple[int, int, int]) -> tuple[list[np.ndarray], float]:
+def _worker_block(args: tuple[int, int, int]) -> list[np.ndarray]:
     snr_index, lo, hi = args
     assert _WORKER_ENGINE is not None
     return _trial_block(_WORKER_ENGINE, snr_index, lo, hi)
@@ -355,7 +350,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> MseReport:
     """
     workers = resolve_workers(workers)
     engine = SweepEngine(config)
-    n_trials, n_cells = config.n_trials, len(config.n_groups)
+    n_trials = config.n_trials
 
     chunk = n_trials if workers == 1 else max(1, -(-n_trials // (workers * 4)))
     tasks = [
@@ -372,11 +367,9 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> MseReport:
             results = list(pool.map(_worker_block, tasks))
 
     blocks: dict[tuple[int, int, int], np.ndarray] = {}
-    cell_times: dict[tuple[int, int], float] = {}
-    for (si, lo, _), (cell_blocks, elapsed) in zip(tasks, results):
+    for (si, lo, _), cell_blocks in zip(tasks, results):
         for gi, block in enumerate(cell_blocks):
             blocks[(gi, si, lo)] = block
-            cell_times[(gi, si)] = cell_times.get((gi, si), 0.0) + elapsed / n_cells
 
     report = MseReport()
     for gi, n_groups in enumerate(config.n_groups):
@@ -407,8 +400,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> MseReport:
                         estimator=kind, n_groups=n_groups, snr_db=snr, rho=bank.rho,
                         trials=n_trials, nmse_empirical=nmse, stderr=stderr,
                         nmse_theory=theory, nmse_floor=floor, seed=config.base_seed,
-                        wall_time=cell_times.get((gi, si), 0.0), failures=failures,
-                        nmse_per_user=per_user,
+                        failures=failures, nmse_per_user=per_user,
                     )
                 )
     return report

@@ -212,10 +212,7 @@ class TestRunSweep:
         cfg = desk_config(n_trials=12, snr_db=(0.0, 30.0), n_groups=(4, 16))
 
         def fields(report):
-            return [
-                {k: v for k, v in dataclasses.asdict(row).items() if k != "wall_time"}
-                for row in report.rows
-            ]
+            return [dataclasses.asdict(row) for row in report.rows]
 
         serial, pooled = run_sweep(cfg, workers=1), run_sweep(cfg, workers=2)
         np.testing.assert_equal(fields(pooled), fields(serial))
