@@ -13,12 +13,14 @@ moments; error covariances use the stabilized (sum-of-PSD-terms) arrangement
 to stay accurate at very high transmit power.
 
 Each filter function runs on the blocks of its moment set
-(`MomentSet.blocks`): one block for a dense set, and for the antenna-domain
-form the aligned block plus the orthogonal block standing for M-1 copies.
+(`MomentSet.blocks`): the aligned block plus the orthogonal block standing
+for M-1 copies for the antenna-domain set `build_moments` returns, and one
+block for a hand-built dense set.
 An estimator keeps its per-block filters and error covariances; traces add
 up over the blocks with their multiplicities.  Trials apply the per-block
 filters to the split observation [Y P; Y (I - P)] (`moments.split_observation`)
-and compare with the (N+1)-by-M target matrix, so no dense filter is formed;
+and compare with the (N+1)-by-M target matrix (`ChannelRealization.S`), so
+no dense filter is formed;
 the dense filter and error covariance are assembled from the blocks only
 when read.  Every pseudo-inverse cutoff is relative to the largest
 eigenvalue over all blocks, i.e. of the whole block-diagonal matrix, so both
@@ -42,7 +44,6 @@ from .moments import (
     combine_blocks,
     group_expansion_matrix,
     split_observation,
-    split_target,
 )
 
 PINV_RCOND = 1e-10
@@ -73,18 +74,18 @@ class AffineEstimator:
     of this rule under the true observation moments; nmse_floor, when set, is
     the infinite-power limit.  w_blocks and error_blocks are the per-block
     filters and error covariances of the moment set whose antenna factor is
-    r (None for a dense set).  The rule runs on the split forms of
-    `split_observation` and `split_target` as S_hat = offset + H X with
-    H = [W_0, W_1]; the dense W and error_cov are assembled only on read.
+    r (None for a dense set).  The rule runs on a split observation X
+    (`split_observation`) as S_hat = offset + H X with H = [W_0, W_1], giving
+    the target matrix (one column for a dense set); the dense W and
+    error_cov are assembled only on read.
     """
 
     kind: EstimatorKind
     w_blocks: tuple[np.ndarray, ...]
-    mean_s: np.ndarray
-    mean_y: np.ndarray
     innovation: bool  # False: raw-linear rule W y with no mean terms
     error_blocks: tuple[np.ndarray, ...]
     r: np.ndarray | None
+    offset: np.ndarray | float  # split(mean_s) - H split(mean_y), 0 for the raw rule
     mse_trace: float
     nmse: float
     nmse_floor: float | None = None
@@ -102,13 +103,6 @@ class AffineEstimator:
     def H(self) -> np.ndarray:
         """The per-block filters side by side, acting on a split observation."""
         return np.hstack(self.w_blocks)
-
-    @cached_property
-    def offset(self) -> np.ndarray | float:
-        """split(mean_s) - H split(mean_y) for an innovation rule, 0 for the raw one."""
-        if not self.innovation:
-            return 0.0
-        return split_target(self.r, self.mean_s) - self.H @ split_observation(self.r, self.mean_y)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Estimate in the split target form from a split observation x."""
@@ -196,7 +190,13 @@ def _finalize(
     degenerate: bool = False,
     floor: float | None = None,
 ) -> AffineEstimator:
-    """Estimator from the per-block filters ws of m."""
+    """Estimator from the per-block filters ws of m.
+
+    With c = mean_s_0 - W_0 mean_y_0 on the first block, the offset is the
+    column c for a dense set.  In the antenna form only the aligned block has
+    a mean and split(mean_y) is [Y_bar; 0] with Y_bar = outer(mean_y_0, r)/sqrt(M),
+    so the offset is outer(c, r)/sqrt(M).
+    """
     covs, trace = [], 0.0
     for (b, mult), w in zip(m.blocks, ws):
         bias = None
@@ -206,9 +206,14 @@ def _finalize(
         cov, block_trace = _stabilized_error_cov(w, b, bias)
         covs.append(cov)
         trace += mult * block_trace
+    offset = 0.0
+    if innovation:
+        b0, _ = m.blocks[0]
+        c = b0.mean_s - ws[0] @ b0.mean_y
+        offset = c[:, None] if m.r is None else np.outer(c, m.r) / np.sqrt(m.r.size)
     return AffineEstimator(
-        kind=kind, w_blocks=tuple(ws), mean_s=m.mean_s, mean_y=m.mean_y,
-        innovation=innovation, error_blocks=tuple(covs), r=m.r, mse_trace=trace,
+        kind=kind, w_blocks=tuple(ws), innovation=innovation, error_blocks=tuple(covs),
+        r=m.r, offset=offset, mse_trace=trace,
         nmse=trace / m.prior_trace, nmse_floor=floor, degenerate=degenerate,
     )
 
@@ -313,8 +318,11 @@ def correlated_grouping_filter(
 
 
 def _full_rank_patterns(m: MomentSet | AntennaMomentSet) -> bool:
-    """True when the pattern count supports the ungrouped target dimension."""
-    n_y, n_s = m.Z.shape
+    """True when the pattern count supports the ungrouped target dimension.
+
+    T >= N+1 for a block's Z_0 is the same test as MT >= M(N+1) for the dense Z.
+    """
+    n_y, n_s = m.blocks[0][0].Z.shape
     return n_y >= n_s
 
 

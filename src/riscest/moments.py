@@ -8,29 +8,28 @@ that link exists.  A blocked direct link zeroes both the corresponding
 observation columns and the prior block, so the unobservable coordinates
 carry no phantom error.
 
-Antenna domain.  When the RIS-BS LoS vectors share one RIS-side factor,
+Antenna domain.  The RIS-BS LoS vectors share one RIS-side factor,
 a_bar = outer(r, v) with unit-modulus r (as `bs_los_vectors` builds them),
-user k's prior is (r r^H) (x) A + I_M (x) B in the antenna-major order and
+so user k's prior is (r r^H) (x) A + I_M (x) B in the antenna-major order and
 every mixing matrix is I_M (x) Z_0.  Rotating the antennas by any unitary
 whose first column is r/sqrt(M) splits the M(N+1)-dimensional problem into
 independent (N+1)-dimensional ones: one "aligned" block with prior M A + B
 and mean sqrt(M) coef (v . g_bar_k), and M-1 identical "orthogonal" blocks
-with prior B and zero mean.  `build_moments` returns that form
-(`AntennaMomentSet`), which holds the two blocks, the dense observation
-matrices and the dense means; `combine_blocks` assembles any dense matrix
-from its per-block values.  `observation_moments` builds the dense
-`MomentSet` directly and is the oracle the tests hold the antenna form to.
+with prior B and zero mean (none for M = 1).  `build_moments` returns that
+form (`AntennaMomentSet`), which holds the two blocks and nothing dense;
+`combine_blocks` assembles any dense matrix from its per-block values.
+`observation_moments` builds the dense `MomentSet` directly and is the
+oracle the tests hold the antenna form to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelStatistics, target_matrix
+from .channel import ChannelStatistics
 from .errors import DomainError
 from .training import TrainingConfig, _check_partition, build_Z, contiguous_groups
 
@@ -134,68 +133,33 @@ def split_observation(r: np.ndarray | None, y: np.ndarray) -> np.ndarray:
     return np.concatenate([aligned, y_mat - aligned], axis=-2)
 
 
-def split_target(r: np.ndarray | None, s: np.ndarray) -> np.ndarray:
-    """Dense targets (..., M(N+1)) in the form a split observation estimates.
-
-    One column (..., M(N+1), 1) with r None, else the (..., N+1, M) target
-    matrices of `target_matrix`.
-    """
-    return s[..., None] if r is None else target_matrix(s, r.size)
-
-
 @dataclass(eq=False, repr=False)
 class AntennaMomentSet:
     """User moments split into the aligned and orthogonal antenna-domain blocks.
 
     aligned and orthogonal are single-antenna (N+1)-dimensional moment sets;
-    the orthogonal one stands for M-1 identical blocks.  Z and Z_G are the
-    dense observation matrices; the dense means are assembled on first read.
-    A dense covariance is combine_blocks over the two blocks' values.
+    the orthogonal one stands for M-1 identical blocks.  A dense matrix is
+    combine_blocks over the two blocks' values; only the aligned block has a
+    mean, so the dense target mean is outer(aligned.mean_s, r)/sqrt(M) in the
+    target_matrix form.
     """
 
     r: np.ndarray  # (M,) unit modulus, a_bar = outer(r, a_bar[0])
     aligned: MomentSet
     orthogonal: MomentSet
-    Z: np.ndarray
-    Z_G: np.ndarray
-    rho: float
-    sigma_w2: float
-    n_users: int
-    groups: list[np.ndarray]
-
-    @property
-    def m_antennas(self) -> int:
-        return self.r.size
 
     @property
     def blocks(self) -> tuple[tuple[MomentSet, int], ...]:
-        return ((self.aligned, 1), (self.orthogonal, self.m_antennas - 1))
+        return ((self.aligned, 1), (self.orthogonal, self.r.size - 1))
 
     @property
     def prior_trace(self) -> float:
         return sum(mult * b.prior_trace for b, mult in self.blocks)
 
-    def _dense_mean(self, field: str, observation: bool) -> np.ndarray:
-        # only the aligned block has a nonzero mean
-        x0 = getattr(self.aligned, field)
-        x = np.kron(self.r / np.sqrt(self.m_antennas), x0)
-        return x[_antenna_order(self.m_antennas, x0.size, observation)]
-
-    @cached_property
-    def mean_s(self) -> np.ndarray:
-        return self._dense_mean("mean_s", observation=False)
-
-    @cached_property
-    def mean_y(self) -> np.ndarray:
-        return self._dense_mean("mean_y", observation=True)
-
 
 def antenna_factor(a_bar: np.ndarray) -> np.ndarray | None:
-    """Unit-modulus r with a_bar == outer(r, a_bar[0]), or None.
-
-    None also for a single antenna, whose dense problem is already one block.
-    """
-    if a_bar.shape[0] < 2 or a_bar[0, 0] == 0:
+    """Unit-modulus r with a_bar == outer(r, a_bar[0]), or None; [1] for one antenna."""
+    if a_bar[0, 0] == 0:
         return None
     r = a_bar[:, 0] / a_bar[0, 0]
     unit = np.allclose(np.abs(r), 1.0, rtol=0.0, atol=FACTOR_TOL)
@@ -394,33 +358,27 @@ def build_moments(
     k: int,
     config: TrainingConfig,
     block_ideal: bool = False,
-) -> MomentSet | AntennaMomentSet:
-    """Moment set for user k under a training configuration.
+) -> AntennaMomentSet:
+    """Moment set for user k under a training configuration, in the antenna domain.
 
     block_ideal swaps in the idealized block-correlation prior used by the
-    plain grouping baselines.  The set is in the antenna-domain form when
-    a_bar factors (see the module docstring) and dense otherwise.
+    plain grouping baselines.  An a_bar that does not factor (see the module
+    docstring) raises DomainError; `observation_moments` still covers it.
     """
     if config.n_elements != stats.n_elements or config.n_users != stats.n_users:
         raise DomainError("training configuration does not match the statistics")
-    z_full = build_Z(k, stats, config)
-    z_grouped = build_Z(k, stats, config, grouped=True)
+    r = antenna_factor(stats.a_bar)
+    if r is None:
+        raise DomainError("RIS-BS LoS vectors do not share one RIS-side factor")
     if block_ideal:
         r0 = rk = _block_correlation(stats.n_elements, config.groups)
     else:
         r0, rk = stats.R0, stats.R[k]
     rho_k, direct = float(config.rho[k]), stats.rho_b[k] > 0
-    r = antenna_factor(stats.a_bar)
-    if r is None:
-        return observation_moments(
-            stats, k, z_full, z_grouped,
-            rho_k=rho_k, sigma_w2=config.sigma_w2, n_users=config.n_users,
-            groups=config.groups, cov_ss_mat=_prior(stats, k, stats.a_bar, r0, rk, direct),
-        )
-    m, n, n_g = r.size, stats.n_elements, config.n_groups
-    # antenna 1's rows and columns: Z is I_M (x) Z_0 up to the index order
-    z0 = z_full[::m][:, np.r_[0, m : m + n]]
-    zg0 = z_grouped[::m][:, np.r_[0, m : m + n_g]]
+    # Z is I_M (x) Z_0 up to the index order, and Z_0 is the mixing of one antenna
+    one_antenna = replace(stats, a_bar=stats.a_bar[:1])
+    z0 = build_Z(k, one_antenna, config)
+    zg0 = build_Z(k, one_antenna, config, grouped=True)
 
     def block(a_row: np.ndarray) -> MomentSet:
         return _complete(
@@ -430,8 +388,6 @@ def build_moments(
 
     return AntennaMomentSet(
         r=r,
-        aligned=block(np.sqrt(m) * stats.a_bar[:1]),
+        aligned=block(np.sqrt(r.size) * stats.a_bar[:1]),
         orthogonal=block(np.zeros_like(stats.a_bar[:1])),
-        Z=z_full, Z_G=z_grouped, rho=rho_k, sigma_w2=config.sigma_w2,
-        n_users=config.n_users, groups=list(config.groups),
     )

@@ -98,7 +98,6 @@ class SweepRow:
     nmse_theory: float
     nmse_floor: float
     seed: int
-    wall_time: float = 0.0  # not measured; stays 0.0
     failures: int = 0
     nmse_per_user: tuple[float, ...] = ()
 
@@ -139,7 +138,7 @@ class _CellBank:
     stats: ChannelStatistics
     tconfig: TrainingConfig
     mixing: np.ndarray  # (K, T, N+1), see training.mixing_blocks
-    r: np.ndarray | None  # antenna_factor(a_bar), shared by every user's filters
+    r: np.ndarray  # antenna_factor(a_bar), shared by every user's filters
     filters: dict[EstimatorKind, list[AffineEstimator]]  # kind -> per-user
     prior_traces: np.ndarray  # (K,)
     rho: float
@@ -278,14 +277,13 @@ class SweepEngine:
             realization, self.stats, bank.tconfig, rng, mixing=bank.mixing
         )
         xs = split_observation(bank.r, obs.y_combined)
-        targets = realization.s[..., None] if bank.r is None else realization.S
         k_users = self.stats.n_users
         errors: dict[EstimatorKind, np.ndarray] = {}
         for kind, per_user in bank.filters.items():
             err = np.empty(k_users)
             for k in range(k_users):
                 try:
-                    err[k] = per_user[k].squared_error(xs[k], targets[k])
+                    err[k] = per_user[k].squared_error(xs[k], realization.S[k])
                 except NumericalError:
                     err[k] = np.nan
             errors[kind] = err

@@ -59,9 +59,10 @@ class SweepSettings:
     def snr_points(self) -> list[float]:
         if self.snr_step_db <= 0:
             raise ConfigurationError("snr_step_db must be positive")
-        n = int(round((self.snr_max_db - self.snr_min_db) / self.snr_step_db)) + 1
-        if n < 1:
-            raise ConfigurationError("empty SNR range")
+        if self.snr_max_db < self.snr_min_db:
+            raise ConfigurationError("snr_max_db is below snr_min_db")
+        # every point up to the maximum; 1e-9 absorbs rounding in the quotient
+        n = int(np.floor((self.snr_max_db - self.snr_min_db) / self.snr_step_db + 1e-9)) + 1
         return [self.snr_min_db + i * self.snr_step_db for i in range(n)]
 
 

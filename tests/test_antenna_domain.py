@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from riscest.errors import DomainError
 from riscest.estimators import (
     EstimatorKind,
     asymptotic_mse,
@@ -22,19 +23,24 @@ from riscest.estimators import (
     grouping_ls_filter,
     make_estimator,
 )
-from riscest.channel import ChannelSampler
+from riscest.channel import ChannelSampler, target_matrix
 from riscest.moments import (
     AntennaMomentSet,
     MomentSet,
     antenna_factor,
     build_moments,
     combine_blocks,
+    cov_ss,
     split_observation,
-    split_target,
 )
 from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import default_scenario, desk_scenario
-from riscest.training import PatternOrthogonalityWarning, make_training_config, synthesize_received
+from riscest.training import (
+    PatternOrthogonalityWarning,
+    build_Z,
+    make_training_config,
+    synthesize_received,
+)
 
 from conftest import dense_moments
 
@@ -52,9 +58,10 @@ def _desk_unblocked():
     return scenario
 
 
-def _desk_single_antenna():
+def _desk_single_antenna(direct_blocked=True):
     scenario = desk_scenario()
     scenario.geometry.m_antennas = 1
+    scenario.fading.direct_blocked = direct_blocked
     return scenario
 
 
@@ -68,6 +75,7 @@ def _rank_two_los(stats):
 SCENARIOS = {
     "desk": desk_scenario, "desk-unblocked": _desk_unblocked, "reference": default_scenario,
     "desk-single-antenna": _desk_single_antenna,
+    "desk-single-antenna-unblocked": lambda: _desk_single_antenna(direct_blocked=False),
 }
 
 # (scenario, n_groups, snr_db, users); None means every user
@@ -81,6 +89,11 @@ CASES = [
     ("reference", 16, 0.0, (0,)),
     ("reference", 16, 50.0, (0,)),
     ("reference", 64, 20.0, (0,)),
+    # M = 1: the aligned block alone, the orthogonal block at multiplicity 0
+    ("desk-single-antenna", 4, -10.0, None),
+    ("desk-single-antenna", 16, 50.0, None),
+    ("desk-single-antenna-unblocked", 4, 20.0, None),
+    ("desk-single-antenna-unblocked", 16, -10.0, None),
 ]
 
 
@@ -135,7 +148,9 @@ def _check_floor(got, want, ungrouped):
 def test_block_path_matches_dense_oracle(statistics, name, n_groups, snr_db, users):
     scenario, stats = statistics(name)
     tc = _training(scenario, stats, n_groups, snr_db)
-    ungrouped = n_groups == stats.n_elements
+    # with one antenna the aligned block is the dense problem itself, so its
+    # ungrouped floor carries the oracle's cutoff noise and is held to it
+    ungrouped = n_groups == stats.n_elements and stats.m_antennas > 1
     for k in users or range(stats.n_users):
         m = build_moments(stats, k, tc)
         m_model = build_moments(stats, k, tc, block_ideal=True)
@@ -163,55 +178,60 @@ def test_assembled_moments_match_dense(statistics, name, block_ideal):
         m = build_moments(stats, k, tc, block_ideal=block_ideal)
         d = dense_moments(stats, k, tc, block_ideal=block_ideal)
         assert m.prior_trace == pytest.approx(d.prior_trace, rel=1e-12)
+        m_ant = m.r.size
         for field in MOMENT_FIELDS:
             want = getattr(d, field)
             if field in COVARIANCE_INDEX:
                 blocks = [getattr(b, field) for b, _ in m.blocks]
                 got = combine_blocks(m.r, blocks, *COVARIANCE_INDEX[field])
+            elif field == "mean_s":
+                # only the aligned block has a mean; compare in the target_matrix form
+                want = target_matrix(want, m_ant)
+                got = np.outer(m.aligned.mean_s, m.r) / np.sqrt(m_ant)
+            elif field == "mean_y":
+                # observations run (t, m), so the (T, M) matrix is a plain reshape
+                want = want.reshape(-1, m_ant)
+                got = np.outer(m.aligned.mean_y, m.r) / np.sqrt(m_ant)
             else:
-                got = getattr(m, field)
+                z0 = getattr(m.aligned, field)  # Z or Z_G: every block shares Z_0
+                got = combine_blocks(m.r, [z0, z0], "y", "s")
             np.testing.assert_allclose(
                 got, want, rtol=0.0, atol=1e-13 * np.abs(want).max(), err_msg=field
             )
 
 
-def test_unfactored_los_falls_back_to_dense(statistics):
+def test_unfactored_los_is_rejected(statistics):
     scenario, stats = statistics("desk")
     stats = _rank_two_los(stats)
     a_bar = stats.a_bar
     assert np.linalg.matrix_rank(a_bar) == 2
     assert antenna_factor(a_bar) is None
-    assert antenna_factor(a_bar[:1]) is None  # one antenna is already one block
+    np.testing.assert_array_equal(antenna_factor(a_bar[:1]), [1.0])  # one antenna: r = [1]
     tc = _training(scenario, stats, 4, 20.0)
-    m = build_moments(stats, 1, tc)
-    assert isinstance(m, MomentSet)
+    with pytest.raises(DomainError):
+        build_moments(stats, 1, tc)
+    # the oracle still builds the rank-2 set
     d = dense_moments(stats, 1, tc)
-    for field in MOMENT_FIELDS:
-        np.testing.assert_array_equal(getattr(m, field), getattr(d, field), err_msg=field)
-    assert (m.rho, m.sigma_w2, m.n_users, m.m_antennas) == (d.rho, d.sigma_w2, d.n_users, d.m_antennas)
-    assert len(m.groups) == len(d.groups)
-    assert all(np.array_equal(a, b) for a, b in zip(m.groups, d.groups))
+    assert isinstance(d, MomentSet)
+    np.testing.assert_array_equal(d.cov_ss, cov_ss(stats, 1))
+    np.testing.assert_array_equal(d.Z, build_Z(1, stats, tc))
 
 
-# (scenario, n_groups, users, rank-2 a_bar); the last two give dense sets (r None)
+# (scenario, n_groups, users); the last one runs M = 1 on the blocks
 SPLIT_CASES = [
-    ("desk", 4, None, False),
-    ("desk", 16, None, False),
-    ("reference", 64, (0,), False),
-    ("desk", 16, (1,), True),
-    ("desk-single-antenna", 16, None, False),
+    ("desk", 4, None),
+    ("desk", 16, None),
+    ("reference", 64, (0,)),
+    ("desk-single-antenna", 16, None),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,n_groups,users,rank_two", SPLIT_CASES,
-    ids=[f"{c[0]}-G{c[1]}" + ("-rank2" if c[3] else "") for c in SPLIT_CASES],
+    "name,n_groups,users", SPLIT_CASES, ids=[f"{c[0]}-G{c[1]}" for c in SPLIT_CASES]
 )
-def test_split_rule_matches_dense_rule(statistics, name, n_groups, users, rank_two):
+def test_split_rule_matches_dense_rule(statistics, name, n_groups, users):
     """estimate and squared_error on the split forms against the assembled dense W."""
     scenario, stats = statistics(name)
-    if rank_two:
-        stats = _rank_two_los(stats)
     tc = _training(scenario, stats, n_groups, 20.0)
     sampler = ChannelSampler(stats)
     rng = np.random.default_rng(41)
@@ -220,15 +240,16 @@ def test_split_rule_matches_dense_rule(statistics, name, n_groups, users, rank_t
     for k in users or range(stats.n_users):
         m = build_moments(stats, k, tc)
         m_model = build_moments(stats, k, tc, block_ideal=True)
-        assert (m.r is None) == (rank_two or stats.m_antennas == 1)
+        d = dense_moments(stats, k, tc)
+        assert isinstance(m, AntennaMomentSet) and m.r.size == stats.m_antennas
         for kind in EstimatorKind:
             f = make_estimator(kind, m, m_model)
             for real, obs in zip(draws, observations):
                 y, s = obs.y_combined[k], real.s[k]
-                want = f.mean_s + f.W @ (y - f.mean_y) if f.innovation else f.W @ y
+                want = d.mean_s + f.W @ (y - d.mean_y) if f.innovation else f.W @ y
                 got = f.estimate(y)
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), kind
                 want_err = float(np.vdot(want - s, want - s).real)
-                got_err = f.squared_error(split_observation(f.r, y), split_target(f.r, s))
+                got_err = f.squared_error(split_observation(f.r, y), real.S[k])
                 assert got_err == pytest.approx(want_err, rel=1e-10), kind

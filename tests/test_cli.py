@@ -74,6 +74,13 @@ class TestConfigParsing:
         assert cfg.sweep.trials == 5
         assert cfg.sweep.seed == 99
         assert cfg.sweep.snr_points() == [0.0, 10.0, 20.0]
+        # the grid stops at the last point at or below the maximum
+        cfg.sweep.snr_min_db, cfg.sweep.snr_max_db, cfg.sweep.snr_step_db = 0.0, 13.0, 5.0
+        assert cfg.sweep.snr_points() == [0.0, 5.0, 10.0]
+        cfg.sweep.snr_max_db = 20.0
+        assert cfg.sweep.snr_points() == [0.0, 5.0, 10.0, 15.0, 20.0]
+        cfg.sweep.snr_max_db, cfg.sweep.snr_step_db = 0.3, 0.1  # 0.3 / 0.1 < 3 in floats
+        assert len(cfg.sweep.snr_points()) == 4
 
     def test_bad_value_diagnostic_names_field(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -158,6 +165,7 @@ class TestTheoryCommand:
 @pytest.mark.parametrize("bad", [
     ["--groups", "3"], ["--estimators", "bogus"],
     ["--groups", "16", "16"], ["--estimators", "lmmse", "lmmse"],
+    ["--snr-min-db", "20", "--snr-max-db", "19"], ["--snr-step-db", "0"],
 ])
 def test_bad_input_is_usage_error(command, bad, desk_ini, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,7 @@ from riscest.estimators import (
     hermitian_pinvs,
     make_estimator,
 )
-from riscest.moments import MomentSet, build_moments, cov_ss, split_observation, split_target
+from riscest.moments import MomentSet, build_moments, combine_blocks, cov_ss, split_observation
 from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import desk_scenario
 from riscest.training import build_Z, make_training_config, mixing_blocks, synthesize_received
@@ -25,7 +25,12 @@ from test_moments import scalar_stats
 
 def split_trial(filt, obs, real, k=0):
     """User k's observation and target in the split forms squared_error takes."""
-    return split_observation(filt.r, obs.y_combined[k]), split_target(filt.r, real.s[k])
+    return split_observation(filt.r, obs.y_combined[k]), real.S[k]
+
+
+def dense_z(m):
+    """The dense mixing matrix of an antenna-domain set: every block shares Z_0."""
+    return combine_blocks(m.r, [m.aligned.Z, m.aligned.Z], "y", "s")
 
 
 def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
@@ -90,13 +95,14 @@ class TestConventionalLmmse:
     def test_zero_innovation_returns_prior_mean(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=16)
-        s_hat = make_estimator(EstimatorKind.LMMSE, m).estimate(m.mean_y.copy())
-        np.testing.assert_allclose(s_hat, m.mean_s, atol=1e-12)
+        d = dense_moments(stats, 0, desk_training(scenario, stats, n_groups=16))
+        s_hat = make_estimator(EstimatorKind.LMMSE, m).estimate(d.mean_y.copy())
+        np.testing.assert_allclose(s_hat, d.mean_s, atol=1e-12)
 
     def test_empirical_mse_matches_trace(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=16, snr_db=10.0)
-        tc = make_training_config(16, 2, n_groups=16, rho=m.rho, sigma_w2=scenario.sigma_w2)
+        tc = make_training_config(16, 2, n_groups=16, rho=m.aligned.rho, sigma_w2=scenario.sigma_w2)
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(21)
         filt = conventional_lmmse_filter(m)
@@ -121,7 +127,7 @@ class TestConventionalLs:
         real = ChannelSampler(stats).sample(np.random.default_rng(22))
         obs = synthesize_received(real, stats, tc, np.random.default_rng(23))
         m = build_moments(stats, 0, tc)
-        np.testing.assert_array_equal(m.Z, build_Z(0, stats, tc))
+        np.testing.assert_array_equal(dense_z(m), build_Z(0, stats, tc))
         s_hat = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
         err = np.linalg.norm(s_hat - real.s[0]) / np.linalg.norm(real.s[0])
         assert err < 1e-9
@@ -145,7 +151,7 @@ class TestConventionalLs:
         np.testing.assert_allclose(gram, gram[0, 0] * np.eye(4), atol=1e-12)
         direct = z.conj().T @ obs.y_combined[0] / (np.sqrt(0.9) * gram[0, 0].real)
         m = build_moments(stats, 0, tc)
-        np.testing.assert_array_equal(m.Z, z)
+        np.testing.assert_array_equal(m.aligned.Z, z)
         s_hat = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
         np.testing.assert_allclose(s_hat, direct, rtol=1e-10)
 
@@ -198,7 +204,7 @@ class TestGroupingBaselines:
         rng = np.random.default_rng(26)
         real = ChannelSampler(stats).sample(rng)
         obs = synthesize_received(real, stats, tc, rng)
-        np.testing.assert_array_equal(m.Z, build_Z(0, stats, tc))
+        np.testing.assert_array_equal(dense_z(m), build_Z(0, stats, tc))
         a = make_estimator(EstimatorKind.GROUPING_LS, m).estimate(obs.y_combined[0])
         b = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
@@ -236,8 +242,9 @@ class TestCorrelatedGrouping:
     def test_collapse_to_conventional(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=16)
+        d = dense_moments(stats, 0, desk_training(scenario, stats, n_groups=16))
         rng = np.random.default_rng(28)
-        y = m.mean_y + (rng.standard_normal(m.mean_y.size) + 1j * rng.standard_normal(m.mean_y.size))
+        y = d.mean_y + (rng.standard_normal(d.mean_y.size) + 1j * rng.standard_normal(d.mean_y.size))
         a = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m)
         b = make_estimator(EstimatorKind.LMMSE, m)
         a_hat, b_hat = a.estimate(y), b.estimate(y)
@@ -247,8 +254,9 @@ class TestCorrelatedGrouping:
     def test_zero_innovation(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=4)
-        s_hat = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).estimate(m.mean_y.copy())
-        np.testing.assert_allclose(s_hat, m.mean_s, atol=1e-12)
+        d = dense_moments(stats, 0, desk_training(scenario, stats, n_groups=4))
+        s_hat = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).estimate(d.mean_y.copy())
+        np.testing.assert_allclose(s_hat, d.mean_s, atol=1e-12)
 
     def test_degenerate_inner_gram_flagged(self, desk):
         # blocked direct link zeroes inner-Gram rows, so clipping must engage
@@ -259,7 +267,7 @@ class TestCorrelatedGrouping:
     def test_empirical_mse_matches_error_covariance(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=4, snr_db=20.0)
-        tc = make_training_config(16, 2, n_groups=4, rho=m.rho, sigma_w2=scenario.sigma_w2)
+        tc = make_training_config(16, 2, n_groups=4, rho=m.aligned.rho, sigma_w2=scenario.sigma_w2)
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(29)
         filt = correlated_grouping_filter(m)

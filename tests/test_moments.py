@@ -33,6 +33,15 @@ def scalar_stats(kappa_a=0.0, kappa_g=0.0, rho_b=1.0):
     )
 
 
+@pytest.fixture(scope="module")
+def production_draws():
+    """Desk targets from the per-trial sampler the Monte Carlo engine uses, (20000, K, M(N+1))."""
+    stats = desk_scenario().statistics()
+    sampler = ChannelSampler(stats)
+    rng = np.random.default_rng(19)
+    return stats, np.stack([sampler.sample(rng).s for _ in range(20_000)])
+
+
 class TestMeanS:
     def test_zero_without_ris_bs_los(self):
         stats = build_statistics(small_geometry(), default_fading())
@@ -58,19 +67,23 @@ class TestMeanS:
                 rtol=1e-14,
             )
 
-    def test_matches_sample_mean_zscore(self):
+    def test_matches_sample_mean_zscore(self, production_draws):
         # sharper oracle than the max-entry rule: every entry within 5 standard errors
-        stats = desk_scenario().statistics()
+        # inputs: the batched cascade draws of user 0, then the production
+        # sampler's draws of every user
+        stats, draws = production_draws
         sampler = ChannelSampler(stats)
-        n_draws = 40_000
-        s = sampler.sample_cascade(0, n_draws, np.random.default_rng(13))
-        mu_hat = s.mean(axis=0)
-        mu = mean_s(stats, 0)
-        se = np.sqrt(np.diagonal(cov_ss(stats, 0)).real / n_draws)
-        dev = np.abs(mu_hat - mu)
-        mask = se > 0
-        assert np.all(dev[mask] < 5 * se[mask])
-        np.testing.assert_array_equal(dev[~mask], 0.0)
+        inputs = [(0, sampler.sample_cascade(0, 40_000, np.random.default_rng(13)))]
+        inputs += [(k, draws[:, k]) for k in range(stats.n_users)]
+        for k, s in inputs:
+            n_draws = s.shape[0]
+            mu_hat = s.mean(axis=0)
+            mu = mean_s(stats, k)
+            se = np.sqrt(np.diagonal(cov_ss(stats, k)).real / n_draws)
+            dev = np.abs(mu_hat - mu)
+            mask = se > 0
+            assert np.all(dev[mask] < 5 * se[mask]), k
+            np.testing.assert_array_equal(dev[~mask], 0.0)
 
 
 class TestCovSs:
@@ -117,8 +130,8 @@ class TestCovSs:
             assert np.abs(c - c.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() > -1e-8
 
-    def test_matches_sample_covariance(self):
-        stats = desk_scenario().statistics()
+    def test_matches_sample_covariance(self, production_draws):
+        stats, draws = production_draws
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(15)
         n_draws, chunk = 60_000, 20_000
@@ -133,6 +146,13 @@ class TestCovSs:
         cov_hat = acc_cov / n_draws - np.outer(mu_hat, mu_hat.conj())
         c = cov_ss(stats, 1)
         assert np.abs(cov_hat - c).max() < 0.05 * np.abs(c).max()
+        # the production sampler, every user
+        for k in range(stats.n_users):
+            s = draws[:, k]
+            mu_hat = s.mean(axis=0)
+            cov_hat = (s.T @ s.conj()) / s.shape[0] - np.outer(mu_hat, mu_hat.conj())
+            c = cov_ss(stats, k)
+            assert np.abs(cov_hat - c).max() < 0.05 * np.abs(c).max(), k
 
 
 class TestCovUu:
@@ -193,8 +213,8 @@ class TestObservationMoments:
         stats = desk_scenario().statistics()
         tc = make_training_config(16, 2, n_groups=4, rho=0.0, sigma_w2=2.0)
         m = build_moments(stats, 0, tc)
-        np.testing.assert_array_equal(m.mean_y, 0.0)
         for b, _ in m.blocks:
+            np.testing.assert_array_equal(b.mean_y, 0.0)
             np.testing.assert_allclose(b.cov_yy, 2 * 2.0 * np.eye(b.cov_yy.shape[0]), atol=1e-15)
 
     def test_scalar_noiseless(self):
