@@ -56,13 +56,11 @@ from .training import (
     PatternOrthogonalityWarning,
     TrainingConfig,
     build_Z,
-    contiguous_groups,
     hadamard,
     make_training_config,
     pilot_overhead,
     pilot_sequences,
     synthesize_received,
-    tile_groups,
     training_patterns,
 )
 

@@ -13,7 +13,7 @@ import argparse
 import math
 import sys
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 # The F401 names are unused here but stay: perfbench/tracing.py patches them on this module.
 from .estimators import EstimatorKind, asymptotic_mse, make_estimator  # noqa: F401
 from .moments import build_moments  # noqa: F401
@@ -242,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
             if not getattr(args, "estimators", None):
                 config.sweep.estimators = ["grouping_lmmse", "correlated_grouping_lmmse"]
             return _reproduce(config, workers)
-    except ConfigurationError as exc:
+    except (ConfigurationError, DomainError) as exc:
         parser.exit(2, f"error: {exc}\n")
     return 2
 

@@ -260,7 +260,7 @@ def conventional_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
 
 
 def _expansion(b: MomentSet) -> np.ndarray:
-    return group_expansion_matrix(b.m_antennas, b.groups, b.Z.shape[1] // b.m_antennas - 1)
+    return group_expansion_matrix(b.m_antennas, b.n_groups, b.Z.shape[1] // b.m_antennas - 1)
 
 
 def grouping_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:

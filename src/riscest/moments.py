@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import ChannelStatistics
 from .errors import DomainError
-from .training import TrainingConfig, _check_partition, build_Z, contiguous_groups
+from .training import TrainingConfig, build_Z
 
 # a_bar factors as outer(r, v) when it matches within this absolute
 # tolerance; its entries are unit modulus, so this is relative too.
@@ -61,7 +61,7 @@ class MomentSet:
     sigma_w2: float
     n_users: int
     m_antennas: int
-    groups: list[np.ndarray]
+    n_groups: int
 
     @property
     def r(self) -> None:
@@ -221,12 +221,10 @@ def _prior(
     return out
 
 
-def _block_correlation(n_elements: int, groups: list[np.ndarray]) -> np.ndarray:
+def _block_correlation(n_elements: int, n_groups: int) -> np.ndarray:
     """All-ones within a group, zero across groups."""
-    block = np.zeros((n_elements, n_elements), dtype=complex)
-    for idx in groups:
-        block[np.ix_(idx, idx)] = 1.0
-    return block
+    size = n_elements // n_groups
+    return np.repeat(np.repeat(np.eye(n_groups, dtype=complex), size, axis=0), size, axis=1)
 
 
 def cov_ss(stats: ChannelStatistics, k: int, direct_present: bool | None = None) -> np.ndarray:
@@ -240,9 +238,7 @@ def cov_ss(stats: ChannelStatistics, k: int, direct_present: bool | None = None)
     return _prior(stats, k, stats.a_bar, stats.R0, stats.R[k], direct_present)
 
 
-def cov_ss_block_ideal(
-    stats: ChannelStatistics, k: int, groups: list[np.ndarray]
-) -> np.ndarray:
+def cov_ss_block_ideal(stats: ChannelStatistics, k: int, n_groups: int) -> np.ndarray:
     """Prior covariance under the idealized block-correlation model.
 
     Replaces both scattering correlation matrices with the block matrix that
@@ -250,56 +246,39 @@ def cov_ss_block_ideal(
     that elements in a group share identical scattering while groups are
     independent.
     """
-    block = _block_correlation(stats.n_elements, groups)
+    block = _block_correlation(stats.n_elements, n_groups)
     return _prior(stats, k, stats.a_bar, block, block, stats.rho_b[k] > 0)
 
 
-def group_aggregation_matrix(m_antennas: int, groups: list[np.ndarray], n_elements: int) -> np.ndarray:
+def group_aggregation_matrix(m_antennas: int, n_groups: int, n_elements: int) -> np.ndarray:
     """Real matrix P with u = P (s - E[s]): direct block copied, groups summed.
 
-    Shape (M(n_groups+1), M(N+1)).
+    Shape (M(n_groups+1), M(N+1)).  The cascade runs antenna-major, so its
+    block is I_{M n_groups} (x) 1^T_{N/n_groups}.
     """
-    _check_partition(groups, n_elements)
-    n_groups = len(groups)
-    p_g = np.zeros((n_groups, n_elements))
-    for g, idx in enumerate(groups):
-        p_g[g, idx] = 1.0
     out = np.zeros((m_antennas * (n_groups + 1), m_antennas * (n_elements + 1)))
     out[:m_antennas, :m_antennas] = np.eye(m_antennas)
-    for m in range(m_antennas):
-        rows = slice(m_antennas + m * n_groups, m_antennas + (m + 1) * n_groups)
-        cols = slice(m_antennas + m * n_elements, m_antennas + (m + 1) * n_elements)
-        out[rows, cols] = p_g
+    out[m_antennas:, m_antennas:] = np.repeat(
+        np.eye(m_antennas * n_groups), n_elements // n_groups, axis=1
+    )
     return out
 
 
-def group_expansion_matrix(m_antennas: int, groups: list[np.ndarray], n_elements: int) -> np.ndarray:
+def group_expansion_matrix(m_antennas: int, n_groups: int, n_elements: int) -> np.ndarray:
     """Equal-division expansion from group aggregates back to elements.
 
     The transpose of the aggregation matrix with each group row divided by
     its size; shape (M(N+1), M(n_groups+1)).
     """
-    p = group_aggregation_matrix(m_antennas, groups, n_elements)
-    expand = p.T.copy()
-    expand[m_antennas:, m_antennas:] /= len(groups[0])
+    expand = group_aggregation_matrix(m_antennas, n_groups, n_elements).T.copy()
+    expand[m_antennas:, m_antennas:] /= n_elements // n_groups
     return expand
 
 
-def cov_uu(
-    cov_ss_mat: np.ndarray,
-    m_antennas: int,
-    grouping: list[np.ndarray] | int,
-) -> np.ndarray:
-    """Covariance of the group-aggregate vector, by summing matched rows/columns.
-
-    grouping may be an explicit partition or a group count (contiguous equal
-    blocks).
-    """
-    n_s = cov_ss_mat.shape[0]
-    n_elements = n_s // m_antennas - 1
-    if isinstance(grouping, int):
-        grouping = contiguous_groups(n_elements, grouping)
-    p = group_aggregation_matrix(m_antennas, grouping, n_elements)
+def cov_uu(cov_ss_mat: np.ndarray, m_antennas: int, n_groups: int) -> np.ndarray:
+    """Covariance of the group-aggregate vector, by summing matched rows/columns."""
+    n_elements = cov_ss_mat.shape[0] // m_antennas - 1
+    p = group_aggregation_matrix(m_antennas, n_groups, n_elements)
     return p @ cov_ss_mat @ p.T
 
 
@@ -312,10 +291,10 @@ def _complete(
     sigma_w2: float,
     n_users: int,
     m_antennas: int,
-    groups: list[np.ndarray],
+    n_groups: int,
 ) -> MomentSet:
     """Observation moments of a target with mean mu_s and prior c_ss seen through z_full."""
-    c_uu = cov_uu(c_ss, m_antennas, groups)
+    c_uu = cov_uu(c_ss, m_antennas, n_groups)
     sqrt_rho = np.sqrt(rho_k)
     mean_y = sqrt_rho * (z_full @ mu_s)
     cov_sy = sqrt_rho * (c_ss @ z_full.conj().T)
@@ -326,7 +305,7 @@ def _complete(
         mean_s=mu_s, cov_ss=c_ss, cov_uu=c_uu, mean_y=mean_y,
         cov_sy=cov_sy, cov_uy=cov_uy_mat, cov_yy=cov_yy,
         Z=z_full, Z_G=z_grouped, rho=rho_k, sigma_w2=sigma_w2,
-        n_users=n_users, m_antennas=m_antennas, groups=list(groups),
+        n_users=n_users, m_antennas=m_antennas, n_groups=n_groups,
     )
 
 
@@ -338,18 +317,15 @@ def observation_moments(
     rho_k: float,
     sigma_w2: float,
     n_users: int,
-    groups: list[np.ndarray] | None = None,
     cov_ss_mat: np.ndarray | None = None,
 ) -> MomentSet:
     """Complete the dense moment set for one user given its observation matrices."""
-    if groups is None:
-        n_g = z_grouped.shape[1] // stats.m_antennas - 1
-        groups = contiguous_groups(stats.n_elements, n_g)
     if cov_ss_mat is None:
         cov_ss_mat = cov_ss(stats, k)
     return _complete(
         mean_s(stats, k), cov_ss_mat, z_full, z_grouped,
-        rho_k, sigma_w2, n_users, stats.m_antennas, groups,
+        rho_k, sigma_w2, n_users, stats.m_antennas,
+        z_grouped.shape[1] // stats.m_antennas - 1,
     )
 
 
@@ -371,7 +347,7 @@ def build_moments(
     if r is None:
         raise DomainError("RIS-BS LoS vectors do not share one RIS-side factor")
     if block_ideal:
-        r0 = rk = _block_correlation(stats.n_elements, config.groups)
+        r0 = rk = _block_correlation(stats.n_elements, config.n_groups)
     else:
         r0, rk = stats.R0, stats.R[k]
     rho_k, direct = float(config.rho[k]), stats.rho_b[k] > 0
@@ -383,7 +359,7 @@ def build_moments(
     def block(a_row: np.ndarray) -> MomentSet:
         return _complete(
             _mean(stats, k, a_row), _prior(stats, k, a_row, r0, rk, direct), z0, zg0,
-            rho_k, config.sigma_w2, config.n_users, 1, config.groups,
+            rho_k, config.sigma_w2, config.n_users, 1, config.n_groups,
         )
 
     return AntennaMomentSet(

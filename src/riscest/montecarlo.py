@@ -71,6 +71,10 @@ class SweepConfig:
             raise ConfigurationError("need at least one SNR point")
         if not self.estimators:
             raise ConfigurationError("need at least one estimator")
+        if not self.n_groups:
+            raise ConfigurationError("need at least one group count")
+        if self.base_seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.base_seed}")
         n = self.scenario.geometry.n_elements
         for g in self.n_groups:
             if g < 1 or n % g != 0:

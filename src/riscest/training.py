@@ -3,7 +3,9 @@
 One training round holds T RIS patterns; under each pattern every one of the
 K users sends one pilot symbol, so the pilot overhead is K*T symbol slots.
 Patterns come from Hadamard rows and are constant within an element group,
-which reduces the minimum identifiable T from N+1 to n_groups+1.
+which reduces the minimum identifiable T from N+1 to n_groups+1.  The G
+groups are contiguous blocks of N/G element indices, so (N, G) alone fixes
+the grouping.
 
 Every antenna sees the same single-antenna mixing block Z_0 (T x (N+1)), so
 synthesis multiplies each user's Z_0 with its (N+1) x M target matrix;
@@ -14,7 +16,7 @@ index orders, for the moment formulas and the tests.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,51 +38,18 @@ def hadamard(order: int) -> np.ndarray:
     return h
 
 
-def contiguous_groups(n_elements: int, n_groups: int) -> list[np.ndarray]:
-    """Partition 0..N-1 into n_groups equal contiguous index blocks."""
-    if n_groups < 1 or n_elements % n_groups != 0:
-        raise DomainError(
-            f"group count {n_groups} must divide the element count {n_elements}"
-        )
-    size = n_elements // n_groups
-    return [np.arange(g * size, (g + 1) * size) for g in range(n_groups)]
-
-
-def tile_groups(n_x: int, n_y: int, tiles_x: int, tiles_y: int) -> list[np.ndarray]:
-    """Rectangular sub-tile partition of an n_x-by-n_y grid (row-major in x)."""
-    if n_x % tiles_x != 0 or n_y % tiles_y != 0:
-        raise DomainError("tile counts must divide the grid dimensions")
-    sx, sy = n_x // tiles_x, n_y // tiles_y
-    groups = []
-    for ty in range(tiles_y):
-        for tx in range(tiles_x):
-            rows = np.arange(ty * sy, (ty + 1) * sy)
-            cols = np.arange(tx * sx, (tx + 1) * sx)
-            groups.append((rows[:, None] * n_x + cols[None, :]).reshape(-1))
-    return groups
-
-
-def _check_partition(groups: list[np.ndarray], n_elements: int) -> None:
-    sizes = {len(g) for g in groups}
-    if len(sizes) != 1:
-        raise DomainError("all groups must have equal size")
-    flat = np.sort(np.concatenate(groups))
-    if flat.shape[0] != n_elements or not np.array_equal(flat, np.arange(n_elements)):
-        raise DomainError("groups must partition the element indices exactly")
-
-
 def training_patterns(
     n_elements: int,
     n_groups: int,
     n_patterns: int,
-    groups: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Group-constant +-1 RIS patterns from Hadamard rows.
 
     Row t of the order-2^ceil(log2(T)) Hadamard matrix supplies
-    [1, group_pattern_t] as its first n_groups+1 entries; each group value is
-    then replicated across that group's elements.  Returns (patterns (T, N),
-    group_patterns (T, N_G)) as complex arrays with unit-modulus entries.
+    [1, group_pattern_t] as its first n_groups+1 entries; group g's value is
+    then repeated across elements g*N/G .. (g+1)*N/G - 1.  Returns
+    (patterns (T, N), group_patterns (T, N_G)) as complex arrays with
+    unit-modulus entries.
     """
     if n_groups < 1 or n_elements % n_groups != 0:
         raise DomainError(f"{n_groups} groups do not divide N = {n_elements}")
@@ -89,12 +58,6 @@ def training_patterns(
             f"need at least n_groups+1 = {n_groups + 1} patterns for "
             f"identifiability, got {n_patterns}"
         )
-    if groups is None:
-        groups = contiguous_groups(n_elements, n_groups)
-    else:
-        if len(groups) != n_groups:
-            raise DomainError("groups list does not match the group count")
-        _check_partition(groups, n_elements)
     order = 1 << max(0, int(np.ceil(np.log2(n_patterns))))
     order = max(order, 1 << int(np.ceil(np.log2(n_groups + 1))))
     if n_patterns & (n_patterns - 1) != 0:
@@ -106,9 +69,7 @@ def training_patterns(
         )
     h = hadamard(order)
     group_patterns = h[:n_patterns, 1 : n_groups + 1].astype(complex)
-    patterns = np.empty((n_patterns, n_elements), dtype=complex)
-    for g, idx in enumerate(groups):
-        patterns[:, idx] = group_patterns[:, g][:, None]
+    patterns = np.repeat(group_patterns, n_elements // n_groups, axis=1)
     return patterns, group_patterns
 
 
@@ -131,11 +92,11 @@ def pilot_overhead(n_users: int, n_elements: int, n_groups: int) -> tuple[int, i
 
 @dataclass
 class TrainingConfig:
-    """Training patterns, grouping partition, pilots and power levels.
+    """Training patterns, group count, pilots and power levels.
 
-    group_of maps each element to its group index; n_groups == N recovers
-    the ungrouped protocol.  tau_p = K*T is the pilot overhead actually
-    spent.
+    Group g holds the contiguous elements g*N/G .. (g+1)*N/G - 1;
+    n_groups == N recovers the ungrouped protocol.  tau_p = K*T is the pilot
+    overhead actually spent.
     """
 
     n_patterns: int
@@ -145,18 +106,13 @@ class TrainingConfig:
     pilot_matrix: np.ndarray  # (K, K)
     rho: np.ndarray  # (K,) pilot powers, watts
     sigma_w2: float  # noise power, watts
-    groups: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
         self.rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
-        n = self.patterns.shape[1]
-        if n % self.n_groups != 0:
+        if self.n_elements % self.n_groups != 0:
             raise ConfigurationError("group count must divide the element count")
         if self.n_patterns < self.n_groups + 1:
             raise ConfigurationError("T must be at least n_groups + 1")
-        if not self.groups:
-            self.groups = contiguous_groups(n, self.n_groups)
-        _check_partition(self.groups, n)
         if np.max(np.abs(np.abs(self.patterns) - 1.0)) > 1e-12:
             raise ConfigurationError("pattern entries must be unit modulus")
         k = self.pilot_matrix.shape[0]
@@ -190,12 +146,11 @@ def make_training_config(
     n_patterns: int | None = None,
     rho: float | np.ndarray = 1.0,
     sigma_w2: float = 1.0,
-    groups: list[np.ndarray] | None = None,
 ) -> TrainingConfig:
     """Assemble a TrainingConfig with the minimum identifiable T by default."""
     n_groups = n_elements if n_groups is None else n_groups
     n_patterns = n_groups + 1 if n_patterns is None else n_patterns
-    patterns, group_patterns = training_patterns(n_elements, n_groups, n_patterns, groups)
+    patterns, group_patterns = training_patterns(n_elements, n_groups, n_patterns)
     rho_vec = np.full(n_users, float(rho)) if np.isscalar(rho) else np.asarray(rho, float)
     return TrainingConfig(
         n_patterns=n_patterns,
@@ -205,7 +160,6 @@ def make_training_config(
         pilot_matrix=pilot_sequences(n_users),
         rho=rho_vec,
         sigma_w2=sigma_w2,
-        groups=groups if groups is not None else [],
     )
 
 

@@ -286,7 +286,7 @@ def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list
         )
     )
 
-    p = group_aggregation_matrix(stats.m_antennas, tc.groups, stats.n_elements)
+    p = group_aggregation_matrix(stats.m_antennas, tc.n_groups, stats.n_elements)
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(20):

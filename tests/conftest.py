@@ -13,9 +13,9 @@ def validation_results():
 
 def dense_moments(stats, k, tc, block_ideal=False):
     """The dense M(N+1)-dimensional moment set of user k: the oracle for build_moments."""
-    c_ss = cov_ss_block_ideal(stats, k, tc.groups) if block_ideal else None
+    c_ss = cov_ss_block_ideal(stats, k, tc.n_groups) if block_ideal else None
     return observation_moments(
         stats, k, build_Z(k, stats, tc), build_Z(k, stats, tc, grouped=True),
         rho_k=float(tc.rho[k]), sigma_w2=tc.sigma_w2, n_users=tc.n_users,
-        groups=tc.groups, cov_ss_mat=c_ss,
+        cov_ss_mat=c_ss,
     )

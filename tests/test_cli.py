@@ -166,10 +166,28 @@ class TestTheoryCommand:
     ["--groups", "3"], ["--estimators", "bogus"],
     ["--groups", "16", "16"], ["--estimators", "lmmse", "lmmse"],
     ["--snr-min-db", "20", "--snr-max-db", "19"], ["--snr-step-db", "0"],
+    ["--seed", "-1"],
 ])
 def test_bad_input_is_usage_error(command, bad, desk_ini, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", desk_ini, "--out", "-"] + bad)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["theory", "sweep"])
+@pytest.mark.parametrize("old,new", [
+    ("eta = 0.99", "eta = 0.9 0.9"),  # K = 2 needs K+1 = 3 coefficients
+    ("n_x = 4", "n_x = 0"),
+    ("ue_positions = -8 44 5; 8 44 5", "ue_positions = 1 2"),
+    ("n_groups = 16", "n_groups ="),
+])
+def test_malformed_ini_is_usage_error(command, old, new, tmp_path, capsys):
+    assert old in DESK_SCENARIO_INI
+    path = tmp_path / "bad.ini"
+    path.write_text(DESK_SCENARIO_INI.replace(old, new))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -44,7 +44,7 @@ def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
         cov_uy=np.sqrt(rho) * cov @ z_mat.conj().T,
         cov_yy=rho * np.abs(z) ** 2 * cov + sigma2 * np.eye(1),
         Z=z_mat, Z_G=z_mat, rho=rho, sigma_w2=sigma2, n_users=1,
-        m_antennas=1, groups=[np.array([0])],
+        m_antennas=1, n_groups=1,
     )
 
 
@@ -57,7 +57,7 @@ def linear_moments(cov, z_mat, rho, sigma2):
         mean_y=np.zeros(n_y, complex), cov_sy=cov_sy, cov_uy=cov_sy,
         cov_yy=rho * z_mat @ cov @ z_mat.conj().T + sigma2 * np.eye(n_y),
         Z=z_mat, Z_G=z_mat, rho=rho, sigma_w2=sigma2, n_users=1,
-        m_antennas=1, groups=[np.array([0])],
+        m_antennas=1, n_groups=1,
     )
 
 

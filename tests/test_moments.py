@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from riscest.channel import ChannelSampler, ChannelStatistics, FadingParams, build_statistics
-from riscest.errors import DomainError
 from riscest.moments import (
+    _block_correlation,
     build_moments,
     cov_ss,
     cov_ss_block_ideal,
@@ -14,7 +14,7 @@ from riscest.moments import (
     observation_moments,
 )
 from riscest.scenario import desk_scenario
-from riscest.training import contiguous_groups, make_training_config
+from riscest.training import make_training_config
 
 from test_channel import default_fading, small_geometry
 
@@ -171,17 +171,11 @@ class TestCovUu:
         assert agg[0, 0] == 1.0
         assert agg[1, 1] == pytest.approx(2.0 + 3.0 + 2 * 0.5, rel=1e-15)
 
-    def test_rejects_non_partition(self):
-        c = np.eye(3, dtype=complex)
-        with pytest.raises(DomainError):
-            cov_uu(c, 1, [np.array([0]), np.array([0, 1])])
-
     def test_quadratic_form_consistency(self):
         stats = desk_scenario().statistics()
         c = cov_ss(stats, 0)
-        groups = contiguous_groups(16, 4)
-        agg = cov_uu(c, stats.m_antennas, groups)
-        p = group_aggregation_matrix(stats.m_antennas, groups, 16)
+        agg = cov_uu(c, stats.m_antennas, 4)
+        p = group_aggregation_matrix(stats.m_antennas, 4, 16)
         rng = np.random.default_rng(16)
         for _ in range(30):
             v = rng.standard_normal(agg.shape[0]) + 1j * rng.standard_normal(agg.shape[0])
@@ -194,18 +188,33 @@ class TestCovUu:
         stats = desk_scenario().statistics()
         sampler = ChannelSampler(stats)
         s = sampler.sample_cascade(0, 40_000, np.random.default_rng(17))
-        groups = contiguous_groups(16, 4)
-        p = group_aggregation_matrix(stats.m_antennas, groups, 16)
+        p = group_aggregation_matrix(stats.m_antennas, 4, 16)
         u = (s - mean_s(stats, 0)[None, :]) @ p.T
         cov_hat = u.T @ u.conj() / s.shape[0]
-        agg = cov_uu(cov_ss(stats, 0), stats.m_antennas, groups)
+        agg = cov_uu(cov_ss(stats, 0), stats.m_antennas, 4)
         assert np.abs(cov_hat - agg).max() < 0.05 * np.abs(agg).max()
 
     def test_expansion_matrix_left_inverse_on_groups(self):
-        groups = contiguous_groups(8, 2)
-        p = group_aggregation_matrix(2, groups, 8)
-        e = group_expansion_matrix(2, groups, 8)
+        p = group_aggregation_matrix(2, 2, 8)
+        e = group_expansion_matrix(2, 2, 8)
         np.testing.assert_allclose(p @ e, np.eye(p.shape[0]), atol=1e-14)
+
+
+@pytest.mark.parametrize("m,n,g", [(1, 4, 2), (2, 8, 2), (4, 16, 4), (4, 16, 16), (1, 16, 1)])
+def test_grouping_matrices_match_contiguous_slices(m, n, g):
+    # independent oracle: the direct block is copied and group j of antenna a
+    # sums antenna a's cascade entries j*N/G .. (j+1)*N/G - 1
+    size = n // g
+    x = np.random.default_rng(m * 100 + n + g).standard_normal(m * (n + 1))
+    cascade = x[m:].reshape(m, n)
+    expected = np.concatenate(
+        [x[:m], [cascade[a, j * size:(j + 1) * size].sum() for a in range(m) for j in range(g)]]
+    )
+    aggregated = group_aggregation_matrix(m, g, n) @ x
+    np.testing.assert_allclose(aggregated, expected, rtol=1e-14, atol=1e-14)
+    i = np.arange(n)
+    same_group = (i[:, None] // size) == (i[None, :] // size)
+    np.testing.assert_array_equal(_block_correlation(n, g), same_group.astype(float))
 
 
 class TestObservationMoments:
@@ -222,7 +231,7 @@ class TestObservationMoments:
         z = np.array([[2.0 + 0j, 3.0 - 1.0j]])
         m = observation_moments(
             stats, 0, z_full=z, z_grouped=z, rho_k=0.7, sigma_w2=0.0,
-            n_users=1, groups=[np.array([0])],
+            n_users=1,
         )
         c = cov_ss(stats, 0)
         expected = 0.7 * (z @ c @ z.conj().T)
@@ -262,8 +271,7 @@ class TestObservationMoments:
 
     def test_block_ideal_prior_structure(self):
         stats = desk_scenario().statistics()
-        groups = contiguous_groups(16, 4)
-        c = cov_ss_block_ideal(stats, 0, groups)
+        c = cov_ss_block_ideal(stats, 0, 4)
         m = stats.m_antennas
         cascade = c[m:, m:]
         # cross-group entries vanish for the same antenna pair

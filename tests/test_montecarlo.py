@@ -49,6 +49,10 @@ class TestConfig:
             desk_config(n_groups=(3,))
         with pytest.raises(ConfigurationError):
             desk_config(estimators=())
+        with pytest.raises(ConfigurationError, match="need at least one group count"):
+            desk_config(n_groups=())
+        with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+            desk_config(base_seed=-1)
 
     def test_rejects_repeated_entries(self):
         with pytest.raises(ConfigurationError, match="group count repeated: 4"):

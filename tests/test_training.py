@@ -8,14 +8,12 @@ from riscest.training import (
     PatternOrthogonalityWarning,
     TrainingConfig,
     build_Z,
-    contiguous_groups,
     hadamard,
     make_training_config,
     mixing_blocks,
     pilot_overhead,
     pilot_sequences,
     synthesize_received,
-    tile_groups,
     training_patterns,
     _mixing_block,
 )
@@ -77,21 +75,6 @@ class TestTrainingPatterns:
     def test_bad_group_count(self):
         with pytest.raises(DomainError):
             training_patterns(8, 3, 5)
-
-    def test_explicit_groups_partition_checked(self):
-        bad = [np.array([0, 1]), np.array([1, 2])]
-        with pytest.raises(DomainError):
-            training_patterns(4, 2, 3, groups=bad)
-
-    def test_tile_grouping_patterns_group_constant(self):
-        groups = tile_groups(4, 4, 2, 2)
-        with pytest.warns(PatternOrthogonalityWarning):
-            patterns, group_patterns = training_patterns(16, 4, 5, groups=groups)
-        for g, idx in enumerate(groups):
-            for t in range(5):
-                np.testing.assert_array_equal(
-                    patterns[t, idx], np.full(4, group_patterns[t, g])
-                )
 
 
 class TestPilots:
@@ -264,23 +247,3 @@ class TestSynthesis:
         bad = ChannelRealization(b=real.b, g=real.g, A=real.A, s=real.s[:, :-4])
         with pytest.raises(ConfigurationError):
             synthesize_received(bad, stats, tc, np.random.default_rng(12))
-
-
-class TestGroups:
-    def test_contiguous_partition(self):
-        groups = contiguous_groups(8, 2)
-        np.testing.assert_array_equal(groups[0], [0, 1, 2, 3])
-        np.testing.assert_array_equal(groups[1], [4, 5, 6, 7])
-
-    def test_tile_partition_covers_grid(self):
-        groups = tile_groups(4, 2, 2, 1)
-        flat = np.sort(np.concatenate(groups))
-        np.testing.assert_array_equal(flat, np.arange(8))
-        # left tile holds the first two columns of both rows
-        np.testing.assert_array_equal(np.sort(groups[0]), [0, 1, 4, 5])
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(DomainError):
-            contiguous_groups(8, 3)
-        with pytest.raises(DomainError):
-            tile_groups(4, 4, 3, 1)
