@@ -36,7 +36,6 @@ from .moments import (
     observation_moments,
 )
 from .montecarlo import (
-    MseReport,
     SweepConfig,
     SweepEngine,
     SweepRow,

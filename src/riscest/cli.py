@@ -17,15 +17,7 @@ from .errors import ConfigurationError, DomainError
 # The F401 names are unused here but stay: perfbench/tracing.py patches them on this module.
 from .estimators import EstimatorKind, asymptotic_mse, make_estimator  # noqa: F401
 from .moments import build_moments  # noqa: F401
-from .montecarlo import (
-    MseReport,
-    SweepConfig,
-    build_cell_bank,
-    received_snr_to_power,
-    resolve_workers,
-    run_sweep,
-    theory_means,
-)
+from .montecarlo import SweepConfig, SweepEngine, SweepRow, run_sweep, theory_means
 from .scenario import RunConfig, SweepSettings, config_digest, load_config
 from .training import make_training_config, pilot_overhead  # noqa: F401
 from .validation import run_validation
@@ -99,8 +91,8 @@ def _sweep_config(config: RunConfig) -> SweepConfig:
     )
 
 
-def _report_rows(report: MseReport):
-    for r in report.rows:
+def _report_rows(rows: list[SweepRow]):
+    for r in rows:
         yield [
             r.estimator, r.n_groups, r.snr_db, r.rho, r.trials,
             r.nmse_empirical, r.stderr, r.nmse_theory, r.nmse_floor, r.seed,
@@ -122,30 +114,26 @@ def _overhead_comments(config: RunConfig) -> list[str]:
 def cmd_theory(config: RunConfig) -> int:
     """Evaluate the closed-form NMSE of every selected estimator over the sweep grid."""
     cfg = _sweep_config(config)  # the sweep's checks of estimators, group counts and grid
-    stats = cfg.scenario.statistics()
+    engine = SweepEngine(cfg)
     rows = []
-    for n_groups in cfg.n_groups:
-        floors: dict[int, float] = {}
-        for snr in cfg.snr_db:
-            rho = received_snr_to_power(snr, cfg.scenario)
-            bank = build_cell_bank(
-                stats, cfg.scenario.sigma_w2, n_groups, rho, cfg.estimators, floors
-            )
+    for gi, n_groups in enumerate(cfg.n_groups):
+        for si, snr in enumerate(cfg.snr_db):
+            bank = engine.bank(gi, si)
             rows += [
-                [kind, n_groups, snr, rho, *theory_means(filters)]
+                [kind, n_groups, snr, bank.rho, *theory_means(filters)]
                 for kind, filters in bank.filters.items()
             ]
-            del bank  # free this cell's filters before the next cell's are built
+            del bank  # the engine drops this cell's bank when the next is built
     comments = [f"config_hash={config_digest(config)}"] + _overhead_comments(config)
     write_csv(config.output_path, THEORY_COLUMNS, rows, comments)
     return 0
 
 
-def cmd_sweep(config: RunConfig, workers: int | None = None) -> int:
+def cmd_sweep(config: RunConfig, workers: int = 1) -> int:
     """Run the Monte Carlo sweep and emit empirical plus theoretical NMSE."""
-    report = run_sweep(_sweep_config(config), workers=workers)
+    rows = run_sweep(_sweep_config(config), workers=workers)
     comments = [f"config_hash={config_digest(config)}"] + _overhead_comments(config)
-    write_csv(config.output_path, SWEEP_COLUMNS, _report_rows(report), comments)
+    write_csv(config.output_path, SWEEP_COLUMNS, _report_rows(rows), comments)
     return 0
 
 
@@ -162,7 +150,7 @@ def cmd_validate(out=sys.stdout) -> int:
     return 1 if failed else 0
 
 
-def _reproduce(config: RunConfig, workers: int | None) -> int:
+def _reproduce(config: RunConfig, workers: int) -> int:
     for line in _overhead_comments(config):
         print(line, file=sys.stderr)  # stdout may carry the CSV
     return cmd_sweep(config, workers=workers)
@@ -187,10 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--estimators", nargs="+", help="estimator subset")
         if needs_trials:
             p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
-            p.add_argument(
-                "--workers", type=int,
-                help="worker processes (default: RISCEST_WORKERS env var or 1)",
-            )
+            p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
 
     add_common(sub.add_parser("theory", help="closed-form NMSE curves"), needs_trials=False)
     add_common(sub.add_parser("sweep", help="Monte Carlo NMSE sweep"))
@@ -226,22 +211,21 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_validate()
         config = load_config(getattr(args, "config", None))
         config = _apply_overrides(config, args)
-        workers = resolve_workers(getattr(args, "workers", None))
         if args.command == "theory":
             return cmd_theory(config)
         if args.command == "sweep":
-            return cmd_sweep(config, workers=workers)
+            return cmd_sweep(config, workers=args.workers)
         if args.command == "reproduce-fig2":
             if not getattr(args, "groups", None):
                 # one cell when N = 16, since a repeated group count is an error
                 config.sweep.n_groups = sorted({16, config.scenario.geometry.n_elements})
-            return _reproduce(config, workers)
+            return _reproduce(config, args.workers)
         if args.command == "reproduce-fig3":
             if not getattr(args, "groups", None):
                 config.sweep.n_groups = [8, 16, 32]
             if not getattr(args, "estimators", None):
                 config.sweep.estimators = ["grouping_lmmse", "correlated_grouping_lmmse"]
-            return _reproduce(config, workers)
+            return _reproduce(config, args.workers)
     except (ConfigurationError, DomainError) as exc:
         parser.exit(2, f"error: {exc}\n")
     return 2

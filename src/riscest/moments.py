@@ -98,13 +98,13 @@ def combine_blocks(
 ) -> np.ndarray:
     """Dense matrix of a block-diagonal operator given by its per-block values.
 
-    With r None there is one block and it is returned as is.  Otherwise xs
-    holds the aligned and orthogonal blocks X_0, X_1, and the dense matrix
+    A lone block (a dense set, or one antenna) is returned as is.  Otherwise
+    xs holds the aligned and orthogonal blocks X_0, X_1, and the dense matrix
     is (r r^H / M) (x) (X_0 - X_1) + I_M (x) X_1, reordered from antenna-major
     into the dense index order: rows and cols are "s" for target or aggregate
     indices and "y" for observation indices.  The result is C-contiguous.
     """
-    if r is None:
+    if len(xs) == 1:
         return xs[0]
     x0, x1 = xs
     m = r.size
@@ -120,12 +120,13 @@ def combine_blocks(
 def split_observation(r: np.ndarray | None, y: np.ndarray) -> np.ndarray:
     """Dense observations (..., M*T) in the form the per-block filters act on.
 
-    With r None the observation is one column (..., M*T, 1).  Otherwise Y is
-    the (..., T, M) matrix of y, P = conj(r) r^T / M, and the result is the
-    (..., 2T, M) stack [Y P; Y (I - P)], so that [W_0, W_1] applied to it is
-    the combine_blocks filter applied to y, in the target_matrix form.
+    With r None the observation is one column (..., M*T, 1), and with one
+    antenna it is Y alone, (..., T, 1).  Otherwise Y is the (..., T, M)
+    matrix of y, P = conj(r) r^T / M, and the result is the (..., 2T, M)
+    stack [Y P; Y (I - P)], so that [W_0, W_1] applied to it is the
+    combine_blocks filter applied to y, in the target_matrix form.
     """
-    if r is None:
+    if r is None or r.size == 1:
         return y[..., None]
     m = r.size
     y_mat = y.reshape(*y.shape[:-1], -1, m)
@@ -138,7 +139,8 @@ class AntennaMomentSet:
     """User moments split into the aligned and orthogonal antenna-domain blocks.
 
     aligned and orthogonal are single-antenna (N+1)-dimensional moment sets;
-    the orthogonal one stands for M-1 identical blocks.  A dense matrix is
+    the orthogonal one stands for M-1 identical blocks, so with one antenna
+    the aligned block is the whole problem.  A dense matrix is
     combine_blocks over the two blocks' values; only the aligned block has a
     mean, so the dense target mean is outer(aligned.mean_s, r)/sqrt(M) in the
     target_matrix form.
@@ -150,6 +152,8 @@ class AntennaMomentSet:
 
     @property
     def blocks(self) -> tuple[tuple[MomentSet, int], ...]:
+        if self.r.size == 1:
+            return ((self.aligned, 1),)
         return ((self.aligned, 1), (self.orthogonal, self.r.size - 1))
 
     @property

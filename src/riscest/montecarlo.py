@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .training import (
     mixing_blocks,
     synthesize_received,
 )
-
-WORKERS_ENV = "RISCEST_WORKERS"
 
 
 @dataclass
@@ -102,13 +100,6 @@ class SweepRow:
     nmse_theory: float
     nmse_floor: float
     seed: int
-    failures: int = 0
-    nmse_per_user: tuple[float, ...] = ()
-
-
-@dataclass
-class MseReport:
-    rows: list[SweepRow] = field(default_factory=list)
 
 
 def received_snr_to_power(snr_db: float, scenario: Scenario) -> float:
@@ -215,34 +206,43 @@ def theory_means(filters: list[AffineEstimator]) -> tuple[float, float, float]:
 
 
 class SweepEngine:
-    """Builds samplers/filters once and evaluates trials.
+    """The one owner of cell banks; evaluates trials.
 
-    Banks are cached per cell.  The last (SNR, trial) realization is cached
-    with its generator, so sibling group cells reuse it; calls may come in
-    any order, but run_cell_trial mutates that cache, so an engine is not
-    safe to share between threads.  Each worker process builds its own.
+    Only the banks of the SNR point served last are kept: asking for another
+    SNR point drops them, so memory does not grow with the grid.  Floors
+    depend on the group count alone and are kept for the engine's life.  The
+    last (SNR, trial) realization is cached with its generator, so sibling
+    group cells reuse it; calls may come in any order, but run_cell_trial
+    mutates that cache, so an engine is not safe to share between threads.
+    Each worker process builds its own.
     """
 
     def __init__(self, config: SweepConfig):
         self.config = config
         self.stats = config.scenario.statistics()
-        self.sampler = ChannelSampler(self.stats)
-        self._banks: dict[tuple[int, int], _CellBank] = {}
+        self._snr_index: int | None = None  # the SNR point whose banks are kept
+        self._banks: dict[int, _CellBank] = {}  # group index -> bank
         self._floors: dict[int, dict[int, float]] = {}  # group index -> user -> floor
         # ((snr_index, trial_index), realization, its generator, generator state after it)
         self._draw: tuple[tuple[int, int], ChannelRealization, np.random.Generator, dict] | None
         self._draw = None
 
+    @cached_property
+    def sampler(self) -> ChannelSampler:
+        return ChannelSampler(self.stats)
+
     def bank(self, group_index: int, snr_index: int) -> _CellBank:
-        key = (group_index, snr_index)
-        if key not in self._banks:
+        if snr_index != self._snr_index:
+            self._banks.clear()  # before the new bank is built, so two points never coexist
+            self._snr_index = snr_index
+        if group_index not in self._banks:
             cfg = self.config
-            self._banks[key] = build_cell_bank(
+            self._banks[group_index] = build_cell_bank(
                 self.stats, cfg.scenario.sigma_w2, cfg.n_groups[group_index],
                 received_snr_to_power(cfg.snr_db[snr_index], cfg.scenario),
                 cfg.estimators, self._floors.setdefault(group_index, {}),
             )
-        return self._banks[key]
+        return self._banks[group_index]
 
     def trial_rng(self, snr_index: int, trial_index: int) -> np.random.Generator:
         seq = np.random.SeedSequence((self.config.base_seed, snr_index, trial_index))
@@ -299,12 +299,17 @@ class SweepEngine:
         return errors, obs_digest
 
 
-def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[np.ndarray]:
-    """Trials lo..hi-1 at one SNR over every group cell.
+# Per group cell: the pilot power, {kind: theory_means}, and the (trials,
+# n_kinds, K) block of per-trial per-user normalized squared errors.
+CellResult = tuple[float, dict[EstimatorKind, tuple[float, float, float]], np.ndarray]
 
-    Returns one (hi-lo, n_kinds, K) block of per-trial per-user squared
-    errors per group cell.  The cells run inside each trial, so the
-    realization is drawn once per trial.
+
+def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[CellResult]:
+    """Trials lo..hi-1 at one SNR over every group cell, one CellResult per cell.
+
+    The cells run inside each trial, so the realization is drawn once per
+    trial.  Each result carries its cell's theory, so no caller needs the
+    bank again.
     """
     banks = [engine.bank(gi, snr_index) for gi in range(len(engine.config.n_groups))]
     out = [np.empty((hi - lo, len(b.filters), engine.stats.n_users)) for b in banks]
@@ -313,7 +318,10 @@ def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[
             errors, _ = engine.run_cell_trial(gi, snr_index, trial)
             for ki, kind in enumerate(bank.filters):
                 out[gi][j, ki] = errors[kind]
-    return out
+    return [
+        (b.rho, {kind: theory_means(f) for kind, f in b.filters.items()}, e / b.prior_traces)
+        for b, e in zip(banks, out)
+    ]
 
 
 _WORKER_ENGINE: SweepEngine | None = None
@@ -324,43 +332,29 @@ def _init_worker(config: SweepConfig) -> None:
     _WORKER_ENGINE = SweepEngine(config)
 
 
-def _worker_block(args: tuple[int, int, int]) -> list[np.ndarray]:
+def _worker_block(args: tuple[int, int, int]) -> list[CellResult]:
     snr_index, lo, hi = args
     assert _WORKER_ENGINE is not None
     return _trial_block(_WORKER_ENGINE, snr_index, lo, hi)
 
 
-def resolve_workers(workers: int | None) -> int:
-    """The worker count: workers if given, else the RISCEST_WORKERS variable, else 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigurationError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
-    if workers < 1:
-        raise ConfigurationError(f"need at least one worker, got {workers}")
-    return workers
-
-
-def run_sweep(config: SweepConfig, workers: int | None = None) -> MseReport:
+def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """Run all cells of a sweep and aggregate empirical and theoretical NMSE.
 
-    Results are bit-identical for a given base seed regardless of the worker
-    count: trials are seeded individually and reassembled in index order
-    before any reduction.
+    A task is one SNR point, split into trial chunks only when there are more
+    workers than SNR points.  Results are bit-identical for a given base seed
+    regardless of the worker count: trials are seeded individually and
+    reassembled in index order before any reduction.
     """
-    workers = resolve_workers(workers)
-    engine = SweepEngine(config)
-    n_trials = config.n_trials
-
-    chunk = n_trials if workers == 1 else max(1, -(-n_trials // (workers * 4)))
-    tasks = [
-        (si, lo, min(lo + chunk, n_trials))
-        for si in range(len(config.snr_db))
-        for lo in range(0, n_trials, chunk)
-    ]
+    if workers < 1:
+        raise ConfigurationError(f"need at least one worker, got {workers}")
+    n_trials, n_snr = config.n_trials, len(config.snr_db)
+    chunks_per_snr = -(-workers // n_snr)  # ceil; 1 unless workers outnumber SNR points
+    chunk = -(-n_trials // chunks_per_snr)
+    starts = range(0, n_trials, chunk)
+    tasks = [(si, lo, min(lo + chunk, n_trials)) for si in range(n_snr) for lo in starts]
     if workers == 1:
+        engine = SweepEngine(config)
         results = [_trial_block(engine, *task) for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(
@@ -368,41 +362,26 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> MseReport:
         ) as pool:
             results = list(pool.map(_worker_block, tasks))
 
-    blocks: dict[tuple[int, int, int], np.ndarray] = {}
-    for (si, lo, _), cell_blocks in zip(tasks, results):
-        for gi, block in enumerate(cell_blocks):
-            blocks[(gi, si, lo)] = block
-
-    report = MseReport()
+    rows = []
     for gi, n_groups in enumerate(config.n_groups):
         for si, snr in enumerate(config.snr_db):
-            bank = engine.bank(gi, si)
-            kinds = list(bank.filters)
-            per_trial = np.concatenate(
-                [blocks[(gi, si, lo)] for lo in range(0, n_trials, chunk)], axis=0
-            )  # (n_trials, n_kinds, K)
-            samples_per_user = per_trial / bank.prior_traces[None, None, :]
-            for ki, kind in enumerate(kinds):
-                user_samples = samples_per_user[:, ki, :]  # (n_trials, K)
-                failures = int(np.isnan(user_samples).any(axis=1).sum())
-                valid = user_samples[~np.isnan(user_samples).any(axis=1)]
-                trial_means = valid.mean(axis=1)
+            # the tasks run SNR-major, len(starts) of them per SNR point
+            chunks = [cells[gi] for cells in results[si * len(starts):(si + 1) * len(starts)]]
+            rho, theory = chunks[0][:2]
+            samples = np.concatenate([c[2] for c in chunks], axis=0)  # (n_trials, n_kinds, K)
+            for ki, (kind, (nmse_theory, _, floor)) in enumerate(theory.items()):
+                user_samples = samples[:, ki, :]  # (n_trials, K)
+                trial_means = user_samples[~np.isnan(user_samples).any(axis=1)].mean(axis=1)
                 nmse = float(trial_means.mean()) if trial_means.size else float("nan")
                 if trial_means.size > 1:
                     stderr = float(trial_means.std(ddof=1) / np.sqrt(trial_means.size))
                 else:
                     stderr = float("nan")
-                theory, _, floor = theory_means(bank.filters[kind])
-                if valid.size:
-                    per_user = tuple(float(v) for v in valid.mean(axis=0))
-                else:
-                    per_user = tuple(float("nan") for _ in range(valid.shape[1]))
-                report.rows.append(
+                rows.append(
                     SweepRow(
-                        estimator=kind, n_groups=n_groups, snr_db=snr, rho=bank.rho,
+                        estimator=kind, n_groups=n_groups, snr_db=snr, rho=rho,
                         trials=n_trials, nmse_empirical=nmse, stderr=stderr,
-                        nmse_theory=theory, nmse_floor=floor, seed=config.base_seed,
-                        failures=failures, nmse_per_user=per_user,
+                        nmse_theory=nmse_theory, nmse_floor=floor, seed=config.base_seed,
                     )
                 )
-    return report
+    return rows

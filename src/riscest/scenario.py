@@ -57,6 +57,8 @@ class SweepSettings:
     seed: int = 20240901
 
     def snr_points(self) -> list[float]:
+        if not np.all(np.isfinite([self.snr_min_db, self.snr_max_db, self.snr_step_db])):
+            raise ConfigurationError("snr_min_db, snr_max_db and snr_step_db must be finite")
         if self.snr_step_db <= 0:
             raise ConfigurationError("snr_step_db must be positive")
         if self.snr_max_db < self.snr_min_db:

@@ -129,9 +129,9 @@ def _acceptance_sweep(scenario: Scenario) -> tuple[dict[tuple, SweepRow], float]
         base_seed=20240717,
     )
     start = time.perf_counter()
-    report = run_sweep(cfg)
+    rows = run_sweep(cfg)
     elapsed = time.perf_counter() - start
-    return {(r.estimator, r.n_groups, r.snr_db): r for r in report.rows}, elapsed
+    return {(r.estimator, r.n_groups, r.snr_db): r for r in rows}, elapsed
 
 
 def _training(scenario: Scenario, stats: ChannelStatistics, n_groups: int, rho: float
@@ -408,7 +408,7 @@ def _montecarlo_checks(scenario: Scenario) -> list[CheckResult]:
     parallel = run_sweep(cfg, workers=2)
     same = all(
         a.nmse_empirical == b.nmse_empirical and a.stderr == b.stderr
-        for a, b in zip(serial.rows, parallel.rows)
+        for a, b in zip(serial, parallel)
     )
     out.append(CheckResult("montecarlo.order_independent", same, "1 vs 2 workers"))
 
@@ -429,8 +429,8 @@ def _montecarlo_checks(scenario: Scenario) -> list[CheckResult]:
         snr_db=(10.0,), n_trials=800, n_groups=(scenario.geometry.n_elements // 4,),
         base_seed=555,
     )
-    se_half = run_sweep(cfg_half).rows[0].stderr
-    se_full = run_sweep(cfg_full).rows[0].stderr
+    se_half = run_sweep(cfg_half)[0].stderr
+    se_full = run_sweep(cfg_full)[0].stderr
     ratio = se_full / se_half
     ok = abs(ratio - 1 / np.sqrt(2)) < 0.2 / np.sqrt(2)
     out.append(

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from riscest.montecarlo import (
     applicable_kinds,
     build_cell_bank,
     received_snr_to_power,
-    resolve_workers,
     run_sweep,
 )
 from riscest.scenario import desk_scenario
@@ -68,21 +69,9 @@ class TestConfig:
         assert applicable_kinds(ALL_KINDS, 4, 16) == GROUPED
         assert applicable_kinds(ALL_KINDS, 16, 16) == ALL_KINDS
 
-    def test_worker_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("RISCEST_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(2) == 2
-        monkeypatch.delenv("RISCEST_WORKERS")
-        assert resolve_workers(None) == 1
-
-    @pytest.mark.parametrize("env,workers", [("two", None), ("0", None), ("2.5", None), (None, 0)])
-    def test_malformed_worker_count_rejected(self, monkeypatch, env, workers):
-        if env is None:
-            monkeypatch.delenv("RISCEST_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("RISCEST_WORKERS", env)
-        with pytest.raises(ConfigurationError):
-            resolve_workers(workers)
+    def test_malformed_worker_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="need at least one worker"):
+            run_sweep(desk_config(), workers=0)
 
 
 class TestSnrMapping:
@@ -177,15 +166,15 @@ def test_bank_assembles_dense_arrays_only_when_read(n_groups):
 class TestRunSweep:
     def test_one_row_per_estimator_cell(self):
         cfg = desk_config(n_trials=1, snr_db=(10.0,), n_groups=(4, 16))
-        report = run_sweep(cfg)
-        assert len(report.rows) == len(GROUPED) + len(ALL_KINDS)
-        labels = {(r.estimator, r.n_groups) for r in report.rows}
+        rows = run_sweep(cfg)
+        assert len(rows) == len(GROUPED) + len(ALL_KINDS)
+        labels = {(r.estimator, r.n_groups) for r in rows}
         assert (EstimatorKind.LMMSE, 16) in labels
         assert (EstimatorKind.LMMSE, 4) not in labels
 
     def test_aggregation_matches_direct_trial_average(self):
         cfg = desk_config(n_trials=40, snr_db=(10.0,), estimators=GROUPED)
-        report = run_sweep(cfg)
+        rows = run_sweep(cfg)
         engine = SweepEngine(cfg)
         prior = engine.bank(0, 0).prior_traces
         samples = []
@@ -194,7 +183,7 @@ class TestRunSweep:
             samples.append(np.mean(errors[EstimatorKind.CORRELATED_GROUPING_LMMSE] / prior))
         samples = np.asarray(samples)
         row = next(
-            r for r in report.rows
+            r for r in rows
             if r.estimator == EstimatorKind.CORRELATED_GROUPING_LMMSE
         )
         assert row.nmse_empirical == pytest.approx(samples.mean(), rel=1e-12)
@@ -206,7 +195,7 @@ class TestRunSweep:
         two = run_sweep(cfg, workers=2)
         three = run_sweep(cfg, workers=3)
         for a, b in [(serial, two), (serial, three)]:
-            for ra, rb in zip(a.rows, b.rows):
+            for ra, rb in zip(a, b):
                 assert ra.estimator == rb.estimator
                 assert ra.nmse_empirical == rb.nmse_empirical
                 assert ra.stderr == rb.stderr
@@ -215,8 +204,8 @@ class TestRunSweep:
     def test_rows_equal_across_worker_counts_with_two_group_cells(self):
         cfg = desk_config(n_trials=12, snr_db=(0.0, 30.0), n_groups=(4, 16))
 
-        def fields(report):
-            return [dataclasses.asdict(row) for row in report.rows]
+        def fields(rows):
+            return [dataclasses.asdict(row) for row in rows]
 
         serial, pooled = run_sweep(cfg, workers=1), run_sweep(cfg, workers=2)
         np.testing.assert_equal(fields(pooled), fields(serial))
@@ -241,15 +230,14 @@ class TestRunSweep:
         cfg_b = desk_config(
             n_trials=800, snr_db=(10.0,), estimators=(EstimatorKind.CORRELATED_GROUPING_LMMSE,)
         )
-        se_a = run_sweep(cfg_a).rows[0].stderr
-        se_b = run_sweep(cfg_b).rows[0].stderr
+        se_a = run_sweep(cfg_a)[0].stderr
+        se_b = run_sweep(cfg_b)[0].stderr
         ratio = se_b / se_a
         assert abs(ratio - 1 / np.sqrt(2)) < 0.2 / np.sqrt(2)
 
     def test_theory_and_floor_attached(self):
         cfg = desk_config(n_trials=2, snr_db=(20.0,), estimators=GROUPED)
-        report = run_sweep(cfg)
-        by_kind = {r.estimator: r for r in report.rows}
+        by_kind = {r.estimator: r for r in run_sweep(cfg)}
         cg = by_kind[EstimatorKind.CORRELATED_GROUPING_LMMSE]
         assert 0 < cg.nmse_floor < cg.nmse_theory < 1
         assert np.isnan(by_kind[EstimatorKind.GROUPING_LS].nmse_floor)
@@ -264,15 +252,40 @@ class TestRunSweep:
             return original(self, y, s_true)
 
         monkeypatch.setattr(AffineEstimator, "squared_error", flaky)
-        report = run_sweep(cfg)
-        by_kind = {r.estimator: r for r in report.rows}
-        assert by_kind[EstimatorKind.GROUPING_LS].failures == 5
+        by_kind = {r.estimator: r for r in run_sweep(cfg)}
         assert np.isnan(by_kind[EstimatorKind.GROUPING_LS].nmse_empirical)
-        assert by_kind[EstimatorKind.CORRELATED_GROUPING_LMMSE].failures == 0
         assert by_kind[EstimatorKind.CORRELATED_GROUPING_LMMSE].nmse_empirical > 0
 
-    def test_per_user_breakdown_available(self):
-        cfg = desk_config(n_trials=3, snr_db=(10.0,), estimators=GROUPED)
-        report = run_sweep(cfg)
-        for row in report.rows:
-            assert len(row.nmse_per_user) == 2
+
+class TestBankLifetime:
+    """The engine is the one owner of cell banks and keeps one SNR point's."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list[int]:
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build_cell_bank(*args, **kwargs)
+
+        monkeypatch.setattr("riscest.montecarlo.build_cell_bank", counting)
+        return calls
+
+    def test_bank_dropped_when_the_snr_point_changes(self):
+        engine = SweepEngine(desk_config(snr_db=(0.0, 20.0)))
+        first = weakref.ref(engine.bank(0, 0))
+        assert engine.bank(0, 0) is first()
+        engine.bank(0, 1)
+        gc.collect()
+        assert first() is None
+
+    def test_serial_sweep_builds_each_cell_once(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        cfg = desk_config(n_trials=3, snr_db=(0.0, 10.0, 20.0), n_groups=(4, 16))
+        run_sweep(cfg, workers=1)
+        assert len(calls) == len(cfg.n_groups) * len(cfg.snr_db)
+
+    def test_pooled_sweep_builds_no_bank_in_the_parent(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        run_sweep(desk_config(n_trials=3, n_groups=(4, 16)), workers=2)
+        assert calls == []
