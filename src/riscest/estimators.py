@@ -34,7 +34,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .channel import target_vector
@@ -149,8 +148,8 @@ def _solve_cyy(cov_yy: np.ndarray, rhs: np.ndarray, noise_floor: float = 0.0) ->
     that floor instead of failing.
     """
     try:
-        factor = scipy.linalg.cho_factor(cov_yy)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(cov_yy)  # the positive-definiteness test
+    except np.linalg.LinAlgError as exc:
         if noise_floor <= 0.0:
             raise NumericalError(
                 "observation covariance is singular (zero noise with a "
@@ -159,7 +158,7 @@ def _solve_cyy(cov_yy: np.ndarray, rhs: np.ndarray, noise_floor: float = 0.0) ->
         eigvals, eigvecs = np.linalg.eigh(cov_yy)
         eigvals = np.clip(eigvals, noise_floor, None)
         return eigvecs @ ((eigvecs.conj().T @ rhs) / eigvals[:, None])
-    return scipy.linalg.cho_solve(factor, rhs)
+    return np.linalg.solve(cov_yy, rhs)
 
 
 def _stabilized_error_cov(
@@ -212,7 +211,10 @@ def _finalize(
         c = b0.mean_s - ws[0] @ b0.mean_y
         offset = c[:, None] if m.r is None else np.outer(c, m.r) / np.sqrt(m.r.size)
     return AffineEstimator(
-        kind=kind, w_blocks=tuple(ws), innovation=innovation, error_blocks=tuple(covs),
+        kind=kind,
+        # C order: a solved filter's conjugate transpose is in F order
+        w_blocks=tuple(np.ascontiguousarray(w) for w in ws),
+        innovation=innovation, error_blocks=tuple(covs),
         r=m.r, offset=offset, mse_trace=trace,
         nmse=trace / m.prior_trace, nmse_floor=floor, degenerate=degenerate,
     )

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riscest
 from riscest.cli import SWEEP_COLUMNS, main, read_csv, write_csv
 from riscest.errors import ConfigurationError
 from riscest.scenario import (
@@ -275,3 +280,27 @@ class TestValidation:
     def test_good_matrix_passes(self):
         result = check_correlation_matrix(np.eye(4))
         assert result.passed
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from riscest.cli import main
+
+desk, out = sys.argv[1:]
+assert main(["theory", "--config", desk, "--groups", "4", "16", "--out", out]) == 0
+assert main(["sweep", "--config", desk, "--trials", "2", "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    """riscest's one numerical dependency is numpy: a theory run and a sweep load no scipy."""
+    desk = Path(__file__).resolve().parents[1] / "perfbench" / "desk.ini"
+    src = str(Path(riscest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(desk), str(tmp_path / "out.csv")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

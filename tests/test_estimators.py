@@ -5,6 +5,7 @@ from riscest.channel import ChannelSampler, ChannelStatistics, FadingParams, bui
 from riscest.errors import NumericalError
 from riscest.estimators import (
     EstimatorKind,
+    _solve_cyy,
     asymptotic_mse,
     conventional_lmmse_filter,
     conventional_ls_filter,
@@ -118,6 +119,35 @@ class TestConventionalLmmse:
         m = scalar_moments(sigma2=0.0, z=0.0)
         with pytest.raises(NumericalError):
             make_estimator(EstimatorKind.LMMSE, m)
+
+
+def hermitian_with_spectrum(eigvals, seed=0):
+    """Q diag(eigvals) Q^H for a random unitary Q, returned with Q."""
+    rng = np.random.default_rng(seed)
+    n = len(eigvals)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    mat = (q * np.asarray(eigvals)) @ q.conj().T
+    return 0.5 * (mat + mat.conj().T), q
+
+
+class TestSolveCyy:
+    RHS = np.random.default_rng(1).standard_normal((5, 3)) + 0j
+
+    def test_positive_definite_matches_solve(self):
+        cov, _ = hermitian_with_spectrum([0.3, 0.5, 1.0, 2.0, 4.0])
+        want = np.linalg.solve(cov, self.RHS)
+        np.testing.assert_allclose(_solve_cyy(cov, self.RHS, 0.1), want, rtol=0, atol=1e-12)
+
+    def test_indefinite_clamps_spectrum_at_noise_floor(self):
+        cov, q = hermitian_with_spectrum([-1e-9, 0.5, 1.0, 2.0, 3.0])
+        clamped = np.array([0.1, 0.5, 1.0, 2.0, 3.0])
+        want = (q / clamped) @ (q.conj().T @ self.RHS)
+        np.testing.assert_allclose(_solve_cyy(cov, self.RHS, 0.1), want, rtol=0, atol=1e-12)
+
+    def test_indefinite_without_noise_floor_raises(self):
+        cov, _ = hermitian_with_spectrum([-1e-9, 0.5, 1.0, 2.0, 3.0])
+        with pytest.raises(NumericalError):
+            _solve_cyy(cov, self.RHS, 0.0)
 
 
 class TestConventionalLs:
