@@ -163,12 +163,19 @@ class ChannelRealization:
     b: np.ndarray  # (K, M)
     g: np.ndarray  # (K, N)
     A: np.ndarray  # (M, N)
-    s: np.ndarray  # (K, M*(N+1))
+    s: np.ndarray  # (K, M*(N+1)); every field may carry leading trial axes
 
     @cached_property
     def S(self) -> np.ndarray:
-        """The targets as (K, N+1, M) matrices; column m is antenna m's [b_m; a_m*g]."""
-        return target_matrix(self.s, self.A.shape[0])
+        """The targets as (..., K, N+1, M) matrices; column m is antenna m's [b_m; a_m*g]."""
+        return target_matrix(self.s, self.A.shape[-2])
+
+
+def stack_realizations(draws: list[ChannelRealization]) -> ChannelRealization:
+    """Realizations stacked along a new leading trial axis, e.g. s of shape (B, K, M(N+1))."""
+    return ChannelRealization(
+        *(np.stack([getattr(d, name) for d in draws]) for name in ("b", "g", "A", "s"))
+    )
 
 
 def target_matrix(s: np.ndarray, m_antennas: int) -> np.ndarray:
@@ -340,9 +347,14 @@ def psd_factor(matrix: np.ndarray, error_tol: float = PSD_ERROR_TOL) -> np.ndarr
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[None, :]
 
 
+def complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Standard circularly-symmetric complex Gaussians from real and imaginary normals."""
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
 def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussian draws."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Standard circularly-symmetric complex Gaussian draws, real parts drawn first."""
+    return complex_normal(rng.standard_normal(shape), rng.standard_normal(shape))
 
 
 class ChannelSampler:
@@ -362,23 +374,37 @@ class ChannelSampler:
         scale_a = np.sqrt(1.0 / (1.0 + ka))
         self._L_g = np.stack([scale_g * psd_factor(stats.R[k]) for k in range(stats.n_users)])
         self._L_a = scale_a * psd_factor(stats.R0)
+        self._gain_b = np.sqrt(stats.rho_b)[:, None]
+        self._gain_g = np.sqrt(stats.rho_g)[:, None]
+        self._gain_a = np.sqrt(stats.rho_a)
+        self._direct = (stats.rho_b > 0)[:, None]
+        # A realization's normals come from one call, in the stream order of
+        # _crandn(rng, (K, M)), one _crandn(rng, N) per user, then
+        # _crandn(rng, (M, N)); these index the real and imaginary parts of
+        # the flattened [zb, w_g, w_a] in it.
+        k_users, n, m = stats.n_users, stats.n_elements, stats.m_antennas
+        km, kn = k_users * m, k_users * n
+        users = (2 * km + 2 * n * np.arange(k_users)[:, None] + np.arange(n)).ravel()
+        tail = 2 * (km + kn) + np.arange(m * n)
+        self._re = np.concatenate([np.arange(km), users, tail])
+        self._im = np.concatenate([km + np.arange(km), users + n, tail + m * n])
 
     def sample(self, rng: np.random.Generator) -> ChannelRealization:
         st = self.stats
         k_users, n, m = st.n_users, st.n_elements, st.m_antennas
+        km, kn = k_users * m, k_users * n
 
-        zb = _crandn(rng, (k_users, m))
-        # user k's real then imaginary parts, the stream of one _crandn(rng, n) per user
-        parts = rng.standard_normal((k_users, 2, n))
-        w_g = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
-        g_unit = self._mu_g + (self._L_g @ w_g[:, :, None])[:, :, 0]
-        a_unit = self._mu_a + _crandn(rng, (m, n)) @ self._L_a.T  # rows independent
+        z = rng.standard_normal(2 * self._re.size)
+        w = complex_normal(z[self._re], z[self._im])
+        zb = w[:km].reshape(k_users, m)
+        g_unit = self._mu_g + (self._L_g @ w[km:km + kn].reshape(k_users, n, 1))[:, :, 0]
+        a_unit = self._mu_a + w[km + kn:].reshape(m, n) @ self._L_a.T  # rows independent
 
-        b = np.sqrt(st.rho_b)[:, None] * zb
-        g = np.sqrt(st.rho_g)[:, None] * g_unit
-        a_mat = np.sqrt(st.rho_a) * a_unit
+        b = self._gain_b * zb
+        g = self._gain_g * g_unit
+        a_mat = self._gain_a * a_unit
 
-        b_part = np.where((st.rho_b > 0)[:, None], zb, 0.0)
+        b_part = np.where(self._direct, zb, 0.0)
         cascade = (a_unit[None, :, :] * g_unit[:, None, :]).reshape(k_users, m * n)
         s = np.concatenate([b_part, cascade], axis=1)
         return ChannelRealization(b=b, g=g, A=a_mat, s=s)

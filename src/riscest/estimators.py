@@ -112,10 +112,13 @@ class AffineEstimator:
         s_hat = self.apply(split_observation(self.r, y))
         return s_hat[..., 0] if self.r is None else target_vector(s_hat)
 
-    def squared_error(self, x: np.ndarray, target: np.ndarray) -> float:
-        """Squared error norm against target, both in the split forms."""
+    def squared_error(self, x: np.ndarray, target: np.ndarray) -> np.ndarray | float:
+        """Squared error norm against target, both in the split forms.
+
+        Leading axes of x and target are trials; one value per trial is returned.
+        """
         diff = self.apply(x) - target
-        return float(np.real(np.vdot(diff, diff)))
+        return (diff.real**2 + diff.imag**2).sum(axis=(-2, -1))
 
 
 def hermitian_pinvs(

@@ -5,9 +5,13 @@ consumes the same channel realization and the same synthesized observation,
 so estimator comparisons are paired.  The per-trial random stream is derived
 from (base_seed, snr_index, trial_index) through numpy's SeedSequence, which
 makes every result independent of execution order and worker count.  The
-same triple shares the channel realization across group cells: it is drawn
-once per (SNR, trial), and every cell draws its noise from the generator
-state right after the channel draws.
+same triple shares the channel realization across group cells: each trial
+draws its realization and then one run of noise normals, from which every
+cell takes the prefix it needs.
+
+Trials are scored in fixed blocks of consecutive trial indices (see
+`SweepEngine`): synthesis, the split and every estimator's scoring run once
+per (cell, block) on stacked arrays, while the draws stay per trial.
 
 Trials run in the antenna domain: synthesis multiplies each user's
 (T, N+1) mixing block with its (N+1, M) target matrix, and each estimator
@@ -24,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, ChannelSampler, ChannelStatistics
+from .channel import ChannelRealization, ChannelSampler, ChannelStatistics, stack_realizations
 from .errors import ConfigurationError, NumericalError
 from .estimators import (
     AffineEstimator,
@@ -205,27 +209,54 @@ def theory_means(filters: list[AffineEstimator]) -> tuple[float, float, float]:
     return nmse, trace, floor
 
 
+# Bytes of one trial block's stacked complex targets, B * 16 * K * M * (N+1),
+# that fix the trial-block size B (at least one trial).
+TRIAL_BLOCK_BYTES = 1 << 16
+
+
+@dataclass
+class _TrialBlock:
+    """One (SNR, block) of trials: its draws and the scores of the cells run on it."""
+
+    key: tuple[int, int]  # (snr_index, block_index)
+    lo: int  # first trial index
+    realization: ChannelRealization  # stacked, leading axis over the block's trials
+    normals: np.ndarray  # (B, 2 T_max K M) noise normals per trial
+    # group index -> ({kind: (B, K) squared errors}, (B, K, M*T) y_combined)
+    cells: dict[int, tuple[dict[EstimatorKind, np.ndarray], np.ndarray]]
+
+
 class SweepEngine:
-    """The one owner of cell banks; evaluates trials.
+    """The one owner of cell banks; evaluates trials in fixed blocks.
 
     Only the banks of the SNR point served last are kept: asking for another
     SNR point drops them, so memory does not grow with the grid.  Floors
-    depend on the group count alone and are kept for the engine's life.  The
-    last (SNR, trial) realization is cached with its generator, so sibling
-    group cells reuse it; calls may come in any order, but run_cell_trial
-    mutates that cache, so an engine is not safe to share between threads.
-    Each worker process builds its own.
+    depend on the group count alone and are kept for the engine's life.
+
+    Trials are scored in blocks of B = `block_size` consecutive indices,
+    block b covering trials [b*B, (b+1)*B), so the partition never depends on
+    the worker count.  Each trial keeps its own stream: `trial_rng` draws its
+    realization and then 2*T_max*K*M noise normals, T_max being the largest T
+    over the group cells; a cell with T takes the first 2*T*K*M of them, as a
+    lone `synthesize_received(realization, ..., rng)` would draw.  The first
+    `run_cell_trial` of a cell in a block synthesizes, splits and scores the
+    whole block at once; the group cells share its realizations.  Only the
+    block served last is kept, with its cells' scores.  Calls may come in any
+    order, but run_cell_trial mutates that cache, so an engine is not safe to
+    share between threads.  Each worker process builds its own.
     """
 
     def __init__(self, config: SweepConfig):
         self.config = config
         self.stats = config.scenario.statistics()
+        k, m, n = self.stats.n_users, self.stats.m_antennas, self.stats.n_elements
+        self.block_size = max(1, TRIAL_BLOCK_BYTES // (16 * k * m * (n + 1)))
+        # every cell trains with the minimum identifiable T = G + 1 (build_cell_bank)
+        self._noise_size = 2 * (max(config.n_groups) + 1) * k * m
         self._snr_index: int | None = None  # the SNR point whose banks are kept
         self._banks: dict[int, _CellBank] = {}  # group index -> bank
         self._floors: dict[int, dict[int, float]] = {}  # group index -> user -> floor
-        # ((snr_index, trial_index), realization, its generator, generator state after it)
-        self._draw: tuple[tuple[int, int], ChannelRealization, np.random.Generator, dict] | None
-        self._draw = None
+        self._block: _TrialBlock | None = None
 
     @cached_property
     def sampler(self) -> ChannelSampler:
@@ -248,55 +279,66 @@ class SweepEngine:
         seq = np.random.SeedSequence((self.config.base_seed, snr_index, trial_index))
         return np.random.default_rng(seq)
 
-    def _realization(
-        self, snr_index: int, trial_index: int
-    ) -> tuple[ChannelRealization, np.random.Generator]:
-        """The trial's channel realization and its generator, positioned for the noise draws.
+    def _block_of(self, snr_index: int, trial_index: int) -> _TrialBlock:
+        """The block holding the trial, drawn trial by trial when it is not the one kept."""
+        if not 0 <= trial_index < self.config.n_trials:
+            raise IndexError(f"trial {trial_index} outside 0..{self.config.n_trials - 1}")
+        key = (snr_index, trial_index // self.block_size)
+        if self._block is None or self._block.key != key:
+            self._block = None  # before the next block is drawn, so two never coexist
+            lo = key[1] * self.block_size
+            trials = range(lo, min(lo + self.block_size, self.config.n_trials))
+            draws, normals = [], np.empty((len(trials), self._noise_size))
+            for j, trial in enumerate(trials):
+                rng = self.trial_rng(snr_index, trial)
+                draws.append(self.sampler.sample(rng))
+                rng.standard_normal(out=normals[j])
+            self._block = _TrialBlock(key, lo, stack_realizations(draws), normals, {})
+        return self._block
 
-        The realization is drawn once per (SNR, trial); a later cell of the
-        same trial gets it back with the generator reset to the state right
-        after the channel draws, so its noise is what a fresh draw would give.
+    def _score_block(
+        self, bank: _CellBank, block: _TrialBlock
+    ) -> tuple[dict[EstimatorKind, np.ndarray], np.ndarray]:
+        """Squared errors per kind of every (trial, user) of a block, and its observations.
+
+        A NumericalError of one estimator is recorded as NaN for that (kind,
+        user) over the block rather than aborting the sweep.
         """
-        key = (snr_index, trial_index)
-        if self._draw is None or self._draw[0] != key:
-            rng = self.trial_rng(snr_index, trial_index)
-            realization = self.sampler.sample(rng)
-            self._draw = (key, realization, rng, rng.bit_generator.state)
-            return realization, rng
-        _, realization, rng, state = self._draw
-        rng.bit_generator.state = state
-        return realization, rng
+        obs = synthesize_received(
+            block.realization, self.stats, bank.tconfig, mixing=bank.mixing, normals=block.normals
+        )
+        xs = split_observation(bank.r, obs.y_combined)
+        targets = block.realization.S  # (B, K, N+1, M)
+        errors: dict[EstimatorKind, np.ndarray] = {}
+        for kind, per_user in bank.filters.items():
+            err = np.empty(targets.shape[:2])
+            for k, f in enumerate(per_user):
+                try:
+                    err[:, k] = f.squared_error(xs[:, k], targets[:, k])
+                except NumericalError:
+                    err[:, k] = np.nan
+            errors[kind] = err
+        return errors, obs.y_combined
 
     def run_cell_trial(
         self, group_index: int, snr_index: int, trial_index: int, digest: bool = False
     ) -> tuple[dict[EstimatorKind, np.ndarray], str | None]:
         """Squared errors per estimator and user for one paired trial.
 
-        Failures of a single estimator are recorded as NaN for that trial
-        rather than aborting the sweep.
+        The trial's block is scored for this cell on first use and kept;
+        digest hashes this trial's own combined observation.  Failures of a
+        single estimator are recorded as NaN rather than aborting the sweep.
         """
         bank = self.bank(group_index, snr_index)
-        realization, rng = self._realization(snr_index, trial_index)
-        obs = synthesize_received(
-            realization, self.stats, bank.tconfig, rng, mixing=bank.mixing
-        )
-        xs = split_observation(bank.r, obs.y_combined)
-        k_users = self.stats.n_users
-        errors: dict[EstimatorKind, np.ndarray] = {}
-        for kind, per_user in bank.filters.items():
-            err = np.empty(k_users)
-            for k in range(k_users):
-                try:
-                    err[k] = per_user[k].squared_error(xs[k], realization.S[k])
-                except NumericalError:
-                    err[k] = np.nan
-            errors[kind] = err
+        block = self._block_of(snr_index, trial_index)
+        if group_index not in block.cells:
+            block.cells[group_index] = self._score_block(bank, block)
+        errors, y_combined = block.cells[group_index]
+        j = trial_index - block.lo
         obs_digest = None
         if digest:
-            obs_digest = hashlib.sha256(
-                np.ascontiguousarray(obs.y_combined).tobytes()
-            ).hexdigest()
-        return errors, obs_digest
+            obs_digest = hashlib.sha256(np.ascontiguousarray(y_combined[j]).tobytes()).hexdigest()
+        return {kind: err[j] for kind, err in errors.items()}, obs_digest
 
 
 # Per group cell: the pilot power, {kind: theory_means}, and the (trials,
@@ -308,7 +350,8 @@ def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[
     """Trials lo..hi-1 at one SNR over every group cell, one CellResult per cell.
 
     The cells run inside each trial, so the realization is drawn once per
-    trial.  Each result carries its cell's theory, so no caller needs the
+    trial; the engine scores a cell's whole trial block on the block's first
+    call.  Each result carries its cell's theory, so no caller needs the
     bank again.
     """
     banks = [engine.bank(gi, snr_index) for gi in range(len(engine.config.n_groups))]
@@ -316,8 +359,7 @@ def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[
     for j, trial in enumerate(range(lo, hi)):
         for gi, bank in enumerate(banks):
             errors, _ = engine.run_cell_trial(gi, snr_index, trial)
-            for ki, kind in enumerate(bank.filters):
-                out[gi][j, ki] = errors[kind]
+            out[gi][j] = [errors[kind] for kind in bank.filters]
     return [
         (b.rho, {kind: theory_means(f) for kind, f in b.filters.items()}, e / b.prior_traces)
         for b, e in zip(banks, out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, ChannelStatistics, _crandn
+from .channel import ChannelRealization, ChannelStatistics, complex_normal
 from .errors import ConfigurationError, DomainError
 
 
@@ -218,16 +218,17 @@ class ObservationSet:
     pattern t, kept so the linear model can be reconstructed exactly.
     """
 
-    noise_raw: np.ndarray  # (T, K, M)
-    y_combined: np.ndarray  # (K, M*T), rows run (t, m)
+    noise_raw: np.ndarray  # (..., T, K, M)
+    y_combined: np.ndarray  # (..., K, M*T), rows run (t, m)
 
 
 def synthesize_received(
     realization: ChannelRealization,
     stats: ChannelStatistics,
     config: TrainingConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
     mixing: np.ndarray | None = None,
+    normals: np.ndarray | None = None,
 ) -> ObservationSet:
     """Simulate the pilot phase and combine per-user observations.
 
@@ -238,17 +239,32 @@ def synthesize_received(
     matrices; mixing (from `mixing_blocks`) may be passed in to avoid
     rebuilding it in tight loops.  Noise is drawn once, so every estimator
     consuming this set sees identical observations.
+
+    The realization may carry leading trial axes (`channel.stack_realizations`);
+    so do the outputs.  With n = T*K*M, the noise takes its real parts from
+    normals[..., :n] and its imaginary parts from normals[..., n:2n]; normals
+    may be longer, and when it is None, 2n standard normals per trial are drawn
+    from rng, which is the stream of `_crandn(rng, (T, K, M))`.
     """
     m, n = stats.m_antennas, stats.n_elements
     k_users, t_pats = config.n_users, config.n_patterns
-    if realization.s.shape != (k_users, m * (n + 1)):
+    lead = realization.s.shape[:-2]
+    if realization.s.shape[-2:] != (k_users, m * (n + 1)):
         raise ConfigurationError("realization does not match the configured sizes")
     if mixing is None:
         mixing = mixing_blocks(stats, config)
+    size = t_pats * k_users * m
+    if normals is None:
+        normals = rng.standard_normal((*lead, 2 * size))
+    shape = (*lead, t_pats, k_users, m)
+    noise = np.sqrt(config.sigma_w2) * complex_normal(
+        normals[..., :size].reshape(shape), normals[..., size:2 * size].reshape(shape)
+    )
 
-    c = mixing @ realization.S  # (K, T, M): user k's slot contributions before pilot scaling
-    noise = np.sqrt(config.sigma_w2) * _crandn(rng, (t_pats, k_users, m))
+    c = mixing @ realization.S  # (..., K, T, M): user k's slot contributions before pilot scaling
     phi = config.pilot_matrix  # (K, K), row k = user k
-    y_raw = np.einsum("ktm,ki->tim", c, phi) + noise
-    y_combined = np.einsum("tim,ki->ktm", y_raw, phi.conj()).reshape(k_users, t_pats * m)
-    return ObservationSet(noise_raw=noise, y_combined=y_combined)
+    # y_raw[i] holds slot i's received (T, M) block, flattened; combining with
+    # conjugated pilots then gives y_combined directly in its (t, m) row order
+    flat = (*lead, k_users, t_pats * m)
+    y_raw = phi.T @ c.reshape(flat) + np.swapaxes(noise, -3, -2).reshape(flat)
+    return ObservationSet(noise_raw=noise, y_combined=phi.conj() @ y_raw)

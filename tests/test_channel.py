@@ -16,6 +16,7 @@ from riscest.channel import (
     path_loss,
     psd_factor,
     ris_steering_vector,
+    stack_realizations,
     target_vector,
     _crandn,
 )
@@ -288,6 +289,16 @@ class TestSampling:
                     real.S[k, 1:, ant], real.s[k, m + ant * n : m + (ant + 1) * n]
                 )
         np.testing.assert_array_equal(target_vector(real.S), real.s)
+
+    def test_stacked_targets_match_per_trial(self):
+        # three trials, so the leading axis matches neither M = 4 nor K = 2
+        stats = desk_scenario().statistics()
+        sampler = ChannelSampler(stats)
+        draws = [sampler.sample(np.random.default_rng(seed)) for seed in range(3)]
+        stacked = stack_realizations(draws)
+        assert stacked.S.shape == (3, stats.n_users, stats.n_elements + 1, stats.m_antennas)
+        for j, real in enumerate(draws):
+            np.testing.assert_array_equal(stacked.S[j], real.S)
 
     def test_deterministic_per_seed(self):
         stats = desk_scenario().statistics()

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import riscest
-from riscest.cli import SWEEP_COLUMNS, main, read_csv, write_csv
+from riscest.cli import SWEEP_COLUMNS, _sweep_config, main, read_csv, write_csv
 from riscest.errors import ConfigurationError
+from riscest.montecarlo import SweepEngine
 from riscest.scenario import (
     config_digest,
     dbm_to_watts,
@@ -217,6 +218,23 @@ class TestSweepCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert outs[0] == outs[2]
+
+    def test_worker_chunk_boundary_inside_a_trial_block(self, desk_ini, tmp_path):
+        b = SweepEngine(_sweep_config(load_config(desk_ini))).block_size
+        n_trials = 2 * b + b // 2 + 1
+        # two workers split the one SNR point after ceil(n/2) trials, inside block 1
+        assert n_trials % b and -(-n_trials // 2) % b
+        args = [
+            "sweep", "--config", desk_ini, "--trials", str(n_trials), "--groups", "4", "16",
+            "--snr-min-db", "10", "--snr-max-db", "10",
+        ]
+        outs = []
+        for name, workers in [("serial", "1"), ("pooled", "2")]:
+            out = tmp_path / f"{name}.csv"
+            assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(read_csv(tmp_path / "serial.csv")[1]) == 3
 
     def test_schema_roundtrip(self, desk_ini, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -8,6 +8,7 @@ import pytest
 from riscest.channel import ChannelSampler
 from riscest.errors import ConfigurationError, NumericalError
 from riscest.estimators import AffineEstimator, EstimatorKind
+from riscest.moments import split_observation
 from riscest.montecarlo import (
     SweepConfig,
     SweepEngine,
@@ -17,6 +18,7 @@ from riscest.montecarlo import (
     run_sweep,
 )
 from riscest.scenario import desk_scenario
+from riscest.training import synthesize_received
 
 
 ALL_KINDS = tuple(EstimatorKind)
@@ -142,6 +144,41 @@ class TestRunTrial:
         for err in errors.values():
             assert err.shape == (2,)
             assert np.all(err >= 0)
+
+
+def desk_block_size() -> int:
+    return SweepEngine(desk_config()).block_size
+
+
+class TestTrialBlocks:
+    """Trials are scored a block at a time, and each keeps its own random stream."""
+
+    def test_block_size_is_fixed_by_the_scenario(self):
+        # 2**16 bytes over 16 * K * M * (N+1) = 2176 bytes of desk targets per trial
+        assert desk_block_size() == 30
+
+    def test_block_errors_match_a_lone_trial(self):
+        b = desk_block_size()
+        cfg = desk_config(n_groups=(4, 16), snr_db=(10.0,), n_trials=3 * b + b // 2)
+        engine = SweepEngine(cfg)
+        # the first block, a middle one and the last, clipped one
+        for trial in (0, b + b // 2, cfg.n_trials - 1):
+            for gi in range(len(cfg.n_groups)):
+                errors, _ = engine.run_cell_trial(gi, 0, trial)
+                bank = engine.bank(gi, 0)
+                rng = engine.trial_rng(0, trial)
+                real = engine.sampler.sample(rng)
+                obs = synthesize_received(real, engine.stats, bank.tconfig, rng, bank.mixing)
+                xs = split_observation(bank.r, obs.y_combined)
+                assert set(errors) == set(bank.filters)
+                for kind, per_user in bank.filters.items():
+                    want = [f.squared_error(xs[k], real.S[k]) for k, f in enumerate(per_user)]
+                    np.testing.assert_allclose(errors[kind], want, rtol=1e-12, atol=0)
+
+    def test_trial_outside_the_sweep_rejected(self):
+        engine = SweepEngine(desk_config(n_trials=10))
+        with pytest.raises(IndexError):
+            engine.run_cell_trial(0, 0, 10)
 
 
 @pytest.mark.parametrize("n_groups", [4, 16])
@@ -289,3 +326,24 @@ class TestBankLifetime:
         calls = self.count_builds(monkeypatch)
         run_sweep(desk_config(n_trials=3, n_groups=(4, 16)), workers=2)
         assert calls == []
+
+    def test_engine_keeps_one_trial_block(self):
+        b = desk_block_size()
+        engine = SweepEngine(desk_config(n_groups=(4, 16), n_trials=2 * b))
+        for gi in range(2):
+            engine.run_cell_trial(gi, 0, 0)
+        block = engine._block
+        assert block.key == (0, 0) and set(block.cells) == {0, 1}
+        assert block.normals.shape[0] == b
+        kept = [weakref.ref(a) for a in (block, block.normals, block.realization.s)]
+        kept += [weakref.ref(e) for errors, _ in block.cells.values() for e in errors.values()]
+        del block
+        engine.run_cell_trial(0, 0, b)  # the next block of the same SNR point
+        gc.collect()
+        assert all(ref() is None for ref in kept)
+        assert engine._block.key == (0, 1) and set(engine._block.cells) == {0}
+        kept = weakref.ref(engine._block)
+        engine.run_cell_trial(1, 1, b - 1)  # the first block of the next SNR point
+        gc.collect()
+        assert kept() is None
+        assert engine._block.key == (1, 0) and set(engine._block.cells) == {1}
