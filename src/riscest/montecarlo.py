@@ -106,17 +106,16 @@ class SweepRow:
     seed: int
 
 
-def received_snr_to_power(snr_db: float, scenario: Scenario) -> float:
+def received_snr_to_power(snr_db: float, stats: ChannelStatistics, sigma_w2: float) -> float:
     """Pilot power giving the requested mean combined pilot SNR per BS antenna.
 
     The received SNR is defined as rho * K * N * rho_a * mean(rho_g) over the
-    noise power, i.e. the average cascaded pilot power collected through all
-    N elements and K combined slots.
+    noise power sigma_w2, i.e. the average cascaded pilot power collected
+    through all N elements and K combined slots.
     """
-    stats = scenario.statistics()
     k, n = stats.n_users, stats.n_elements
     gain = k * n * stats.rho_a * float(np.mean(stats.rho_g))
-    return 10.0 ** (snr_db / 10.0) * scenario.sigma_w2 / gain
+    return 10.0 ** (snr_db / 10.0) * sigma_w2 / gain
 
 
 def applicable_kinds(
@@ -270,7 +269,7 @@ class SweepEngine:
             cfg = self.config
             self._banks[group_index] = build_cell_bank(
                 self.stats, cfg.scenario.sigma_w2, cfg.n_groups[group_index],
-                received_snr_to_power(cfg.snr_db[snr_index], cfg.scenario),
+                received_snr_to_power(cfg.snr_db[snr_index], self.stats, cfg.scenario.sigma_w2),
                 cfg.estimators, self._floors.setdefault(group_index, {}),
             )
         return self._banks[group_index]

@@ -75,63 +75,42 @@ class RunConfig:
     output_path: str | None = None
 
 
-def default_scenario(wavelength: float = 0.1) -> Scenario:
+# the [scenario] keys of the desk deployment; every other key takes the reference default
+DESK_SCENARIO = {
+    "name": "desk",
+    "ue_positions": "-8 44 5; 8 44 5",
+    "n_x": "4",
+    "n_y": "4",
+    "m_antennas": "4",
+}
+
+
+def default_scenario() -> Scenario:
     """Reference multi-user deployment: M=8, N=8x8, K=4, blocked direct links.
 
     BS at (0,0,15), RIS at (0,50,10), four UEs around y ~= 43 m; half-wave
     spacings, kappa_a = -20 dB, kappa_g = 3 dB, eta = 0.99 on every link.
-    Only spacing-to-wavelength ratios matter, so wavelength is free.
+    These are `scenario_from_config`'s defaults.
     """
-    geometry = SystemGeometry(
-        bs_position=np.array([0.0, 0.0, 15.0]),
-        ris_position=np.array([0.0, 50.0, 10.0]),
-        ue_positions=np.array(
-            [[-8.0, 44.0, 5.0], [-6.0, 42.0, 5.0], [6.0, 42.0, 5.0], [8.0, 44.0, 5.0]]
-        ),
-        n_x=8, n_y=8, m_antennas=8,
-        delta_x=wavelength / 2, delta_y=wavelength / 2, delta_0=wavelength / 2,
-        wavelength=wavelength,
-    )
-    fading = FadingParams(
-        kappa_a=db_to_linear(-20.0),
-        kappa_g=db_to_linear(3.0),
-        alpha_a=2.5, alpha_g=2.2, alpha_b=3.0,
-        rho_0=db_to_linear(-30.0),
-        eta=np.full(5, 0.99),
-        direct_blocked=True,
-    )
-    return Scenario(
-        geometry=geometry, fading=fading,
-        sigma_w2=dbm_to_watts(-89.0), psi=np.pi / 3, name="default",
-    )
+    return scenario_from_config(configparser.ConfigParser())
 
 
-def desk_scenario(wavelength: float = 0.1, eta: float = 0.99) -> Scenario:
-    """Scaled-down variant for fast test runs: M=4, N=4x4, K=2."""
-    geometry = SystemGeometry(
-        bs_position=np.array([0.0, 0.0, 15.0]),
-        ris_position=np.array([0.0, 50.0, 10.0]),
-        ue_positions=np.array([[-8.0, 44.0, 5.0], [8.0, 44.0, 5.0]]),
-        n_x=4, n_y=4, m_antennas=4,
-        delta_x=wavelength / 2, delta_y=wavelength / 2, delta_0=wavelength / 2,
-        wavelength=wavelength,
-    )
-    fading = FadingParams(
-        kappa_a=db_to_linear(-20.0),
-        kappa_g=db_to_linear(3.0),
-        alpha_a=2.5, alpha_g=2.2, alpha_b=3.0,
-        rho_0=db_to_linear(-30.0),
-        eta=np.full(3, eta),
-        direct_blocked=True,
-    )
-    return Scenario(
-        geometry=geometry, fading=fading,
-        sigma_w2=dbm_to_watts(-89.0), psi=np.pi / 3, name="desk",
-    )
+def desk_scenario() -> Scenario:
+    """Scaled-down variant for fast test runs: M=4, N=4x4, K=2 (`DESK_SCENARIO`)."""
+    parser = configparser.ConfigParser()
+    parser["scenario"] = DESK_SCENARIO
+    return scenario_from_config(parser)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.replace(",", " ").split()])
+    return np.array([_finite(tok) for tok in text.replace(",", " ").split()])
 
 
 def _parse_points(text: str) -> np.ndarray:
@@ -139,57 +118,64 @@ def _parse_points(text: str) -> np.ndarray:
     return np.array([_parse_vector(r) for r in rows])
 
 
-def _get(section, key, cast, default=None, section_name=""):
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is none of 1/yes/true/on, 0/no/false/off") from None
+
+
+def _get(section, key, cast, default):
+    """section[key] parsed by cast, or default when the key is absent."""
     if key not in section:
-        if default is None:
-            raise ConfigurationError(f"missing required key [{section_name}] {key}")
         return default
     try:
         return cast(section[key])
     except (ValueError, ConfigurationError) as exc:
-        raise ConfigurationError(f"bad value for [{section_name}] {key}: {exc}") from exc
+        raise ConfigurationError(f"bad value for [{section.name}] {key}: {exc}") from exc
 
 
 def scenario_from_config(parser: configparser.ConfigParser) -> Scenario:
-    if "scenario" not in parser:
-        return default_scenario()
-    sc = parser["scenario"]
-    wavelength = _get(sc, "wavelength", float, 0.1, "scenario")
+    """The scenario of the [scenario] section; keys left out take the reference values.
+
+    Without the section the scenario is named "default", and without a name
+    key "config".
+    """
+    sc = parser["scenario"] if "scenario" in parser else {"name": "default"}
+    wavelength = _get(sc, "wavelength", _finite, 0.1)
     geometry = SystemGeometry(
-        bs_position=_get(sc, "bs_position", _parse_vector, np.array([0.0, 0.0, 15.0]), "scenario"),
-        ris_position=_get(sc, "ris_position", _parse_vector, np.array([0.0, 50.0, 10.0]), "scenario"),
+        bs_position=_get(sc, "bs_position", _parse_vector, np.array([0.0, 0.0, 15.0])),
+        ris_position=_get(sc, "ris_position", _parse_vector, np.array([0.0, 50.0, 10.0])),
         ue_positions=_get(
             sc, "ue_positions", _parse_points,
             np.array([[-8.0, 44.0, 5.0], [-6.0, 42.0, 5.0], [6.0, 42.0, 5.0], [8.0, 44.0, 5.0]]),
-            "scenario",
         ),
-        n_x=_get(sc, "n_x", int, 8, "scenario"),
-        n_y=_get(sc, "n_y", int, 8, "scenario"),
-        m_antennas=_get(sc, "m_antennas", int, 8, "scenario"),
-        delta_x=_get(sc, "delta_x", float, wavelength / 2, "scenario"),
-        delta_y=_get(sc, "delta_y", float, wavelength / 2, "scenario"),
-        delta_0=_get(sc, "delta_0", float, wavelength / 2, "scenario"),
+        n_x=_get(sc, "n_x", int, 8),
+        n_y=_get(sc, "n_y", int, 8),
+        m_antennas=_get(sc, "m_antennas", int, 8),
+        delta_x=_get(sc, "delta_x", _finite, wavelength / 2),
+        delta_y=_get(sc, "delta_y", _finite, wavelength / 2),
+        delta_0=_get(sc, "delta_0", _finite, wavelength / 2),
         wavelength=wavelength,
     )
-    k_users = geometry.n_users
-    eta = _get(sc, "eta", _parse_vector, np.array([0.99]), "scenario")
+    eta = _get(sc, "eta", _parse_vector, np.array([0.99]))
     if eta.size == 1:
-        eta = np.full(k_users + 1, eta[0])
+        eta = np.full(geometry.n_users + 1, eta[0])
     fading = FadingParams(
-        kappa_a=db_to_linear(_get(sc, "kappa_a_db", float, -20.0, "scenario")),
-        kappa_g=db_to_linear(_get(sc, "kappa_g_db", float, 3.0, "scenario")),
-        alpha_a=_get(sc, "alpha_a", float, 2.5, "scenario"),
-        alpha_g=_get(sc, "alpha_g", float, 2.2, "scenario"),
-        alpha_b=_get(sc, "alpha_b", float, 3.0, "scenario"),
-        rho_0=db_to_linear(_get(sc, "rho_0_db", float, -30.0, "scenario")),
+        kappa_a=db_to_linear(_get(sc, "kappa_a_db", _finite, -20.0)),
+        kappa_g=db_to_linear(_get(sc, "kappa_g_db", _finite, 3.0)),
+        alpha_a=_get(sc, "alpha_a", _finite, 2.5),
+        alpha_g=_get(sc, "alpha_g", _finite, 2.2),
+        alpha_b=_get(sc, "alpha_b", _finite, 3.0),
+        rho_0=db_to_linear(_get(sc, "rho_0_db", _finite, -30.0)),
         eta=eta,
-        direct_blocked=_get(sc, "direct_blocked", lambda s: s.strip().lower() in ("1", "true", "yes"), True, "scenario"),
+        direct_blocked=_get(sc, "direct_blocked", _parse_bool, True),
     )
     return Scenario(
         geometry=geometry, fading=fading,
-        sigma_w2=dbm_to_watts(_get(sc, "noise_dbm", float, -89.0, "scenario")),
-        psi=_get(sc, "psi", float, np.pi / 3, "scenario"),
-        name=_get(sc, "name", str, "config", "scenario"),
+        sigma_w2=dbm_to_watts(_get(sc, "noise_dbm", _finite, -89.0)),
+        psi=_get(sc, "psi", _finite, np.pi / 3),
+        name=_get(sc, "name", str, "config"),
     )
 
 
@@ -209,13 +195,13 @@ def load_config(path: str | None) -> RunConfig:
     if "sweep" in parser:
         sw = parser["sweep"]
         sweep = SweepSettings(
-            estimators=_get(sw, "estimators", lambda s: s.split(), sweep.estimators, "sweep"),
-            n_groups=_get(sw, "n_groups", lambda s: [int(t) for t in s.split()], sweep.n_groups, "sweep"),
-            snr_min_db=_get(sw, "snr_min_db", float, sweep.snr_min_db, "sweep"),
-            snr_max_db=_get(sw, "snr_max_db", float, sweep.snr_max_db, "sweep"),
-            snr_step_db=_get(sw, "snr_step_db", float, sweep.snr_step_db, "sweep"),
-            trials=_get(sw, "trials", int, sweep.trials, "sweep"),
-            seed=_get(sw, "seed", int, sweep.seed, "sweep"),
+            estimators=_get(sw, "estimators", lambda s: s.split(), sweep.estimators),
+            n_groups=_get(sw, "n_groups", lambda s: [int(t) for t in s.split()], sweep.n_groups),
+            snr_min_db=_get(sw, "snr_min_db", float, sweep.snr_min_db),
+            snr_max_db=_get(sw, "snr_max_db", float, sweep.snr_max_db),
+            snr_step_db=_get(sw, "snr_step_db", float, sweep.snr_step_db),
+            trials=_get(sw, "trials", int, sweep.trials),
+            seed=_get(sw, "seed", int, sweep.seed),
         )
     output_path = None
     if "output" in parser and "path" in parser["output"]:

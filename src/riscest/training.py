@@ -92,43 +92,33 @@ def pilot_overhead(n_users: int, n_elements: int, n_groups: int) -> tuple[int, i
 
 @dataclass
 class TrainingConfig:
-    """Training patterns, group count, pilots and power levels.
+    """One training round: N elements, K users, G groups, T patterns and the powers.
 
     Group g holds the contiguous elements g*N/G .. (g+1)*N/G - 1;
     n_groups == N recovers the ungrouped protocol.  tau_p = K*T is the pilot
-    overhead actually spent.
+    overhead actually spent.  The Hadamard patterns (T, N), their group
+    columns (T, G) and the (K, K) pilot matrix follow from these and are
+    built with the config, as `patterns`, `group_patterns` and `pilot_matrix`.
     """
 
-    n_patterns: int
+    n_elements: int
+    n_users: int
     n_groups: int
-    patterns: np.ndarray  # (T, N) unit modulus
-    group_patterns: np.ndarray  # (T, N_G)
-    pilot_matrix: np.ndarray  # (K, K)
-    rho: np.ndarray  # (K,) pilot powers, watts
+    n_patterns: int
+    rho: np.ndarray  # (K,) pilot powers, watts; a scalar is given to every user
     sigma_w2: float  # noise power, watts
 
     def __post_init__(self):
-        self.rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
-        if self.n_elements % self.n_groups != 0:
-            raise ConfigurationError("group count must divide the element count")
-        if self.n_patterns < self.n_groups + 1:
-            raise ConfigurationError("T must be at least n_groups + 1")
-        if np.max(np.abs(np.abs(self.patterns) - 1.0)) > 1e-12:
-            raise ConfigurationError("pattern entries must be unit modulus")
-        k = self.pilot_matrix.shape[0]
-        gram = self.pilot_matrix @ self.pilot_matrix.conj().T
-        if not np.allclose(gram, k * np.eye(k), atol=1e-10):
-            raise ConfigurationError("pilot sequences are not orthogonal")
+        rho = np.asarray(self.rho, dtype=float)
+        self.rho = np.full(self.n_users, float(rho)) if rho.ndim == 0 else rho
+        self.patterns, self.group_patterns = training_patterns(
+            self.n_elements, self.n_groups, self.n_patterns
+        )
+        self.pilot_matrix = pilot_sequences(self.n_users)
+        if self.rho.shape != (self.n_users,):
+            raise ConfigurationError(f"need one pilot power per user, got {self.rho.shape}")
         if self.sigma_w2 < 0 or np.any(self.rho < 0):
             raise ConfigurationError("powers must be nonnegative")
-
-    @property
-    def n_users(self) -> int:
-        return self.pilot_matrix.shape[0]
-
-    @property
-    def n_elements(self) -> int:
-        return self.patterns.shape[1]
 
     @property
     def tau_p(self) -> int:
@@ -147,20 +137,10 @@ def make_training_config(
     rho: float | np.ndarray = 1.0,
     sigma_w2: float = 1.0,
 ) -> TrainingConfig:
-    """Assemble a TrainingConfig with the minimum identifiable T by default."""
+    """A TrainingConfig with G = N and the minimum identifiable T = G + 1 by default."""
     n_groups = n_elements if n_groups is None else n_groups
     n_patterns = n_groups + 1 if n_patterns is None else n_patterns
-    patterns, group_patterns = training_patterns(n_elements, n_groups, n_patterns)
-    rho_vec = np.full(n_users, float(rho)) if np.isscalar(rho) else np.asarray(rho, float)
-    return TrainingConfig(
-        n_patterns=n_patterns,
-        n_groups=n_groups,
-        patterns=patterns,
-        group_patterns=group_patterns,
-        pilot_matrix=pilot_sequences(n_users),
-        rho=rho_vec,
-        sigma_w2=sigma_w2,
-    )
+    return TrainingConfig(n_elements, n_users, n_groups, n_patterns, rho, sigma_w2)
 
 
 def _mixing_block(

@@ -36,7 +36,7 @@ from .channel import ChannelRealization, ChannelSampler, ChannelStatistics, path
 from .estimators import AffineEstimator, EstimatorKind, make_estimator
 from .moments import build_moments, combine_blocks, cov_ss, group_aggregation_matrix, mean_s
 from .montecarlo import SweepConfig, SweepEngine, SweepRow, received_snr_to_power, run_sweep
-from .scenario import Scenario, config_digest, desk_scenario, load_config
+from .scenario import DESK_SCENARIO, Scenario, config_digest, desk_scenario, load_config
 from .training import (
     PatternOrthogonalityWarning,
     TrainingConfig,
@@ -154,7 +154,7 @@ def _power_floor(scenario: Scenario, stats: ChannelStatistics, snr_db: float
     """At 1e12 times the power of snr_db: the grouped LMMSE's relative distance
     from its floor (n_groups = N/4), and the ungrouped LMMSE's NMSE."""
     n = stats.n_elements
-    rho = received_snr_to_power(snr_db, scenario) * 1e12
+    rho = received_snr_to_power(snr_db, stats, scenario.sigma_w2) * 1e12
     cg = _estimator(stats, _training(scenario, stats, n // 4, rho), CORRELATED)
     conv = _estimator(stats, _training(scenario, stats, n, rho), LMMSE)
     return abs(cg.nmse - cg.nmse_floor) / cg.nmse_floor, conv.nmse
@@ -237,7 +237,7 @@ def _training_checks(scenario: Scenario, stats: ChannelStatistics) -> list[Check
     out.append(CheckResult("training.pattern_gram", ok, "power-of-two row sets exact"))
 
     n, k_users = stats.n_elements, stats.n_users
-    rho = received_snr_to_power(20.0, scenario)
+    rho = received_snr_to_power(20.0, stats, scenario.sigma_w2)
     tc = _training(scenario, stats, n // 4, rho)
     rng = np.random.default_rng(3)
     real = ChannelSampler(stats).sample(rng)
@@ -271,7 +271,8 @@ def _training_checks(scenario: Scenario, stats: ChannelStatistics) -> list[Check
 
 def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list[CheckResult]:
     out = []
-    tc = _training(scenario, stats, stats.n_elements // 4, received_snr_to_power(10.0, scenario))
+    rho = received_snr_to_power(10.0, stats, scenario.sigma_w2)
+    tc = _training(scenario, stats, stats.n_elements // 4, rho)
     m = build_moments(stats, 0, tc)
     c_ss = combine_blocks(m.r, [b.cov_ss for b, _ in m.blocks])
     c_uu = combine_blocks(m.r, [b.cov_uu for b, _ in m.blocks])
@@ -313,7 +314,7 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     n_groups = n // 4
 
     # monotone theory curve over a log-spaced power sweep
-    rho_grid = np.geomspace(1e-4, 1e8, 20) * received_snr_to_power(0.0, scenario)
+    rho_grid = np.geomspace(1e-4, 1e8, 20) * received_snr_to_power(0.0, stats, scenario.sigma_w2)
     ok, detail = True, ""
     curves = {LMMSE: [], GROUPING_LMMSE: [], CORRELATED: []}
     for rho in rho_grid:
@@ -328,7 +329,7 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     out.append(CheckResult("estimators.theory_monotone_in_power", ok, detail or "20-point sweep"))
 
     # ordering and collapse at one moderate power
-    rho = received_snr_to_power(30.0, scenario)
+    rho = received_snr_to_power(30.0, stats, scenario.sigma_w2)
     tc = _training(scenario, stats, n_groups, rho)
     cg = _estimator(stats, tc, CORRELATED)
     soa = _estimator(stats, tc, GROUPING_LMMSE)
@@ -473,10 +474,7 @@ def _cli_determinism() -> bool:
     ]
     with tempfile.TemporaryDirectory() as tmp:
         ini = Path(tmp) / "desk.ini"
-        ini.write_text(
-            "[scenario]\nn_x = 4\nn_y = 4\nm_antennas = 4\n"
-            "ue_positions = -8 44 5; 8 44 5\n"
-        )
+        ini.write_text("[scenario]\n" + "".join(f"{k} = {v}\n" for k, v in DESK_SCENARIO.items()))
         payloads = set()
         for name, extra in [("a", []), ("b", []), ("c", ["--workers", "3"])]:
             out = Path(tmp) / f"{name}.csv"
@@ -514,7 +512,7 @@ def _acceptance_criteria(scenario: Scenario, stats: ChannelStatistics, oracle, s
     )
 
     n = stats.n_elements
-    tc = _training(scenario, stats, n, received_snr_to_power(20.0, scenario))
+    tc = _training(scenario, stats, n, received_snr_to_power(20.0, stats, scenario.sigma_w2))
     worst_est, worst_trace = 0.0, 0.0
     rng = np.random.default_rng(33)
     sampler = ChannelSampler(stats)

@@ -115,7 +115,7 @@ def _training(scenario, stats, n_groups, snr_db):
         warnings.simplefilter("ignore", PatternOrthogonalityWarning)
         return make_training_config(
             stats.n_elements, stats.n_users, n_groups=n_groups,
-            rho=received_snr_to_power(snr_db, scenario), sigma_w2=scenario.sigma_w2,
+            rho=received_snr_to_power(snr_db, stats, scenario.sigma_w2), sigma_w2=scenario.sigma_w2,
         )
 
 

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +18,14 @@ from riscest.scenario import (
     dbm_to_watts,
     db_to_linear,
     default_scenario,
+    desk_scenario,
     load_config,
 )
 from riscest.validation import check_correlation_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
+DESK_INI = ROOT / "perfbench" / "desk.ini"
+README = ROOT / "README.md"
 
 
 DESK_SCENARIO_INI = """
@@ -57,6 +64,15 @@ def desk_ini(tmp_path):
     return str(path)
 
 
+def assert_same_scenario(got, want):
+    """Every geometry and fading field, the noise power and the BS angle agree exactly."""
+    for part in ("geometry", "fading"):
+        for f in fields(getattr(want, part)):
+            a, b = getattr(getattr(got, part), f.name), getattr(getattr(want, part), f.name)
+            assert np.array_equal(a, b), f"{part}.{f.name}"
+    assert (got.sigma_w2, got.psi) == (want.sigma_w2, want.psi)
+
+
 class TestConfigParsing:
     def test_defaults_are_reference_setup(self):
         cfg = load_config(None)
@@ -93,6 +109,50 @@ class TestConfigParsing:
         path.write_text("[scenario]\nn_x = four\n")
         with pytest.raises(ConfigurationError, match=r"\[scenario\] n_x"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("word,blocked", [
+        ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+        ("0", False), ("no", False), ("False", False), ("OFF", False),
+    ])
+    def test_direct_blocked_takes_the_boolean_words(self, word, blocked, tmp_path):
+        path = tmp_path / "b.ini"
+        path.write_text(f"[scenario]\ndirect_blocked = {word}\n")
+        assert load_config(str(path)).scenario.fading.direct_blocked is blocked
+
+    @pytest.mark.parametrize("key,value", [
+        ("noise_dbm", "nan"), ("psi", "inf"), ("kappa_a_db", "inf"), ("kappa_g_db", "-inf"),
+        ("alpha_a", "nan"), ("wavelength", "inf"), ("eta", "0.9 nan 0.9 0.9 0.9"),
+        ("bs_position", "0 0 nan"), ("ue_positions", "-8 44 5; inf 42 5; 6 42 5; 8 44 5"),
+    ])
+    def test_non_finite_scenario_value_is_usage_error(self, key, value, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[scenario]\n{key} = {value}\n")
+        with pytest.raises(ConfigurationError, match=rf"\[scenario\] {key}: .* is not finite"):
+            load_config(str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["theory", "--config", str(path), "--out", "-"])
+        assert exc.value.code == 2
+        assert f"[scenario] {key}" in capsys.readouterr().err
+
+    def test_desk_ini_is_desk_scenario(self):
+        # perfbench/desk.ini promises the desk scenario; the statistics follow from it
+        got, want = load_config(str(DESK_INI)).scenario, desk_scenario()
+        assert_same_scenario(got, want)
+        assert got.name == want.name == "desk"
+        got_stats, want_stats = got.statistics(), want.statistics()
+        for f in fields(want_stats):
+            if f.name != "fading":  # compared above
+                assert np.array_equal(getattr(got_stats, f.name), getattr(want_stats, f.name)), f.name
+
+    def test_readme_ini_is_the_defaults(self, tmp_path):
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        path = tmp_path / "readme.ini"
+        path.write_text(blocks[0])
+        got, want = load_config(str(path)), load_config(None)
+        assert_same_scenario(got.scenario, default_scenario())
+        assert (got.scenario.name, want.scenario.name) == ("config", "default")
+        assert got.sweep == want.sweep
 
     def test_missing_file_diagnostic(self):
         with pytest.raises(ConfigurationError, match="cannot read"):
@@ -190,6 +250,7 @@ def test_bad_input_is_usage_error(command, bad, desk_ini, capsys):
     ("n_x = 4", "n_x = 0"),
     ("ue_positions = -8 44 5; 8 44 5", "ue_positions = 1 2"),
     ("n_groups = 16", "n_groups ="),
+    ("direct_blocked = true", "direct_blocked = ture"),
 ])
 def test_malformed_ini_is_usage_error(command, old, new, tmp_path, capsys):
     assert old in DESK_SCENARIO_INI
@@ -314,11 +375,10 @@ assert not loaded, loaded
 
 def test_runs_without_scipy(tmp_path):
     """riscest's one numerical dependency is numpy: a theory run and a sweep load no scipy."""
-    desk = Path(__file__).resolve().parents[1] / "perfbench" / "desk.ini"
     src = str(Path(riscest.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(desk), str(tmp_path / "out.csv")],
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(DESK_INI), str(tmp_path / "out.csv")],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def desk():
 
 
 def desk_training(scenario, stats, n_groups, snr_db=20.0, rho_scale=1.0):
-    rho = received_snr_to_power(snr_db, scenario) * rho_scale
+    rho = received_snr_to_power(snr_db, stats, scenario.sigma_w2) * rho_scale
     return make_training_config(
         stats.n_elements, stats.n_users, n_groups=n_groups,
         rho=rho, sigma_w2=scenario.sigma_w2,
@@ -241,7 +243,8 @@ class TestGroupingBaselines:
 
     def test_grouping_lmmse_collapses_under_uncorrelated_scattering(self):
         # with eta = 0 the block-ideal prior at n_groups = N equals the true prior
-        scenario = desk_scenario(eta=0.0)
+        scenario = desk_scenario()
+        scenario.fading = replace(scenario.fading, eta=np.zeros(3))
         stats = scenario.statistics()
         tc = make_training_config(16, 2, n_groups=16, rho=0.4, sigma_w2=scenario.sigma_w2)
         m = build_moments(stats, 0, tc)
@@ -397,7 +400,7 @@ class TestAsymptoticMse:
 class TestTheoryCurves:
     def test_monotone_in_power(self, desk):
         scenario, stats = desk
-        base = received_snr_to_power(0.0, scenario)
+        base = received_snr_to_power(0.0, stats, scenario.sigma_w2)
         scales = np.geomspace(1e-4, 1e8, 20)
         for n_groups, builder in [
             (16, lambda m: conventional_lmmse_filter(m).nmse),

@@ -79,15 +79,16 @@ class TestConfig:
 class TestSnrMapping:
     def test_power_scales_linearly_with_snr(self):
         scenario = desk_scenario()
-        r0 = received_snr_to_power(0.0, scenario)
-        r10 = received_snr_to_power(10.0, scenario)
+        stats = scenario.statistics()
+        r0 = received_snr_to_power(0.0, stats, scenario.sigma_w2)
+        r10 = received_snr_to_power(10.0, stats, scenario.sigma_w2)
         assert r10 / r0 == pytest.approx(10.0, rel=1e-12)
 
     def test_definition(self):
         scenario = desk_scenario()
         stats = scenario.statistics()
         gain = stats.n_users * stats.n_elements * stats.rho_a * np.mean(stats.rho_g)
-        assert received_snr_to_power(0.0, scenario) == pytest.approx(
+        assert received_snr_to_power(0.0, stats, scenario.sigma_w2) == pytest.approx(
             scenario.sigma_w2 / gain, rel=1e-12
         )
 
@@ -114,7 +115,7 @@ class TestRunTrial:
 
     def test_noiseless_ls_recovers_exactly(self, monkeypatch):
         # unit pilot power (rho = 1) with no noise
-        monkeypatch.setattr("riscest.montecarlo.received_snr_to_power", lambda snr, scenario: 1.0)
+        monkeypatch.setattr("riscest.montecarlo.received_snr_to_power", lambda snr, stats, sigma_w2: 1.0)
         scenario = desk_scenario()
         scenario.sigma_w2 = 0.0
         cfg = SweepConfig(
@@ -185,7 +186,7 @@ class TestTrialBlocks:
 def test_bank_assembles_dense_arrays_only_when_read(n_groups):
     scenario = desk_scenario()
     stats = scenario.statistics()
-    rho = received_snr_to_power(20.0, scenario)
+    rho = received_snr_to_power(20.0, stats, scenario.sigma_w2)
     bank = build_cell_bank(stats, scenario.sigma_w2, n_groups, rho, ALL_KINDS, {})
     filters = [f for per_user in bank.filters.values() for f in per_user]
     assert len(filters) == stats.n_users * len(applicable_kinds(ALL_KINDS, n_groups, 16))

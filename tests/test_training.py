@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -150,23 +152,20 @@ class TestTrainingConfig:
         assert tc.tau_p == 10
         assert tc.group_size == 4
 
-    def test_rejects_bad_patterns(self):
-        tc = make_training_config(4, 2, n_groups=2)
-        with pytest.raises(ConfigurationError):
-            TrainingConfig(
-                n_patterns=tc.n_patterns, n_groups=2,
-                patterns=2.0 * tc.patterns, group_patterns=tc.group_patterns,
-                pilot_matrix=tc.pilot_matrix, rho=tc.rho, sigma_w2=1.0,
-            )
+    def test_holds_its_inputs_and_derives_the_rest(self):
+        tc = TrainingConfig(6, 2, 3, 4, rho=0.5, sigma_w2=1.0)
+        assert [f.name for f in fields(tc)] == [
+            "n_elements", "n_users", "n_groups", "n_patterns", "rho", "sigma_w2",
+        ]
+        np.testing.assert_array_equal(tc.rho, [0.5, 0.5])
+        patterns, group_patterns = training_patterns(6, 3, 4)
+        np.testing.assert_array_equal(tc.patterns, patterns)
+        np.testing.assert_array_equal(tc.group_patterns, group_patterns)
+        np.testing.assert_array_equal(tc.pilot_matrix, pilot_sequences(2))
 
-    def test_rejects_nonorthogonal_pilots(self):
-        tc = make_training_config(4, 2, n_groups=2)
+    def test_rejects_one_power_per_wrong_user_count(self):
         with pytest.raises(ConfigurationError):
-            TrainingConfig(
-                n_patterns=tc.n_patterns, n_groups=2,
-                patterns=tc.patterns, group_patterns=tc.group_patterns,
-                pilot_matrix=np.ones((2, 2), dtype=complex), rho=tc.rho, sigma_w2=1.0,
-            )
+            make_training_config(4, 2, rho=np.ones(3))
 
     def test_rejects_non_dividing_groups(self):
         with pytest.raises((ConfigurationError, DomainError)):
