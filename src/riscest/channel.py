@@ -171,13 +171,6 @@ class ChannelRealization:
         return target_matrix(self.s, self.A.shape[-2])
 
 
-def stack_realizations(draws: list[ChannelRealization]) -> ChannelRealization:
-    """Realizations stacked along a new leading trial axis, e.g. s of shape (B, K, M(N+1))."""
-    return ChannelRealization(
-        *(np.stack([getattr(d, name) for d in draws]) for name in ("b", "g", "A", "s"))
-    )
-
-
 def target_matrix(s: np.ndarray, m_antennas: int) -> np.ndarray:
     """Dense targets (..., M(N+1)) as (..., N+1, M) matrices [b; (a_m*g)^T]."""
     lead = s.shape[:-1]
@@ -361,7 +354,8 @@ class ChannelSampler:
     """Draws correlated Rician realizations; factorizations precomputed once.
 
     Draw order per realization is fixed (direct links, then each user's RIS
-    link, then the RIS-BS link) so a given seed reproduces bit-identically.
+    link, then the RIS-BS link) so a given seed reproduces bit-identically;
+    `sample` maps stacked rows of `n_normals` normals to stacked realizations.
     """
 
     def __init__(self, stats: ChannelStatistics):
@@ -388,25 +382,31 @@ class ChannelSampler:
         tail = 2 * (km + kn) + np.arange(m * n)
         self._re = np.concatenate([np.arange(km), users, tail])
         self._im = np.concatenate([km + np.arange(km), users + n, tail + m * n])
+        self.n_normals = 2 * self._re.size  # standard normals one realization uses
 
-    def sample(self, rng: np.random.Generator) -> ChannelRealization:
+    def sample(
+        self, rng: np.random.Generator | None = None, normals: np.ndarray | None = None
+    ) -> ChannelRealization:
+        """A realization from n_normals drawn from rng, or one per row of normals (..., >= n_normals)."""
         st = self.stats
         k_users, n, m = st.n_users, st.n_elements, st.m_antennas
         km, kn = k_users * m, k_users * n
 
-        z = rng.standard_normal(2 * self._re.size)
-        w = complex_normal(z[self._re], z[self._im])
-        zb = w[:km].reshape(k_users, m)
-        g_unit = self._mu_g + (self._L_g @ w[km:km + kn].reshape(k_users, n, 1))[:, :, 0]
-        a_unit = self._mu_a + w[km + kn:].reshape(m, n) @ self._L_a.T  # rows independent
+        if normals is None:
+            normals = rng.standard_normal(self.n_normals)
+        lead = normals.shape[:-1]
+        w = complex_normal(normals[..., self._re], normals[..., self._im])
+        zb = w[..., :km].reshape(*lead, k_users, m)
+        g_unit = self._mu_g + (self._L_g @ w[..., km:km + kn].reshape(*lead, k_users, n, 1))[..., 0]
+        a_unit = self._mu_a + w[..., km + kn:].reshape(*lead, m, n) @ self._L_a.T  # rows independent
 
         b = self._gain_b * zb
         g = self._gain_g * g_unit
         a_mat = self._gain_a * a_unit
 
         b_part = np.where(self._direct, zb, 0.0)
-        cascade = (a_unit[None, :, :] * g_unit[:, None, :]).reshape(k_users, m * n)
-        s = np.concatenate([b_part, cascade], axis=1)
+        cascade = (a_unit[..., None, :, :] * g_unit[..., :, None, :]).reshape(*lead, k_users, m * n)
+        s = np.concatenate([b_part, cascade], axis=-1)
         return ChannelRealization(b=b, g=g, A=a_mat, s=s)
 
     def sample_cascade(self, k: int, n_draws: int, rng: np.random.Generator) -> np.ndarray:

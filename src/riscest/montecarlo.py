@@ -6,12 +6,13 @@ so estimator comparisons are paired.  The per-trial random stream is derived
 from (base_seed, snr_index, trial_index) through numpy's SeedSequence, which
 makes every result independent of execution order and worker count.  The
 same triple shares the channel realization across group cells: each trial
-draws its realization and then one run of noise normals, from which every
-cell takes the prefix it needs.
+draws its channel normals and then a run of noise normals in one call, and
+every cell takes the prefix of the noise it needs.
 
-Trials are scored in fixed blocks of consecutive trial indices (see
-`SweepEngine`): synthesis, the split and every estimator's scoring run once
-per (cell, block) on stacked arrays, while the draws stay per trial.
+Trials run in fixed blocks of consecutive indices (see `SweepEngine`): one
+`ChannelSampler.sample` call builds a block's realizations, and synthesis, the
+split and every estimator's scoring run once per (cell, block), while the
+seeding and the draw call stay per trial.
 
 Trials run in the antenna domain: synthesis multiplies each user's
 (T, N+1) mixing block with its (N+1, M) target matrix, and each estimator
@@ -28,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, ChannelSampler, ChannelStatistics, stack_realizations
+from .channel import ChannelRealization, ChannelSampler, ChannelStatistics
 from .errors import ConfigurationError, NumericalError
 from .estimators import (
     AffineEstimator,
@@ -220,7 +221,7 @@ class _TrialBlock:
     key: tuple[int, int]  # (snr_index, block_index)
     lo: int  # first trial index
     realization: ChannelRealization  # stacked, leading axis over the block's trials
-    normals: np.ndarray  # (B, 2 T_max K M) noise normals per trial
+    normals: np.ndarray  # (B, 2 T_max K M) noise normals per trial, a view of the draws
     # group index -> ({kind: (B, K) squared errors}, (B, K, M*T) y_combined)
     cells: dict[int, tuple[dict[EstimatorKind, np.ndarray], np.ndarray]]
 
@@ -234,10 +235,11 @@ class SweepEngine:
 
     Trials are scored in blocks of B = `block_size` consecutive indices,
     block b covering trials [b*B, (b+1)*B), so the partition never depends on
-    the worker count.  Each trial keeps its own stream: `trial_rng` draws its
-    realization and then 2*T_max*K*M noise normals, T_max being the largest T
-    over the group cells; a cell with T takes the first 2*T*K*M of them, as a
-    lone `synthesize_received(realization, ..., rng)` would draw.  The first
+    the worker count.  Each trial keeps its own stream: `trial_rng` draws the
+    sampler's `n_normals` and 2*T_max*K*M noise normals in one call, T_max
+    being the largest T over the group cells, and one `sample` call builds the
+    block.  A cell with T takes the first 2*T*K*M noise normals, as a lone
+    `synthesize_received(realization, ..., rng)` would draw.  The first
     `run_cell_trial` of a cell in a block synthesizes, splits and scores the
     whole block at once; the group cells share its realizations.  Only the
     block served last is kept, with its cells' scores.  Calls may come in any
@@ -279,7 +281,7 @@ class SweepEngine:
         return np.random.default_rng(seq)
 
     def _block_of(self, snr_index: int, trial_index: int) -> _TrialBlock:
-        """The block holding the trial, drawn trial by trial when it is not the one kept."""
+        """The block holding the trial, drawn (one call per trial) when it is not the one kept."""
         if not 0 <= trial_index < self.config.n_trials:
             raise IndexError(f"trial {trial_index} outside 0..{self.config.n_trials - 1}")
         key = (snr_index, trial_index // self.block_size)
@@ -287,12 +289,12 @@ class SweepEngine:
             self._block = None  # before the next block is drawn, so two never coexist
             lo = key[1] * self.block_size
             trials = range(lo, min(lo + self.block_size, self.config.n_trials))
-            draws, normals = [], np.empty((len(trials), self._noise_size))
+            n_channel = self.sampler.n_normals
+            normals = np.empty((len(trials), n_channel + self._noise_size))
             for j, trial in enumerate(trials):
-                rng = self.trial_rng(snr_index, trial)
-                draws.append(self.sampler.sample(rng))
-                rng.standard_normal(out=normals[j])
-            self._block = _TrialBlock(key, lo, stack_realizations(draws), normals, {})
+                self.trial_rng(snr_index, trial).standard_normal(out=normals[j])
+            realization = self.sampler.sample(normals=normals)
+            self._block = _TrialBlock(key, lo, realization, normals[:, n_channel:], {})
         return self._block
 
     def _score_block(

@@ -109,6 +109,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _power(text: str, offset_db: float = 0.0) -> float:
+    """A dB entry as the power 10**((x - offset_db)/10), which must be finite and positive."""
+    try:
+        power = db_to_linear(_finite(text) - offset_db)
+    except OverflowError:
+        power = np.inf
+    if not 0.0 < power < np.inf:
+        raise ValueError(f"{text} is not finite and positive as a linear power")
+    return power
+
+
 def _parse_vector(text: str) -> np.ndarray:
     return np.array([_finite(tok) for tok in text.replace(",", " ").split()])
 
@@ -162,18 +173,18 @@ def scenario_from_config(parser: configparser.ConfigParser) -> Scenario:
     if eta.size == 1:
         eta = np.full(geometry.n_users + 1, eta[0])
     fading = FadingParams(
-        kappa_a=db_to_linear(_get(sc, "kappa_a_db", _finite, -20.0)),
-        kappa_g=db_to_linear(_get(sc, "kappa_g_db", _finite, 3.0)),
+        kappa_a=_get(sc, "kappa_a_db", _power, db_to_linear(-20.0)),
+        kappa_g=_get(sc, "kappa_g_db", _power, db_to_linear(3.0)),
         alpha_a=_get(sc, "alpha_a", _finite, 2.5),
         alpha_g=_get(sc, "alpha_g", _finite, 2.2),
         alpha_b=_get(sc, "alpha_b", _finite, 3.0),
-        rho_0=db_to_linear(_get(sc, "rho_0_db", _finite, -30.0)),
+        rho_0=_get(sc, "rho_0_db", _power, db_to_linear(-30.0)),
         eta=eta,
         direct_blocked=_get(sc, "direct_blocked", _parse_bool, True),
     )
     return Scenario(
         geometry=geometry, fading=fading,
-        sigma_w2=dbm_to_watts(_get(sc, "noise_dbm", _finite, -89.0)),
+        sigma_w2=_get(sc, "noise_dbm", lambda x: _power(x, 30.0), dbm_to_watts(-89.0)),
         psi=_get(sc, "psi", _finite, np.pi / 3),
         name=_get(sc, "name", str, "config"),
     )

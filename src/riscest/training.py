@@ -220,8 +220,8 @@ def synthesize_received(
     rebuilding it in tight loops.  Noise is drawn once, so every estimator
     consuming this set sees identical observations.
 
-    The realization may carry leading trial axes (`channel.stack_realizations`);
-    so do the outputs.  With n = T*K*M, the noise takes its real parts from
+    The realization may carry leading trial axes (`ChannelSampler.sample` with
+    stacked normals); so do the outputs.  With n = T*K*M, the noise takes its real parts from
     normals[..., :n] and its imaginary parts from normals[..., n:2n]; normals
     may be longer, and when it is None, 2n standard normals per trial are drawn
     from rng, which is the stream of `_crandn(rng, (T, K, M))`.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from riscest.channel import (
     path_loss,
     psd_factor,
     ris_steering_vector,
-    stack_realizations,
     target_vector,
     _crandn,
 )
@@ -291,14 +291,29 @@ class TestSampling:
         np.testing.assert_array_equal(target_vector(real.S), real.s)
 
     def test_stacked_targets_match_per_trial(self):
-        # three trials, so the leading axis matches neither M = 4 nor K = 2
-        stats = desk_scenario().statistics()
-        sampler = ChannelSampler(stats)
-        draws = [sampler.sample(np.random.default_rng(seed)) for seed in range(3)]
-        stacked = stack_realizations(draws)
-        assert stacked.S.shape == (3, stats.n_users, stats.n_elements + 1, stats.m_antennas)
-        for j, real in enumerate(draws):
-            np.testing.assert_array_equal(stacked.S[j], real.S)
+        desk = desk_scenario()
+        unblocked = dataclasses.replace(desk.fading, direct_blocked=False)
+        single = dataclasses.replace(desk.geometry, m_antennas=1)
+        scenarios = {
+            "blocked": desk,
+            "unblocked": dataclasses.replace(desk, fading=unblocked),
+            "single-antenna": dataclasses.replace(desk, geometry=single),
+        }
+        for name, scenario in scenarios.items():
+            stats = scenario.statistics()
+            sampler = ChannelSampler(stats)
+            assert (stats.rho_b > 0).all() == (name == "unblocked"), name
+            # three trials, so the leading axis matches neither M nor K; each row
+            # is longer than one realization, as a trial's noise follows its channel
+            size = sampler.n_normals + 7
+            rows = np.stack([np.random.default_rng(seed).standard_normal(size) for seed in range(3)])
+            stacked = sampler.sample(normals=rows)
+            assert stacked.S.shape == (3, stats.n_users, stats.n_elements + 1, stats.m_antennas)
+            for seed in range(3):
+                real = sampler.sample(np.random.default_rng(seed))
+                for field in ("b", "g", "A", "s", "S"):
+                    got = getattr(stacked, field)[seed]
+                    assert np.array_equal(got, getattr(real, field)), (name, seed, field)
 
     def test_deterministic_per_seed(self):
         stats = desk_scenario().statistics()

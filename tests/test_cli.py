@@ -123,6 +123,9 @@ class TestConfigParsing:
         ("noise_dbm", "nan"), ("psi", "inf"), ("kappa_a_db", "inf"), ("kappa_g_db", "-inf"),
         ("alpha_a", "nan"), ("wavelength", "inf"), ("eta", "0.9 nan 0.9 0.9 0.9"),
         ("bs_position", "0 0 nan"), ("ue_positions", "-8 44 5; inf 42 5; 6 42 5; 8 44 5"),
+        # finite in dB, but the linear power overflows, or underflows to zero watts
+        ("kappa_a_db", "1e308"), ("rho_0_db", "1e308"), ("noise_dbm", "1e308"),
+        ("noise_dbm", "-1e308"),
     ])
     def test_non_finite_scenario_value_is_usage_error(self, key, value, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -249,17 +249,26 @@ class TestRunSweep:
         np.testing.assert_equal(fields(pooled), fields(serial))
 
     def test_draws_each_realization_once_per_snr_and_trial(self, monkeypatch):
-        calls = []
-        original = ChannelSampler.sample
+        seeded, sampled = [], []
+        trial_rng, sample = SweepEngine.trial_rng, ChannelSampler.sample
 
-        def counting(self, rng):
-            calls.append(1)
-            return original(self, rng)
+        def counting_rng(self, snr_index, trial_index):
+            seeded.append((snr_index, trial_index))
+            return trial_rng(self, snr_index, trial_index)
 
-        monkeypatch.setattr(ChannelSampler, "sample", counting)
+        def counting_sample(self, rng=None, normals=None):
+            sampled.append(1 if normals is None else int(np.prod(normals.shape[:-1])))
+            return sample(self, rng, normals)
+
+        monkeypatch.setattr(SweepEngine, "trial_rng", counting_rng)
+        monkeypatch.setattr(ChannelSampler, "sample", counting_sample)
         cfg = desk_config(n_trials=7, snr_db=(0.0, 20.0), n_groups=(4, 16))
         run_sweep(cfg)
-        assert len(calls) == len(cfg.snr_db) * cfg.n_trials
+        n_draws = len(cfg.snr_db) * cfg.n_trials
+        # every (SNR, trial) is seeded once and its realization drawn once,
+        # so both group cells read the same draw
+        assert len(seeded) == len(set(seeded)) == n_draws
+        assert sum(sampled) == n_draws
 
     def test_stderr_shrinks_with_sqrt_trials(self):
         cfg_a = desk_config(
