@@ -8,23 +8,24 @@ group aggregates under the true correlation and then infers the full target
 from them.
 
 Every estimator is affine in the observation, so each carries a precomputed
-filter matrix plus its exact error covariance evaluated under the true
-moments; error covariances use the stabilized (sum-of-PSD-terms) arrangement
-to stay accurate at very high transmit power.
+filter matrix plus its exact error trace under the true moments.  Error
+statistics use the stabilized (sum-of-PSD-terms) arrangement to stay
+accurate at very high transmit power; the trace is its diagonal sum, formed
+when the estimator is built, and the error covariance is formed only when
+read.
 
 Each filter function runs on the blocks of its moment set
 (`MomentSet.blocks`): the aligned block plus the orthogonal block standing
 for M-1 copies for the antenna-domain set `build_moments` returns, and one
-block for a hand-built dense set.
-An estimator keeps its per-block filters and error covariances; traces add
-up over the blocks with their multiplicities.  Trials apply the per-block
-filters to the split observation [Y P; Y (I - P)] (`moments.split_observation`)
-and compare with the (N+1)-by-M target matrix (`ChannelRealization.S`), so
-no dense filter is formed;
-the dense filter and error covariance are assembled from the blocks only
-when read.  Every pseudo-inverse cutoff is relative to the largest
-eigenvalue over all blocks, i.e. of the whole block-diagonal matrix, so both
-forms keep the same spectra.
+block for a hand-built dense set.  An estimator keeps its per-block filters
+and the moment set they were built from; traces add up over the blocks with
+their multiplicities.  Trials apply the per-block filters to the split
+observation [Y P; Y (I - P)] (`moments.split_observation`) and compare with
+the (N+1)-by-M target matrix (`ChannelRealization.S`), so no dense filter is
+formed.  The per-block error covariances, and the dense filter and error
+covariance assembled from the blocks, are formed only when read.  Every
+pseudo-inverse cutoff is relative to the largest eigenvalue over all blocks,
+i.e. of the whole block-diagonal matrix, so both forms keep the same spectra.
 """
 
 from __future__ import annotations
@@ -69,30 +70,39 @@ GROUPED_KINDS = frozenset(
 class AffineEstimator:
     """Precomputed affine rule s_hat = mean_s + W (y - mean_y) (or W y raw).
 
-    error_cov / mse_trace / nmse are the exact second-order error statistics
-    of this rule under the true observation moments; nmse_floor, when set, is
-    the infinite-power limit.  w_blocks and error_blocks are the per-block
-    filters and error covariances of the moment set whose antenna factor is
-    r (None for a dense set).  The rule runs on a split observation X
-    (`split_observation`) as S_hat = offset + H X with H = [W_0, W_1], giving
-    the target matrix (one column for a dense set); the dense W and
-    error_cov are assembled only on read.
+    mse_trace / nmse are the exact second-order error statistics of this
+    rule under the true observation moments, and error_cov the matching
+    error covariance; nmse_floor, when set, is the infinite-power limit.
+    w_blocks are the per-block filters of the true moment set `moments`,
+    whose antenna factor is r (None for a dense set).  The rule runs on a
+    split observation X (`split_observation`) as S_hat = offset + H X with
+    H = [W_0, W_1], giving the target matrix (one column for a dense set).
+    The per-block error_blocks, the dense W and error_cov are formed on
+    first read.
     """
 
     kind: EstimatorKind
     w_blocks: tuple[np.ndarray, ...]
     innovation: bool  # False: raw-linear rule W y with no mean terms
-    error_blocks: tuple[np.ndarray, ...]
-    r: np.ndarray | None
+    moments: MomentSet | AntennaMomentSet
     offset: np.ndarray | float  # split(mean_s) - H split(mean_y), 0 for the raw rule
     mse_trace: float
     nmse: float
     nmse_floor: float | None = None
     degenerate: bool = False
 
+    @property
+    def r(self) -> np.ndarray | None:
+        return self.moments.r
+
     @cached_property
     def W(self) -> np.ndarray:
         return combine_blocks(self.r, self.w_blocks, "s", "y")
+
+    @cached_property
+    def error_blocks(self) -> tuple[np.ndarray, ...]:
+        blocks = [b for b, _ in self.moments.blocks]
+        return tuple(_error_cov(w, b, self.innovation) for b, w in zip(blocks, self.w_blocks))
 
     @cached_property
     def error_cov(self) -> np.ndarray:
@@ -164,24 +174,43 @@ def _solve_cyy(cov_yy: np.ndarray, rhs: np.ndarray, noise_floor: float = 0.0) ->
     return np.linalg.solve(cov_yy, rhs)
 
 
-def _stabilized_error_cov(
-    w_full: np.ndarray, m: MomentSet, bias: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Error covariance of an affine rule with innovation filter w_full.
+def _error_terms(
+    w: np.ndarray, b: MomentSet, innovation: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """A = I - sqrt(rho) W Z, and the raw-linear rule's deterministic bias A E[s]."""
+    sqrt_rho = np.sqrt(b.rho)
+    a = np.eye(b.cov_ss.shape[0]) - sqrt_rho * (w @ b.Z)
+    bias = None if innovation else b.mean_s - sqrt_rho * (w @ b.z_mean)
+    return a, bias
+
+
+def _error_trace(w: np.ndarray, b: MomentSet, innovation: bool) -> float:
+    """Trace of `_error_cov`, summed from the diagonals of its PSD terms.
+
+    Re sum (A C_ss) (.) conj(A) + K sigma^2 ||W||_F^2 + ||bias||^2, which
+    forms no covariance.
+    """
+    a, bias = _error_terms(w, b, innovation)
+    trace = np.vdot(a, a @ b.cov_ss).real + b.n_users * b.sigma_w2 * np.vdot(w, w).real
+    if bias is not None:
+        trace += np.vdot(bias, bias).real
+    return float(trace)
+
+
+def _error_cov(w: np.ndarray, b: MomentSet, innovation: bool) -> np.ndarray:
+    """Error covariance of the affine rule with filter w on block b.
 
     Computed as A C_ss A^H + K sigma^2 W W^H with A = I - sqrt(rho) W Z,
     which is a sum of PSD terms and therefore immune to the cancellation the
-    direct prior-minus-reduction form suffers at high power.  A deterministic
-    bias adds a rank-one term.
+    direct prior-minus-reduction form suffers at high power.  The raw-linear
+    rule's deterministic bias adds a rank-one term.
     """
-    n_s = m.cov_ss.shape[0]
-    a = np.eye(n_s) - np.sqrt(m.rho) * (w_full @ m.Z)
-    cov = a @ m.cov_ss @ a.conj().T
-    cov += m.n_users * m.sigma_w2 * (w_full @ w_full.conj().T)
+    a, bias = _error_terms(w, b, innovation)
+    cov = a @ b.cov_ss @ a.conj().T
+    cov += b.n_users * b.sigma_w2 * (w @ w.conj().T)
     if bias is not None:
         cov += np.outer(bias, bias.conj())
-    cov = 0.5 * (cov + cov.conj().T)
-    return cov, float(np.trace(cov).real)
+    return 0.5 * (cov + cov.conj().T)
 
 
 def _finalize(
@@ -194,20 +223,16 @@ def _finalize(
 ) -> AffineEstimator:
     """Estimator from the per-block filters ws of m.
 
-    With c = mean_s_0 - W_0 mean_y_0 on the first block, the offset is the
+    The error trace is summed over the blocks with their multiplicities
+    (`_error_trace`); no error covariance is formed here.  With
+    c = mean_s_0 - W_0 mean_y_0 on the first block, the offset is the
     column c for a dense set.  In the antenna form only the aligned block has
     a mean and split(mean_y) is [Y_bar; 0] with Y_bar = outer(mean_y_0, r)/sqrt(M),
     so the offset is outer(c, r)/sqrt(M).
     """
-    covs, trace = [], 0.0
+    trace = 0.0
     for (b, mult), w in zip(m.blocks, ws):
-        bias = None
-        if not innovation:
-            # raw-linear rule: the deterministic residual (I - sqrt(rho) W Z) E[s]
-            bias = b.mean_s - np.sqrt(b.rho) * (w @ (b.Z @ b.mean_s))
-        cov, block_trace = _stabilized_error_cov(w, b, bias)
-        covs.append(cov)
-        trace += mult * block_trace
+        trace += mult * _error_trace(w, b, innovation)
     offset = 0.0
     if innovation:
         b0, _ = m.blocks[0]
@@ -217,8 +242,7 @@ def _finalize(
         kind=kind,
         # C order: a solved filter's conjugate transpose is in F order
         w_blocks=tuple(np.ascontiguousarray(w) for w in ws),
-        innovation=innovation, error_blocks=tuple(covs),
-        r=m.r, offset=offset, mse_trace=trace,
+        innovation=innovation, moments=m, offset=offset, mse_trace=trace,
         nmse=trace / m.prior_trace, nmse_floor=floor, degenerate=degenerate,
     )
 
@@ -240,25 +264,30 @@ def conventional_lmmse_filter(
     return _finalize(EstimatorKind.LMMSE, ws, m, floor=floor)
 
 
-def _ls_pinv(z: np.ndarray, rho: float) -> tuple[np.ndarray, bool]:
-    """Minimum-norm LS filter for z, flagged degenerate when z is rank deficient.
+def _ls_pinv(b: MomentSet, grouped: bool) -> tuple[np.ndarray, bool]:
+    """Minimum-norm LS filter for b.Z (b.Z_G when grouped), flagged when rank deficient.
 
     trace(pinv(z) @ z) is the rank the pseudo-inverse kept; it falls short of
     the active (nonzero) column count exactly when an active column lies
     outside the row space of z.  Blocked columns add nothing to the trace.
     Every block of a moment set shares its z, so the cutoff relative to the
-    largest singular value is the dense matrix's.
+    largest singular value is the dense matrix's.  The power-free
+    pseudo-inverse is kept in b.ls_pinvs, which every power of b shares.
     """
-    pinv = np.linalg.pinv(z, rcond=PINV_RCOND)
-    kept_rank = np.einsum("ij,ji->", pinv, z).real
-    active = np.count_nonzero(np.any(z != 0, axis=0))
-    return pinv / np.sqrt(rho), bool(kept_rank < active - 0.5)
+    if grouped not in b.ls_pinvs:
+        z = b.Z_G if grouped else b.Z
+        pinv = np.linalg.pinv(z, rcond=PINV_RCOND)
+        kept_rank = np.einsum("ij,ji->", pinv, z).real
+        active = np.count_nonzero(np.any(z != 0, axis=0))
+        b.ls_pinvs[grouped] = pinv, bool(kept_rank < active - 0.5)
+    pinv, degenerate = b.ls_pinvs[grouped]
+    return pinv / np.sqrt(b.rho), degenerate
 
 
 def conventional_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """Least squares on the raw observation; minimum-norm on blocked columns."""
     b, _ = m.blocks[0]
-    w, degenerate = _ls_pinv(b.Z, b.rho)
+    w, degenerate = _ls_pinv(b, grouped=False)
     return _finalize(
         EstimatorKind.LS, [w] * len(m.blocks), m, innovation=False, degenerate=degenerate
     )
@@ -271,7 +300,7 @@ def _expansion(b: MomentSet) -> np.ndarray:
 def grouping_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """LS of the group aggregates, expanded by equal division."""
     b, _ = m.blocks[0]
-    w_u, degenerate = _ls_pinv(b.Z_G, b.rho)
+    w_u, degenerate = _ls_pinv(b, grouped=True)
     w = _expansion(b) @ w_u
     return _finalize(EstimatorKind.GROUPING_LS, [w] * len(m.blocks), m, degenerate=degenerate)
 
@@ -361,11 +390,11 @@ def asymptotic_mse(m: MomentSet | AntennaMomentSet) -> float:
     appear in that limit.  The tiny negative traces produced by the cutoff
     are clamped to zero.
     """
-    qs, _ = hermitian_pinvs([_hermitize(b.Z @ b.cov_ss @ b.Z.conj().T) for b, _ in m.blocks])
+    qs, _ = hermitian_pinvs([_hermitize(b.z_cov_zh) for b, _ in m.blocks])
     fs, grams = [], []
     for (b, _), q in zip(m.blocks, qs):
         zg_cuu = b.Z_G @ b.cov_uu
-        fs.append(b.cov_ss @ b.Z.conj().T @ q @ zg_cuu)  # (n_s, n_u)
+        fs.append(b.cov_szh @ q @ zg_cuu)  # (n_s, n_u)
         grams.append(_hermitize(zg_cuu.conj().T @ q @ zg_cuu))
     gram_pinvs, _ = hermitian_pinvs(grams)
     reduction = sum(

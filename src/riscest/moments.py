@@ -20,11 +20,17 @@ form (`AntennaMomentSet`), which holds the two blocks and nothing dense;
 `combine_blocks` assembles any dense matrix from its per-block values.
 `observation_moments` builds the dense `MomentSet` directly and is the
 oracle the tests hold the antenna form to.
+
+Pilot power.  A moment set stores only power-free arrays: the prior, the
+observation matrices and their products with the prior.  The pilot power
+rho enters the observation moments as sqrt(rho) and rho, so `at_power`
+gives the set at another power by sharing every array, and the moments it
+derives are bit-identical to a fresh build at that power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,30 +44,56 @@ from .training import TrainingConfig, build_Z
 FACTOR_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class MomentSet:
-    """Everything a linear estimator needs for one user.
+    """Everything a linear estimator needs for one user at pilot power rho.
 
-    Shapes: mean_s (n_s,), cov_ss (n_s, n_s), cov_uu (n_u, n_u), mean_y
-    (n_y,), cov_sy (n_s, n_y), cov_uy (n_u, n_y), cov_yy (n_y, n_y) with
-    n_s = M(N+1), n_u = M(n_groups+1), n_y = M*T.  The observation matrices
-    and scalar context ride along for estimator construction.
+    The fields hold no pilot power.  Shapes: mean_s (n_s,), cov_ss (n_s,
+    n_s), cov_uu (n_u, n_u), Z (n_y, n_s), Z_G (n_y, n_u) and the products
+    z_mean = Z mean_s, cov_szh = cov_ss Z^H, cov_uzh = cov_uu Z_G^H and
+    z_cov_zh = Z cov_ss Z^H, with n_s = M(N+1), n_u = M(n_groups+1) and
+    n_y = M*T.  The observation moments mean_y, cov_sy, cov_uy and cov_yy
+    are formed from them on every read.  ls_pinvs holds the power-free LS
+    pseudo-inverses once an estimator has computed them; `at_power` shares
+    it, like every array, with the sets it derives.
     """
 
     mean_s: np.ndarray
     cov_ss: np.ndarray
     cov_uu: np.ndarray
-    mean_y: np.ndarray
-    cov_sy: np.ndarray
-    cov_uy: np.ndarray
-    cov_yy: np.ndarray
     Z: np.ndarray
     Z_G: np.ndarray
+    z_mean: np.ndarray
+    cov_szh: np.ndarray
+    cov_uzh: np.ndarray
+    z_cov_zh: np.ndarray
     rho: float
     sigma_w2: float
     n_users: int
     m_antennas: int
     n_groups: int
+    ls_pinvs: dict[bool, tuple[np.ndarray, bool]] = field(default_factory=dict, repr=False)
+
+    @property
+    def mean_y(self) -> np.ndarray:
+        return np.sqrt(self.rho) * self.z_mean
+
+    @property
+    def cov_sy(self) -> np.ndarray:
+        return np.sqrt(self.rho) * self.cov_szh
+
+    @property
+    def cov_uy(self) -> np.ndarray:
+        return np.sqrt(self.rho) * self.cov_uzh
+
+    @property
+    def cov_yy(self) -> np.ndarray:
+        n_y = self.z_cov_zh.shape[0]
+        return self.rho * self.z_cov_zh + self.n_users * self.sigma_w2 * np.eye(n_y)
+
+    def at_power(self, rho: float) -> MomentSet:
+        """The same user at pilot power rho, sharing every array with this set."""
+        return replace(self, rho=rho)
 
     @property
     def r(self) -> None:
@@ -149,6 +181,10 @@ class AntennaMomentSet:
     r: np.ndarray  # (M,) unit modulus, a_bar = outer(r, a_bar[0])
     aligned: MomentSet
     orthogonal: MomentSet
+
+    def at_power(self, rho: float) -> AntennaMomentSet:
+        """Both blocks at pilot power rho, sharing every array with this set."""
+        return AntennaMomentSet(self.r, self.aligned.at_power(rho), self.orthogonal.at_power(rho))
 
     @property
     def blocks(self) -> tuple[tuple[MomentSet, int], ...]:
@@ -297,18 +333,15 @@ def _complete(
     m_antennas: int,
     n_groups: int,
 ) -> MomentSet:
-    """Observation moments of a target with mean mu_s and prior c_ss seen through z_full."""
+    """Moments of a target with mean mu_s and prior c_ss seen through z_full at power rho_k."""
     c_uu = cov_uu(c_ss, m_antennas, n_groups)
-    sqrt_rho = np.sqrt(rho_k)
-    mean_y = sqrt_rho * (z_full @ mu_s)
-    cov_sy = sqrt_rho * (c_ss @ z_full.conj().T)
-    cov_uy_mat = sqrt_rho * (c_uu @ z_grouped.conj().T)
-    n_y = z_full.shape[0]
-    cov_yy = rho_k * (z_full @ c_ss @ z_full.conj().T) + n_users * sigma_w2 * np.eye(n_y)
     return MomentSet(
-        mean_s=mu_s, cov_ss=c_ss, cov_uu=c_uu, mean_y=mean_y,
-        cov_sy=cov_sy, cov_uy=cov_uy_mat, cov_yy=cov_yy,
-        Z=z_full, Z_G=z_grouped, rho=rho_k, sigma_w2=sigma_w2,
+        mean_s=mu_s, cov_ss=c_ss, cov_uu=c_uu, Z=z_full, Z_G=z_grouped,
+        z_mean=z_full @ mu_s,
+        cov_szh=c_ss @ z_full.conj().T,
+        cov_uzh=c_uu @ z_grouped.conj().T,
+        z_cov_zh=z_full @ c_ss @ z_full.conj().T,
+        rho=rho_k, sigma_w2=sigma_w2,
         n_users=n_users, m_antennas=m_antennas, n_groups=n_groups,
     )
 

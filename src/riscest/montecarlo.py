@@ -38,7 +38,7 @@ from .estimators import (
     asymptotic_mse,
     make_estimator,
 )
-from .moments import antenna_factor, build_moments, split_observation
+from .moments import AntennaMomentSet, antenna_factor, build_moments, split_observation
 from .scenario import Scenario
 from .training import (
     TrainingConfig,
@@ -157,18 +157,50 @@ class _CellBank:
         return self._stacked_z(grouped=True)
 
 
+@dataclass(eq=False)
+class _UserState:
+    """User k's power-free moments and floor at one group count.
+
+    Every SNR point derives its moment sets from these with `at_power`; the
+    block-ideal model is None unless grouping LMMSE is built, the floor None
+    unless LMMSE or correlated-grouping LMMSE is.
+    """
+
+    true: AntennaMomentSet
+    model: AntennaMomentSet | None
+    floor: float | None
+
+
+_FLOOR_KINDS = (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE)
+
+
+def _user_state(
+    stats: ChannelStatistics, k: int, tconfig: TrainingConfig, kinds: tuple[EstimatorKind, ...]
+) -> _UserState:
+    """User k's state, built at the power of tconfig with the sets the kinds need."""
+    m_true = build_moments(stats, k, tconfig)
+    m_model = None
+    if EstimatorKind.GROUPING_LMMSE in kinds:
+        m_model = build_moments(stats, k, tconfig, block_ideal=True)
+    floor = asymptotic_mse(m_true) if any(kind in kinds for kind in _FLOOR_KINDS) else None
+    return _UserState(m_true, m_model, floor)
+
+
 def build_cell_bank(
     stats: ChannelStatistics,
     sigma_w2: float,
     n_groups: int,
     rho: float,
     kinds: tuple[EstimatorKind, ...],
-    floors: dict[int, float],
+    states: dict[int, _UserState],
 ) -> _CellBank:
     """Training config, mixing blocks and per-user filters of one (G, power) cell.
 
-    floors maps user index to the power-independent floor for this group
-    count; it is filled on first use and shared by every power point.
+    states maps user index to that user's power-free moments and floor for
+    this group count (`_UserState`).  A missing user's state is built here,
+    at this cell's power; every power point then scales the state's moments
+    to its own pilot power, which gives the same bits as building them anew.
+    Only the per-point filter solves remain per cell.
     """
     tconfig = make_training_config(
         n_elements=stats.n_elements,
@@ -181,16 +213,13 @@ def build_cell_bank(
     filters: dict[EstimatorKind, list[AffineEstimator]] = {k: [] for k in kinds}
     prior_traces = np.empty(stats.n_users)
     for k in range(stats.n_users):
-        m_true = build_moments(stats, k, tconfig)
-        m_model = None
-        if EstimatorKind.GROUPING_LMMSE in kinds:
-            m_model = build_moments(stats, k, tconfig, block_ideal=True)
+        if k not in states:
+            states[k] = _user_state(stats, k, tconfig, kinds)
+        state, rho_k = states[k], float(tconfig.rho[k])
+        m_true = state.true.at_power(rho_k)
+        m_model = None if state.model is None else state.model.at_power(rho_k)
         for kind in kinds:
-            floor = None
-            if kind in (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE):
-                if k not in floors:
-                    floors[k] = asymptotic_mse(m_true)
-                floor = floors[k]
+            floor = state.floor if kind in _FLOOR_KINDS else None
             filters[kind].append(make_estimator(kind, m_true, m_model, floor=floor))
         prior_traces[k] = m_true.prior_trace
     return _CellBank(
@@ -230,8 +259,12 @@ class SweepEngine:
     """The one owner of cell banks; evaluates trials in fixed blocks.
 
     Only the banks of the SNR point served last are kept: asking for another
-    SNR point drops them, so memory does not grow with the grid.  Floors
-    depend on the group count alone and are kept for the engine's life.
+    SNR point drops them, so memory does not grow with the grid.  Each group
+    count keeps one power-free state (`_UserState` per user), built with its
+    first bank; every later bank of that group count derives its moment sets
+    and floors from it.  The state is dropped once the grid's last SNR point
+    is served, so a one-point grid keeps none, and memory grows with the
+    number of group counts only.
 
     Trials are scored in blocks of B = `block_size` consecutive indices,
     block b covering trials [b*B, (b+1)*B), so the partition never depends on
@@ -256,7 +289,7 @@ class SweepEngine:
         self._noise_size = 2 * (max(config.n_groups) + 1) * k * m
         self._snr_index: int | None = None  # the SNR point whose banks are kept
         self._banks: dict[int, _CellBank] = {}  # group index -> bank
-        self._floors: dict[int, dict[int, float]] = {}  # group index -> user -> floor
+        self._states: dict[int, dict[int, _UserState]] = {}  # group index -> user -> state
         self._block: _TrialBlock | None = None
 
     @cached_property
@@ -272,8 +305,10 @@ class SweepEngine:
             self._banks[group_index] = build_cell_bank(
                 self.stats, cfg.scenario.sigma_w2, cfg.n_groups[group_index],
                 received_snr_to_power(cfg.snr_db[snr_index], self.stats, cfg.scenario.sigma_w2),
-                cfg.estimators, self._floors.setdefault(group_index, {}),
+                cfg.estimators, self._states.setdefault(group_index, {}),
             )
+            if snr_index == len(cfg.snr_db) - 1:
+                del self._states[group_index]  # no later point of the grid reads it
         return self._banks[group_index]
 
     def trial_rng(self, snr_index: int, trial_index: int) -> np.random.Generator:

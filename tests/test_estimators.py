@@ -41,12 +41,12 @@ def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
     cov = np.array([[c + 0j]])
     z_mat = np.array([[z]])
     return MomentSet(
-        mean_s=np.zeros(1, complex), cov_ss=cov, cov_uu=cov,
-        mean_y=np.zeros(1, complex),
-        cov_sy=np.sqrt(rho) * cov @ z_mat.conj().T,
-        cov_uy=np.sqrt(rho) * cov @ z_mat.conj().T,
-        cov_yy=rho * np.abs(z) ** 2 * cov + sigma2 * np.eye(1),
-        Z=z_mat, Z_G=z_mat, rho=rho, sigma_w2=sigma2, n_users=1,
+        mean_s=np.zeros(1, complex), cov_ss=cov, cov_uu=cov, Z=z_mat, Z_G=z_mat,
+        z_mean=np.zeros(1, complex),
+        cov_szh=cov @ z_mat.conj().T,
+        cov_uzh=cov @ z_mat.conj().T,
+        z_cov_zh=np.abs(z) ** 2 * cov,
+        rho=rho, sigma_w2=sigma2, n_users=1,
         m_antennas=1, n_groups=1,
     )
 
@@ -54,12 +54,12 @@ def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
 def linear_moments(cov, z_mat, rho, sigma2):
     """Zero-mean target with covariance cov seen through z_mat, for the ungrouped kinds."""
     n_y, n_s = z_mat.shape
-    cov_sy = np.sqrt(rho) * cov @ z_mat.conj().T
+    cov_szh = cov @ z_mat.conj().T
     return MomentSet(
-        mean_s=np.zeros(n_s, complex), cov_ss=cov, cov_uu=cov,
-        mean_y=np.zeros(n_y, complex), cov_sy=cov_sy, cov_uy=cov_sy,
-        cov_yy=rho * z_mat @ cov @ z_mat.conj().T + sigma2 * np.eye(n_y),
-        Z=z_mat, Z_G=z_mat, rho=rho, sigma_w2=sigma2, n_users=1,
+        mean_s=np.zeros(n_s, complex), cov_ss=cov, cov_uu=cov, Z=z_mat, Z_G=z_mat,
+        z_mean=np.zeros(n_y, complex), cov_szh=cov_szh, cov_uzh=cov_szh,
+        z_cov_zh=z_mat @ cov @ z_mat.conj().T,
+        rho=rho, sigma_w2=sigma2, n_users=1,
         m_antennas=1, n_groups=1,
     )
 

@@ -1,14 +1,16 @@
 import dataclasses
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from riscest import cli
 from riscest.channel import ChannelSampler
 from riscest.errors import ConfigurationError, NumericalError
-from riscest.estimators import AffineEstimator, EstimatorKind
-from riscest.moments import split_observation
+from riscest.estimators import AffineEstimator, EstimatorKind, make_estimator
+from riscest.moments import build_moments, split_observation
 from riscest.montecarlo import (
     SweepConfig,
     SweepEngine,
@@ -17,10 +19,11 @@ from riscest.montecarlo import (
     received_snr_to_power,
     run_sweep,
 )
-from riscest.scenario import desk_scenario
-from riscest.training import synthesize_received
+from riscest.scenario import default_scenario, desk_scenario
+from riscest.training import make_training_config, synthesize_received
 
 
+DESK_INI = Path(__file__).resolve().parents[1] / "perfbench" / "desk.ini"
 ALL_KINDS = tuple(EstimatorKind)
 GROUPED = (
     EstimatorKind.GROUPING_LS,
@@ -190,15 +193,63 @@ def test_bank_assembles_dense_arrays_only_when_read(n_groups):
     bank = build_cell_bank(stats, scenario.sigma_w2, n_groups, rho, ALL_KINDS, {})
     filters = [f for per_user in bank.filters.values() for f in per_user]
     assert len(filters) == stats.n_users * len(applicable_kinds(ALL_KINDS, n_groups, 16))
+    lazy = ("W", "error_blocks", "error_cov")
     for f in filters:
-        assert "W" not in vars(f) and "error_cov" not in vars(f), f.kind
+        assert not set(lazy) & set(vars(f)), f.kind
     for f in filters:
         assert f.W.flags.c_contiguous, f.kind
     engine = SweepEngine(desk_config(snr_db=(20.0,), n_groups=(n_groups,)))
     engine.run_cell_trial(0, 0, 0)
     for per_user in engine.bank(0, 0).filters.values():
         for f in per_user:
-            assert "W" not in vars(f) and "error_cov" not in vars(f), f.kind
+            assert not set(lazy) & set(vars(f)), f.kind
+
+
+MOMENT_FIELDS = ("mean_s", "cov_ss", "cov_uu", "mean_y", "cov_sy", "cov_uy", "cov_yy", "Z", "Z_G")
+
+
+@pytest.mark.parametrize(
+    "make_scenario, n_groups", [(desk_scenario, (4, 16)), (default_scenario, (16, 64))]
+)
+def test_engine_derives_the_moments_and_filters_of_a_fresh_build(make_scenario, n_groups):
+    """Every SNR point's moments and LS filters equal a fresh build's bit for bit."""
+    scenario = make_scenario()
+    cfg = SweepConfig(
+        scenario=scenario, estimators=ALL_KINDS, snr_db=(-10.0, 20.0, 50.0),
+        n_trials=1, n_groups=n_groups, base_seed=0,
+    )
+    engine = SweepEngine(cfg)
+    stats = engine.stats
+    for gi, g in enumerate(n_groups):
+        states = None
+        for si, snr in enumerate(cfg.snr_db):
+            bank = engine.bank(gi, si)
+            states = engine._states[gi] if states is None else states
+            rho = received_snr_to_power(snr, stats, scenario.sigma_w2)
+            tc = make_training_config(
+                stats.n_elements, stats.n_users, n_groups=g, rho=rho, sigma_w2=scenario.sigma_w2,
+            )
+            for k in range(stats.n_users):
+                rho_k = float(tc.rho[k])
+                derived = {
+                    False: bank.filters[EstimatorKind.GROUPING_LS][k].moments,
+                    True: states[k].model.at_power(rho_k),
+                }
+                for ideal, m in derived.items():
+                    fresh = build_moments(stats, k, tc, block_ideal=ideal)
+                    for (b, _), (want, _) in zip(m.blocks, fresh.blocks, strict=True):
+                        assert b.rho == want.rho
+                        for field in MOMENT_FIELDS:
+                            assert np.array_equal(getattr(b, field), getattr(want, field)), field
+                for kind in (EstimatorKind.LS, EstimatorKind.GROUPING_LS):
+                    if kind not in bank.filters:
+                        continue
+                    want = make_estimator(kind, build_moments(stats, k, tc))
+                    pairs = zip(bank.filters[kind][k].w_blocks, want.w_blocks, strict=True)
+                    assert all(np.array_equal(a, b) for a, b in pairs), kind
+                for kind, per_user in bank.filters.items():
+                    trace = np.trace(per_user[k].error_cov).real
+                    assert per_user[k].mse_trace == pytest.approx(trace, rel=1e-12), kind
 
 
 class TestRunSweep:
@@ -325,6 +376,64 @@ class TestBankLifetime:
         engine.bank(0, 1)
         gc.collect()
         assert first() is None
+
+    @pytest.mark.parametrize(
+        "estimators, per_user",
+        [(None, 2), ((EstimatorKind.GROUPING_LS, EstimatorKind.CORRELATED_GROUPING_LMMSE), 1)],
+    )
+    def test_theory_walk_builds_moments_once_per_group_count(
+        self, monkeypatch, tmp_path, estimators, per_user
+    ):
+        """2 sets per user and group count with grouping LMMSE (true and block-ideal), else 1."""
+        groups = []
+
+        def counting(stats, k, config, block_ideal=False):
+            groups.append(config.n_groups)
+            return build_moments(stats, k, config, block_ideal=block_ideal)
+
+        monkeypatch.setattr("riscest.montecarlo.build_moments", counting)
+        argv = ["theory", "--config", str(DESK_INI), "--groups", "4", "16",
+                "--snr-step-db", "5", "--out", str(tmp_path / "theory.csv")]
+        if estimators:
+            argv += ["--estimators", *(kind.value for kind in estimators)]
+        assert cli.main(argv) == 0
+        n_users = desk_scenario().geometry.n_users
+        assert sorted(groups) == [4] * per_user * n_users + [16] * per_user * n_users
+
+    def test_state_dropped_after_the_last_snr_point(self):
+        engine = SweepEngine(desk_config(snr_db=(0.0, 10.0, 20.0), n_groups=(4, 16)))
+        engine.bank(0, 0)
+        states = [weakref.ref(state) for state in engine._states[0].values()]
+        assert len(states) == engine.stats.n_users
+        engine.bank(0, 1)
+        gc.collect()
+        assert all(ref() is not None for ref in states)
+        assert list(engine._states[0].values()) == [ref() for ref in states]
+        engine.bank(0, 2)
+        gc.collect()
+        assert all(ref() is None for ref in states)
+        assert engine._states == {}
+
+    def test_one_point_grid_keeps_no_state(self):
+        engine = SweepEngine(desk_config(snr_db=(20.0,), n_groups=(4, 16)))
+        for gi in range(2):
+            engine.bank(gi, 0)
+        assert engine._states == {}
+
+    def test_error_covariances_formed_only_when_read(self):
+        cfg = desk_config(snr_db=(0.0, 10.0, 20.0), n_groups=(4, 16))
+        engine = SweepEngine(cfg)
+        filters = []
+        for gi in range(len(cfg.n_groups)):
+            for si in range(len(cfg.snr_db)):
+                filters += [f for fs in engine.bank(gi, si).filters.values() for f in fs]
+        for f in filters:
+            assert "error_blocks" not in vars(f) and "error_cov" not in vars(f), f.kind
+        for f in filters:
+            blocks = zip(f.error_blocks, f.moments.blocks, strict=True)
+            traces = [mult * np.trace(c).real for c, (_, mult) in blocks]
+            assert sum(traces) == pytest.approx(f.mse_trace, rel=1e-12), f.kind
+            assert np.trace(f.error_cov).real == pytest.approx(f.mse_trace, rel=1e-12), f.kind
 
     def test_serial_sweep_builds_each_cell_once(self, monkeypatch):
         calls = self.count_builds(monkeypatch)
