@@ -8,11 +8,13 @@ group aggregates under the true correlation and then infers the full target
 from them.
 
 Every estimator is affine in the observation, so each carries a precomputed
-filter matrix plus its exact error trace under the true moments.  Error
-statistics use the stabilized (sum-of-PSD-terms) arrangement to stay
-accurate at very high transmit power; the trace is its diagonal sum, formed
-when the estimator is built, and the error covariance is formed only when
-read.
+filter matrix plus its exact error trace under the true moments.  Pilot
+power enters only through eps = K sigma^2 / rho: every filter is
+W = V(eps) / sqrt(rho), with V built from one cached eigendecomposition of
+Q = Z C Z^H per block, so no system is solved.  Error statistics use the
+stabilized (sum-of-PSD-terms) arrangement in V and eps to stay accurate at
+very high transmit power, and the power floor is the same trace at eps = 0;
+the trace is formed when the estimator is built, the covariance on read.
 
 Each filter function runs on the blocks of its moment set
 (`MomentSet.blocks`): the aligned block plus the orthogonal block standing
@@ -78,7 +80,8 @@ class AffineEstimator:
     split observation X (`split_observation`) as S_hat = offset + H X with
     H = [W_0, W_1], giving the target matrix (one column for a dense set).
     The per-block error_blocks, the dense W and error_cov are formed on
-    first read.
+    first read.  Each W_i is V_i(eps) / sqrt(rho) for the power-free rule V_i
+    (module docstring), and the error terms are formed in V and eps.
     """
 
     kind: EstimatorKind
@@ -152,46 +155,48 @@ def hermitian_pinvs(
     return pinvs, clipped
 
 
-def _solve_cyy(cov_yy: np.ndarray, rhs: np.ndarray, noise_floor: float = 0.0) -> np.ndarray:
-    """Solve cov_yy @ x = rhs for a Hermitian positive definite cov_yy.
+def _eps(b: MomentSet) -> float:
+    """eps = K sigma^2 / rho, the one place pilot power enters a rule."""
+    return b.n_users * b.sigma_w2 / b.rho
 
-    At extreme transmit power the eigenvalue spread can push the Cholesky
-    factorization past float64; since the observation covariance is bounded
-    below by the combined noise level, the fallback clamps the spectrum at
-    that floor instead of failing.
+
+def _spectrum(b: MomentSet) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, U) of Q = Z C Z^H, kept in b.power_free, which every power of b shares.
+
+    lambda is clamped at 0, as C_yy = rho Q + K sigma^2 I is bounded below by the noise.
     """
-    try:
-        np.linalg.cholesky(cov_yy)  # the positive-definiteness test
-    except np.linalg.LinAlgError as exc:
-        if noise_floor <= 0.0:
-            raise NumericalError(
-                "observation covariance is singular (zero noise with a "
-                "rank-deficient mixing matrix?)"
-            ) from exc
-        eigvals, eigvecs = np.linalg.eigh(cov_yy)
-        eigvals = np.clip(eigvals, noise_floor, None)
-        return eigvecs @ ((eigvecs.conj().T @ rhs) / eigvals[:, None])
-    return np.linalg.solve(cov_yy, rhs)
+    if "spectrum" not in b.power_free:
+        lam, u = np.linalg.eigh(_hermitize(b.z_cov_zh))
+        b.power_free["spectrum"] = np.clip(lam, 0.0, None), u
+    return b.power_free["spectrum"]
+
+
+def _inverse_spectra(m: MomentSet | AntennaMomentSet) -> list[np.ndarray]:
+    """The diagonal of D = (diag(lambda) + eps I)^-1 for each block of m, at m's eps."""
+    eps = _eps(m.blocks[0][0])
+    lams = [_spectrum(b)[0] for b, _ in m.blocks]
+    if eps == 0 and min(lam[0] for lam in lams) <= 0:
+        raise NumericalError("observation covariance is singular (zero noise with a singular Q)")
+    return [1.0 / (lam + eps) for lam in lams]
 
 
 def _error_terms(
-    w: np.ndarray, b: MomentSet, innovation: bool
+    v: np.ndarray, b: MomentSet, innovation: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """A = I - sqrt(rho) W Z, and the raw-linear rule's deterministic bias A E[s]."""
-    sqrt_rho = np.sqrt(b.rho)
-    a = np.eye(b.cov_ss.shape[0]) - sqrt_rho * (w @ b.Z)
-    bias = None if innovation else b.mean_s - sqrt_rho * (w @ b.z_mean)
+    """A = I - V Z, and the raw-linear rule's deterministic bias A E[s]."""
+    a = np.eye(b.cov_ss.shape[0]) - v @ b.Z
+    bias = None if innovation else b.mean_s - v @ b.z_mean
     return a, bias
 
 
-def _error_trace(w: np.ndarray, b: MomentSet, innovation: bool) -> float:
+def _error_trace(v: np.ndarray, b: MomentSet, eps: float, innovation: bool) -> float:
     """Trace of `_error_cov`, summed from the diagonals of its PSD terms.
 
-    Re sum (A C_ss) (.) conj(A) + K sigma^2 ||W||_F^2 + ||bias||^2, which
-    forms no covariance.
+    Re sum (A C_ss) (.) conj(A) + eps ||V||_F^2 + ||bias||^2, which forms no
+    covariance.
     """
-    a, bias = _error_terms(w, b, innovation)
-    trace = np.vdot(a, a @ b.cov_ss).real + b.n_users * b.sigma_w2 * np.vdot(w, w).real
+    a, bias = _error_terms(v, b, innovation)
+    trace = np.vdot(a, a @ b.cov_ss).real + eps * np.vdot(v, v).real
     if bias is not None:
         trace += np.vdot(bias, bias).real
     return float(trace)
@@ -200,14 +205,15 @@ def _error_trace(w: np.ndarray, b: MomentSet, innovation: bool) -> float:
 def _error_cov(w: np.ndarray, b: MomentSet, innovation: bool) -> np.ndarray:
     """Error covariance of the affine rule with filter w on block b.
 
-    Computed as A C_ss A^H + K sigma^2 W W^H with A = I - sqrt(rho) W Z,
+    Computed as A C_ss A^H + eps V V^H with V = sqrt(rho) W and A = I - V Z,
     which is a sum of PSD terms and therefore immune to the cancellation the
     direct prior-minus-reduction form suffers at high power.  The raw-linear
     rule's deterministic bias adds a rank-one term.
     """
-    a, bias = _error_terms(w, b, innovation)
+    v, eps = np.sqrt(b.rho) * w, _eps(b)
+    a, bias = _error_terms(v, b, innovation)
     cov = a @ b.cov_ss @ a.conj().T
-    cov += b.n_users * b.sigma_w2 * (w @ w.conj().T)
+    cov += eps * (v @ v.conj().T)
     if bias is not None:
         cov += np.outer(bias, bias.conj())
     return 0.5 * (cov + cov.conj().T)
@@ -215,81 +221,81 @@ def _error_cov(w: np.ndarray, b: MomentSet, innovation: bool) -> np.ndarray:
 
 def _finalize(
     kind: EstimatorKind,
-    ws: list[np.ndarray],
+    vs: list[np.ndarray],
     m: MomentSet | AntennaMomentSet,
     innovation: bool = True,
     degenerate: bool = False,
-    floor: float | None = None,
+    nmse_floor: float | None = None,
 ) -> AffineEstimator:
-    """Estimator from the per-block filters ws of m.
+    """Estimator from the per-block power-free rules vs of m.
 
     The error trace is summed over the blocks with their multiplicities
     (`_error_trace`); no error covariance is formed here.  With
-    c = mean_s_0 - W_0 mean_y_0 on the first block, the offset is the
+    c = mean_s_0 - V_0 Z mean_s_0 on the first block, the offset is the
     column c for a dense set.  In the antenna form only the aligned block has
     a mean and split(mean_y) is [Y_bar; 0] with Y_bar = outer(mean_y_0, r)/sqrt(M),
     so the offset is outer(c, r)/sqrt(M).
     """
-    trace = 0.0
-    for (b, mult), w in zip(m.blocks, ws):
-        trace += mult * _error_trace(w, b, innovation)
+    trace, eps = 0.0, _eps(m.blocks[0][0])
+    for (b, mult), v in zip(m.blocks, vs):
+        trace += mult * _error_trace(v, b, eps, innovation)
     offset = 0.0
     if innovation:
         b0, _ = m.blocks[0]
-        c = b0.mean_s - ws[0] @ b0.mean_y
+        c = b0.mean_s - vs[0] @ b0.z_mean
         offset = c[:, None] if m.r is None else np.outer(c, m.r) / np.sqrt(m.r.size)
+    ws = {id(v): v / np.sqrt(m.blocks[0][0].rho) for v in vs}  # LS shares one over the blocks
     return AffineEstimator(
         kind=kind,
-        # C order: a solved filter's conjugate transpose is in F order
-        w_blocks=tuple(np.ascontiguousarray(w) for w in ws),
+        w_blocks=tuple(ws[id(v)] for v in vs),
         innovation=innovation, moments=m, offset=offset, mse_trace=trace,
-        nmse=trace / m.prior_trace, nmse_floor=floor, degenerate=degenerate,
+        nmse=trace / m.prior_trace, nmse_floor=nmse_floor, degenerate=degenerate,
     )
 
 
-def conventional_lmmse_filter(
-    m: MomentSet | AntennaMomentSet, floor: float | None = None
-) -> AffineEstimator:
+def conventional_lmmse_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """Classic one-shot LMMSE of the full target from the stacked observation.
 
-    floor short-circuits the power-independent limit when the caller has
-    already evaluated it for this pattern configuration.
+    V = F D U^H with F = C Z^H U.  With enough patterns for the full target
+    its floor is `asymptotic_mse`, which the ungrouped rule shares.
     """
-    ws = [
-        _solve_cyy(b.cov_yy, b.cov_sy.conj().T, b.n_users * b.sigma_w2).conj().T
-        for b, _ in m.blocks
-    ]
-    if floor is None and _full_rank_patterns(m):
-        floor = asymptotic_mse(m)
-    return _finalize(EstimatorKind.LMMSE, ws, m, floor=floor)
+    ds = _inverse_spectra(m)
+    vs = []
+    for (b, _), d in zip(m.blocks, ds):
+        _, u = _spectrum(b)
+        vs.append(((b.cov_szh @ u) * d) @ u.conj().T)
+    n_y, n_s = m.blocks[0][0].Z.shape  # T >= N+1 is MT >= M(N+1) for the dense Z
+    floor = asymptotic_mse(m) if n_y >= n_s else None
+    return _finalize(EstimatorKind.LMMSE, vs, m, nmse_floor=floor)
 
 
-def _ls_pinv(b: MomentSet, grouped: bool) -> tuple[np.ndarray, bool]:
-    """Minimum-norm LS filter for b.Z (b.Z_G when grouped), flagged when rank deficient.
+def _ls_rule(b: MomentSet, grouped: bool) -> tuple[np.ndarray, bool]:
+    """Minimum-norm LS rule pinv(Z), or E pinv(Z_G) when grouped, flagged when rank deficient.
 
     trace(pinv(z) @ z) is the rank the pseudo-inverse kept; it falls short of
     the active (nonzero) column count exactly when an active column lies
     outside the row space of z.  Blocked columns add nothing to the trace.
     Every block of a moment set shares its z, so the cutoff relative to the
-    largest singular value is the dense matrix's.  The power-free
-    pseudo-inverse is kept in b.ls_pinvs, which every power of b shares.
+    largest singular value is the dense matrix's.  The power-free rule is
+    kept in b.power_free, which every power of b shares.
     """
-    if grouped not in b.ls_pinvs:
+    key = "grouping_ls" if grouped else "ls"
+    if key not in b.power_free:
         z = b.Z_G if grouped else b.Z
         pinv = np.linalg.pinv(z, rcond=PINV_RCOND)
         kept_rank = np.einsum("ij,ji->", pinv, z).real
         active = np.count_nonzero(np.any(z != 0, axis=0))
-        b.ls_pinvs[grouped] = pinv, bool(kept_rank < active - 0.5)
-    pinv, degenerate = b.ls_pinvs[grouped]
-    return pinv / np.sqrt(b.rho), degenerate
+        rule = _expansion(b) @ pinv if grouped else pinv
+        b.power_free[key] = rule, bool(kept_rank < active - 0.5)
+    return b.power_free[key]
 
 
 def conventional_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """Least squares on the raw observation; minimum-norm on blocked columns."""
     b, _ = m.blocks[0]
-    w, degenerate = _ls_pinv(b, grouped=False)
+    v, degenerate = _ls_rule(b, grouped=False)
     return _finalize(
-        EstimatorKind.LS, [w] * len(m.blocks), m, innovation=False, degenerate=degenerate
+        EstimatorKind.LS, [v] * len(m.blocks), m, innovation=False, degenerate=degenerate
     )
 
 
@@ -300,9 +306,8 @@ def _expansion(b: MomentSet) -> np.ndarray:
 def grouping_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """LS of the group aggregates, expanded by equal division."""
     b, _ = m.blocks[0]
-    w_u, degenerate = _ls_pinv(b, grouped=True)
-    w = _expansion(b) @ w_u
-    return _finalize(EstimatorKind.GROUPING_LS, [w] * len(m.blocks), m, degenerate=degenerate)
+    v, degenerate = _ls_rule(b, grouped=True)
+    return _finalize(EstimatorKind.GROUPING_LS, [v] * len(m.blocks), m, degenerate=degenerate)
 
 
 def grouping_lmmse_filter(
@@ -313,62 +318,59 @@ def grouping_lmmse_filter(
     m_model supplies the (mismatched) prior the baseline believes in; the
     returned error statistics are still evaluated under the true moments m.
     Both sets must come in the same form (both dense or both antenna-domain).
+    V = E G_u D U^H on m_model's spectrum, with E G_u = E C_uu Z_G^H U cached.
     """
     if len(m.blocks) != len(m_model.blocks):
         raise ValueError("the model moments and the true moments are in different forms")
-    ws = []
-    for (b, _), (b_model, _) in zip(m.blocks, m_model.blocks):
-        w_u = _solve_cyy(
-            b_model.cov_yy, b_model.cov_uy.conj().T, b_model.n_users * b_model.sigma_w2
-        ).conj().T
-        ws.append(_expansion(b) @ w_u)
-    return _finalize(EstimatorKind.GROUPING_LMMSE, ws, m)
+    ds = _inverse_spectra(m_model)
+    cache = m_model.blocks[0][0].power_free
+    if "grouping_lmmse" not in cache:  # E is built once per set
+        e = _expansion(m_model.blocks[0][0])
+        cache["grouping_lmmse"] = [e @ b.cov_uzh @ _spectrum(b)[1] for b, _ in m_model.blocks]
+    factors = zip(m_model.blocks, cache["grouping_lmmse"], ds)
+    vs = [(eg * d) @ _spectrum(b)[1].conj().T for (b, _), eg, d in factors]
+    return _finalize(EstimatorKind.GROUPING_LMMSE, vs, m)
 
 
-def correlated_grouping_filter(
-    m: MomentSet | AntennaMomentSet, floor: float | None = None
-) -> AffineEstimator:
+def correlated_grouping_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """Two-stage LMMSE: group aggregates first, then the full target from them.
 
     The combined filter is C_sy C_yy^-1 C_uy^H G^+ C_uy C_yy^-1 with the inner
     Gram G = C_uy C_yy^-1 C_uy^H pseudo-inverted at a relative cutoff; a
     clipped inner spectrum is flagged as degenerate.
     """
-    xs = [  # (n_y, n_u) per block
-        _solve_cyy(b.cov_yy, b.cov_uy.conj().T, b.n_users * b.sigma_w2) for b, _ in m.blocks
-    ]
-    grams = [_hermitize(b.cov_uy @ x) for (b, _), x in zip(m.blocks, xs)]
-    gram_pinvs, clipped = hermitian_pinvs(grams)
-    ws = [
-        (b.cov_sy @ x) @ gram_pinv @ x.conj().T
-        for (b, _), x, gram_pinv in zip(m.blocks, xs, gram_pinvs)
-    ]
-    if floor is None:
-        floor = asymptotic_mse(m)
+    ds = _inverse_spectra(m)
+    vs, clipped = _correlated_rules(m, ds)
     return _finalize(
-        EstimatorKind.CORRELATED_GROUPING_LMMSE, ws, m,
-        degenerate=clipped, floor=floor,
+        EstimatorKind.CORRELATED_GROUPING_LMMSE, vs, m,
+        degenerate=clipped, nmse_floor=asymptotic_mse(m),
     )
 
 
-def _full_rank_patterns(m: MomentSet | AntennaMomentSet) -> bool:
-    """True when the pattern count supports the ungrouped target dimension.
+def _correlated_rules(m: MomentSet | AntennaMomentSet, ds: list[np.ndarray]) -> tuple[list, bool]:
+    """V = F D G_u^H Gamma^+ G_u D U^H per block, and whether Gamma^+ clipped.
 
-    T >= N+1 for a block's Z_0 is the same test as MT >= M(N+1) for the dense Z.
+    F = C Z^H U, G_u = C_uu Z_G^H U and the inner Gram Gamma = G_u D G_u^H,
+    (n_u x n_u) and free of rho, pseudo-inverted at the relative cutoff.
     """
-    n_y, n_s = m.blocks[0][0].Z.shape
-    return n_y >= n_s
+    grams, outer = [], []
+    for (b, _), d in zip(m.blocks, ds):
+        _, u = _spectrum(b)
+        g = b.cov_uzh @ u
+        grams.append(_hermitize((g * d) @ g.conj().T))
+        outer.append((((b.cov_szh @ u) * d) @ g.conj().T, (g * d) @ u.conj().T))
+    gram_pinvs, clipped = hermitian_pinvs(grams)
+    return [left @ gp @ right for (left, right), gp in zip(outer, gram_pinvs)], clipped
 
 
 def make_estimator(
     kind: EstimatorKind,
     m: MomentSet | AntennaMomentSet,
     m_model: MomentSet | AntennaMomentSet | None = None,
-    floor: float | None = None,
 ) -> AffineEstimator:
     """Build any estimator kind; grouping LMMSE needs its model-prior moments."""
     if kind == EstimatorKind.LMMSE:
-        return conventional_lmmse_filter(m, floor=floor)
+        return conventional_lmmse_filter(m)
     if kind == EstimatorKind.LS:
         return conventional_ls_filter(m)
     if kind == EstimatorKind.GROUPING_LS:
@@ -378,31 +380,29 @@ def make_estimator(
             raise ValueError("grouping LMMSE needs the block-ideal moment set")
         return grouping_lmmse_filter(m, m_model)
     if kind == EstimatorKind.CORRELATED_GROUPING_LMMSE:
-        return correlated_grouping_filter(m, floor=floor)
+        return correlated_grouping_filter(m)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
 def asymptotic_mse(m: MomentSet | AntennaMomentSet) -> float:
     """Infinite-power limit of the correlated-grouping normalized MSE.
 
-    Noise-free substitution of the error-covariance trace; pseudo-inverses
-    with the standard relative cutoff absorb the rank deficiencies that
-    appear in that limit.  The tiny negative traces produced by the cutoff
-    are clamped to zero.
+    The correlated rule's error trace at eps = 0, where D is the
+    pseudo-inverse of lambda at the relative cutoff, over the prior trace.
+    The trace is a sum of PSD terms, so it needs no clamp.  The value is
+    power-free and kept in the cache of m's first block, which every power
+    of m shares.
     """
-    qs, _ = hermitian_pinvs([_hermitize(b.z_cov_zh) for b, _ in m.blocks])
-    fs, grams = [], []
-    for (b, _), q in zip(m.blocks, qs):
-        zg_cuu = b.Z_G @ b.cov_uu
-        fs.append(b.cov_szh @ q @ zg_cuu)  # (n_s, n_u)
-        grams.append(_hermitize(zg_cuu.conj().T @ q @ zg_cuu))
-    gram_pinvs, _ = hermitian_pinvs(grams)
-    reduction = sum(
-        mult * ((f @ gram_pinv) * f.conj()).sum().real
-        for (_, mult), f, gram_pinv in zip(m.blocks, fs, gram_pinvs)
-    )
-    prior = m.prior_trace
-    return max(prior - reduction, 0.0) / prior
+
+    b0, _ = m.blocks[0]
+    if "floor" not in b0.power_free:
+        lams = [_spectrum(b)[0] for b, _ in m.blocks]
+        cutoff = PINV_RCOND * max(lam[-1] for lam in lams)
+        ds = [np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cutoff) for lam in lams]
+        vs, _ = _correlated_rules(m, ds)
+        trace = sum(mult * _error_trace(v, b, 0.0, True) for (b, mult), v in zip(m.blocks, vs))
+        b0.power_free["floor"] = trace / m.prior_trace
+    return b0.power_free["floor"]
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:

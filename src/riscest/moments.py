@@ -53,9 +53,9 @@ class MomentSet:
     z_mean = Z mean_s, cov_szh = cov_ss Z^H, cov_uzh = cov_uu Z_G^H and
     z_cov_zh = Z cov_ss Z^H, with n_s = M(N+1), n_u = M(n_groups+1) and
     n_y = M*T.  The observation moments mean_y, cov_sy, cov_uy and cov_yy
-    are formed from them on every read.  ls_pinvs holds the power-free LS
-    pseudo-inverses once an estimator has computed them; `at_power` shares
-    it, like every array, with the sets it derives.
+    are formed from them on every read.  power_free caches what estimators
+    derive without pilot power (LS rules, spectrum of z_cov_zh, floor);
+    `at_power` shares it, like every array, with the sets it derives.
     """
 
     mean_s: np.ndarray
@@ -72,7 +72,7 @@ class MomentSet:
     n_users: int
     m_antennas: int
     n_groups: int
-    ls_pinvs: dict[bool, tuple[np.ndarray, bool]] = field(default_factory=dict, repr=False)
+    power_free: dict[str, object] = field(default_factory=dict, repr=False)
 
     @property
     def mean_y(self) -> np.ndarray:

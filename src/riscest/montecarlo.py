@@ -31,7 +31,8 @@ import numpy as np
 
 from .channel import ChannelRealization, ChannelSampler, ChannelStatistics
 from .errors import ConfigurationError, NumericalError
-from .estimators import (
+# asymptotic_mse is unused here but stays: perfbench/tracing.py patches it on this module.
+from .estimators import (  # noqa: F401
     AffineEstimator,
     EstimatorKind,
     GROUPED_KINDS,
@@ -116,7 +117,10 @@ def received_snr_to_power(snr_db: float, stats: ChannelStatistics, sigma_w2: flo
     """
     k, n = stats.n_users, stats.n_elements
     gain = k * n * stats.rho_a * float(np.mean(stats.rho_g))
-    return 10.0 ** (snr_db / 10.0) * sigma_w2 / gain
+    rho = 10.0 ** (snr_db / 10.0) * sigma_w2 / gain
+    if rho <= 0.0:  # every rule needs a finite noise-to-power ratio K sigma^2 / rho
+        raise ConfigurationError(f"received SNR {snr_db:g} dB rounds the pilot power to zero")
+    return rho
 
 
 def applicable_kinds(
@@ -159,31 +163,25 @@ class _CellBank:
 
 @dataclass(eq=False)
 class _UserState:
-    """User k's power-free moments and floor at one group count.
+    """User k's power-free moments at one group count.
 
-    Every SNR point derives its moment sets from these with `at_power`; the
-    block-ideal model is None unless grouping LMMSE is built, the floor None
-    unless LMMSE or correlated-grouping LMMSE is.
+    Every SNR point derives its moment sets from these with `at_power`, which
+    shares their power-free caches (spectra, LS rules, floor); the block-ideal
+    model is None unless grouping LMMSE is built.
     """
 
     true: AntennaMomentSet
     model: AntennaMomentSet | None
-    floor: float | None
-
-
-_FLOOR_KINDS = (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE)
 
 
 def _user_state(
     stats: ChannelStatistics, k: int, tconfig: TrainingConfig, kinds: tuple[EstimatorKind, ...]
 ) -> _UserState:
     """User k's state, built at the power of tconfig with the sets the kinds need."""
-    m_true = build_moments(stats, k, tconfig)
     m_model = None
     if EstimatorKind.GROUPING_LMMSE in kinds:
         m_model = build_moments(stats, k, tconfig, block_ideal=True)
-    floor = asymptotic_mse(m_true) if any(kind in kinds for kind in _FLOOR_KINDS) else None
-    return _UserState(m_true, m_model, floor)
+    return _UserState(build_moments(stats, k, tconfig), m_model)
 
 
 def build_cell_bank(
@@ -196,11 +194,11 @@ def build_cell_bank(
 ) -> _CellBank:
     """Training config, mixing blocks and per-user filters of one (G, power) cell.
 
-    states maps user index to that user's power-free moments and floor for
-    this group count (`_UserState`).  A missing user's state is built here,
-    at this cell's power; every power point then scales the state's moments
-    to its own pilot power, which gives the same bits as building them anew.
-    Only the per-point filter solves remain per cell.
+    states maps user index to that user's power-free moments for this group
+    count (`_UserState`).  A missing user's state is built here, at this
+    cell's power; every power point then scales the state's moments to its
+    own pilot power, which gives the same bits as building them anew.
+    Only the per-point products of the cached spectral rules remain per cell.
     """
     tconfig = make_training_config(
         n_elements=stats.n_elements,
@@ -219,8 +217,7 @@ def build_cell_bank(
         m_true = state.true.at_power(rho_k)
         m_model = None if state.model is None else state.model.at_power(rho_k)
         for kind in kinds:
-            floor = state.floor if kind in _FLOOR_KINDS else None
-            filters[kind].append(make_estimator(kind, m_true, m_model, floor=floor))
+            filters[kind].append(make_estimator(kind, m_true, m_model))
         prior_traces[k] = m_true.prior_trace
     return _CellBank(
         stats=stats, tconfig=tconfig, mixing=mixing_blocks(stats, tconfig),
@@ -261,8 +258,8 @@ class SweepEngine:
     Only the banks of the SNR point served last are kept: asking for another
     SNR point drops them, so memory does not grow with the grid.  Each group
     count keeps one power-free state (`_UserState` per user), built with its
-    first bank; every later bank of that group count derives its moment sets
-    and floors from it.  The state is dropped once the grid's last SNR point
+    first bank; every later bank of that group count derives its moment sets,
+    spectra and floors from it.  The state is dropped once the grid's last SNR point
     is served, so a one-point grid keeps none, and memory grows with the
     number of group counts only.
 

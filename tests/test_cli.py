@@ -12,6 +12,7 @@ import pytest
 import riscest
 from riscest.cli import SWEEP_COLUMNS, _sweep_config, main, read_csv, write_csv
 from riscest.errors import ConfigurationError
+from riscest.moments import group_expansion_matrix
 from riscest.montecarlo import SweepEngine
 from riscest.scenario import (
     config_digest,
@@ -213,6 +214,42 @@ class TestTheoryCommand:
         assert len(floors) == 3
         assert max(floors) - min(floors) < 1e-15
 
+    def test_extreme_power_stays_finite_and_above_floor(self, tmp_path):
+        # at 160 dB the block-ideal observation covariance is singular to float64
+        out = tmp_path / "theory.csv"
+        assert main([
+            "theory", "--config", str(DESK_INI), "--groups", "2", "4",
+            "--snr-min-db", "160", "--snr-max-db", "160", "--out", str(out),
+        ]) == 0
+        _, rows = read_csv(str(out))
+        assert len(rows) == 6
+        assert all(math.isfinite(r["nmse_theory"]) for r in rows)
+        for r in rows:
+            if r["estimator"] == "correlated_grouping_lmmse":
+                assert r["nmse_theory"] >= r["nmse_floor"] - 1e-12
+
+    def test_expansion_built_once_per_group_count(self, monkeypatch, tmp_path):
+        import riscest.estimators as est
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return group_expansion_matrix(*args)
+
+        monkeypatch.setattr(est, "group_expansion_matrix", counted)
+        counts = []
+        for step in ("20", "5"):  # 3 and 9 SNR points
+            calls.clear()
+            assert main([
+                "theory", "--config", str(DESK_INI), "--groups", "4", "16",
+                "--snr-min-db", "0", "--snr-max-db", "40", "--snr-step-db", step,
+                "--out", str(tmp_path / "theory.csv"),
+            ]) == 0
+            counts.append(len(calls))
+        # grouping LS and grouping LMMSE, once per (group count, user)
+        assert counts == [2 * 2 * 2] * 2
+
     def test_empty_estimator_list_is_usage_error(self, tmp_path, desk_ini, capsys):
         path = tmp_path / "empty.ini"
         path.write_text(DESK_SCENARIO_INI.replace(
@@ -239,6 +276,8 @@ class TestTheoryCommand:
     ["--snr-min-db", "nan"], ["--snr-min-db", "inf"],
     ["--snr-max-db", "nan"], ["--snr-max-db", "inf"],
     ["--snr-step-db", "nan"], ["--snr-step-db", "inf"],
+    # finite in dB, but the pilot power rounds to zero
+    ["--snr-min-db", "-4000", "--snr-max-db", "-4000"],
 ])
 def test_bad_input_is_usage_error(command, bad, desk_ini, capsys):
     with pytest.raises(SystemExit) as exc:

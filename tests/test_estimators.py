@@ -7,7 +7,6 @@ from riscest.channel import ChannelSampler, ChannelStatistics, FadingParams, bui
 from riscest.errors import NumericalError
 from riscest.estimators import (
     EstimatorKind,
-    _solve_cyy,
     asymptotic_mse,
     conventional_lmmse_filter,
     conventional_ls_filter,
@@ -132,24 +131,17 @@ def hermitian_with_spectrum(eigvals, seed=0):
     return 0.5 * (mat + mat.conj().T), q
 
 
-class TestSolveCyy:
-    RHS = np.random.default_rng(1).standard_normal((5, 3)) + 0j
-
-    def test_positive_definite_matches_solve(self):
-        cov, _ = hermitian_with_spectrum([0.3, 0.5, 1.0, 2.0, 4.0])
-        want = np.linalg.solve(cov, self.RHS)
-        np.testing.assert_allclose(_solve_cyy(cov, self.RHS, 0.1), want, rtol=0, atol=1e-12)
-
-    def test_indefinite_clamps_spectrum_at_noise_floor(self):
-        cov, q = hermitian_with_spectrum([-1e-9, 0.5, 1.0, 2.0, 3.0])
-        clamped = np.array([0.1, 0.5, 1.0, 2.0, 3.0])
-        want = (q / clamped) @ (q.conj().T @ self.RHS)
-        np.testing.assert_allclose(_solve_cyy(cov, self.RHS, 0.1), want, rtol=0, atol=1e-12)
-
-    def test_indefinite_without_noise_floor_raises(self):
-        cov, _ = hermitian_with_spectrum([-1e-9, 0.5, 1.0, 2.0, 3.0])
-        with pytest.raises(NumericalError):
-            _solve_cyy(cov, self.RHS, 0.0)
+class TestSpectrumClamp:
+    def test_negative_eigenvalue_acts_as_zero(self):
+        # Q's spectrum is clamped at 0, as rho Q + K sigma^2 I is bounded below by the noise
+        rng = np.random.default_rng(1)
+        z = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        rules = []
+        for low in (-1e-9, 0.0):
+            m = linear_moments(np.eye(3, dtype=complex), z, rho=1.0, sigma2=0.1)
+            m.z_cov_zh, _ = hermitian_with_spectrum([low, 0.5, 1.0, 2.0, 3.0])
+            rules.append(conventional_lmmse_filter(m).w_blocks[0])
+        np.testing.assert_allclose(rules[0], rules[1], rtol=0, atol=1e-12)
 
 
 class TestConventionalLs:
@@ -377,9 +369,10 @@ class TestNormalizedMse:
 
 class TestAsymptoticMse:
     def test_ungrouped_floor_vanishes(self, desk):
+        # the eps = 0 trace is a sum of PSD terms, so a full-rank Z_0 leaves only round-off
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=16)
-        assert asymptotic_mse(m) < 1e-8
+        for k in range(stats.n_users):
+            assert asymptotic_mse(desk_moments(scenario, stats, n_groups=16, k=k)) <= 1e-20
 
     def test_matches_extreme_power_evaluation(self, desk):
         scenario, stats = desk
@@ -437,3 +430,46 @@ class TestTheoryCurves:
             assert est.nmse >= 0
         with pytest.raises(ValueError):
             make_estimator(EstimatorKind.GROUPING_LMMSE, m, None)
+
+
+class TestNoiseRatioForm:
+    """Every rule is V(eps) / sqrt(rho) with eps = K sigma^2 / rho."""
+
+    @pytest.mark.parametrize("kind,n_groups", [
+        (EstimatorKind.LS, 16), (EstimatorKind.GROUPING_LS, 4), (EstimatorKind.GROUPING_LS, 16),
+    ])
+    def test_ls_trace_is_affine_in_eps(self, desk, kind, n_groups):
+        # V = pinv(Z) holds no power, so the trace is bias + c eps with c = sum ||V||_F^2
+        scenario, stats = desk
+        eps, traces, norms = [], [], []
+        for scale in (1e-2, 1.0, 1e3):
+            m = desk_moments(scenario, stats, n_groups=n_groups, rho_scale=scale)
+            f = make_estimator(kind, m)
+            eps.append(stats.n_users * scenario.sigma_w2 / m.aligned.rho)
+            traces.append(f.mse_trace)
+            norms.append(sum(
+                mult * np.linalg.norm(np.sqrt(b.rho) * w) ** 2
+                for (b, mult), w in zip(m.blocks, f.w_blocks)
+            ))
+        slope = (traces[0] - traces[1]) / (eps[0] - eps[1])
+        assert slope == pytest.approx(norms[0], rel=1e-12)
+        assert norms[1] == pytest.approx(norms[0], rel=1e-12)
+        assert traces[2] == pytest.approx(traces[1] + slope * (eps[2] - eps[1]), rel=1e-12)
+
+    @pytest.mark.parametrize("n_groups", [2, 4, 8, 16])
+    def test_bayesian_nmse_falls_to_its_floor(self, desk, n_groups):
+        scenario, stats = desk
+        m = desk_moments(scenario, stats, n_groups=n_groups)
+        mi = desk_moments(scenario, stats, n_groups=n_groups, ideal=True)
+        kinds = [EstimatorKind.GROUPING_LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE]
+        if n_groups == 16:
+            kinds.append(EstimatorKind.LMMSE)
+        prev = dict.fromkeys(kinds, np.inf)
+        for snr in range(-20, 151, 2):
+            rho = float(desk_training(scenario, stats, n_groups, float(snr)).rho[0])
+            for kind in kinds:
+                f = make_estimator(kind, m.at_power(rho), mi.at_power(rho))
+                assert f.nmse <= prev[kind] * (1 + 1e-9), (kind, snr)
+                if f.nmse_floor is not None:
+                    assert f.nmse >= f.nmse_floor - 1e-12, (kind, snr)
+                prev[kind] = f.nmse
