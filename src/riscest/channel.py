@@ -133,21 +133,6 @@ class ChannelStatistics:
     def m_antennas(self) -> int:
         return self.a_bar.shape[0]
 
-    def validate(self, psd_tol: float = 1e-10, mod_tol: float = 1e-12) -> None:
-        """Check Hermitian/unit-diagonal/PSD correlation and unit-modulus LoS."""
-        for name, mat in [("R0", self.R0)] + [
-            (f"R[{k}]", self.R[k]) for k in range(self.n_users)
-        ]:
-            if not np.allclose(mat, mat.conj().T, atol=1e-12):
-                raise NumericalError(f"{name} is not Hermitian")
-            if not np.allclose(np.diagonal(mat).real, 1.0, atol=1e-12):
-                raise NumericalError(f"{name} does not have a unit diagonal")
-            if np.linalg.eigvalsh(mat).min() < -psd_tol:
-                raise NumericalError(f"{name} is not positive semidefinite")
-        for name, vec in [("g_bar", self.g_bar), ("a_bar", self.a_bar)]:
-            if np.max(np.abs(np.abs(vec) - 1.0)) > mod_tol:
-                raise NumericalError(f"{name} entries are not unit modulus")
-
 
 @dataclass
 class ChannelRealization:
@@ -345,11 +330,6 @@ def complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def _crandn(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussian draws, real parts drawn first."""
-    return complex_normal(rng.standard_normal(shape), rng.standard_normal(shape))
-
-
 class ChannelSampler:
     """Draws correlated Rician realizations; factorizations precomputed once.
 
@@ -372,10 +352,11 @@ class ChannelSampler:
         self._gain_g = np.sqrt(stats.rho_g)[:, None]
         self._gain_a = np.sqrt(stats.rho_a)
         self._direct = (stats.rho_b > 0)[:, None]
-        # A realization's normals come from one call, in the stream order of
-        # _crandn(rng, (K, M)), one _crandn(rng, N) per user, then
-        # _crandn(rng, (M, N)); these index the real and imaginary parts of
-        # the flattened [zb, w_g, w_a] in it.
+        # A realization takes its n_normals normals in this order: the K*M real
+        # parts of the direct draws zb, then their imaginary parts; per user,
+        # the N real then the N imaginary parts of its RIS-link draw w_g; then
+        # the M*N real and the M*N imaginary parts of the RIS-BS draw w_a.
+        # _re and _im index the real and imaginary parts of [zb, w_g, w_a].
         k_users, n, m = stats.n_users, stats.n_elements, stats.m_antennas
         km, kn = k_users * m, k_users * n
         users = (2 * km + 2 * n * np.arange(k_users)[:, None] + np.arange(n)).ravel()
@@ -408,15 +389,3 @@ class ChannelSampler:
         cascade = (a_unit[..., None, :, :] * g_unit[..., :, None, :]).reshape(*lead, k_users, m * n)
         s = np.concatenate([b_part, cascade], axis=-1)
         return ChannelRealization(b=b, g=g, A=a_mat, s=s)
-
-    def sample_cascade(self, k: int, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-        """Batch of n_draws cascaded target vectors for user k, shape (n_draws, M(N+1))."""
-        st = self.stats
-        n, m = st.n_elements, st.m_antennas
-        zb = _crandn(rng, (n_draws, m))
-        g_unit = self._mu_g[k][None, :] + _crandn(rng, (n_draws, n)) @ self._L_g[k].T
-        a_unit = self._mu_a[None, :, :] + _crandn(rng, (n_draws, m, n)) @ self._L_a.T
-        b_part = zb if st.rho_b[k] > 0 else np.zeros_like(zb)
-        cascade = a_unit * g_unit[:, None, :]  # (n_draws, M, N)
-        return np.concatenate([b_part, cascade.reshape(n_draws, -1)], axis=1)
-

@@ -117,9 +117,12 @@ def received_snr_to_power(snr_db: float, stats: ChannelStatistics, sigma_w2: flo
     """
     k, n = stats.n_users, stats.n_elements
     gain = k * n * stats.rho_a * float(np.mean(stats.rho_g))
-    rho = 10.0 ** (snr_db / 10.0) * sigma_w2 / gain
-    if rho <= 0.0:  # every rule needs a finite noise-to-power ratio K sigma^2 / rho
-        raise ConfigurationError(f"received SNR {snr_db:g} dB rounds the pilot power to zero")
+    try:
+        rho = 10.0 ** (snr_db / 10.0) * sigma_w2 / gain
+    except OverflowError:
+        rho = np.inf
+    if not 0.0 < rho < np.inf:  # every rule needs a finite, nonzero K sigma^2 / rho
+        raise ConfigurationError(f"received SNR {snr_db:g} dB gives the pilot power {rho:g}")
     return rho
 
 

@@ -224,7 +224,7 @@ def synthesize_received(
     stacked normals); so do the outputs.  With n = T*K*M, the noise takes its real parts from
     normals[..., :n] and its imaginary parts from normals[..., n:2n]; normals
     may be longer, and when it is None, 2n standard normals per trial are drawn
-    from rng, which is the stream of `_crandn(rng, (T, K, M))`.
+    from rng in that order, real parts first.
     """
     m, n = stats.m_antennas, stats.n_elements
     k_users, t_pats = config.n_users, config.n_patterns

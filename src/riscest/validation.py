@@ -8,10 +8,15 @@ tier-1 tests assert on it.  The registry holds
 - the numbered acceptance criteria `1-moment-oracle` ... `9-overhead-accounting`.
 
 Everything runs on the desk scenario (M = 4, N = 4x4 = 16, K = 2, eta = 0.99,
-blocked direct links).  The two expensive artifacts are computed once and
-every check that needs them reads them:
+blocked direct links), through the code `theory` and `sweep` run: every
+filter, training config and mixing block comes from
+`montecarlo.build_cell_bank` (the noiseless interuser-leakage check builds
+its own training config, as no cell exists at zero noise), and every channel
+draw from `ChannelSampler.sample`.  The two expensive artifacts are computed
+once and every check that needs them reads them:
 
-- one seeded 200k-draw cascade oracle feeds `channel.sample_mean_matches`,
+- one seeded 200k-draw moment oracle, drawn in blocks through
+  `ChannelSampler.sample(normals=...)`, feeds `channel.sample_mean_matches`,
   `moments.sample_covariance_matches` and criterion 1;
 - one 5000-trial paired sweep (seed 20240717, received SNR -10..40 dB,
   n_groups 4 and 16, every estimator kind) feeds criteria 2, 4 and 6,
@@ -24,6 +29,7 @@ artifacts so tests can inject faults.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 import time
 import warnings
@@ -33,17 +39,16 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelRealization, ChannelSampler, ChannelStatistics, path_loss
-from .estimators import AffineEstimator, EstimatorKind, make_estimator
-from .moments import build_moments, combine_blocks, cov_ss, group_aggregation_matrix, mean_s
-from .montecarlo import SweepConfig, SweepEngine, SweepRow, received_snr_to_power, run_sweep
+from .estimators import EstimatorKind
+from .moments import combine_blocks, cov_ss, group_aggregation_matrix, mean_s, split_observation
+from .montecarlo import (SweepConfig, SweepEngine, SweepRow, _CellBank, build_cell_bank,
+                         received_snr_to_power, run_sweep)
 from .scenario import DESK_SCENARIO, Scenario, config_digest, desk_scenario, load_config
 from .training import (
     PatternOrthogonalityWarning,
-    TrainingConfig,
     build_Z,
     hadamard,
     make_training_config,
-    mixing_blocks,
     pilot_overhead,
     pilot_sequences,
     synthesize_received,
@@ -101,12 +106,12 @@ def _cascade_oracle(stats: ChannelStatistics) -> tuple[float, float, float]:
     start = time.perf_counter()
     sampler = ChannelSampler(stats)
     rng = np.random.default_rng(19)
-    chunk = 40_000
+    chunk = 10_000
     dim = stats.m_antennas * (stats.n_elements + 1)
     acc_mu = np.zeros(dim, complex)
     acc_cov = np.zeros((dim, dim), complex)
     for _ in range(ORACLE_DRAWS // chunk):
-        s = sampler.sample_cascade(0, chunk, rng)
+        s = sampler.sample(normals=rng.standard_normal((chunk, sampler.n_normals))).s[:, 0]
         acc_mu += s.sum(axis=0)
         acc_cov += s.T @ s.conj()
     mu_hat = acc_mu / ORACLE_DRAWS
@@ -134,19 +139,10 @@ def _acceptance_sweep(scenario: Scenario) -> tuple[dict[tuple, SweepRow], float]
     return {(r.estimator, r.n_groups, r.snr_db): r for r in rows}, elapsed
 
 
-def _training(scenario: Scenario, stats: ChannelStatistics, n_groups: int, rho: float
-              ) -> TrainingConfig:
-    return make_training_config(
-        stats.n_elements, stats.n_users, n_groups=n_groups, rho=rho, sigma_w2=scenario.sigma_w2
-    )
-
-
-def _estimator(stats: ChannelStatistics, tc: TrainingConfig, kind: EstimatorKind, k: int = 0
-               ) -> AffineEstimator:
-    """User k's filter of one kind, built through make_estimator as the sweep builds it."""
-    m = build_moments(stats, k, tc)
-    m_model = build_moments(stats, k, tc, block_ideal=True) if kind == GROUPING_LMMSE else None
-    return make_estimator(kind, m, m_model)
+def _bank(scenario: Scenario, stats: ChannelStatistics, n_groups: int, rho: float,
+          kinds: tuple[EstimatorKind, ...] = ()) -> _CellBank:
+    """A fresh (G, rho) cell from build_cell_bank, the builder `theory` and `sweep` run."""
+    return build_cell_bank(stats, scenario.sigma_w2, n_groups, rho, kinds, {})
 
 
 def _power_floor(scenario: Scenario, stats: ChannelStatistics, snr_db: float
@@ -155,8 +151,8 @@ def _power_floor(scenario: Scenario, stats: ChannelStatistics, snr_db: float
     from its floor (n_groups = N/4), and the ungrouped LMMSE's NMSE."""
     n = stats.n_elements
     rho = received_snr_to_power(snr_db, stats, scenario.sigma_w2) * 1e12
-    cg = _estimator(stats, _training(scenario, stats, n // 4, rho), CORRELATED)
-    conv = _estimator(stats, _training(scenario, stats, n, rho), LMMSE)
+    cg = _bank(scenario, stats, n // 4, rho, (CORRELATED,)).filters[CORRELATED][0]
+    conv = _bank(scenario, stats, n, rho, (LMMSE,)).filters[LMMSE][0]
     return abs(cg.nmse - cg.nmse_floor) / cg.nmse_floor, conv.nmse
 
 
@@ -238,10 +234,11 @@ def _training_checks(scenario: Scenario, stats: ChannelStatistics) -> list[Check
 
     n, k_users = stats.n_elements, stats.n_users
     rho = received_snr_to_power(20.0, stats, scenario.sigma_w2)
-    tc = _training(scenario, stats, n // 4, rho)
+    bank = _bank(scenario, stats, n // 4, rho)
+    tc = bank.tconfig
     rng = np.random.default_rng(3)
     real = ChannelSampler(stats).sample(rng)
-    obs = synthesize_received(real, stats, tc, rng)
+    obs = synthesize_received(real, stats, tc, rng, mixing=bank.mixing)
     worst = 0.0
     for k in range(k_users):
         # reconstruct through the combined linear model with the recorded noise
@@ -257,7 +254,7 @@ def _training_checks(scenario: Scenario, stats: ChannelStatistics) -> list[Check
         CheckResult("training.observation_reconstruction", worst < 1e-10, f"max rel {worst:.2e}")
     )
 
-    tc_full = _training(scenario, stats, n, rho)
+    tc_full = _bank(scenario, stats, n, rho).tconfig
     same = np.array_equal(tc_full.patterns, tc_full.group_patterns)
     z_a = build_Z(0, stats, tc_full)
     z_b = build_Z(0, stats, tc_full, grouped=True)
@@ -272,8 +269,8 @@ def _training_checks(scenario: Scenario, stats: ChannelStatistics) -> list[Check
 def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list[CheckResult]:
     out = []
     rho = received_snr_to_power(10.0, stats, scenario.sigma_w2)
-    tc = _training(scenario, stats, stats.n_elements // 4, rho)
-    m = build_moments(stats, 0, tc)
+    n_groups = stats.n_elements // 4
+    m = _bank(scenario, stats, n_groups, rho, (CORRELATED,)).filters[CORRELATED][0].moments
     c_ss = combine_blocks(m.r, [b.cov_ss for b, _ in m.blocks])
     c_uu = combine_blocks(m.r, [b.cov_uu for b, _ in m.blocks])
     herm = float(np.max(np.abs(c_ss - c_ss.conj().T)))
@@ -287,7 +284,7 @@ def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list
         )
     )
 
-    p = group_aggregation_matrix(stats.m_antennas, tc.n_groups, stats.n_elements)
+    p = group_aggregation_matrix(stats.m_antennas, n_groups, stats.n_elements)
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(20):
@@ -313,15 +310,18 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     n = stats.n_elements
     n_groups = n // 4
 
-    # monotone theory curve over a log-spaced power sweep
+    # monotone theory curve over a log-spaced power sweep; each group count keeps
+    # one power-free state over the powers, as a sweep does
     rho_grid = np.geomspace(1e-4, 1e8, 20) * received_snr_to_power(0.0, stats, scenario.sigma_w2)
     ok, detail = True, ""
     curves = {LMMSE: [], GROUPING_LMMSE: [], CORRELATED: []}
+    grouped_states, full_states = {}, {}
     for rho in rho_grid:
-        tc = _training(scenario, stats, n_groups, rho)
-        tc_full = _training(scenario, stats, n, rho)
+        grouped = build_cell_bank(stats, scenario.sigma_w2, n_groups, rho,
+                                  (GROUPING_LMMSE, CORRELATED), grouped_states)
+        full = build_cell_bank(stats, scenario.sigma_w2, n, rho, (LMMSE,), full_states)
         for kind in curves:
-            curves[kind].append(_estimator(stats, tc_full if kind == LMMSE else tc, kind).nmse)
+            curves[kind].append((full if kind == LMMSE else grouped).filters[kind][0].nmse)
     for kind, c in curves.items():
         if any(b > a + 1e-10 for a, b in zip(c, c[1:])):
             ok, detail = False, f"{kind.value} not monotone"
@@ -330,18 +330,16 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
 
     # ordering and collapse at one moderate power
     rho = received_snr_to_power(30.0, stats, scenario.sigma_w2)
-    tc = _training(scenario, stats, n_groups, rho)
-    cg = _estimator(stats, tc, CORRELATED)
-    soa = _estimator(stats, tc, GROUPING_LMMSE)
+    bank = _bank(scenario, stats, n_groups, rho, (GROUPING_LMMSE, CORRELATED))
+    cg, soa = bank.filters[CORRELATED][0], bank.filters[GROUPING_LMMSE][0]
     out.append(
         CheckResult(
             "estimators.correlated_below_grouping", cg.nmse <= soa.nmse * (1 + 1e-12),
             f"{cg.nmse:.4g} <= {soa.nmse:.4g}",
         )
     )
-    tc_full = _training(scenario, stats, n, rho)
-    a = _estimator(stats, tc_full, LMMSE)
-    b = _estimator(stats, tc_full, CORRELATED)
+    full = _bank(scenario, stats, n, rho, (LMMSE, CORRELATED))
+    a, b = full.filters[LMMSE][0], full.filters[CORRELATED][0]
     rel = abs(a.nmse - b.nmse) / a.nmse
     out.append(CheckResult("estimators.collapse_ungrouped", rel < 1e-8, f"rel diff {rel:.2e}"))
 
@@ -372,17 +370,19 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     )
     out.append(CheckResult("estimators.lmmse_dominates_ls", dominance, "paired trials"))
 
-    # unbiasedness of the estimate mean over many trials
-    rng = np.random.default_rng(11)
-    mixing = mixing_blocks(stats, tc)
+    # unbiasedness of the estimate mean over many trials, scored as one block as a
+    # sweep scores one; row j holds trial j's channel normals, then its noise normals
+    tc = bank.tconfig
     sampler = ChannelSampler(stats)
     n_trials = 10_000
-    acc = 0.0
-    for _ in range(n_trials):
-        real = sampler.sample(rng)
-        obs = synthesize_received(real, stats, tc, rng, mixing=mixing)
-        acc += cg.estimate(obs.y_combined[0]) - real.s[0]
-    mean_err = acc / n_trials
+    n_noise = 2 * tc.n_patterns * tc.n_users * stats.m_antennas
+    normals = np.random.default_rng(11).standard_normal((n_trials, sampler.n_normals + n_noise))
+    real = sampler.sample(normals=normals)
+    obs = synthesize_received(
+        real, stats, tc, mixing=bank.mixing, normals=normals[:, sampler.n_normals:]
+    )
+    x = split_observation(bank.r, obs.y_combined)
+    mean_err = (cg.apply(x[:, 0]) - real.S[:, 0]).mean(axis=0)
     # 3 standard errors of the estimator error norm, err entries ~ error covariance
     se = np.sqrt(cg.mse_trace / n_trials)
     ok = np.linalg.norm(mean_err) < 3 * se
@@ -425,13 +425,8 @@ def _montecarlo_checks(scenario: Scenario) -> list[CheckResult]:
         snr_db=(10.0,), n_trials=400, n_groups=(scenario.geometry.n_elements // 4,),
         base_seed=555,
     )
-    cfg_full = SweepConfig(
-        scenario=scenario, estimators=(CORRELATED,),
-        snr_db=(10.0,), n_trials=800, n_groups=(scenario.geometry.n_elements // 4,),
-        base_seed=555,
-    )
     se_half = run_sweep(cfg_half)[0].stderr
-    se_full = run_sweep(cfg_full)[0].stderr
+    se_full = run_sweep(dataclasses.replace(cfg_half, n_trials=800))[0].stderr
     ratio = se_full / se_half
     ok = abs(ratio - 1 / np.sqrt(2)) < 0.2 / np.sqrt(2)
     out.append(
@@ -512,16 +507,16 @@ def _acceptance_criteria(scenario: Scenario, stats: ChannelStatistics, oracle, s
     )
 
     n = stats.n_elements
-    tc = _training(scenario, stats, n, received_snr_to_power(20.0, stats, scenario.sigma_w2))
+    rho = received_snr_to_power(20.0, stats, scenario.sigma_w2)
+    bank = _bank(scenario, stats, n, rho, (LMMSE, CORRELATED))
     worst_est, worst_trace = 0.0, 0.0
     rng = np.random.default_rng(33)
     sampler = ChannelSampler(stats)
     for k in range(stats.n_users):
-        conv = _estimator(stats, tc, LMMSE, k)
-        corr = _estimator(stats, tc, CORRELATED, k)
+        conv, corr = bank.filters[LMMSE][k], bank.filters[CORRELATED][k]
         worst_trace = max(worst_trace, abs(conv.mse_trace - corr.mse_trace) / conv.mse_trace)
         real = sampler.sample(rng)
-        obs = synthesize_received(real, stats, tc, rng)
+        obs = synthesize_received(real, stats, bank.tconfig, rng, mixing=bank.mixing)
         a = conv.estimate(obs.y_combined[k])
         b = corr.estimate(obs.y_combined[k])
         worst_est = max(worst_est, float(np.linalg.norm(a - b) / np.linalg.norm(a)))

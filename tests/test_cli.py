@@ -22,7 +22,7 @@ from riscest.scenario import (
     desk_scenario,
     load_config,
 )
-from riscest.validation import check_correlation_matrix
+from riscest.validation import check_correlation_matrix, check_unit_modulus
 
 ROOT = Path(__file__).resolve().parents[1]
 DESK_INI = ROOT / "perfbench" / "desk.ini"
@@ -278,6 +278,8 @@ class TestTheoryCommand:
     ["--snr-step-db", "nan"], ["--snr-step-db", "inf"],
     # finite in dB, but the pilot power rounds to zero
     ["--snr-min-db", "-4000", "--snr-max-db", "-4000"],
+    # finite in dB, but the pilot power overflows
+    ["--snr-min-db", "3100", "--snr-max-db", "3100"],
 ])
 def test_bad_input_is_usage_error(command, bad, desk_ini, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -401,6 +403,17 @@ class TestValidation:
     def test_good_matrix_passes(self):
         result = check_correlation_matrix(np.eye(4))
         assert result.passed
+
+    @pytest.mark.parametrize("name", ["g_bar", "a_bar"])
+    def test_injected_los_fault_fails_unit_modulus(self, name):
+        stats = desk_scenario().statistics()
+        los = getattr(stats, name).copy()
+        assert check_unit_modulus(los, name).passed
+        los[0, 3] *= 1.5  # one entry of modulus 1.5
+        result = check_unit_modulus(los, name)
+        assert not result.passed
+        assert result.name == f"channel.unit_modulus[{name}]"
+        assert result.detail == "max deviation 5.00e-01"
 
 
 NO_SCIPY_SCRIPT = """

@@ -33,6 +33,22 @@ def scalar_stats(kappa_a=0.0, kappa_g=0.0, rho_b=1.0):
     )
 
 
+def sampler_targets(stats, k, n_draws, seed, chunk=10_000):
+    """User k's targets of n_draws realizations from one seeded stream, (n_draws, M(N+1)).
+
+    Each realization is one row of `ChannelSampler.n_normals` normals, drawn in
+    chunks of rows; the stream, and so every draw, is that of one
+    (n_draws, n_normals) call.
+    """
+    sampler = ChannelSampler(stats)
+    rng = np.random.default_rng(seed)
+    out = []
+    for lo in range(0, n_draws, chunk):
+        normals = rng.standard_normal((min(chunk, n_draws - lo), sampler.n_normals))
+        out.append(sampler.sample(normals=normals).s[:, k])
+    return np.concatenate(out)
+
+
 @pytest.fixture(scope="module")
 def production_draws():
     """Desk targets from the per-trial sampler the Monte Carlo engine uses, (20000, K, M(N+1))."""
@@ -69,11 +85,9 @@ class TestMeanS:
 
     def test_matches_sample_mean_zscore(self, production_draws):
         # sharper oracle than the max-entry rule: every entry within 5 standard errors
-        # inputs: the batched cascade draws of user 0, then the production
-        # sampler's draws of every user
+        # inputs: 40 000 block draws of user 0, then the per-trial draws of every user
         stats, draws = production_draws
-        sampler = ChannelSampler(stats)
-        inputs = [(0, sampler.sample_cascade(0, 40_000, np.random.default_rng(13)))]
+        inputs = [(0, sampler_targets(stats, 0, 40_000, 13))]
         inputs += [(k, draws[:, k]) for k in range(stats.n_users)]
         for k, s in inputs:
             n_draws = s.shape[0]
@@ -139,7 +153,8 @@ class TestCovSs:
         acc_mu = np.zeros(dim, complex)
         acc_cov = np.zeros((dim, dim), complex)
         for _ in range(n_draws // chunk):
-            s = sampler.sample_cascade(1, chunk, rng)
+            normals = rng.standard_normal((chunk, sampler.n_normals))
+            s = sampler.sample(normals=normals).s[:, 1]
             acc_mu += s.sum(axis=0)
             acc_cov += s.T @ s.conj()
         mu_hat = acc_mu / n_draws
@@ -186,8 +201,7 @@ class TestCovUu:
 
     def test_matches_sample_aggregates(self):
         stats = desk_scenario().statistics()
-        sampler = ChannelSampler(stats)
-        s = sampler.sample_cascade(0, 40_000, np.random.default_rng(17))
+        s = sampler_targets(stats, 0, 40_000, 17)
         p = group_aggregation_matrix(stats.m_antennas, 4, 16)
         u = (s - mean_s(stats, 0)[None, :]) @ p.T
         cov_hat = u.T @ u.conj() / s.shape[0]

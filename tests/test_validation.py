@@ -1,6 +1,11 @@
 import io
 
+import numpy as np
+
+from riscest import validation
+from riscest.channel import ChannelSampler
 from riscest.cli import cmd_validate
+from riscest.scenario import desk_scenario
 from riscest.validation import CheckResult
 
 
@@ -73,3 +78,20 @@ def test_cmd_validate_exit_codes(monkeypatch):
         "riscest.cli.run_validation", lambda: [CheckResult("x.good", True, "ok")]
     )
     assert cmd_validate(out=out) == 0
+
+
+def test_moment_oracle_draws_through_the_production_sampler(monkeypatch):
+    """Criterion 1's oracle takes every draw from ChannelSampler.sample, the trials' sampler."""
+    rows = []
+    sample = ChannelSampler.sample
+
+    def counted(self, rng=None, normals=None):
+        real = sample(self, rng, normals)
+        rows.append(int(np.prod(real.s.shape[:-2])))
+        return real
+
+    monkeypatch.setattr(ChannelSampler, "sample", counted)
+    monkeypatch.setattr(validation, "ORACLE_DRAWS", 20_000)
+    mean_dev, cov_dev, _ = validation._cascade_oracle(desk_scenario().statistics())
+    assert sum(rows) == 20_000
+    assert np.isfinite(mean_dev) and np.isfinite(cov_dev)
