@@ -128,10 +128,21 @@ class AffineEstimator:
     def squared_error(self, x: np.ndarray, target: np.ndarray) -> np.ndarray | float:
         """Squared error norm against target, both in the split forms.
 
-        Leading axes of x and target are trials; one value per trial is returned.
+        Leading axes of x (..., 2T, M) and target (..., N+1, M) are trials; one
+        value per trial is returned.  Every trial's columns are folded into the
+        rows of one product X^T H^T, rows indexed by (trial, antenna), and the
+        error is reduced once per trial.  The fold is a view when the last two
+        axes of x and target are transposed C-contiguous, as in the user-major
+        layout `SweepEngine` scores; any other layout is copied first.
         """
-        diff = self.apply(x) - target
-        return (diff.real**2 + diff.imag**2).sum(axis=(-2, -1))
+        lead, (n_x, n_cols), n_s = x.shape[:-2], x.shape[-2:], target.shape[-2]
+        diff = x.swapaxes(-1, -2).reshape(-1, n_x) @ self.H.T  # (trials * M, N+1)
+        rows = diff.reshape(-1, n_cols, n_s)
+        if self.innovation:
+            rows += self.offset.T
+        rows -= target.swapaxes(-1, -2).reshape(rows.shape)
+        flat = diff.view(np.float64).reshape(-1, 2 * n_cols * n_s)
+        return np.einsum("ij,ij->i", flat, flat).reshape(lead)[()]
 
 
 def hermitian_pinvs(

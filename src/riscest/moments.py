@@ -156,14 +156,20 @@ def split_observation(r: np.ndarray | None, y: np.ndarray) -> np.ndarray:
     antenna it is Y alone, (..., T, 1).  Otherwise Y is the (..., T, M)
     matrix of y, P = conj(r) r^T / M, and the result is the (..., 2T, M)
     stack [Y P; Y (I - P)], so that [W_0, W_1] applied to it is the
-    combine_blocks filter applied to y, in the target_matrix form.
+    combine_blocks filter applied to y, in the target_matrix form.  It is
+    the transposed view of a C-contiguous (..., M, 2T) array, built as
+    [P^T Y^T, Y^T - P^T Y^T], so stacked trials fold their columns into the
+    rows of one matrix without a copy (`AffineEstimator.squared_error`).
     """
     if r is None or r.size == 1:
         return y[..., None]
     m = r.size
-    y_mat = y.reshape(*y.shape[:-1], -1, m)
-    aligned = y_mat @ (np.outer(r.conj(), r) / m)
-    return np.concatenate([aligned, y_mat - aligned], axis=-2)
+    y_t = np.swapaxes(y.reshape(*y.shape[:-1], -1, m), -1, -2)  # (..., M, T)
+    t = y_t.shape[-1]
+    out = np.empty((*y_t.shape[:-1], 2 * t), dtype=np.result_type(y, r))
+    aligned = np.matmul(np.outer(r, r.conj()) / m, y_t, out=out[..., :t])
+    np.subtract(y_t, aligned, out=out[..., t:])
+    return np.swapaxes(out, -1, -2)
 
 
 @dataclass(eq=False, repr=False)

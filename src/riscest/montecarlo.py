@@ -2,17 +2,17 @@
 
 A sweep cell is one (group count, SNR) pair.  Within a trial every estimator
 consumes the same channel realization and the same synthesized observation,
-so estimator comparisons are paired.  The per-trial random stream is derived
-from (base_seed, snr_index, trial_index) through numpy's SeedSequence, which
-makes every result independent of execution order and worker count.  The
-same triple shares the channel realization across group cells: each trial
-draws its channel normals and then a run of noise normals in one call, and
-every cell takes the prefix of the noise it needs.
+so estimator comparisons are paired.  Trials run in fixed blocks of
+consecutive indices (see `SweepEngine`), and each block's random stream is
+derived from (base_seed, snr_index, block_index) through numpy's
+SeedSequence.  The partition depends on the trial index alone, which makes
+every result independent of execution order and worker count.  One draw
+call gives a block's channel normals and a run of noise normals per trial,
+one `ChannelSampler.sample` call builds its realizations, and the group
+cells share them: every cell takes the prefix of each trial's noise it needs.
 
-Trials run in fixed blocks of consecutive indices (see `SweepEngine`): one
-`ChannelSampler.sample` call builds a block's realizations, and synthesis, the
-split and every estimator's scoring run once per (cell, block), while the
-seeding and the draw call stay per trial.
+Synthesis, the split and every estimator's scoring run once per (cell,
+block), and each estimator scores a user's trials with one matrix product.
 
 Trials run in the antenna domain: synthesis multiplies each user's
 (T, N+1) mixing block with its (N+1, M) target matrix, and each estimator
@@ -239,8 +239,20 @@ def theory_means(filters: list[AffineEstimator]) -> tuple[float, float, float]:
 
 
 # Bytes of one trial block's stacked complex targets, B * 16 * K * M * (N+1),
-# that fix the trial-block size B (at least one trial).
+# that fix the trial-block size B (at least one trial).  B is part of the
+# random stream, since each block has one generator: changing this constant
+# changes the empirical columns of every scenario with B > 1.
 TRIAL_BLOCK_BYTES = 1 << 16
+
+
+def _user_major(a: np.ndarray) -> np.ndarray:
+    """(B, K, R, C) as a (K, B, R, C) view of a C-contiguous (K, B, C, R) copy.
+
+    A user's slice then folds its (trial, column) pairs into the rows of one
+    matrix without a copy (`AffineEstimator.squared_error`), as the split
+    observations of `split_observation` do.
+    """
+    return np.ascontiguousarray(np.moveaxis(a, 1, 0).swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 @dataclass
@@ -251,6 +263,7 @@ class _TrialBlock:
     lo: int  # first trial index
     realization: ChannelRealization  # stacked, leading axis over the block's trials
     normals: np.ndarray  # (B, 2 T_max K M) noise normals per trial, a view of the draws
+    targets: np.ndarray  # (K, B, N+1, M) user-major view of realization.S (`_user_major`)
     # group index -> ({kind: (B, K) squared errors}, (B, K, M*T) y_combined)
     cells: dict[int, tuple[dict[EstimatorKind, np.ndarray], np.ndarray]]
 
@@ -266,13 +279,15 @@ class SweepEngine:
     is served, so a one-point grid keeps none, and memory grows with the
     number of group counts only.
 
-    Trials are scored in blocks of B = `block_size` consecutive indices,
-    block b covering trials [b*B, (b+1)*B), so the partition never depends on
-    the worker count.  Each trial keeps its own stream: `trial_rng` draws the
-    sampler's `n_normals` and 2*T_max*K*M noise normals in one call, T_max
-    being the largest T over the group cells, and one `sample` call builds the
-    block.  A cell with T takes the first 2*T*K*M noise normals, as a lone
-    `synthesize_received(realization, ..., rng)` would draw.  The first
+    Trials are drawn and scored in blocks of B = `block_size` consecutive
+    indices, block b covering trials [b*B, (b+1)*B), so the partition never
+    depends on the worker count.  Each block has one stream (`trial_rng`):
+    one call draws a (rows, n_normals + 2*T_max*K*M) array whose row j holds
+    trial b*B + j's channel normals and then its noise normals, T_max being
+    the largest T over the group cells, and one `sample` call builds the
+    block.  A cell with T takes the first 2*T*K*M noise normals of a row, as
+    a lone `synthesize_received(realization, ..., rng)` would draw after the
+    channel.  At B = 1 a block's stream is its trial's own.  The first
     `run_cell_trial` of a cell in a block synthesizes, splits and scores the
     whole block at once; the group cells share its realizations.  Only the
     block served last is kept, with its cells' scores.  Calls may come in any
@@ -312,24 +327,31 @@ class SweepEngine:
         return self._banks[group_index]
 
     def trial_rng(self, snr_index: int, trial_index: int) -> np.random.Generator:
-        seq = np.random.SeedSequence((self.config.base_seed, snr_index, trial_index))
+        """The generator of the block holding the trial.
+
+        It is seeded with SeedSequence((base_seed, snr_index, trial_index //
+        block_size)), so every trial of a block shares it; row j of the
+        block's draw belongs to its trial j.
+        """
+        seq = np.random.SeedSequence(
+            (self.config.base_seed, snr_index, trial_index // self.block_size)
+        )
         return np.random.default_rng(seq)
 
     def _block_of(self, snr_index: int, trial_index: int) -> _TrialBlock:
-        """The block holding the trial, drawn (one call per trial) when it is not the one kept."""
+        """The block holding the trial, drawn (one call) when it is not the one kept."""
         if not 0 <= trial_index < self.config.n_trials:
             raise IndexError(f"trial {trial_index} outside 0..{self.config.n_trials - 1}")
         key = (snr_index, trial_index // self.block_size)
         if self._block is None or self._block.key != key:
             self._block = None  # before the next block is drawn, so two never coexist
             lo = key[1] * self.block_size
-            trials = range(lo, min(lo + self.block_size, self.config.n_trials))
             n_channel = self.sampler.n_normals
-            normals = np.empty((len(trials), n_channel + self._noise_size))
-            for j, trial in enumerate(trials):
-                self.trial_rng(snr_index, trial).standard_normal(out=normals[j])
+            shape = (min(self.block_size, self.config.n_trials - lo), n_channel + self._noise_size)
+            normals = self.trial_rng(snr_index, lo).standard_normal(shape)  # row j: trial lo + j
             realization = self.sampler.sample(normals=normals)
-            self._block = _TrialBlock(key, lo, realization, normals[:, n_channel:], {})
+            targets = _user_major(realization.S)
+            self._block = _TrialBlock(key, lo, realization, normals[:, n_channel:], targets, {})
         return self._block
 
     def _score_block(
@@ -337,20 +359,22 @@ class SweepEngine:
     ) -> tuple[dict[EstimatorKind, np.ndarray], np.ndarray]:
         """Squared errors per kind of every (trial, user) of a block, and its observations.
 
-        A NumericalError of one estimator is recorded as NaN for that (kind,
-        user) over the block rather than aborting the sweep.
+        The split observations are built user-major once per (cell, block),
+        like the block's targets, so every `squared_error` folds a user's
+        trials into one product without a copy.  A NumericalError of
+        one estimator is recorded as NaN for that (kind, user) over the block
+        rather than aborting the sweep.
         """
         obs = synthesize_received(
             block.realization, self.stats, bank.tconfig, mixing=bank.mixing, normals=block.normals
         )
-        xs = split_observation(bank.r, obs.y_combined)
-        targets = block.realization.S  # (B, K, N+1, M)
+        xs = split_observation(bank.r, np.moveaxis(obs.y_combined, 1, 0))  # (K, B, 2T, M)
         errors: dict[EstimatorKind, np.ndarray] = {}
         for kind, per_user in bank.filters.items():
-            err = np.empty(targets.shape[:2])
+            err = np.empty(xs.shape[1::-1])  # (B, K)
             for k, f in enumerate(per_user):
                 try:
-                    err[:, k] = f.squared_error(xs[:, k], targets[:, k])
+                    err[:, k] = f.squared_error(xs[k], block.targets[k])
                 except NumericalError:
                     err[:, k] = np.nan
             errors[kind] = err
@@ -385,17 +409,16 @@ CellResult = tuple[float, dict[EstimatorKind, tuple[float, float, float]], np.nd
 def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[CellResult]:
     """Trials lo..hi-1 at one SNR over every group cell, one CellResult per cell.
 
-    The cells run inside each trial, so the realization is drawn once per
-    trial; the engine scores a cell's whole trial block on the block's first
-    call.  Each result carries its cell's theory, so no caller needs the
-    bank again.
+    The cells run inside each trial, so each block is drawn once; the
+    engine scores a cell's whole trial block on the block's first call.
+    Each result carries its cell's theory, so no caller needs the bank again.
     """
     banks = [engine.bank(gi, snr_index) for gi in range(len(engine.config.n_groups))]
     out = [np.empty((hi - lo, len(b.filters), engine.stats.n_users)) for b in banks]
     for j, trial in enumerate(range(lo, hi)):
         for gi, bank in enumerate(banks):
             errors, _ = engine.run_cell_trial(gi, snr_index, trial)
-            out[gi][j] = [errors[kind] for kind in bank.filters]
+            out[gi][j] = tuple(errors.values())  # in the order of bank.filters
     return [
         (b.rho, {kind: theory_means(f) for kind, f in b.filters.items()}, e / b.prior_traces)
         for b, e in zip(banks, out)
@@ -421,8 +444,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
 
     A task is one SNR point, split into trial chunks only when there are more
     workers than SNR points.  Results are bit-identical for a given base seed
-    regardless of the worker count: trials are seeded individually and
-    reassembled in index order before any reduction.
+    regardless of the worker count: each block of trials is seeded by its
+    index, a chunk that starts or ends inside a block draws the whole block,
+    and trials are reassembled in index order before any reduction.
     """
     if workers < 1:
         raise ConfigurationError(f"need at least one worker, got {workers}")

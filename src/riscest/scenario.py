@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -190,6 +190,40 @@ def scenario_from_config(parser: configparser.ConfigParser) -> Scenario:
     )
 
 
+# every key an INI file may set, by section; `scenario_from_config` reads the
+# [scenario] keys and `load_config` the others
+CONFIG_KEYS = {
+    "scenario": frozenset({
+        "name", "bs_position", "ris_position", "ue_positions", "n_x", "n_y", "m_antennas",
+        "wavelength", "delta_x", "delta_y", "delta_0", "kappa_a_db", "kappa_g_db",
+        "alpha_a", "alpha_g", "alpha_b", "rho_0_db", "noise_dbm", "eta", "psi",
+        "direct_blocked",
+    }),
+    "sweep": frozenset(f.name for f in fields(SweepSettings)),
+    "output": frozenset({"path"}),
+}
+
+
+def _check_config_keys(parser: configparser.ConfigParser) -> None:
+    """Reject an unknown section, an unknown key and a key in the wrong section."""
+    problems = []
+    if parser.defaults():  # configparser would copy them into every section
+        problems.append(f"unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in CONFIG_KEYS:
+            problems.append(f"unknown section [{section}]")
+            continue
+        for key in parser[section]:
+            if key in CONFIG_KEYS[section]:
+                continue
+            home = [f"[{name}]" for name, keys in CONFIG_KEYS.items() if key in keys]
+            where = f" (it belongs in {home[0]})" if home else ""
+            problems.append(f"unknown key {key} in [{section}]{where}")
+    if problems:
+        sections = ", ".join(f"[{name}]" for name in CONFIG_KEYS)
+        raise ConfigurationError(f"{'; '.join(problems)}; the sections are {sections}")
+
+
 def load_config(path: str | None) -> RunConfig:
     """Load a RunConfig from an INI file; defaults reproduce the reference setup."""
     parser = configparser.ConfigParser()
@@ -201,6 +235,7 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
         except OSError as exc:
             raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+        _check_config_keys(parser)
     scenario = scenario_from_config(parser)
     sweep = SweepSettings()
     if "sweep" in parser:

@@ -1,3 +1,4 @@
+import configparser
 import math
 import os
 import re
@@ -15,6 +16,7 @@ from riscest.errors import ConfigurationError
 from riscest.moments import group_expansion_matrix
 from riscest.montecarlo import SweepEngine
 from riscest.scenario import (
+    CONFIG_KEYS,
     config_digest,
     dbm_to_watts,
     db_to_linear,
@@ -157,6 +159,10 @@ class TestConfigParsing:
         assert_same_scenario(got.scenario, default_scenario())
         assert (got.scenario.name, want.scenario.name) == ("config", "default")
         assert got.sweep == want.sweep
+        # the example sets every key a config may hold, in its own section
+        parser = configparser.ConfigParser()
+        parser.read_string(blocks[0])
+        assert {name: set(parser[name]) for name in parser.sections()} == CONFIG_KEYS
 
     def test_missing_file_diagnostic(self):
         with pytest.raises(ConfigurationError, match="cannot read"):
@@ -304,6 +310,30 @@ def test_malformed_ini_is_usage_error(command, old, new, tmp_path, capsys):
         main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["theory", "sweep"])
+@pytest.mark.parametrize("old,new,message", [
+    # a typo in a key of a known section
+    ("eta = 0.99", "etaa = 0.5", "unknown key etaa in [scenario]"),
+    ("trials = 5", "trails = 3", "unknown key trails in [sweep]"),
+    # a key placed in the wrong section
+    ("trials = 5", "trials = 5\neta = 0.5", "key eta in [sweep] (it belongs in [scenario])"),
+    ("name = desk", "name = desk\nseed = 3", "key seed in [scenario] (it belongs in [sweep])"),
+    # an unknown section, and keys configparser would copy into every section
+    ("[sweep]", "[bogus]\nx = 1\n\n[sweep]", "unknown section [bogus]"),
+    ("[scenario]", "[DEFAULT]\nname = desk\n\n[scenario]", "unknown section [DEFAULT]"),
+])
+def test_unknown_ini_entry_is_usage_error(command, old, new, message, tmp_path, capsys):
+    assert old in DESK_SCENARIO_INI
+    path = tmp_path / "bad.ini"
+    path.write_text(DESK_SCENARIO_INI.replace(old, new))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_bad_worker_count_is_usage_error(desk_ini, capsys):

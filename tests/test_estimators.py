@@ -17,7 +17,7 @@ from riscest.estimators import (
     make_estimator,
 )
 from riscest.moments import MomentSet, build_moments, combine_blocks, cov_ss, split_observation
-from riscest.montecarlo import received_snr_to_power
+from riscest.montecarlo import _user_major, received_snr_to_power
 from riscest.scenario import desk_scenario
 from riscest.training import build_Z, make_training_config, mixing_blocks, synthesize_received
 
@@ -129,6 +129,52 @@ def hermitian_with_spectrum(eigvals, seed=0):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     mat = (q * np.asarray(eigvals)) @ q.conj().T
     return 0.5 * (mat + mat.conj().T), q
+
+
+class TestSquaredError:
+    """Stacked trials fold into one product and give each lone trial's value."""
+
+    @pytest.mark.parametrize("n_groups", [4, 16])
+    def test_stacked_and_user_major_trials_match_lone_calls(self, desk, n_groups):
+        scenario, stats = desk
+        tc = desk_training(scenario, stats, n_groups)
+        sampler = ChannelSampler(stats)
+        rng = np.random.default_rng(8)
+        n_trials, n_users = 5, stats.n_users
+        real = sampler.sample(normals=rng.standard_normal((n_trials, sampler.n_normals)))
+        obs = synthesize_received(real, stats, tc, rng, mixing=mixing_blocks(stats, tc))
+        for k in range(n_users):
+            m, m_model = build_moments(stats, k, tc), build_moments(stats, k, tc, block_ideal=True)
+            x = split_observation(m.r, obs.y_combined)  # (B, K, 2T, M)
+            s = real.S  # (B, K, N+1, M)
+            # the layouts SweepEngine scores: (K, B, ...) views whose last two axes are transposed
+            x_users = split_observation(m.r, np.moveaxis(obs.y_combined, 1, 0))
+            s_users = _user_major(s)
+            for a in (x_users, s_users):
+                assert a.swapaxes(-1, -2).flags.c_contiguous and not a.flags.c_contiguous
+            for kind in EstimatorKind:
+                f = make_estimator(kind, m, m_model)
+                lone = np.array(
+                    [[f.squared_error(x[t, j], s[t, j]) for j in range(n_users)]
+                     for t in range(n_trials)]
+                )
+                assert lone.dtype == np.float64 and np.ndim(f.squared_error(x[0, 0], s[0, 0])) == 0
+                want = np.sum(np.abs(f.apply(x) - s) ** 2, axis=(-2, -1))
+                np.testing.assert_allclose(lone, want, rtol=1e-12)
+                got = f.squared_error(x[:, k], s[:, k])
+                np.testing.assert_allclose(got, lone[:, k], rtol=1e-12)
+                np.testing.assert_allclose(f.squared_error(x, s), lone, rtol=1e-12)
+                got = f.squared_error(x_users[k], s_users[k])
+                np.testing.assert_allclose(got, lone[:, k], rtol=1e-12)
+
+    def test_dense_column_form(self):
+        f = make_estimator(EstimatorKind.LMMSE, scalar_moments())
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((3, 4, 1, 1)) + 1j * rng.standard_normal((3, 4, 1, 1))
+        s = rng.standard_normal((3, 4, 1, 1)) + 1j * rng.standard_normal((3, 4, 1, 1))
+        want = np.abs(f.apply(x) - s)[..., 0, 0] ** 2
+        np.testing.assert_allclose(f.squared_error(x, s), want, rtol=1e-12)
+        np.testing.assert_allclose(f.squared_error(x[1, 2], s[1, 2]), want[1, 2], rtol=1e-12)
 
 
 class TestSpectrumClamp:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import weakref
 from pathlib import Path
 
@@ -154,8 +155,38 @@ def desk_block_size() -> int:
     return SweepEngine(desk_config()).block_size
 
 
+# SHA-256 of the little-endian float64 normals of desk block 0 (seed 1, SNR index 0)
+DESK_BLOCK0_SHA256 = "1db47cce926e05529f1cadc3f758b1c4154776f168350a7b69a6713f22ff0db0"
+
+
+def row_width(engine) -> int:
+    """Normals per trial in a block's draw: the sampler's n_normals, then 2 T_max K M noise."""
+    stats = engine.stats
+    t_max = max(engine.config.n_groups) + 1
+    return engine.sampler.n_normals + 2 * t_max * stats.n_users * stats.m_antennas
+
+
+def lone_trial_rng(engine, snr_index, trial):
+    """The trial's own draws: its block's generator, past the rows of the block's earlier trials."""
+    rng = engine.trial_rng(snr_index, trial)
+    rng.standard_normal((trial % engine.block_size, row_width(engine)))
+    return rng
+
+
+def capture_sample_normals(monkeypatch) -> list[np.ndarray]:
+    """The normals every ChannelSampler.sample(normals=...) call receives, in call order."""
+    drawn, sample = [], ChannelSampler.sample
+
+    def capturing(self, rng=None, normals=None):
+        drawn.append(normals)
+        return sample(self, rng, normals)
+
+    monkeypatch.setattr(ChannelSampler, "sample", capturing)
+    return drawn
+
+
 class TestTrialBlocks:
-    """Trials are scored a block at a time, and each keeps its own random stream."""
+    """Trials are drawn and scored a block at a time, from one random stream per block."""
 
     def test_block_size_is_fixed_by_the_scenario(self):
         # 2**16 bytes over 16 * K * M * (N+1) = 2176 bytes of desk targets per trial
@@ -170,7 +201,7 @@ class TestTrialBlocks:
             for gi in range(len(cfg.n_groups)):
                 errors, _ = engine.run_cell_trial(gi, 0, trial)
                 bank = engine.bank(gi, 0)
-                rng = engine.trial_rng(0, trial)
+                rng = lone_trial_rng(engine, 0, trial)
                 real = engine.sampler.sample(rng)
                 obs = synthesize_received(real, engine.stats, bank.tconfig, rng, bank.mixing)
                 xs = split_observation(bank.r, obs.y_combined)
@@ -178,6 +209,38 @@ class TestTrialBlocks:
                 for kind, per_user in bank.filters.items():
                     want = [f.squared_error(xs[k], real.S[k]) for k, f in enumerate(per_user)]
                     np.testing.assert_allclose(errors[kind], want, rtol=1e-12, atol=0)
+
+    def test_desk_block_normals_are_pinned(self, monkeypatch):
+        """Block 0 of perfbench/desk.ini at seed 1, SNR index 0: the whole (B, width) draw."""
+        drawn = capture_sample_normals(monkeypatch)
+        config = cli.load_config(str(DESK_INI))
+        config.sweep.seed = 1
+        engine = SweepEngine(cli._sweep_config(config))
+        engine.run_cell_trial(0, 0, 0)
+        (normals,) = drawn
+        # 208 channel normals, then 2 T_max K M = 2 * 17 * 2 * 4 noise normals
+        assert normals.shape == (30, row_width(engine)) == (30, 208 + 272)
+        digest = hashlib.sha256(np.ascontiguousarray(normals, dtype="<f8").tobytes()).hexdigest()
+        assert digest == DESK_BLOCK0_SHA256
+
+    def test_reference_blocks_keep_the_per_trial_streams(self, monkeypatch):
+        """At the reference setup B = 1, so trial t's normals are SeedSequence((seed, snr, t))'s."""
+        drawn = capture_sample_normals(monkeypatch)
+        cfg = SweepConfig(
+            scenario=default_scenario(), estimators=ALL_KINDS, snr_db=(0.0, 20.0),
+            n_trials=3, n_groups=(16, 64), base_seed=4242,
+        )
+        engine = SweepEngine(cfg)
+        assert engine.block_size == 1
+        width = row_width(engine)
+        keys = [(1, 0), (0, 2), (1, 1)]
+        for snr_index, trial in keys:
+            engine._block_of(snr_index, trial)
+        for (snr_index, trial), normals in zip(keys, drawn, strict=True):
+            seq = np.random.SeedSequence((cfg.base_seed, snr_index, trial))
+            want = np.random.default_rng(seq).standard_normal(width)
+            assert normals.shape == (1, width)
+            np.testing.assert_array_equal(normals[0], want)
 
     def test_trial_outside_the_sweep_rejected(self):
         engine = SweepEngine(desk_config(n_trials=10))
@@ -304,7 +367,7 @@ class TestRunSweep:
         trial_rng, sample = SweepEngine.trial_rng, ChannelSampler.sample
 
         def counting_rng(self, snr_index, trial_index):
-            seeded.append((snr_index, trial_index))
+            seeded.append((snr_index, trial_index // self.block_size))
             return trial_rng(self, snr_index, trial_index)
 
         def counting_sample(self, rng=None, normals=None):
@@ -313,13 +376,34 @@ class TestRunSweep:
 
         monkeypatch.setattr(SweepEngine, "trial_rng", counting_rng)
         monkeypatch.setattr(ChannelSampler, "sample", counting_sample)
-        cfg = desk_config(n_trials=7, snr_db=(0.0, 20.0), n_groups=(4, 16))
+        b = desk_block_size()
+        cfg = desk_config(n_trials=2 * b + 7, snr_db=(0.0, 20.0), n_groups=(4, 16))
         run_sweep(cfg)
         n_draws = len(cfg.snr_db) * cfg.n_trials
-        # every (SNR, trial) is seeded once and its realization drawn once,
-        # so both group cells read the same draw
-        assert len(seeded) == len(set(seeded)) == n_draws
+        n_blocks = len(cfg.snr_db) * -(-cfg.n_trials // b)
+        # every (SNR, block) is seeded once and every (SNR, trial) realization
+        # drawn once, so both group cells read the same draw
+        assert len(seeded) == len(set(seeded)) == n_blocks
         assert sum(sampled) == n_draws
+
+    def test_one_failing_filter_is_nan_for_its_own_kind_and_user(self, monkeypatch):
+        cfg = desk_config(n_trials=5, snr_db=(10.0,), estimators=GROUPED)
+        engine = SweepEngine(cfg)
+        failing = engine.bank(0, 0).filters[EstimatorKind.GROUPING_LS][1]
+        original = AffineEstimator.squared_error
+
+        def flaky(self, x, target):
+            if self is failing:
+                raise NumericalError("injected")
+            return original(self, x, target)
+
+        monkeypatch.setattr(AffineEstimator, "squared_error", flaky)
+        for trial in range(cfg.n_trials):
+            errors, _ = engine.run_cell_trial(0, 0, trial)
+            assert set(errors) == set(GROUPED)
+            for kind, err in errors.items():
+                want = [False, kind == EstimatorKind.GROUPING_LS]
+                assert np.isnan(err).tolist() == want, kind
 
     def test_stderr_shrinks_with_sqrt_trials(self):
         cfg_a = desk_config(
