@@ -28,6 +28,7 @@ from .errors import DomainError, NumericalError
 # Eigenvalues of a correlation matrix below this are a hard error; anything
 # in [-PSD_ERROR_TOL, 0) is clipped to zero before factorization.
 PSD_ERROR_TOL = 1e-8
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass
@@ -157,10 +158,20 @@ class ChannelRealization:
 
 
 def target_matrix(s: np.ndarray, m_antennas: int) -> np.ndarray:
-    """Dense targets (..., M(N+1)) as (..., N+1, M) matrices [b; (a_m*g)^T]."""
-    lead = s.shape[:-1]
-    cascade = s[..., m_antennas:].reshape(*lead, m_antennas, -1)
-    return np.concatenate([s[..., None, :m_antennas], np.swapaxes(cascade, -1, -2)], axis=-2)
+    """Dense targets (..., K, M(N+1)) as (..., K, N+1, M) matrices [b; (a_m*g)^T].
+
+    The result is laid out user-major: a view of a C-contiguous (K, ..., M,
+    N+1) array, so one user's targets over every leading (trial) axis fold
+    into the rows of one matrix without a copy, which synthesis and
+    `AffineEstimator.squared_error` both do.  A lone (M(N+1),) target gives
+    the transposed view of an (M, N+1) array.
+    """
+    users = np.moveaxis(s, -2, 0) if s.ndim > 1 else s  # (K, ..., M(N+1))
+    out = np.empty((*users.shape[:-1], m_antennas, users.shape[-1] // m_antennas), s.dtype)
+    out[..., 0] = users[..., :m_antennas]
+    out[..., 1:] = users[..., m_antennas:].reshape(*users.shape[:-1], m_antennas, -1)
+    out = out.swapaxes(-1, -2)
+    return np.moveaxis(out, 0, -3) if s.ndim > 1 else out
 
 
 def target_vector(s_mat: np.ndarray) -> np.ndarray:
@@ -326,8 +337,15 @@ def psd_factor(matrix: np.ndarray, error_tol: float = PSD_ERROR_TOL) -> np.ndarr
 
 
 def complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussians from real and imaginary normals."""
-    return (re + 1j * im) / np.sqrt(2.0)
+    """Standard circularly-symmetric complex Gaussians from real and imaginary normals.
+
+    Each part is scaled by 1/sqrt(2) straight into the result, which gives
+    the bits of (re + 1j * im) / sqrt(2) without its complex temporaries.
+    """
+    out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+    np.multiply(re, _INV_SQRT2, out=out.real)
+    np.multiply(im, _INV_SQRT2, out=out.imag)
+    return out
 
 
 class ChannelSampler:

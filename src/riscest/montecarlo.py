@@ -2,20 +2,23 @@
 
 A sweep cell is one (group count, SNR) pair.  Within a trial every estimator
 consumes the same channel realization and the same synthesized observation,
-so estimator comparisons are paired.  Trials run in fixed blocks of
+so estimator comparisons are paired.  Trials are drawn in fixed blocks of
 consecutive indices (see `SweepEngine`), and each block's random stream is
 derived from (base_seed, snr_index, block_index) through numpy's
 SeedSequence.  The partition depends on the trial index alone, which makes
 every result independent of execution order and worker count.  One draw
-call gives a block's channel normals and a run of noise normals per trial,
-one `ChannelSampler.sample` call builds its realizations, and the group
-cells share them: every cell takes the prefix of each trial's noise it needs.
+call gives a block's channel normals and a run of noise normals per trial;
+every cell takes the prefix of each trial's noise it needs.  The block size
+and this row layout are part of the stream.
 
-Synthesis, the split and every estimator's scoring run once per (cell,
-block), and each estimator scores a user's trials with one matrix product.
+Work runs in scoring batches of whole blocks: one `ChannelSampler.sample`
+call builds a batch's realizations, which the group cells share, and
+synthesis, the split and every estimator's scoring run once per (cell,
+batch); each estimator scores a user's trials with one matrix product.  The
+batch size is not part of the stream and changes no output byte.
 
 Trials run in the antenna domain: synthesis multiplies each user's
-(T, N+1) mixing block with its (N+1, M) target matrix, and each estimator
+(T, N+1) mixing block with its (N+1, M) target matrices, and each estimator
 applies its per-block filters to the split observation (see
 `estimators.AffineEstimator`), so no dense mixing matrix or filter is formed.
 """
@@ -243,33 +246,28 @@ def theory_means(filters: list[AffineEstimator]) -> tuple[float, float, float]:
 # random stream, since each block has one generator: changing this constant
 # changes the empirical columns of every scenario with B > 1.
 TRIAL_BLOCK_BYTES = 1 << 16
-
-
-def _user_major(a: np.ndarray) -> np.ndarray:
-    """(B, K, R, C) as a (K, B, R, C) view of a C-contiguous (K, B, C, R) copy.
-
-    A user's slice then folds its (trial, column) pairs into the rows of one
-    matrix without a copy (`AffineEstimator.squared_error`), as the split
-    observations of `split_observation` do.
-    """
-    return np.ascontiguousarray(np.moveaxis(a, 1, 0).swapaxes(-1, -2)).swapaxes(-1, -2)
+# Bytes of one scoring batch's stacked targets, which fix how many whole
+# trial blocks a batch holds (at least one).  A batch is only the engine's
+# unit of work: every row is still its own block's draw, so this constant
+# changes no output byte, only the time and memory a sweep takes.
+SCORE_BATCH_BYTES = 1 << 18
 
 
 @dataclass
-class _TrialBlock:
-    """One (SNR, block) of trials: its draws and the scores of the cells run on it."""
+class _TrialBatch:
+    """One (SNR, scoring batch) of trials: its draws and the scores of the cells run on it."""
 
-    key: tuple[int, int]  # (snr_index, block_index)
+    key: tuple[int, int]  # (snr_index, batch_index)
     lo: int  # first trial index
-    realization: ChannelRealization  # stacked, leading axis over the block's trials
-    normals: np.ndarray  # (B, 2 T_max K M) noise normals per trial, a view of the draws
-    targets: np.ndarray  # (K, B, N+1, M) user-major view of realization.S (`_user_major`)
-    # group index -> ({kind: (B, K) squared errors}, (B, K, M*T) y_combined)
-    cells: dict[int, tuple[dict[EstimatorKind, np.ndarray], np.ndarray]]
+    realization: ChannelRealization  # stacked, leading axis over the batch's trials
+    normals: np.ndarray  # (rows, 2 T_max K M) noise normals per trial, a view of the draws
+    # group index -> ((rows, n_kinds, K) squared errors, kinds in the order of
+    # the bank's filters; (rows, K, M*T) y_combined)
+    cells: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
 class SweepEngine:
-    """The one owner of cell banks; evaluates trials in fixed blocks.
+    """The one owner of cell banks; evaluates trials in fixed blocks and batches.
 
     Only the banks of the SNR point served last are kept: asking for another
     SNR point drops them, so memory does not grow with the grid.  Each group
@@ -279,33 +277,43 @@ class SweepEngine:
     is served, so a one-point grid keeps none, and memory grows with the
     number of group counts only.
 
-    Trials are drawn and scored in blocks of B = `block_size` consecutive
-    indices, block b covering trials [b*B, (b+1)*B), so the partition never
-    depends on the worker count.  Each block has one stream (`trial_rng`):
-    one call draws a (rows, n_normals + 2*T_max*K*M) array whose row j holds
-    trial b*B + j's channel normals and then its noise normals, T_max being
-    the largest T over the group cells, and one `sample` call builds the
-    block.  A cell with T takes the first 2*T*K*M noise normals of a row, as
-    a lone `synthesize_received(realization, ..., rng)` would draw after the
-    channel.  At B = 1 a block's stream is its trial's own.  The first
-    `run_cell_trial` of a cell in a block synthesizes, splits and scores the
-    whole block at once; the group cells share its realizations.  Only the
-    block served last is kept, with its cells' scores.  Calls may come in any
-    order, but run_cell_trial mutates that cache, so an engine is not safe to
-    share between threads.  Each worker process builds its own.
+    The random stream is fixed by the trial block: B = `block_size`
+    consecutive indices, block b covering trials [b*B, (b+1)*B), so the
+    partition never depends on the worker count.  Each block has one stream
+    (`trial_rng`) and one draw call of a (rows, n_normals + 2*T_max*K*M)
+    array whose row j holds trial b*B + j's channel normals and then its
+    noise normals, T_max being the largest T over the group cells.  A cell
+    with T takes the first 2*T*K*M noise normals of a row, as a lone
+    `synthesize_received(realization, ..., rng)` would draw after the
+    channel.  At B = 1 a block's stream is its trial's own.  B and this row
+    layout are part of the stream.
+
+    Work is done in scoring batches of `batch_size` trials, a whole number of
+    blocks: batch c covers blocks [c*NB, (c+1)*NB).  A batch stacks its
+    blocks' draws in one array, each block drawn by its own generator, and
+    one `sample` call builds its realizations.  The first `run_cell_trial`
+    of a cell in a batch synthesizes, splits and scores the whole batch at
+    once; the group cells share its realizations.  The batch size is not
+    part of the stream and changes no output byte.  Only the batch served
+    last is kept, with its cells' scores.  Calls may come in any order, but
+    run_cell_trial mutates that cache, so an engine is not safe to share
+    between threads.  Each worker process builds its own.
     """
 
     def __init__(self, config: SweepConfig):
         self.config = config
         self.stats = config.scenario.statistics()
         k, m, n = self.stats.n_users, self.stats.m_antennas, self.stats.n_elements
-        self.block_size = max(1, TRIAL_BLOCK_BYTES // (16 * k * m * (n + 1)))
+        trial_bytes = 16 * k * m * (n + 1)  # one trial's complex targets
+        self.block_size = max(1, TRIAL_BLOCK_BYTES // trial_bytes)
+        block_bytes = self.block_size * trial_bytes
+        self.batch_size = self.block_size * max(1, SCORE_BATCH_BYTES // block_bytes)
         # every cell trains with the minimum identifiable T = G + 1 (build_cell_bank)
         self._noise_size = 2 * (max(config.n_groups) + 1) * k * m
         self._snr_index: int | None = None  # the SNR point whose banks are kept
         self._banks: dict[int, _CellBank] = {}  # group index -> bank
         self._states: dict[int, dict[int, _UserState]] = {}  # group index -> user -> state
-        self._block: _TrialBlock | None = None
+        self._batch: _TrialBatch | None = None
 
     @cached_property
     def sampler(self) -> ChannelSampler:
@@ -338,46 +346,49 @@ class SweepEngine:
         )
         return np.random.default_rng(seq)
 
-    def _block_of(self, snr_index: int, trial_index: int) -> _TrialBlock:
-        """The block holding the trial, drawn (one call) when it is not the one kept."""
+    def _batch_of(self, snr_index: int, trial_index: int) -> _TrialBatch:
+        """The batch holding the trial, drawn when it is not the one kept.
+
+        Each block's rows are filled by one draw from its own generator, so a
+        row does not depend on the batch it sits in.
+        """
         if not 0 <= trial_index < self.config.n_trials:
             raise IndexError(f"trial {trial_index} outside 0..{self.config.n_trials - 1}")
-        key = (snr_index, trial_index // self.block_size)
-        if self._block is None or self._block.key != key:
-            self._block = None  # before the next block is drawn, so two never coexist
-            lo = key[1] * self.block_size
+        key = (snr_index, trial_index // self.batch_size)
+        if self._batch is None or self._batch.key != key:
+            self._batch = None  # before the next batch is drawn, so two never coexist
+            lo = key[1] * self.batch_size
+            hi = min(lo + self.batch_size, self.config.n_trials)
             n_channel = self.sampler.n_normals
-            shape = (min(self.block_size, self.config.n_trials - lo), n_channel + self._noise_size)
-            normals = self.trial_rng(snr_index, lo).standard_normal(shape)  # row j: trial lo + j
+            normals = np.empty((hi - lo, n_channel + self._noise_size))  # row j: trial lo + j
+            for start in range(0, hi - lo, self.block_size):
+                rows = normals[start:start + self.block_size]
+                self.trial_rng(snr_index, lo + start).standard_normal(out=rows)
             realization = self.sampler.sample(normals=normals)
-            targets = _user_major(realization.S)
-            self._block = _TrialBlock(key, lo, realization, normals[:, n_channel:], targets, {})
-        return self._block
+            self._batch = _TrialBatch(key, lo, realization, normals[:, n_channel:], {})
+        return self._batch
 
-    def _score_block(
-        self, bank: _CellBank, block: _TrialBlock
-    ) -> tuple[dict[EstimatorKind, np.ndarray], np.ndarray]:
-        """Squared errors per kind of every (trial, user) of a block, and its observations.
+    def _score_batch(self, bank: _CellBank, batch: _TrialBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Squared errors of every (trial, kind, user) of a batch, and its observations.
 
-        The split observations are built user-major once per (cell, block),
-        like the block's targets, so every `squared_error` folds a user's
-        trials into one product without a copy.  A NumericalError of
-        one estimator is recorded as NaN for that (kind, user) over the block
+        The split observations are built user-major once per (cell, batch),
+        like the targets (`channel.target_matrix`), so every `squared_error`
+        folds a user's trials into one product without a copy.  A NumericalError of
+        one estimator is recorded as NaN for that (kind, user) over the batch
         rather than aborting the sweep.
         """
         obs = synthesize_received(
-            block.realization, self.stats, bank.tconfig, mixing=bank.mixing, normals=block.normals
+            batch.realization, self.stats, bank.tconfig, mixing=bank.mixing, normals=batch.normals
         )
-        xs = split_observation(bank.r, np.moveaxis(obs.y_combined, 1, 0))  # (K, B, 2T, M)
-        errors: dict[EstimatorKind, np.ndarray] = {}
-        for kind, per_user in bank.filters.items():
-            err = np.empty(xs.shape[1::-1])  # (B, K)
+        xs = split_observation(bank.r, np.moveaxis(obs.y_combined, 1, 0))  # (K, rows, 2T, M)
+        targets = np.moveaxis(batch.realization.S, 1, 0)  # (K, rows, N+1, M)
+        errors = np.empty((xs.shape[1], len(bank.filters), xs.shape[0]))
+        for i, per_user in enumerate(bank.filters.values()):
             for k, f in enumerate(per_user):
                 try:
-                    err[:, k] = f.squared_error(xs[k], block.targets[k])
+                    errors[:, i, k] = f.squared_error(xs[k], targets[k])
                 except NumericalError:
-                    err[:, k] = np.nan
-            errors[kind] = err
+                    errors[:, i, k] = np.nan
         return errors, obs.y_combined
 
     def run_cell_trial(
@@ -385,20 +396,20 @@ class SweepEngine:
     ) -> tuple[dict[EstimatorKind, np.ndarray], str | None]:
         """Squared errors per estimator and user for one paired trial.
 
-        The trial's block is scored for this cell on first use and kept;
+        The trial's batch is scored for this cell on first use and kept;
         digest hashes this trial's own combined observation.  Failures of a
         single estimator are recorded as NaN rather than aborting the sweep.
         """
         bank = self.bank(group_index, snr_index)
-        block = self._block_of(snr_index, trial_index)
-        if group_index not in block.cells:
-            block.cells[group_index] = self._score_block(bank, block)
-        errors, y_combined = block.cells[group_index]
-        j = trial_index - block.lo
+        batch = self._batch_of(snr_index, trial_index)
+        if group_index not in batch.cells:
+            batch.cells[group_index] = self._score_batch(bank, batch)
+        errors, y_combined = batch.cells[group_index]
+        j = trial_index - batch.lo
         obs_digest = None
         if digest:
             obs_digest = hashlib.sha256(np.ascontiguousarray(y_combined[j]).tobytes()).hexdigest()
-        return {kind: err[j] for kind, err in errors.items()}, obs_digest
+        return dict(zip(bank.filters, errors[j])), obs_digest
 
 
 # Per group cell: the pilot power, {kind: theory_means}, and the (trials,
@@ -409,16 +420,21 @@ CellResult = tuple[float, dict[EstimatorKind, tuple[float, float, float]], np.nd
 def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[CellResult]:
     """Trials lo..hi-1 at one SNR over every group cell, one CellResult per cell.
 
-    The cells run inside each trial, so each block is drawn once; the
-    engine scores a cell's whole trial block on the block's first call.
-    Each result carries its cell's theory, so no caller needs the bank again.
+    The cells run inside each scoring batch, so each batch is drawn once.
+    For each (cell, batch), `run_cell_trial` on the batch's first trial in
+    range scores the batch (it is also the span perfbench/tracing.py times),
+    and one slice copies the batch's rows in range.  Each result carries its
+    cell's theory, so no caller needs the bank again.
     """
     banks = [engine.bank(gi, snr_index) for gi in range(len(engine.config.n_groups))]
     out = [np.empty((hi - lo, len(b.filters), engine.stats.n_users)) for b in banks]
-    for j, trial in enumerate(range(lo, hi)):
-        for gi, bank in enumerate(banks):
-            errors, _ = engine.run_cell_trial(gi, snr_index, trial)
-            out[gi][j] = tuple(errors.values())  # in the order of bank.filters
+    size = engine.batch_size
+    for first in range(lo - lo % size, hi, size):  # the first trial of each batch in range
+        start, stop = max(lo, first), min(hi, first + size)
+        for gi in range(len(banks)):
+            engine.run_cell_trial(gi, snr_index, start)
+            errors = engine._batch.cells[gi][0]
+            out[gi][start - lo:stop - lo] = errors[start - first:stop - first]
     return [
         (b.rho, {kind: theory_means(f) for kind, f in b.filters.items()}, e / b.prior_traces)
         for b, e in zip(banks, out)

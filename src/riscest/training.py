@@ -214,11 +214,13 @@ def synthesize_received(
 
     Per slot, every user's pilot rides through its cascaded channel under the
     active RIS pattern; combining with conjugated pilots isolates user k with
-    combined noise covariance K*sigma_w2*I.  The per-slot contributions are
-    one batched product of the users' mixing blocks with their target
-    matrices; mixing (from `mixing_blocks`) may be passed in to avoid
-    rebuilding it in tight loops.  Noise is drawn once, so every estimator
-    consuming this set sees identical observations.
+    combined noise covariance K*sigma_w2*I.  Each user's contributions over
+    every trial are one product of its mixing block with its target matrices,
+    a view of the user-major targets of `target_matrix`, and the pilot
+    scaling and the combining are one product each over every trial and
+    slot; mixing (from `mixing_blocks`) may be passed in to avoid rebuilding
+    it in tight loops.  Noise is drawn once, so every estimator consuming
+    this set sees identical observations.
 
     The realization may carry leading trial axes (`ChannelSampler.sample` with
     stacked normals); so do the outputs.  With n = T*K*M, the noise takes its real parts from
@@ -237,14 +239,19 @@ def synthesize_received(
     if normals is None:
         normals = rng.standard_normal((*lead, 2 * size))
     shape = (*lead, t_pats, k_users, m)
-    noise = np.sqrt(config.sigma_w2) * complex_normal(
+    noise = complex_normal(
         normals[..., :size].reshape(shape), normals[..., size:2 * size].reshape(shape)
     )
+    noise *= np.sqrt(config.sigma_w2)
 
-    c = mixing @ realization.S  # (..., K, T, M): user k's slot contributions before pilot scaling
+    # user-major throughout: (K, ..., M, T) arrays with user k's rows first
+    targets = np.moveaxis(realization.S, -3, 0).swapaxes(-1, -2)  # (K, ..., M, N+1)
+    c = targets.reshape(k_users, -1, n + 1) @ mixing.swapaxes(-1, -2)  # (K, ... * M, T)
     phi = config.pilot_matrix  # (K, K), row k = user k
-    # y_raw[i] holds slot i's received (T, M) block, flattened; combining with
-    # conjugated pilots then gives y_combined directly in its (t, m) row order
-    flat = (*lead, k_users, t_pats * m)
-    y_raw = phi.T @ c.reshape(flat) + np.swapaxes(noise, -3, -2).reshape(flat)
-    return ObservationSet(noise_raw=noise, y_combined=phi.conj() @ y_raw)
+    # y_raw[i] holds slot i's received (T, M) blocks of every trial
+    y_raw = (phi.T @ c.reshape(k_users, -1)).reshape(k_users, *lead, m, t_pats)
+    y_raw += np.moveaxis(noise, -2, 0).swapaxes(-1, -2)
+    y = (phi.conj() @ y_raw.reshape(k_users, -1)).reshape(y_raw.shape)
+    # combined observations in their (t, m) row order
+    y_combined = np.moveaxis(y, 0, -3).swapaxes(-1, -2).reshape(*lead, k_users, t_pats * m)
+    return ObservationSet(noise_raw=noise, y_combined=y_combined)

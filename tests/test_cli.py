@@ -354,11 +354,8 @@ class TestSweepCommand:
         assert outs[0] == outs[1]
         assert outs[0] == outs[2]
 
-    def test_worker_chunk_boundary_inside_a_trial_block(self, desk_ini, tmp_path):
-        b = SweepEngine(_sweep_config(load_config(desk_ini))).block_size
-        n_trials = 2 * b + b // 2 + 1
-        # two workers split the one SNR point after ceil(n/2) trials, inside block 1
-        assert n_trials % b and -(-n_trials // 2) % b
+    @staticmethod
+    def assert_worker_split_changes_no_byte(desk_ini, tmp_path, n_trials):
         args = [
             "sweep", "--config", desk_ini, "--trials", str(n_trials), "--groups", "4", "16",
             "--snr-min-db", "10", "--snr-max-db", "10",
@@ -370,6 +367,22 @@ class TestSweepCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert len(read_csv(tmp_path / "serial.csv")[1]) == 3
+
+    def test_worker_chunk_boundary_inside_a_trial_block(self, desk_ini, tmp_path):
+        b = SweepEngine(_sweep_config(load_config(desk_ini))).block_size
+        n_trials = 2 * b + b // 2 + 1
+        # two workers split the one SNR point after ceil(n/2) trials, inside block 1
+        assert n_trials % b and -(-n_trials // 2) % b
+        self.assert_worker_split_changes_no_byte(desk_ini, tmp_path, n_trials)
+
+    def test_worker_chunk_boundary_inside_a_scoring_batch(self, desk_ini, tmp_path):
+        engine = SweepEngine(_sweep_config(load_config(desk_ini)))
+        b, n = engine.block_size, engine.batch_size
+        n_trials = 2 * n + 10
+        # the split after ceil(n/2) trials lies inside batch 1, off its block boundaries
+        split = -(-n_trials // 2)
+        assert split // n == 1 and split % n and split % b
+        self.assert_worker_split_changes_no_byte(desk_ini, tmp_path, n_trials)
 
     def test_schema_roundtrip(self, desk_ini, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -17,7 +17,7 @@ from riscest.estimators import (
     make_estimator,
 )
 from riscest.moments import MomentSet, build_moments, combine_blocks, cov_ss, split_observation
-from riscest.montecarlo import _user_major, received_snr_to_power
+from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import desk_scenario
 from riscest.training import build_Z, make_training_config, mixing_blocks, synthesize_received
 
@@ -149,7 +149,7 @@ class TestSquaredError:
             s = real.S  # (B, K, N+1, M)
             # the layouts SweepEngine scores: (K, B, ...) views whose last two axes are transposed
             x_users = split_observation(m.r, np.moveaxis(obs.y_combined, 1, 0))
-            s_users = _user_major(s)
+            s_users = np.moveaxis(s, 1, 0)
             for a in (x_users, s_users):
                 assert a.swapaxes(-1, -2).flags.c_contiguous and not a.flags.c_contiguous
             for kind in EstimatorKind:
@@ -163,7 +163,8 @@ class TestSquaredError:
                 np.testing.assert_allclose(lone, want, rtol=1e-12)
                 got = f.squared_error(x[:, k], s[:, k])
                 np.testing.assert_allclose(got, lone[:, k], rtol=1e-12)
-                np.testing.assert_allclose(f.squared_error(x, s), lone, rtol=1e-12)
+                for target in (s, np.ascontiguousarray(s)):  # a trial-major layout is copied
+                    np.testing.assert_allclose(f.squared_error(x, target), lone, rtol=1e-12)
                 got = f.squared_error(x_users[k], s_users[k])
                 np.testing.assert_allclose(got, lone[:, k], rtol=1e-12)
 

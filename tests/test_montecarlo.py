@@ -15,6 +15,7 @@ from riscest.moments import build_moments, split_observation
 from riscest.montecarlo import (
     SweepConfig,
     SweepEngine,
+    _trial_block,
     applicable_kinds,
     build_cell_bank,
     received_snr_to_power,
@@ -211,36 +212,70 @@ class TestTrialBlocks:
                     np.testing.assert_allclose(errors[kind], want, rtol=1e-12, atol=0)
 
     def test_desk_block_normals_are_pinned(self, monkeypatch):
-        """Block 0 of perfbench/desk.ini at seed 1, SNR index 0: the whole (B, width) draw."""
+        """Block 0 of perfbench/desk.ini at seed 1, SNR index 0: rows [0, B) of the first batch."""
         drawn = capture_sample_normals(monkeypatch)
         config = cli.load_config(str(DESK_INI))
         config.sweep.seed = 1
         engine = SweepEngine(cli._sweep_config(config))
         engine.run_cell_trial(0, 0, 0)
         (normals,) = drawn
-        # 208 channel normals, then 2 T_max K M = 2 * 17 * 2 * 4 noise normals
-        assert normals.shape == (30, row_width(engine)) == (30, 208 + 272)
-        digest = hashlib.sha256(np.ascontiguousarray(normals, dtype="<f8").tobytes()).hexdigest()
-        assert digest == DESK_BLOCK0_SHA256
+        # four 30-trial blocks per batch; 208 channel normals, then 2 T_max K M =
+        # 2 * 17 * 2 * 4 noise normals
+        assert engine.batch_size == 4 * 30
+        assert normals.shape == (120, row_width(engine)) == (120, 208 + 272)
+        block = np.ascontiguousarray(normals[:30], dtype="<f8")
+        assert hashlib.sha256(block.tobytes()).hexdigest() == DESK_BLOCK0_SHA256
 
     def test_reference_blocks_keep_the_per_trial_streams(self, monkeypatch):
         """At the reference setup B = 1, so trial t's normals are SeedSequence((seed, snr, t))'s."""
         drawn = capture_sample_normals(monkeypatch)
         cfg = SweepConfig(
             scenario=default_scenario(), estimators=ALL_KINDS, snr_db=(0.0, 20.0),
-            n_trials=3, n_groups=(16, 64), base_seed=4242,
+            n_trials=9, n_groups=(16, 64), base_seed=4242,
         )
         engine = SweepEngine(cfg)
-        assert engine.block_size == 1
+        assert engine.block_size == 1 and engine.batch_size == 7
         width = row_width(engine)
-        keys = [(1, 0), (0, 2), (1, 1)]
+        keys = [(1, 0), (0, 8), (1, 3)]  # a full batch, a clipped one, the first again
         for snr_index, trial in keys:
-            engine._block_of(snr_index, trial)
+            engine._batch_of(snr_index, trial)
         for (snr_index, trial), normals in zip(keys, drawn, strict=True):
-            seq = np.random.SeedSequence((cfg.base_seed, snr_index, trial))
-            want = np.random.default_rng(seq).standard_normal(width)
-            assert normals.shape == (1, width)
-            np.testing.assert_array_equal(normals[0], want)
+            lo = trial - trial % engine.batch_size
+            assert normals.shape == (min(engine.batch_size, cfg.n_trials - lo), width)
+            for j, row in enumerate(normals):
+                seq = np.random.SeedSequence((cfg.base_seed, snr_index, lo + j))
+                np.testing.assert_array_equal(row, np.random.default_rng(seq).standard_normal(width))
+
+    def test_batch_rows_are_their_blocks_draws(self, monkeypatch):
+        drawn = capture_sample_normals(monkeypatch)
+        b = desk_block_size()
+        engine = SweepEngine(desk_config(n_groups=(4, 16), n_trials=1))
+        n = engine.batch_size
+        assert n // b > 1 and n % b == 0
+        # the second batch holds two full blocks and a clipped one
+        cfg = desk_config(n_groups=(4, 16), n_trials=n + 2 * b + 7)
+        engine = SweepEngine(cfg)
+        width = row_width(engine)
+        engine._batch_of(1, 0)
+        engine._batch_of(1, cfg.n_trials - 1)
+        for lo, normals in zip((0, n), drawn, strict=True):
+            assert normals.shape == (min(n, cfg.n_trials - lo), width)
+            for start in range(0, len(normals), b):
+                rows = normals[start:start + b]
+                want = engine.trial_rng(1, lo + start).standard_normal((len(rows), width))
+                np.testing.assert_array_equal(rows, want)
+
+    def test_trial_range_across_two_batch_boundaries_matches_each_trial(self):
+        n = SweepEngine(desk_config(n_trials=1)).batch_size
+        cfg = desk_config(n_groups=(4, 16), snr_db=(10.0,), n_trials=2 * n + 20)
+        lo, hi = n - 7, 2 * n + 5
+        cells = _trial_block(SweepEngine(cfg), 0, lo, hi)
+        engine = SweepEngine(cfg)
+        for gi, (_, theory, got) in enumerate(cells):
+            bank = engine.bank(gi, 0)
+            assert list(theory) == list(bank.filters)
+            want = [list(engine.run_cell_trial(gi, 0, t)[0].values()) for t in range(lo, hi)]
+            np.testing.assert_array_equal(got, np.array(want) / bank.prior_traces)
 
     def test_trial_outside_the_sweep_rejected(self):
         engine = SweepEngine(desk_config(n_trials=10))
@@ -377,13 +412,16 @@ class TestRunSweep:
         monkeypatch.setattr(SweepEngine, "trial_rng", counting_rng)
         monkeypatch.setattr(ChannelSampler, "sample", counting_sample)
         b = desk_block_size()
-        cfg = desk_config(n_trials=2 * b + 7, snr_db=(0.0, 20.0), n_groups=(4, 16))
+        n = SweepEngine(desk_config(n_trials=1)).batch_size
+        cfg = desk_config(n_trials=n + b + 7, snr_db=(0.0, 20.0), n_groups=(4, 16))
         run_sweep(cfg)
         n_draws = len(cfg.snr_db) * cfg.n_trials
         n_blocks = len(cfg.snr_db) * -(-cfg.n_trials // b)
-        # every (SNR, block) is seeded once and every (SNR, trial) realization
-        # drawn once, so both group cells read the same draw
+        # every (SNR, block) is seeded once, every (SNR, batch) sampled with one
+        # call and every (SNR, trial) realization drawn once, so both group
+        # cells read the same draw
         assert len(seeded) == len(set(seeded)) == n_blocks
+        assert len(sampled) == len(cfg.snr_db) * 2
         assert sum(sampled) == n_draws
 
     def test_one_failing_filter_is_nan_for_its_own_kind_and_user(self, monkeypatch):
@@ -531,22 +569,23 @@ class TestBankLifetime:
         assert calls == []
 
     def test_engine_keeps_one_trial_block(self):
-        b = desk_block_size()
-        engine = SweepEngine(desk_config(n_groups=(4, 16), n_trials=2 * b))
+        """One scoring batch is kept, and dropped on the next batch or SNR point."""
+        n = SweepEngine(desk_config(n_trials=1)).batch_size
+        engine = SweepEngine(desk_config(n_groups=(4, 16), n_trials=2 * n))
         for gi in range(2):
             engine.run_cell_trial(gi, 0, 0)
-        block = engine._block
-        assert block.key == (0, 0) and set(block.cells) == {0, 1}
-        assert block.normals.shape[0] == b
-        kept = [weakref.ref(a) for a in (block, block.normals, block.realization.s)]
-        kept += [weakref.ref(e) for errors, _ in block.cells.values() for e in errors.values()]
-        del block
-        engine.run_cell_trial(0, 0, b)  # the next block of the same SNR point
+        batch = engine._batch
+        assert batch.key == (0, 0) and set(batch.cells) == {0, 1}
+        assert batch.normals.shape[0] == n
+        kept = [weakref.ref(a) for a in (batch, batch.normals, batch.realization.s)]
+        kept += [weakref.ref(a) for cell in batch.cells.values() for a in cell]
+        del batch
+        engine.run_cell_trial(0, 0, n)  # the next batch of the same SNR point
         gc.collect()
         assert all(ref() is None for ref in kept)
-        assert engine._block.key == (0, 1) and set(engine._block.cells) == {0}
-        kept = weakref.ref(engine._block)
-        engine.run_cell_trial(1, 1, b - 1)  # the first block of the next SNR point
+        assert engine._batch.key == (0, 1) and set(engine._batch.cells) == {0}
+        kept = weakref.ref(engine._batch)
+        engine.run_cell_trial(1, 1, n - 1)  # the first batch of the next SNR point
         gc.collect()
         assert kept() is None
-        assert engine._block.key == (1, 0) and set(engine._block.cells) == {1}
+        assert engine._batch.key == (1, 0) and set(engine._batch.cells) == {1}
