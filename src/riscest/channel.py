@@ -10,10 +10,10 @@ Large-scale gains follow a power law rho_0 * d^(-alpha).  UE-RIS and
 RIS-BS links are Rician with spatially correlated scattering; the direct
 UE-BS links are Rayleigh (optionally blocked entirely).
 
-A realization carries each user's estimation target both as the dense
-vector s = [b; a_1*g; ...; a_M*g] and as the (N+1) x M matrix
-S = [b; (a_m*g)^T] (`target_matrix`), whose column m is antenna m's share;
-trials synthesise and score in the matrix form.
+A realization carries each user's estimation target as the (N+1) x M
+matrix S = [b; (a_m*g)^T] (`target_matrix`), whose column m is antenna m's
+share, laid out antenna-major so that trials synthesise and score without a
+copy; the dense vector s = [b; a_1*g; ...; a_M*g] is formed only when read.
 """
 
 from __future__ import annotations
@@ -137,41 +137,52 @@ class ChannelStatistics:
 
 @dataclass
 class ChannelRealization:
-    """One draw of every link plus the cascaded estimation target.
+    """One draw of every link plus the cascaded estimation targets.
 
-    b, g, A carry the physical large-scale gains.  s is the stacked
-    estimation target [b; a_1*g; ...; a_M*g] built from the unit-power
-    (gain-stripped) draws, because the pilot mixing matrices carry the
-    large-scale gains themselves.  Row m of A is the per-antenna RIS-BS
-    vector entering the elementwise cascade.
+    b, g, A carry the physical large-scale gains.  S holds each user's
+    estimation target as the (N+1) x M matrix [b; (a_m*g)^T], built from the
+    unit-power (gain-stripped) draws, because the pilot mixing matrices carry
+    the large-scale gains themselves; column m is antenna m's share.  Row m
+    of A is the per-antenna RIS-BS vector entering the elementwise cascade.
+    The sampler lays S out as `target_matrix` does, so `s_antenna` is a view;
+    the dense target s = [b; a_1*g; ...; a_M*g] is formed on first read.
     """
 
     b: np.ndarray  # (K, M)
     g: np.ndarray  # (K, N)
     A: np.ndarray  # (M, N)
-    s: np.ndarray  # (K, M*(N+1)); every field may carry leading trial axes
+    S: np.ndarray  # (K, N+1, M); every field may carry leading trial axes
+
+    @property
+    def s_antenna(self) -> np.ndarray:
+        """The targets antenna-major, (K, M, ..., N+1): row [k, m] is antenna m's [b_m; a_m*g]."""
+        n_lead = self.S.ndim - 3
+        return self.S.transpose(n_lead, n_lead + 2, *range(n_lead), n_lead + 1)
 
     @cached_property
-    def S(self) -> np.ndarray:
-        """The targets as (..., K, N+1, M) matrices; column m is antenna m's [b_m; a_m*g]."""
-        return target_matrix(self.s, self.A.shape[-2])
+    def s(self) -> np.ndarray:
+        """The dense targets (..., K, M(N+1)), [b; a_1*g; ...; a_M*g] per user."""
+        return target_vector(self.S)
 
 
 def target_matrix(s: np.ndarray, m_antennas: int) -> np.ndarray:
     """Dense targets (..., K, M(N+1)) as (..., K, N+1, M) matrices [b; (a_m*g)^T].
 
-    The result is laid out user-major: a view of a C-contiguous (K, ..., M,
-    N+1) array, so one user's targets over every leading (trial) axis fold
-    into the rows of one matrix without a copy, which synthesis and
-    `AffineEstimator.squared_error` both do.  A lone (M(N+1),) target gives
-    the transposed view of an (M, N+1) array.
+    The result is a view of a C-contiguous antenna-major (K, M, ..., N+1)
+    array, the layout `ChannelSampler.sample` builds: one user's targets over
+    every antenna and leading (trial) axis fold into the rows of one matrix
+    without a copy, which synthesis and the rotation into the antenna basis
+    both do.  A lone (M(N+1),) target gives the transposed view of an
+    (M, N+1) array.
     """
-    users = np.moveaxis(s, -2, 0) if s.ndim > 1 else s  # (K, ..., M(N+1))
-    out = np.empty((*users.shape[:-1], m_antennas, users.shape[-1] // m_antennas), s.dtype)
-    out[..., 0] = users[..., :m_antennas]
-    out[..., 1:] = users[..., m_antennas:].reshape(*users.shape[:-1], m_antennas, -1)
-    out = out.swapaxes(-1, -2)
-    return np.moveaxis(out, 0, -3) if s.ndim > 1 else out
+    users = np.moveaxis(s, -2, 0) if s.ndim > 1 else s[None]  # (K, ..., M(N+1))
+    lead, n1 = users.shape[1:-1], users.shape[-1] // m_antennas
+    out = np.empty((users.shape[0], m_antennas, *lead, n1), s.dtype)
+    out[..., 0] = np.moveaxis(users[..., :m_antennas], -1, 1)
+    cascade = users[..., m_antennas:].reshape(*users.shape[:-1], m_antennas, -1)
+    out[..., 1:] = np.moveaxis(cascade, -2, 1)
+    out = np.moveaxis(out, (0, 1), (-3, -1))
+    return out if s.ndim > 1 else out[0]
 
 
 def target_vector(s_mat: np.ndarray) -> np.ndarray:
@@ -336,13 +347,15 @@ def psd_factor(matrix: np.ndarray, error_tol: float = PSD_ERROR_TOL) -> np.ndarr
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))[None, :]
 
 
-def complex_normal(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+def complex_normal(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Standard circularly-symmetric complex Gaussians from real and imaginary normals.
 
-    Each part is scaled by 1/sqrt(2) straight into the result, which gives
-    the bits of (re + 1j * im) / sqrt(2) without its complex temporaries.
+    Each part is scaled by 1/sqrt(2) straight into the result (out, when
+    given), which gives the bits of (re + 1j * im) / sqrt(2) without its
+    complex temporaries.
     """
-    out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
     np.multiply(re, _INV_SQRT2, out=out.real)
     np.multiply(im, _INV_SQRT2, out=out.imag)
     return out
@@ -374,14 +387,8 @@ class ChannelSampler:
         # parts of the direct draws zb, then their imaginary parts; per user,
         # the N real then the N imaginary parts of its RIS-link draw w_g; then
         # the M*N real and the M*N imaginary parts of the RIS-BS draw w_a.
-        # _re and _im index the real and imaginary parts of [zb, w_g, w_a].
         k_users, n, m = stats.n_users, stats.n_elements, stats.m_antennas
-        km, kn = k_users * m, k_users * n
-        users = (2 * km + 2 * n * np.arange(k_users)[:, None] + np.arange(n)).ravel()
-        tail = 2 * (km + kn) + np.arange(m * n)
-        self._re = np.concatenate([np.arange(km), users, tail])
-        self._im = np.concatenate([km + np.arange(km), users + n, tail + m * n])
-        self.n_normals = 2 * self._re.size  # standard normals one realization uses
+        self.n_normals = 2 * (k_users * m + k_users * n + m * n)
 
     def sample(
         self, rng: np.random.Generator | None = None, normals: np.ndarray | None = None
@@ -394,16 +401,30 @@ class ChannelSampler:
         if normals is None:
             normals = rng.standard_normal(self.n_normals)
         lead = normals.shape[:-1]
-        w = complex_normal(normals[..., self._re], normals[..., self._im])
-        zb = w[..., :km].reshape(*lead, k_users, m)
-        g_unit = self._mu_g + (self._L_g @ w[..., km:km + kn].reshape(*lead, k_users, n, 1))[..., 0]
-        a_unit = self._mu_a + w[..., km + kn:].reshape(*lead, m, n) @ self._L_a.T  # rows independent
+        # each draw's real and imaginary runs, (..., 2, size), read as views
+        zb_parts = normals[..., :2 * km].reshape(*lead, 2, km)
+        g_parts = normals[..., 2 * km:2 * (km + kn)].reshape(*lead, k_users, 2, n)
+        a_parts = normals[..., 2 * (km + kn):self.n_normals].reshape(*lead, 2, m, n)
+        zb = complex_normal(zb_parts[..., 0, :], zb_parts[..., 1, :]).reshape(*lead, k_users, m)
+        w_g = complex_normal(g_parts[..., 0, :], g_parts[..., 1, :])  # (..., K, N)
+        w_a = complex_normal(a_parts[..., 0, :, :], a_parts[..., 1, :, :])  # (..., M, N)
+        g_unit = self._mu_g + (self._L_g @ w_g[..., None])[..., 0]
+        a_unit = self._mu_a + w_a @ self._L_a.T  # rows independent
 
         b = self._gain_b * zb
         g = self._gain_g * g_unit
         a_mat = self._gain_a * a_unit
 
-        b_part = np.where(self._direct, zb, 0.0)
-        cascade = (a_unit[..., None, :, :] * g_unit[..., :, None, :]).reshape(*lead, k_users, m * n)
-        s = np.concatenate([b_part, cascade], axis=-1)
-        return ChannelRealization(b=b, g=g, A=a_mat, s=s)
+        # the targets antenna-major, (K, M, ..., N+1), as target_matrix lays them out;
+        # transpose(L, ...) moves the K or M axis after the L leading axes to the front
+        n_lead = len(lead)
+        targets = np.empty((k_users, m, *lead, n + 1), dtype=complex)
+        b_part = np.where(self._direct, zb, 0.0)  # (..., K, M)
+        targets[..., 0] = b_part.transpose(n_lead, n_lead + 1, *range(n_lead))
+        to_front = (n_lead, *range(n_lead), n_lead + 1)
+        np.multiply(
+            a_unit.transpose(to_front)[None], g_unit.transpose(to_front)[:, None],
+            out=targets[..., 1:],
+        )
+        s_mat = targets.transpose(*range(2, n_lead + 2), 0, n_lead + 2, 1)  # (..., K, N+1, M)
+        return ChannelRealization(b=b, g=g, A=a_mat, S=s_mat)

@@ -21,11 +21,13 @@ Each filter function runs on the blocks of its moment set
 for M-1 copies for the antenna-domain set `build_moments` returns, and one
 block for a hand-built dense set.  An estimator keeps its per-block filters
 and the moment set they were built from; traces add up over the blocks with
-their multiplicities.  Trials apply the per-block filters to the split
-observation [Y P; Y (I - P)] (`moments.split_observation`) and compare with
-the (N+1)-by-M target matrix (`ChannelRealization.S`), so no dense filter is
-formed.  The per-block error covariances, and the dense filter and error
-covariance assembled from the blocks, are formed only when read.  Every
+their multiplicities.  Trials run in the antenna basis
+(`moments.antenna_basis`): the aligned block's filter W_0 estimates column 0
+of the rotated target from column 0 of the rotated observation, and the
+orthogonal block's W_1 every other column from its own, so each trial costs
+one product per antenna and no dense filter is formed.  The per-block error
+covariances, and the dense filter and error covariance assembled from the
+blocks, are formed only when read.  Every
 pseudo-inverse cutoff is relative to the largest eigenvalue over all blocks,
 i.e. of the whole block-diagonal matrix, so both forms keep the same spectra.
 """
@@ -40,13 +42,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .channel import target_vector
-from .moments import (
-    AntennaMomentSet,
-    MomentSet,
-    combine_blocks,
-    group_expansion_matrix,
-    split_observation,
-)
+from .moments import AntennaMomentSet, MomentSet, combine_blocks, group_expansion_matrix
 
 PINV_RCOND = 1e-10
 
@@ -76,19 +72,19 @@ class AffineEstimator:
     rule under the true observation moments, and error_cov the matching
     error covariance; nmse_floor, when set, is the infinite-power limit.
     w_blocks are the per-block filters of the true moment set `moments`,
-    whose antenna factor is r (None for a dense set).  The rule runs on a
-    split observation X (`split_observation`) as S_hat = offset + H X with
-    H = [W_0, W_1], giving the target matrix (one column for a dense set).
-    The per-block error_blocks, the dense W and error_cov are formed on
-    first read.  Each W_i is V_i(eps) / sqrt(rho) for the power-free rule V_i
-    (module docstring), and the error terms are formed in V and eps.
+    whose antenna factor is r (None for a dense set).  In the antenna basis
+    the rule estimates column 0 of the target as offset + W_0 x_0 and every
+    other column m as W_1 x_m (`residual`).  The per-block error_blocks, the
+    dense W and error_cov are formed on first read.  Each W_i is
+    V_i(eps) / sqrt(rho) for the power-free rule V_i (module docstring), and
+    the error terms are formed in V and eps.
     """
 
     kind: EstimatorKind
     w_blocks: tuple[np.ndarray, ...]
     innovation: bool  # False: raw-linear rule W y with no mean terms
     moments: MomentSet | AntennaMomentSet
-    offset: np.ndarray | float  # split(mean_s) - H split(mean_y), 0 for the raw rule
+    offset: np.ndarray | float  # mean_s - W_0 mean_y on the first block, 0 for the raw rule
     mse_trace: float
     nmse: float
     nmse_floor: float | None = None
@@ -111,38 +107,54 @@ class AffineEstimator:
     def error_cov(self) -> np.ndarray:
         return combine_blocks(self.r, self.error_blocks)
 
-    @cached_property
-    def H(self) -> np.ndarray:
-        """The per-block filters side by side, acting on a split observation."""
-        return np.hstack(self.w_blocks)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Estimate in the split target form from a split observation x."""
-        return self.offset + self.H @ x
-
     def estimate(self, y: np.ndarray) -> np.ndarray:
-        """Estimate of the dense target from the dense observation y."""
-        s_hat = self.apply(split_observation(self.r, y))
-        return s_hat[..., 0] if self.r is None else target_vector(s_hat)
+        """Estimate of the dense target from the dense observation y, through the dense W."""
+        s_hat = y @ self.W.T
+        if not self.innovation:
+            return s_hat
+        if self.r is None:
+            return s_hat + self.offset
+        return s_hat + target_vector(np.outer(self.offset, self.r) / np.sqrt(self.r.size))
 
-    def squared_error(self, x: np.ndarray, target: np.ndarray) -> np.ndarray | float:
-        """Squared error norm against target, both in the split forms.
+    def residual(
+        self, x: np.ndarray, target: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Estimate minus target in the antenna basis, of target's shape.
 
-        Leading axes of x (..., 2T, M) and target (..., N+1, M) are trials; one
-        value per trial is returned.  Every trial's columns are folded into the
-        rows of one product X^T H^T, rows indexed by (trial, antenna), and the
-        error is reduced once per trial.  The fold is a view when the last two
-        axes of x and target are transposed C-contiguous, as in the user-major
-        layout `SweepEngine` scores; any other layout is copied first.
+        x (C, ..., n_y) and target (C, ..., n_s) are rotated observations and
+        targets (`moments.to_antenna_basis`), axis 0 over the antenna-basis
+        columns: column 0 is the aligned block's and every other one an
+        orthogonal block's.  A dense set, or one antenna, has column 0 alone,
+        and the dense observation and target are that column.  The other axes
+        but the last are trials; column 0's trials fold into the rows of one
+        product with W_0, the other columns' into one with W_1.  out, when
+        given, is a C-contiguous complex array of target's shape that receives
+        the result, so a caller scoring batch after batch allocates nothing.
         """
-        lead, (n_x, n_cols), n_s = x.shape[:-2], x.shape[-2:], target.shape[-2]
-        diff = x.swapaxes(-1, -2).reshape(-1, n_x) @ self.H.T  # (trials * M, N+1)
-        rows = diff.reshape(-1, n_cols, n_s)
+        n_y, n_s = x.shape[-1], target.shape[-1]
+        if out is None:
+            out = np.empty(target.shape, dtype=complex)
+        w0, w1 = self.w_blocks[0], self.w_blocks[-1]
+        np.matmul(x[0].reshape(-1, n_y), w0.T, out=out[0].reshape(-1, n_s))
         if self.innovation:
-            rows += self.offset.T
-        rows -= target.swapaxes(-1, -2).reshape(rows.shape)
-        flat = diff.view(np.float64).reshape(-1, 2 * n_cols * n_s)
-        return np.einsum("ij,ij->i", flat, flat).reshape(lead)[()]
+            out[0] += self.offset
+        if x.shape[0] > 1:
+            np.matmul(x[1:].reshape(-1, n_y), w1.T, out=out[1:].reshape(-1, n_s))
+        out -= target
+        return out
+
+    def squared_error(
+        self, x: np.ndarray, target: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray | float:
+        """Squared error norm per trial, from the `residual` of x against target.
+
+        The norm is the same as in the antenna domain, since the basis is
+        unitary.  One value per trial (the axes of target between the first
+        and the last) is returned.
+        """
+        diff = self.residual(x, target, out)
+        flat = diff.view(np.float64).reshape(diff.shape[0], -1, 2 * diff.shape[-1])
+        return np.einsum("cij,cij->i", flat, flat).reshape(target.shape[1:-1])[()]
 
 
 def hermitian_pinvs(
@@ -241,11 +253,10 @@ def _finalize(
     """Estimator from the per-block power-free rules vs of m.
 
     The error trace is summed over the blocks with their multiplicities
-    (`_error_trace`); no error covariance is formed here.  With
-    c = mean_s_0 - V_0 Z mean_s_0 on the first block, the offset is the
-    column c for a dense set.  In the antenna form only the aligned block has
-    a mean and split(mean_y) is [Y_bar; 0] with Y_bar = outer(mean_y_0, r)/sqrt(M),
-    so the offset is outer(c, r)/sqrt(M).
+    (`_error_trace`); no error covariance is formed here.  The offset is
+    c = mean_s_0 - V_0 Z mean_s_0 on the first block: in the antenna form only
+    the aligned block has a mean, so only column 0 of the rotated estimate
+    carries it.
     """
     trace, eps = 0.0, _eps(m.blocks[0][0])
     for (b, mult), v in zip(m.blocks, vs):
@@ -253,8 +264,7 @@ def _finalize(
     offset = 0.0
     if innovation:
         b0, _ = m.blocks[0]
-        c = b0.mean_s - vs[0] @ b0.z_mean
-        offset = c[:, None] if m.r is None else np.outer(c, m.r) / np.sqrt(m.r.size)
+        offset = b0.mean_s - vs[0] @ b0.z_mean
     ws = {id(v): v / np.sqrt(m.blocks[0][0].rho) for v in vs}  # LS shares one over the blocks
     return AffineEstimator(
         kind=kind,

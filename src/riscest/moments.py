@@ -18,6 +18,9 @@ and mean sqrt(M) coef (v . g_bar_k), and M-1 identical "orthogonal" blocks
 with prior B and zero mean (none for M = 1).  `build_moments` returns that
 form (`AntennaMomentSet`), which holds the two blocks and nothing dense;
 `combine_blocks` assembles any dense matrix from its per-block values.
+Trials take the rotation `antenna_basis` (first column conj(r)/sqrt(M)) of
+their antenna-major targets and observations (`to_antenna_basis`), where
+column 0 is the aligned block's and every other column an orthogonal one's.
 `observation_moments` builds the dense `MomentSet` directly and is the
 oracle the tests hold the antenna form to.
 
@@ -149,27 +152,31 @@ def combine_blocks(
     return x[_antenna_order(m, p, rows == "y")]  # a row gather is C-contiguous
 
 
-def split_observation(r: np.ndarray | None, y: np.ndarray) -> np.ndarray:
-    """Dense observations (..., M*T) in the form the per-block filters act on.
+def antenna_basis(r: np.ndarray) -> np.ndarray:
+    """The unitary (M, M) Q = diag(conj(r)) F / sqrt(M), F the M-point DFT with F[:, 0] = 1.
 
-    With r None the observation is one column (..., M*T, 1), and with one
-    antenna it is Y alone, (..., T, 1).  Otherwise Y is the (..., T, M)
-    matrix of y, P = conj(r) r^T / M, and the result is the (..., 2T, M)
-    stack [Y P; Y (I - P)], so that [W_0, W_1] applied to it is the
-    combine_blocks filter applied to y, in the target_matrix form.  It is
-    the transposed view of a C-contiguous (..., M, 2T) array, built as
-    [P^T Y^T, Y^T - P^T Y^T], so stacked trials fold their columns into the
-    rows of one matrix without a copy (`AffineEstimator.squared_error`).
+    Its first column is conj(r)/sqrt(M).  For a target or observation matrix
+    X with one column per antenna (`channel.target_matrix`), column 0 of XQ
+    is the aligned block's coordinate and columns 1..M-1 are orthogonal
+    blocks': the combine_blocks rule of blocks W_0, W_1 maps Y to S_hat with
+    S_hat Q = [W_0 (YQ)[:, 0], W_1 (YQ)[:, 1], ..., W_1 (YQ)[:, M-1]], and
+    since Q is unitary every error norm is the same in either basis.
     """
-    if r is None or r.size == 1:
-        return y[..., None]
     m = r.size
-    y_t = np.swapaxes(y.reshape(*y.shape[:-1], -1, m), -1, -2)  # (..., M, T)
-    t = y_t.shape[-1]
-    out = np.empty((*y_t.shape[:-1], 2 * t), dtype=np.result_type(y, r))
-    aligned = np.matmul(np.outer(r, r.conj()) / m, y_t, out=out[..., :t])
-    np.subtract(y_t, aligned, out=out[..., t:])
-    return np.swapaxes(out, -1, -2)
+    dft = np.exp(-2j * np.pi / m * np.outer(np.arange(m), np.arange(m)))
+    return r.conj()[:, None] * dft / np.sqrt(m)
+
+
+def to_antenna_basis(q: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Antenna-major x (M, ..., n) in the basis q: out[j] = sum_m q[m, j] x[m].
+
+    This is XQ laid out antenna-major, formed with one (M x M)(M x ...n)
+    product; out, when given, is a C-contiguous complex array of x's shape.
+    """
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(q, x))
+    np.matmul(q.T, x.reshape(x.shape[0], -1), out=out.reshape(x.shape[0], -1))
+    return out
 
 
 @dataclass(eq=False, repr=False)

@@ -6,27 +6,31 @@ so estimator comparisons are paired.  Trials are drawn in fixed blocks of
 consecutive indices (see `SweepEngine`), and each block's random stream is
 derived from (base_seed, snr_index, block_index) through numpy's
 SeedSequence.  The partition depends on the trial index alone, which makes
-every result independent of execution order and worker count.  One draw
-call gives a block's channel normals and a run of noise normals per trial;
-every cell takes the prefix of each trial's noise it needs.  The block size
-and this row layout are part of the stream.
+every result independent of execution order and worker count.  A block's
+generator draws its trials' channel normals, then their noise
+position-major; every cell takes the leading positions it needs, so its
+draws do not depend on the other cells.  The block size and this layout are
+part of the stream.
 
 Work runs in scoring batches of whole blocks: one `ChannelSampler.sample`
 call builds a batch's realizations, which the group cells share, and
-synthesis, the split and every estimator's scoring run once per (cell,
-batch); each estimator scores a user's trials with one matrix product.  The
-batch size is not part of the stream and changes no output byte.
+synthesis and every estimator's scoring run once per (cell, batch), in
+buffers the engine reuses from batch to batch.  The batch size is not part
+of the stream and changes no output byte.
 
-Trials run in the antenna domain: synthesis multiplies each user's
-(T, N+1) mixing block with its (N+1, M) target matrices, and each estimator
-applies its per-block filters to the split observation (see
-`estimators.AffineEstimator`), so no dense mixing matrix or filter is formed.
+Trials run in the antenna basis (`moments.antenna_basis`): synthesis
+multiplies each user's (T, N+1) mixing block with its antenna-major
+targets, the targets and observations are rotated with one product per
+user, and each estimator applies its aligned filter to column 0 and its
+orthogonal filter to the other columns (`estimators.AffineEstimator`), so no
+dense mixing matrix or filter is formed.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,9 +46,16 @@ from .estimators import (  # noqa: F401
     asymptotic_mse,
     make_estimator,
 )
-from .moments import AntennaMomentSet, antenna_factor, build_moments, split_observation
+from .moments import (
+    AntennaMomentSet,
+    antenna_basis,
+    antenna_factor,
+    build_moments,
+    to_antenna_basis,
+)
 from .scenario import Scenario
 from .training import (
+    ObservationSet,
     TrainingConfig,
     build_Z,
     make_training_config,
@@ -147,7 +158,6 @@ class _CellBank:
     stats: ChannelStatistics
     tconfig: TrainingConfig
     mixing: np.ndarray  # (K, T, N+1), see training.mixing_blocks
-    r: np.ndarray  # antenna_factor(a_bar), shared by every user's filters
     filters: dict[EstimatorKind, list[AffineEstimator]]  # kind -> per-user
     prior_traces: np.ndarray  # (K,)
     rho: float
@@ -227,7 +237,6 @@ def build_cell_bank(
         prior_traces[k] = m_true.prior_trace
     return _CellBank(
         stats=stats, tconfig=tconfig, mixing=mixing_blocks(stats, tconfig),
-        r=antenna_factor(stats.a_bar),
         filters=filters, prior_traces=prior_traces, rho=rho,
     )
 
@@ -248,7 +257,7 @@ def theory_means(filters: list[AffineEstimator]) -> tuple[float, float, float]:
 TRIAL_BLOCK_BYTES = 1 << 16
 # Bytes of one scoring batch's stacked targets, which fix how many whole
 # trial blocks a batch holds (at least one).  A batch is only the engine's
-# unit of work: every row is still its own block's draw, so this constant
+# unit of work: every trial's draws are still its own block's, so this constant
 # changes no output byte, only the time and memory a sweep takes.
 SCORE_BATCH_BYTES = 1 << 18
 
@@ -259,11 +268,12 @@ class _TrialBatch:
 
     key: tuple[int, int]  # (snr_index, batch_index)
     lo: int  # first trial index
-    realization: ChannelRealization  # stacked, leading axis over the batch's trials
-    normals: np.ndarray  # (rows, 2 T_max K M) noise normals per trial, a view of the draws
+    realization: ChannelRealization  # stacked, leading axes (blocks, B) over the batch's trials
+    normals: np.ndarray  # (blocks, B, 2 T_max K M) noise normals per trial, a view of the draws
+    targets: np.ndarray  # (K, M, rows, N+1) the realization's targets in the antenna basis
     # group index -> ((rows, n_kinds, K) squared errors, kinds in the order of
-    # the bank's filters; (rows, K, M*T) y_combined)
-    cells: dict[int, tuple[np.ndarray, np.ndarray]]
+    # the bank's filters; the cell's observations)
+    cells: dict[int, tuple[np.ndarray, ObservationSet]]
 
 
 class SweepEngine:
@@ -280,24 +290,33 @@ class SweepEngine:
     The random stream is fixed by the trial block: B = `block_size`
     consecutive indices, block b covering trials [b*B, (b+1)*B), so the
     partition never depends on the worker count.  Each block has one stream
-    (`trial_rng`) and one draw call of a (rows, n_normals + 2*T_max*K*M)
-    array whose row j holds trial b*B + j's channel normals and then its
-    noise normals, T_max being the largest T over the group cells.  A cell
-    with T takes the first 2*T*K*M noise normals of a row, as a lone
-    `synthesize_received(realization, ..., rng)` would draw after the
-    channel.  At B = 1 a block's stream is its trial's own.  B and this row
+    (`trial_rng`) that draws, always for B trials, a (B, n_normals) array
+    whose row j holds trial b*B + j's channel normals, and then the noise
+    position-major, a (2*T_max*K*M, B) array whose column j holds that
+    trial's noise normals, T_max being the largest T over the group cells.
+    A cell with T reads the first 2*T*K*M positions, which the stream
+    draws first whatever T_max is, so a cell's draws depend neither on the
+    other group counts of the sweep nor on the trial count.  At B = 1 a
+    block's stream is its trial's own: its channel normals, then the noise a
+    lone `synthesize_received(realization, ..., rng)` would draw.  B and this
     layout are part of the stream.
 
     Work is done in scoring batches of `batch_size` trials, a whole number of
-    blocks: batch c covers blocks [c*NB, (c+1)*NB).  A batch stacks its
-    blocks' draws in one array, each block drawn by its own generator, and
-    one `sample` call builds its realizations.  The first `run_cell_trial`
-    of a cell in a batch synthesizes, splits and scores the whole batch at
-    once; the group cells share its realizations.  The batch size is not
-    part of the stream and changes no output byte.  Only the batch served
-    last is kept, with its cells' scores.  Calls may come in any order, but
-    run_cell_trial mutates that cache, so an engine is not safe to share
-    between threads.  Each worker process builds its own.
+    blocks: batch c covers blocks [c*NB, (c+1)*NB).  A batch draws its blocks
+    into one array, each block by its own generator; one `sample` call builds
+    its realizations, and their targets are rotated into the antenna basis
+    (`moments.antenna_basis`) once, for every group cell.  The first
+    `run_cell_trial` of a cell in a batch synthesizes the whole batch,
+    rotates each user's observations with one product and scores every
+    (kind, user) with one `squared_error` call.  The normals, the synthesis
+    of each group cell and the scoring write into buffers the engine keeps
+    (`_scratch`), a contiguous prefix for a clipped last batch, so a sweep
+    allocates them once.  The batch size is not part of the stream and
+    changes no output byte.  Only the batch served last is kept, with its
+    cells' scores, and its arrays are valid until the next batch is drawn.
+    Calls may come in any order, but run_cell_trial mutates that cache, so an
+    engine is not safe to share between threads.  Each worker process builds
+    its own.
     """
 
     def __init__(self, config: SweepConfig):
@@ -314,6 +333,9 @@ class SweepEngine:
         self._banks: dict[int, _CellBank] = {}  # group index -> bank
         self._states: dict[int, dict[int, _UserState]] = {}  # group index -> user -> state
         self._batch: _TrialBatch | None = None
+        self._buffers: dict[object, np.ndarray] = {}
+        r = antenna_factor(self.stats.a_bar)  # None only where build_moments refuses the scenario
+        self.basis = None if r is None else antenna_basis(r)
 
     @cached_property
     def sampler(self) -> ChannelSampler:
@@ -339,57 +361,89 @@ class SweepEngine:
 
         It is seeded with SeedSequence((base_seed, snr_index, trial_index //
         block_size)), so every trial of a block shares it; row j of the
-        block's draw belongs to its trial j.
+        block's channel draw and column j of its noise draw belong to its
+        trial j.
         """
         seq = np.random.SeedSequence(
             (self.config.base_seed, snr_index, trial_index // self.block_size)
         )
         return np.random.default_rng(seq)
 
+    def _scratch(self, name: object, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        """A C-contiguous array of this shape: the prefix of a buffer kept under name.
+
+        The buffer grows to the largest size asked for and is reused after,
+        so its contents last until the next request under the same name.
+        """
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
     def _batch_of(self, snr_index: int, trial_index: int) -> _TrialBatch:
         """The batch holding the trial, drawn when it is not the one kept.
 
-        Each block's rows are filled by one draw from its own generator, so a
-        row does not depend on the batch it sits in.
+        Each block is filled by its own generator, so a trial's draws do not
+        depend on the batch it sits in.  A clipped last batch holds whole
+        blocks too; its rows past the last trial are scored and never read.
         """
         if not 0 <= trial_index < self.config.n_trials:
             raise IndexError(f"trial {trial_index} outside 0..{self.config.n_trials - 1}")
         key = (snr_index, trial_index // self.batch_size)
         if self._batch is None or self._batch.key != key:
             self._batch = None  # before the next batch is drawn, so two never coexist
+            b, n_channel, n_noise = self.block_size, self.sampler.n_normals, self._noise_size
             lo = key[1] * self.batch_size
-            hi = min(lo + self.batch_size, self.config.n_trials)
-            n_channel = self.sampler.n_normals
-            normals = np.empty((hi - lo, n_channel + self._noise_size))  # row j: trial lo + j
-            for start in range(0, hi - lo, self.block_size):
-                rows = normals[start:start + self.block_size]
-                self.trial_rng(snr_index, lo + start).standard_normal(out=rows)
-            realization = self.sampler.sample(normals=normals)
-            self._batch = _TrialBatch(key, lo, realization, normals[:, n_channel:], {})
+            n_blocks = -(-(min(lo + self.batch_size, self.config.n_trials) - lo) // b)
+            normals = self._scratch("normals", (n_blocks * b * (n_channel + n_noise),), float)
+            channel = normals[:n_blocks * b * n_channel].reshape(n_blocks, b, n_channel)
+            noise = normals[n_blocks * b * n_channel:].reshape(n_blocks, n_noise, b)
+            for i in range(n_blocks):  # a clipped last block is still drawn whole
+                rng = self.trial_rng(snr_index, lo + i * b)
+                rng.standard_normal(out=channel[i])
+                rng.standard_normal(out=noise[i])
+            realization = self.sampler.sample(normals=channel)  # leading axes (blocks, B)
+            s_antenna = realization.s_antenna  # (K, M, blocks, B, N+1), a view
+            k_users, m = s_antenna.shape[:2]
+            targets = self._scratch("targets", (k_users, m, n_blocks * b, s_antenna.shape[-1]))
+            for k in range(k_users):
+                to_antenna_basis(self.basis, s_antenna[k], out=targets[k])
+            # each trial's noise normals, a (blocks, B, 2 T_max K M) view of the draws
+            self._batch = _TrialBatch(key, lo, realization, noise.swapaxes(1, 2), targets, {})
         return self._batch
 
-    def _score_batch(self, bank: _CellBank, batch: _TrialBatch) -> tuple[np.ndarray, np.ndarray]:
+    def _score_batch(
+        self, group_index: int, bank: _CellBank, batch: _TrialBatch
+    ) -> tuple[np.ndarray, ObservationSet]:
         """Squared errors of every (trial, kind, user) of a batch, and its observations.
 
-        The split observations are built user-major once per (cell, batch),
-        like the targets (`channel.target_matrix`), so every `squared_error`
-        folds a user's trials into one product without a copy.  A NumericalError of
-        one estimator is recorded as NaN for that (kind, user) over the batch
-        rather than aborting the sweep.
+        The cell synthesizes into its own workspace, so its observations last
+        as long as the batch; each user's observations are rotated into the
+        antenna basis with one product, and every `squared_error` scores a
+        (kind, user) over the batch in a residual buffer the cells share.  A
+        NumericalError of one estimator is recorded as NaN for that (kind,
+        user) over the batch rather than aborting the sweep.
         """
+        k_users, m, rows, n_s = batch.targets.shape
+        t_pats = bank.tconfig.n_patterns
+        workspace = self._scratch(("synthesis", group_index), (3 * k_users * m * rows * t_pats,))
         obs = synthesize_received(
-            batch.realization, self.stats, bank.tconfig, mixing=bank.mixing, normals=batch.normals
+            batch.realization, self.stats, bank.tconfig, mixing=bank.mixing,
+            normals=batch.normals, workspace=workspace,
         )
-        xs = split_observation(bank.r, np.moveaxis(obs.y_combined, 1, 0))  # (K, rows, 2T, M)
-        targets = np.moveaxis(batch.realization.S, 1, 0)  # (K, rows, N+1, M)
-        errors = np.empty((xs.shape[1], len(bank.filters), xs.shape[0]))
+        xs = self._scratch("observations", (k_users, m, rows, t_pats))
+        for k in range(k_users):
+            to_antenna_basis(self.basis, obs.y_antenna[k], out=xs[k])
+        residual = self._scratch("residual", (m, rows, n_s))
+        errors = np.empty((rows, len(bank.filters), k_users))
         for i, per_user in enumerate(bank.filters.values()):
             for k, f in enumerate(per_user):
                 try:
-                    errors[:, i, k] = f.squared_error(xs[k], targets[k])
+                    errors[:, i, k] = f.squared_error(xs[k], batch.targets[k], out=residual)
                 except NumericalError:
                     errors[:, i, k] = np.nan
-        return errors, obs.y_combined
+        return errors, obs
 
     def run_cell_trial(
         self, group_index: int, snr_index: int, trial_index: int, digest: bool = False
@@ -403,12 +457,13 @@ class SweepEngine:
         bank = self.bank(group_index, snr_index)
         batch = self._batch_of(snr_index, trial_index)
         if group_index not in batch.cells:
-            batch.cells[group_index] = self._score_batch(bank, batch)
-        errors, y_combined = batch.cells[group_index]
+            batch.cells[group_index] = self._score_batch(group_index, bank, batch)
+        errors, obs = batch.cells[group_index]
         j = trial_index - batch.lo
         obs_digest = None
         if digest:
-            obs_digest = hashlib.sha256(np.ascontiguousarray(y_combined[j]).tobytes()).hexdigest()
+            y = obs.y_combined.reshape(-1, *obs.y_combined.shape[-2:])[j]
+            obs_digest = hashlib.sha256(np.ascontiguousarray(y).tobytes()).hexdigest()
         return dict(zip(bank.filters, errors[j])), obs_digest
 
 

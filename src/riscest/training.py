@@ -8,15 +8,18 @@ groups are contiguous blocks of N/G element indices, so (N, G) alone fixes
 the grouping.
 
 Every antenna sees the same single-antenna mixing block Z_0 (T x (N+1)), so
-synthesis multiplies each user's Z_0 with its (N+1) x M target matrix;
+synthesis multiplies each user's Z_0 with its (N+1) x M target matrix, held
+antenna-major, and returns antenna-major observations (K, M, ..., T);
 `build_Z` assembles the dense (MT) x M(N+1) matrix I_M (x) Z_0, in the dense
 index orders, for the moment formulas and the tests.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -194,12 +197,21 @@ def mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.ndarra
 class ObservationSet:
     """Per-user combined observations of one pilot phase.
 
-    noise_raw[t, i] is the AWGN draw added to the BS vector in slot i of
-    pattern t, kept so the linear model can be reconstructed exactly.
+    y_antenna[k, m] holds user k's combined observations at antenna m, one
+    per pattern, antenna-major like `ChannelRealization.s_antenna`.
+    noise_raw[t, i, m] is the AWGN draw added to antenna m in slot i of
+    pattern t, kept so the linear model can be reconstructed exactly.  The
+    dense y_combined, rows in (t, m) order, is formed on first read.
     """
 
     noise_raw: np.ndarray  # (..., T, K, M)
-    y_combined: np.ndarray  # (..., K, M*T), rows run (t, m)
+    y_antenna: np.ndarray  # (K, M, ..., T)
+
+    @cached_property
+    def y_combined(self) -> np.ndarray:
+        """The dense observations (..., K, M*T), rows run (t, m)."""
+        y = np.moveaxis(self.y_antenna, (0, 1), (-3, -1))  # (..., K, T, M)
+        return y.reshape(*y.shape[:-2], -1)
 
 
 def synthesize_received(
@@ -209,49 +221,61 @@ def synthesize_received(
     rng: np.random.Generator | None = None,
     mixing: np.ndarray | None = None,
     normals: np.ndarray | None = None,
+    workspace: np.ndarray | None = None,
 ) -> ObservationSet:
     """Simulate the pilot phase and combine per-user observations.
 
     Per slot, every user's pilot rides through its cascaded channel under the
     active RIS pattern; combining with conjugated pilots isolates user k with
     combined noise covariance K*sigma_w2*I.  Each user's contributions over
-    every trial are one product of its mixing block with its target matrices,
-    a view of the user-major targets of `target_matrix`, and the pilot
-    scaling and the combining are one product each over every trial and
-    slot; mixing (from `mixing_blocks`) may be passed in to avoid rebuilding
-    it in tight loops.  Noise is drawn once, so every estimator consuming
-    this set sees identical observations.
+    every antenna and trial are one product of its mixing block with its
+    antenna-major targets (`ChannelRealization.s_antenna`, a view for the
+    sampler's realizations), and the pilot scaling and the combining are one
+    product each over every trial and slot; mixing (from `mixing_blocks`)
+    may be passed in to avoid rebuilding it in tight loops.  Noise is drawn
+    once, so every estimator consuming this set sees identical observations.
 
     The realization may carry leading trial axes (`ChannelSampler.sample` with
-    stacked normals); so do the outputs.  With n = T*K*M, the noise takes its real parts from
-    normals[..., :n] and its imaginary parts from normals[..., n:2n]; normals
-    may be longer, and when it is None, 2n standard normals per trial are drawn
-    from rng in that order, real parts first.
+    stacked normals); so do the outputs.  With n = T*K*M, the noise takes its
+    real parts from normals[..., :n] and its imaginary parts from
+    normals[..., n:2n], both in (t, k, m) order; normals may be longer, or a
+    strided view, and when it is None, 2n standard normals per trial are drawn
+    from rng in that order, real parts first.  workspace, when given, is a
+    complex array of at least 3n entries per trial whose prefix holds the
+    noise, the observations and one intermediate, so a caller that
+    synthesizes batch after batch allocates nothing; y_antenna and noise_raw
+    are then views of it, valid until it is reused.
     """
     m, n = stats.m_antennas, stats.n_elements
     k_users, t_pats = config.n_users, config.n_patterns
-    lead = realization.s.shape[:-2]
-    if realization.s.shape[-2:] != (k_users, m * (n + 1)):
+    lead = realization.S.shape[:-3]
+    if realization.S.shape[-3:] != (k_users, n + 1, m):
         raise ConfigurationError("realization does not match the configured sizes")
     if mixing is None:
         mixing = mixing_blocks(stats, config)
     size = t_pats * k_users * m
     if normals is None:
         normals = rng.standard_normal((*lead, 2 * size))
-    shape = (*lead, t_pats, k_users, m)
-    noise = complex_normal(
-        normals[..., :size].reshape(shape), normals[..., size:2 * size].reshape(shape)
+    n_obs = size * math.prod(lead)
+    if workspace is None:
+        workspace = np.empty(3 * n_obs, dtype=complex)
+    shape = (k_users, m, *lead, t_pats)  # antenna-major, like the targets
+    noise, y, y_raw = (workspace[i * n_obs:(i + 1) * n_obs].reshape(shape) for i in range(3))
+    # a trial's normals run (t, k, m); the noise is written in (k, m, ..., t) order
+    order = (len(lead) + 1, len(lead) + 2, *range(len(lead)), len(lead))
+    re, im = (
+        normals[..., i * size:(i + 1) * size].reshape(*lead, t_pats, k_users, m).transpose(order)
+        for i in (0, 1)
     )
+    complex_normal(re, im, out=noise)
     noise *= np.sqrt(config.sigma_w2)
 
-    # user-major throughout: (K, ..., M, T) arrays with user k's rows first
-    targets = np.moveaxis(realization.S, -3, 0).swapaxes(-1, -2)  # (K, ..., M, N+1)
-    c = targets.reshape(k_users, -1, n + 1) @ mixing.swapaxes(-1, -2)  # (K, ... * M, T)
+    targets = realization.s_antenna.reshape(k_users, -1, n + 1)  # (K, M * ..., N+1)
+    np.matmul(targets, mixing.swapaxes(-1, -2), out=y.reshape(k_users, -1, t_pats))
     phi = config.pilot_matrix  # (K, K), row k = user k
-    # y_raw[i] holds slot i's received (T, M) blocks of every trial
-    y_raw = (phi.T @ c.reshape(k_users, -1)).reshape(k_users, *lead, m, t_pats)
-    y_raw += np.moveaxis(noise, -2, 0).swapaxes(-1, -2)
-    y = (phi.conj() @ y_raw.reshape(k_users, -1)).reshape(y_raw.shape)
-    # combined observations in their (t, m) row order
-    y_combined = np.moveaxis(y, 0, -3).swapaxes(-1, -2).reshape(*lead, k_users, t_pats * m)
-    return ObservationSet(noise_raw=noise, y_combined=y_combined)
+    # y_raw[i] holds slot i's received observations of every antenna, trial and pattern
+    np.matmul(phi.T, y.reshape(k_users, -1), out=y_raw.reshape(k_users, -1))
+    y_raw += noise
+    np.matmul(phi.conj(), y_raw.reshape(k_users, -1), out=y.reshape(k_users, -1))
+    noise_raw = noise.transpose(*range(2, len(lead) + 3), 0, 1)  # (..., T, K, M)
+    return ObservationSet(noise_raw=noise_raw, y_antenna=y)

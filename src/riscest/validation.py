@@ -38,9 +38,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelRealization, ChannelSampler, ChannelStatistics, path_loss
+from .channel import (ChannelRealization, ChannelSampler, ChannelStatistics, path_loss,
+                      target_vector)
 from .estimators import EstimatorKind
-from .moments import combine_blocks, cov_ss, group_aggregation_matrix, mean_s, split_observation
+from .moments import (antenna_basis, combine_blocks, cov_ss, group_aggregation_matrix, mean_s,
+                      to_antenna_basis)
 from .montecarlo import (SweepConfig, SweepEngine, SweepRow, _CellBank, build_cell_bank,
                          received_snr_to_power, run_sweep)
 from .scenario import DESK_SCENARIO, Scenario, config_digest, desk_scenario, load_config
@@ -111,7 +113,10 @@ def _cascade_oracle(stats: ChannelStatistics) -> tuple[float, float, float]:
     acc_mu = np.zeros(dim, complex)
     acc_cov = np.zeros((dim, dim), complex)
     for _ in range(ORACLE_DRAWS // chunk):
-        s = sampler.sample(normals=rng.standard_normal((chunk, sampler.n_normals))).s[:, 0]
+        # the first user's dense targets alone; neither the draw nor the realization is kept
+        s = target_vector(
+            sampler.sample(normals=rng.standard_normal((chunk, sampler.n_normals))).S[:, 0]
+        )
         acc_mu += s.sum(axis=0)
         acc_cov += s.T @ s.conj()
     mu_hat = acc_mu / ORACLE_DRAWS
@@ -175,9 +180,9 @@ def _interuser_leakage(stats: ChannelStatistics, rho: float, seed: int) -> float
         stats.n_elements, stats.n_users, n_groups=stats.n_elements // 4, rho=rho, sigma_w2=0.0
     )
     real = ChannelSampler(stats).sample(np.random.default_rng(seed))
-    s_masked = real.s.copy()
+    s_masked = real.S.copy()
     s_masked[0] = 0.0
-    masked = ChannelRealization(b=real.b, g=real.g, A=real.A, s=s_masked)
+    masked = ChannelRealization(b=real.b, g=real.g, A=real.A, S=s_masked)
     obs = synthesize_received(masked, stats, tc, np.random.default_rng(seed + 1))
     return float(
         np.linalg.norm(obs.y_combined[0]) / max(np.linalg.norm(obs.y_combined[1]), 1e-300)
@@ -371,7 +376,8 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     out.append(CheckResult("estimators.lmmse_dominates_ls", dominance, "paired trials"))
 
     # unbiasedness of the estimate mean over many trials, scored as one block as a
-    # sweep scores one; row j holds trial j's channel normals, then its noise normals
+    # sweep scores one, in the antenna basis; row j holds trial j's channel normals,
+    # then its noise normals
     tc = bank.tconfig
     sampler = ChannelSampler(stats)
     n_trials = 10_000
@@ -381,8 +387,9 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     obs = synthesize_received(
         real, stats, tc, mixing=bank.mixing, normals=normals[:, sampler.n_normals:]
     )
-    x = split_observation(bank.r, obs.y_combined)
-    mean_err = (cg.apply(x[:, 0]) - real.S[:, 0]).mean(axis=0)
+    q = antenna_basis(cg.r)
+    x, target = (to_antenna_basis(q, a[0]) for a in (obs.y_antenna, real.s_antenna))
+    mean_err = cg.residual(x, target).mean(axis=1)  # the same norm as in the antenna domain
     # 3 standard errors of the estimator error norm, err entries ~ error covariance
     se = np.sqrt(cg.mse_trace / n_trials)
     ok = np.linalg.norm(mean_err) < 3 * se

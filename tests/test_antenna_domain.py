@@ -27,11 +27,12 @@ from riscest.channel import ChannelSampler, target_matrix
 from riscest.moments import (
     AntennaMomentSet,
     MomentSet,
+    antenna_basis,
     antenna_factor,
     build_moments,
     combine_blocks,
     cov_ss,
-    split_observation,
+    to_antenna_basis,
 )
 from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import default_scenario, desk_scenario
@@ -218,7 +219,7 @@ def test_unfactored_los_is_rejected(statistics):
 
 
 # (scenario, n_groups, users); the last one runs M = 1 on the blocks
-SPLIT_CASES = [
+ROTATED_CASES = [
     ("desk", 4, None),
     ("desk", 16, None),
     ("reference", 64, (0,)),
@@ -227,11 +228,12 @@ SPLIT_CASES = [
 
 
 @pytest.mark.parametrize(
-    "name,n_groups,users", SPLIT_CASES, ids=[f"{c[0]}-G{c[1]}" for c in SPLIT_CASES]
+    "name,n_groups,users", ROTATED_CASES, ids=[f"{c[0]}-G{c[1]}" for c in ROTATED_CASES]
 )
-def test_split_rule_matches_dense_rule(statistics, name, n_groups, users):
-    """estimate and squared_error on the split forms against the assembled dense W."""
+def test_rotated_rule_matches_dense_rule(statistics, name, n_groups, users):
+    """estimate, and squared_error in the antenna basis, against the assembled dense W."""
     scenario, stats = statistics(name)
+    q = antenna_basis(antenna_factor(stats.a_bar))
     tc = _training(scenario, stats, n_groups, 20.0)
     sampler = ChannelSampler(stats)
     rng = np.random.default_rng(41)
@@ -251,5 +253,22 @@ def test_split_rule_matches_dense_rule(statistics, name, n_groups, users):
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), kind
                 want_err = float(np.vdot(want - s, want - s).real)
-                got_err = f.squared_error(split_observation(f.r, y), real.S[k])
+                x, target = (to_antenna_basis(q, a[k]) for a in (obs.y_antenna, real.s_antenna))
+                got_err = f.squared_error(x, target)
                 assert got_err == pytest.approx(want_err, rel=1e-10), kind
+
+
+@pytest.mark.parametrize("name", ["desk", "reference", "desk-single-antenna"])
+def test_antenna_basis_is_unitary_with_the_aligned_first_column(statistics, name):
+    _, stats = statistics(name)
+    r = antenna_factor(stats.a_bar)
+    q = antenna_basis(r)
+    m = stats.m_antennas
+    assert q.shape == (m, m)
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(m), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(q[:, 0], r.conj() / np.sqrt(m), rtol=0, atol=1e-15)
+    # one column per antenna in, the same columns rotated out: x[m] -> (X Q)[:, m]
+    x = np.random.default_rng(2).standard_normal((m, 3, 5)) + 0j
+    np.testing.assert_allclose(
+        to_antenna_basis(q, x), np.einsum("mj,m...->j...", q, x), rtol=0, atol=1e-14
+    )

@@ -18,6 +18,7 @@ from riscest.channel import (
     path_loss,
     psd_factor,
     ris_steering_vector,
+    target_matrix,
     target_vector,
 )
 from riscest.errors import DomainError, NumericalError
@@ -298,6 +299,12 @@ class TestSampling:
                     real.S[k, 1:, ant], real.s[k, m + ant * n : m + (ant + 1) * n]
                 )
         np.testing.assert_array_equal(target_vector(real.S), real.s)
+        # S is a view of the antenna-major targets, and target_matrix lays it out alike
+        assert real.s_antenna.flags.c_contiguous
+        assert real.s_antenna.shape == (stats.n_users, m, n + 1)
+        again = target_matrix(real.s, m)
+        np.testing.assert_array_equal(again, real.S)
+        assert np.moveaxis(again, (-3, -1), (0, 1)).flags.c_contiguous
 
     def test_stacked_targets_match_per_trial(self):
         desk = desk_scenario()
@@ -318,6 +325,7 @@ class TestSampling:
             rows = np.stack([np.random.default_rng(seed).standard_normal(size) for seed in range(3)])
             stacked = sampler.sample(normals=rows)
             assert stacked.S.shape == (3, stats.n_users, stats.n_elements + 1, stats.m_antennas)
+            assert stacked.s_antenna.flags.c_contiguous
             for seed in range(3):
                 real = sampler.sample(np.random.default_rng(seed))
                 for field in ("b", "g", "A", "s", "S"):

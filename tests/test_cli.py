@@ -384,6 +384,17 @@ class TestSweepCommand:
         assert split // n == 1 and split % n and split % b
         self.assert_worker_split_changes_no_byte(desk_ini, tmp_path, n_trials)
 
+    def test_group_count_rows_do_not_depend_on_the_other_group_counts(self, desk_ini, tmp_path):
+        """--groups 4 and --groups 4 16 write the same G=4 rows, clipped last block included."""
+        rows = []
+        for groups in (["4"], ["4", "16"]):
+            out = tmp_path / f"groups-{len(groups)}.csv"
+            argv = ["sweep", "--config", desk_ini, "--trials", "67", "--snr-min-db", "10",
+                    "--snr-max-db", "10", "--groups", *groups, "--out", str(out)]
+            assert main(argv) == 0
+            rows.append([row for row in read_csv(str(out))[1] if row["n_groups"] == 4])
+        assert rows[0] and rows[0] == rows[1]
+
     def test_schema_roundtrip(self, desk_ini, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep", "--config", desk_ini, "--trials", "4", "--groups", "4", "--out", str(out)])

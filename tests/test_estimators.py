@@ -16,7 +16,14 @@ from riscest.estimators import (
     hermitian_pinvs,
     make_estimator,
 )
-from riscest.moments import MomentSet, build_moments, combine_blocks, cov_ss, split_observation
+from riscest.moments import (
+    MomentSet,
+    antenna_basis,
+    build_moments,
+    combine_blocks,
+    cov_ss,
+    to_antenna_basis,
+)
 from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import desk_scenario
 from riscest.training import build_Z, make_training_config, mixing_blocks, synthesize_received
@@ -25,9 +32,10 @@ from conftest import dense_moments
 from test_moments import scalar_stats
 
 
-def split_trial(filt, obs, real, k=0):
-    """User k's observation and target in the split forms squared_error takes."""
-    return split_observation(filt.r, obs.y_combined[k]), real.S[k]
+def rotated_trial(filt, obs, real, k=0):
+    """User k's observation and target in the antenna basis squared_error takes."""
+    q = antenna_basis(filt.r)
+    return to_antenna_basis(q, obs.y_antenna[k]), to_antenna_basis(q, real.s_antenna[k])
 
 
 def dense_z(m):
@@ -113,7 +121,7 @@ class TestConventionalLmmse:
         for _ in range(3000):
             real = sampler.sample(rng)
             obs = synthesize_received(real, stats, tc, rng, mixing=mixing)
-            errs.append(filt.squared_error(*split_trial(filt, obs, real)))
+            errs.append(filt.squared_error(*rotated_trial(filt, obs, real)))
         assert np.mean(errs) == pytest.approx(filt.mse_trace, rel=0.05)
 
     def test_zero_noise_rank_deficient_raises(self):
@@ -132,10 +140,10 @@ def hermitian_with_spectrum(eigvals, seed=0):
 
 
 class TestSquaredError:
-    """Stacked trials fold into one product and give each lone trial's value."""
+    """Stacked trials fold into one product per block and give each lone trial's value."""
 
     @pytest.mark.parametrize("n_groups", [4, 16])
-    def test_stacked_and_user_major_trials_match_lone_calls(self, desk, n_groups):
+    def test_stacked_trials_match_lone_calls_and_the_dense_oracle(self, desk, n_groups):
         scenario, stats = desk
         tc = desk_training(scenario, stats, n_groups)
         sampler = ChannelSampler(stats)
@@ -145,37 +153,32 @@ class TestSquaredError:
         obs = synthesize_received(real, stats, tc, rng, mixing=mixing_blocks(stats, tc))
         for k in range(n_users):
             m, m_model = build_moments(stats, k, tc), build_moments(stats, k, tc, block_ideal=True)
-            x = split_observation(m.r, obs.y_combined)  # (B, K, 2T, M)
-            s = real.S  # (B, K, N+1, M)
-            # the layouts SweepEngine scores: (K, B, ...) views whose last two axes are transposed
-            x_users = split_observation(m.r, np.moveaxis(obs.y_combined, 1, 0))
-            s_users = np.moveaxis(s, 1, 0)
-            for a in (x_users, s_users):
-                assert a.swapaxes(-1, -2).flags.c_contiguous and not a.flags.c_contiguous
+            q = antenna_basis(m.r)
+            x = to_antenna_basis(q, obs.y_antenna[k])  # (M, B, T), as SweepEngine scores
+            s = to_antenna_basis(q, real.s_antenna[k])  # (M, B, N+1)
             for kind in EstimatorKind:
                 f = make_estimator(kind, m, m_model)
-                lone = np.array(
-                    [[f.squared_error(x[t, j], s[t, j]) for j in range(n_users)]
-                     for t in range(n_trials)]
-                )
-                assert lone.dtype == np.float64 and np.ndim(f.squared_error(x[0, 0], s[0, 0])) == 0
-                want = np.sum(np.abs(f.apply(x) - s) ** 2, axis=(-2, -1))
-                np.testing.assert_allclose(lone, want, rtol=1e-12)
-                got = f.squared_error(x[:, k], s[:, k])
-                np.testing.assert_allclose(got, lone[:, k], rtol=1e-12)
-                for target in (s, np.ascontiguousarray(s)):  # a trial-major layout is copied
-                    np.testing.assert_allclose(f.squared_error(x, target), lone, rtol=1e-12)
-                got = f.squared_error(x_users[k], s_users[k])
-                np.testing.assert_allclose(got, lone[:, k], rtol=1e-12)
+                lone = np.array([f.squared_error(x[:, t], s[:, t]) for t in range(n_trials)])
+                assert lone.dtype == np.float64 and np.ndim(f.squared_error(x[:, 0], s[:, 0])) == 0
+                # the dense oracle ||W y + offset - s||^2 in the antenna domain
+                s_hat = f.estimate(obs.y_combined[:, k])
+                dense = np.sum(np.abs(s_hat - real.s[:, k]) ** 2, axis=-1)
+                np.testing.assert_allclose(lone, dense, rtol=1e-10)
+                got = f.squared_error(x, s)
+                np.testing.assert_allclose(got, lone, rtol=1e-12)
+                out = np.full(s.shape, np.nan, dtype=complex)  # a reused buffer
+                np.testing.assert_array_equal(f.squared_error(x, s, out=out), got)
+                np.testing.assert_array_equal(out, f.residual(x, s))
 
     def test_dense_column_form(self):
         f = make_estimator(EstimatorKind.LMMSE, scalar_moments())
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((3, 4, 1, 1)) + 1j * rng.standard_normal((3, 4, 1, 1))
-        s = rng.standard_normal((3, 4, 1, 1)) + 1j * rng.standard_normal((3, 4, 1, 1))
-        want = np.abs(f.apply(x) - s)[..., 0, 0] ** 2
+        # a dense set has one antenna-basis column, the dense observation itself
+        x = rng.standard_normal((1, 3, 4, 1)) + 1j * rng.standard_normal((1, 3, 4, 1))
+        s = rng.standard_normal((1, 3, 4, 1)) + 1j * rng.standard_normal((1, 3, 4, 1))
+        want = np.abs(f.estimate(x[0]) - s[0])[..., 0] ** 2
         np.testing.assert_allclose(f.squared_error(x, s), want, rtol=1e-12)
-        np.testing.assert_allclose(f.squared_error(x[1, 2], s[1, 2]), want[1, 2], rtol=1e-12)
+        np.testing.assert_allclose(f.squared_error(x[:, 1, 2], s[:, 1, 2]), want[1, 2], rtol=1e-12)
 
 
 class TestSpectrumClamp:
@@ -348,7 +351,7 @@ class TestCorrelatedGrouping:
         for _ in range(3000):
             real = sampler.sample(rng)
             obs = synthesize_received(real, stats, tc, rng)
-            errs.append(filt.squared_error(*split_trial(filt, obs, real)))
+            errs.append(filt.squared_error(*rotated_trial(filt, obs, real)))
         assert np.mean(errs) == pytest.approx(expected, rel=0.05)
 
 

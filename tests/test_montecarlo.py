@@ -11,7 +11,7 @@ from riscest import cli
 from riscest.channel import ChannelSampler
 from riscest.errors import ConfigurationError, NumericalError
 from riscest.estimators import AffineEstimator, EstimatorKind, make_estimator
-from riscest.moments import build_moments, split_observation
+from riscest.moments import antenna_basis, antenna_factor, build_moments, to_antenna_basis
 from riscest.montecarlo import (
     SweepConfig,
     SweepEngine,
@@ -160,26 +160,27 @@ def desk_block_size() -> int:
 DESK_BLOCK0_SHA256 = "1db47cce926e05529f1cadc3f758b1c4154776f168350a7b69a6713f22ff0db0"
 
 
-def row_width(engine) -> int:
-    """Normals per trial in a block's draw: the sampler's n_normals, then 2 T_max K M noise."""
+def noise_size(engine) -> int:
+    """Noise normals per trial in a block's draw: 2 T_max K M."""
     stats = engine.stats
     t_max = max(engine.config.n_groups) + 1
-    return engine.sampler.n_normals + 2 * t_max * stats.n_users * stats.m_antennas
+    return 2 * t_max * stats.n_users * stats.m_antennas
 
 
-def lone_trial_rng(engine, snr_index, trial):
-    """The trial's own draws: its block's generator, past the rows of the block's earlier trials."""
+def block_draws(engine, snr_index, trial) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh draw of the trial's block: (B, n_normals) channel, then (2 T_max K M, B) noise."""
     rng = engine.trial_rng(snr_index, trial)
-    rng.standard_normal((trial % engine.block_size, row_width(engine)))
-    return rng
+    b = engine.block_size
+    channel = rng.standard_normal((b, engine.sampler.n_normals))
+    return channel, rng.standard_normal((noise_size(engine), b))
 
 
 def capture_sample_normals(monkeypatch) -> list[np.ndarray]:
-    """The normals every ChannelSampler.sample(normals=...) call receives, in call order."""
+    """Copies of the normals each ChannelSampler.sample(normals=...) call receives, in order."""
     drawn, sample = [], ChannelSampler.sample
 
     def capturing(self, rng=None, normals=None):
-        drawn.append(normals)
+        drawn.append(normals.copy())
         return sample(self, rng, normals)
 
     monkeypatch.setattr(ChannelSampler, "sample", capturing)
@@ -197,33 +198,44 @@ class TestTrialBlocks:
         b = desk_block_size()
         cfg = desk_config(n_groups=(4, 16), snr_db=(10.0,), n_trials=3 * b + b // 2)
         engine = SweepEngine(cfg)
+        q = antenna_basis(antenna_factor(engine.stats.a_bar))
         # the first block, a middle one and the last, clipped one
         for trial in (0, b + b // 2, cfg.n_trials - 1):
+            channel, noise = block_draws(engine, 0, trial)
+            real = engine.sampler.sample(normals=channel[trial % b])
             for gi in range(len(cfg.n_groups)):
                 errors, _ = engine.run_cell_trial(gi, 0, trial)
                 bank = engine.bank(gi, 0)
-                rng = lone_trial_rng(engine, 0, trial)
-                real = engine.sampler.sample(rng)
-                obs = synthesize_received(real, engine.stats, bank.tconfig, rng, bank.mixing)
-                xs = split_observation(bank.r, obs.y_combined)
+                obs = synthesize_received(
+                    real, engine.stats, bank.tconfig, mixing=bank.mixing,
+                    normals=noise[:, trial % b],
+                )
                 assert set(errors) == set(bank.filters)
                 for kind, per_user in bank.filters.items():
-                    want = [f.squared_error(xs[k], real.S[k]) for k, f in enumerate(per_user)]
+                    want = [
+                        f.squared_error(
+                            to_antenna_basis(q, obs.y_antenna[k]),
+                            to_antenna_basis(q, real.s_antenna[k]),
+                        )
+                        for k, f in enumerate(per_user)
+                    ]
                     np.testing.assert_allclose(errors[kind], want, rtol=1e-12, atol=0)
 
     def test_desk_block_normals_are_pinned(self, monkeypatch):
-        """Block 0 of perfbench/desk.ini at seed 1, SNR index 0: rows [0, B) of the first batch."""
+        """Block 0 of perfbench/desk.ini at seed 1, SNR index 0: channel rows, then the noise."""
         drawn = capture_sample_normals(monkeypatch)
         config = cli.load_config(str(DESK_INI))
         config.sweep.seed = 1
         engine = SweepEngine(cli._sweep_config(config))
         engine.run_cell_trial(0, 0, 0)
-        (normals,) = drawn
-        # four 30-trial blocks per batch; 208 channel normals, then 2 T_max K M =
-        # 2 * 17 * 2 * 4 noise normals
+        (channel,) = drawn
+        # four 30-trial blocks per batch; 208 channel normals per trial, then
+        # 2 T_max K M = 2 * 17 * 2 * 4 noise normals per trial, position-major
         assert engine.batch_size == 4 * 30
-        assert normals.shape == (120, row_width(engine)) == (120, 208 + 272)
-        block = np.ascontiguousarray(normals[:30], dtype="<f8")
+        assert channel.shape == (4, 30, 208)
+        noise = engine._batch.normals  # (blocks, B, positions), a view of the draws
+        assert noise.shape == (4, 30, noise_size(engine)) == (4, 30, 272)
+        block = np.concatenate([channel[0].ravel(), noise[0].T.ravel()]).astype("<f8")
         assert hashlib.sha256(block.tobytes()).hexdigest() == DESK_BLOCK0_SHA256
 
     def test_reference_blocks_keep_the_per_trial_streams(self, monkeypatch):
@@ -235,16 +247,20 @@ class TestTrialBlocks:
         )
         engine = SweepEngine(cfg)
         assert engine.block_size == 1 and engine.batch_size == 7
-        width = row_width(engine)
+        noises = []
         keys = [(1, 0), (0, 8), (1, 3)]  # a full batch, a clipped one, the first again
         for snr_index, trial in keys:
-            engine._batch_of(snr_index, trial)
-        for (snr_index, trial), normals in zip(keys, drawn, strict=True):
+            noises.append(engine._batch_of(snr_index, trial).normals.copy())
+        for (snr_index, trial), channel, noise in zip(keys, drawn, noises, strict=True):
             lo = trial - trial % engine.batch_size
-            assert normals.shape == (min(engine.batch_size, cfg.n_trials - lo), width)
-            for j, row in enumerate(normals):
+            rows = min(engine.batch_size, cfg.n_trials - lo)
+            assert channel.shape == (rows, 1, engine.sampler.n_normals)
+            assert noise.shape == (rows, 1, noise_size(engine))
+            for j in range(rows):
                 seq = np.random.SeedSequence((cfg.base_seed, snr_index, lo + j))
-                np.testing.assert_array_equal(row, np.random.default_rng(seq).standard_normal(width))
+                row = np.concatenate([channel[j, 0], noise[j, 0]])
+                want = np.random.default_rng(seq).standard_normal(row.size)
+                np.testing.assert_array_equal(row, want)
 
     def test_batch_rows_are_their_blocks_draws(self, monkeypatch):
         drawn = capture_sample_normals(monkeypatch)
@@ -252,18 +268,37 @@ class TestTrialBlocks:
         engine = SweepEngine(desk_config(n_groups=(4, 16), n_trials=1))
         n = engine.batch_size
         assert n // b > 1 and n % b == 0
-        # the second batch holds two full blocks and a clipped one
-        cfg = desk_config(n_groups=(4, 16), n_trials=n + 2 * b + 7)
+        # the second batch holds a full block and a clipped one, drawn whole
+        cfg = desk_config(n_groups=(4, 16), n_trials=n + b + 7)
         engine = SweepEngine(cfg)
-        width = row_width(engine)
-        engine._batch_of(1, 0)
-        engine._batch_of(1, cfg.n_trials - 1)
-        for lo, normals in zip((0, n), drawn, strict=True):
-            assert normals.shape == (min(n, cfg.n_trials - lo), width)
-            for start in range(0, len(normals), b):
-                rows = normals[start:start + b]
-                want = engine.trial_rng(1, lo + start).standard_normal((len(rows), width))
-                np.testing.assert_array_equal(rows, want)
+        noises = [engine._batch_of(1, t).normals.copy() for t in (0, cfg.n_trials - 1)]
+        for lo, channel, noise in zip((0, n), drawn, noises, strict=True):
+            n_blocks = -(-min(n, cfg.n_trials - lo) // b)
+            assert channel.shape == (n_blocks, b, engine.sampler.n_normals)
+            assert noise.shape == (n_blocks, b, noise_size(engine))
+            for i in range(n_blocks):
+                want_channel, want_noise = block_draws(engine, 1, lo + i * b)
+                np.testing.assert_array_equal(channel[i], want_channel)
+                np.testing.assert_array_equal(noise[i].T, want_noise)
+
+    def test_clipped_batch_in_reused_buffers_matches_a_fresh_engine(self):
+        """A clipped last batch scored after a full one equals a fresh engine's, bit for bit."""
+        b = desk_block_size()
+        n = SweepEngine(desk_config(n_trials=1)).batch_size
+        cfg = desk_config(n_groups=(4, 16), snr_db=(10.0,), n_trials=n + b + 7)
+        engine, fresh = SweepEngine(cfg), SweepEngine(cfg)
+        for gi in range(2):
+            engine.run_cell_trial(gi, 0, 0)
+        assert engine._batch.key == (0, 0)
+        for gi in range(2):
+            engine.run_cell_trial(gi, 0, n)
+            fresh.run_cell_trial(gi, 0, n)
+        assert engine._batch.key == fresh._batch.key == (0, 1)
+        np.testing.assert_array_equal(engine._batch.targets, fresh._batch.targets)
+        for gi in range(2):
+            got, want = engine._batch.cells[gi][0], fresh._batch.cells[gi][0]
+            assert got.shape == want.shape == (2 * b, len(engine.bank(gi, 0).filters), 2)
+            np.testing.assert_array_equal(got, want)
 
     def test_trial_range_across_two_batch_boundaries_matches_each_trial(self):
         n = SweepEngine(desk_config(n_trials=1)).batch_size
@@ -415,14 +450,30 @@ class TestRunSweep:
         n = SweepEngine(desk_config(n_trials=1)).batch_size
         cfg = desk_config(n_trials=n + b + 7, snr_db=(0.0, 20.0), n_groups=(4, 16))
         run_sweep(cfg)
-        n_draws = len(cfg.snr_db) * cfg.n_trials
         n_blocks = len(cfg.snr_db) * -(-cfg.n_trials // b)
         # every (SNR, block) is seeded once, every (SNR, batch) sampled with one
-        # call and every (SNR, trial) realization drawn once, so both group
-        # cells read the same draw
+        # call and every (SNR, block) realization drawn once and whole, so both
+        # group cells read the same draw
         assert len(seeded) == len(set(seeded)) == n_blocks
         assert len(sampled) == len(cfg.snr_db) * 2
-        assert sum(sampled) == n_draws
+        assert sum(sampled) == n_blocks * b
+
+    def test_a_cells_rows_depend_on_neither_the_other_group_counts_nor_the_trial_count(self):
+        b = desk_block_size()
+        cfg = desk_config(n_trials=2 * b + 7, snr_db=(10.0,), n_groups=(4,))
+        alone = run_sweep(cfg)
+        both = run_sweep(dataclasses.replace(cfg, n_groups=(4, 16)))
+        beside = [r for r in both if r.n_groups == 4]
+        np.testing.assert_equal(
+            [dataclasses.asdict(r) for r in beside], [dataclasses.asdict(r) for r in alone]
+        )
+        # the clipped last block draws whole, so its trials score alike in a shorter sweep
+        short = SweepEngine(dataclasses.replace(cfg, n_trials=2 * b + 1))
+        long = SweepEngine(cfg)
+        for gi, t in ((0, 2 * b), (0, 2 * b - 1)):
+            got, want = short.run_cell_trial(gi, 0, t)[0], long.run_cell_trial(gi, 0, t)[0]
+            for kind in want:
+                np.testing.assert_array_equal(got[kind], want[kind])
 
     def test_one_failing_filter_is_nan_for_its_own_kind_and_user(self, monkeypatch):
         cfg = desk_config(n_trials=5, snr_db=(10.0,), estimators=GROUPED)
@@ -430,10 +481,10 @@ class TestRunSweep:
         failing = engine.bank(0, 0).filters[EstimatorKind.GROUPING_LS][1]
         original = AffineEstimator.squared_error
 
-        def flaky(self, x, target):
+        def flaky(self, x, target, out=None):
             if self is failing:
                 raise NumericalError("injected")
-            return original(self, x, target)
+            return original(self, x, target, out)
 
         monkeypatch.setattr(AffineEstimator, "squared_error", flaky)
         for trial in range(cfg.n_trials):
@@ -466,10 +517,10 @@ class TestRunSweep:
         cfg = desk_config(n_trials=5, snr_db=(10.0,), estimators=GROUPED)
         original = AffineEstimator.squared_error
 
-        def flaky(self, y, s_true):
+        def flaky(self, y, s_true, out=None):
             if self.kind == EstimatorKind.GROUPING_LS:
                 raise NumericalError("injected")
-            return original(self, y, s_true)
+            return original(self, y, s_true, out)
 
         monkeypatch.setattr(AffineEstimator, "squared_error", flaky)
         by_kind = {r.estimator: r for r in run_sweep(cfg)}
@@ -576,8 +627,8 @@ class TestBankLifetime:
             engine.run_cell_trial(gi, 0, 0)
         batch = engine._batch
         assert batch.key == (0, 0) and set(batch.cells) == {0, 1}
-        assert batch.normals.shape[0] == n
-        kept = [weakref.ref(a) for a in (batch, batch.normals, batch.realization.s)]
+        assert batch.normals.shape[:2] == (n // engine.block_size, engine.block_size)
+        kept = [weakref.ref(a) for a in (batch, batch.normals, batch.realization.S, batch.targets)]
         kept += [weakref.ref(a) for cell in batch.cells.values() for a in cell]
         del batch
         engine.run_cell_trial(0, 0, n)  # the next batch of the same SNR point

@@ -191,7 +191,7 @@ class TestSynthesis:
         tc = make_training_config(16, 2, n_groups=4, rho=0.25, sigma_w2=0.0)
         real = ChannelSampler(stats).sample(np.random.default_rng(4))
         masked = ChannelRealization(
-            b=real.b, g=real.g, A=real.A, s=np.stack([np.zeros_like(real.s[0]), real.s[1]])
+            b=real.b, g=real.g, A=real.A, S=np.stack([np.zeros_like(real.S[0]), real.S[1]])
         )
         obs = synthesize_received(masked, stats, tc, np.random.default_rng(5))
         leak = np.linalg.norm(obs.y_combined[0]) / np.linalg.norm(obs.y_combined[1])
@@ -216,7 +216,7 @@ class TestSynthesis:
         sigma = 2.5
         tc = make_training_config(16, 2, n_groups=4, rho=1.0, sigma_w2=sigma)
         zero = ChannelSampler(stats).sample(np.random.default_rng(7))
-        zero = ChannelRealization(b=zero.b, g=zero.g, A=zero.A, s=np.zeros_like(zero.s))
+        zero = ChannelRealization(b=zero.b, g=zero.g, A=zero.A, S=np.zeros_like(zero.S))
         rng = np.random.default_rng(8)
         n_draws = 10_000
         dim = stats.m_antennas * tc.n_patterns
@@ -239,10 +239,32 @@ class TestSynthesis:
         np.testing.assert_array_equal(obs1.y_combined, obs2.y_combined)
         np.testing.assert_array_equal(obs1.noise_raw, obs2.noise_raw)
 
+    def test_antenna_major_observations_in_a_reused_workspace(self, desk):
+        """y_antenna[k, m, ..., t] is y_combined[..., k, t*M + m], in a workspace or not."""
+        scenario, stats = desk
+        tc = make_training_config(16, 2, n_groups=4, rho=0.3, sigma_w2=scenario.sigma_w2)
+        sampler = ChannelSampler(stats)
+        normals = np.random.default_rng(13).standard_normal((3, sampler.n_normals + 200))
+        real = sampler.sample(normals=normals[:, :sampler.n_normals])
+        fresh = synthesize_received(real, stats, tc, normals=normals[:, sampler.n_normals:])
+        k_users, m, t = tc.n_users, stats.m_antennas, tc.n_patterns
+        assert fresh.y_antenna.shape == (k_users, m, 3, t)
+        assert fresh.noise_raw.shape == (3, t, k_users, m)
+        y = fresh.y_combined.reshape(3, k_users, t, m)
+        np.testing.assert_array_equal(np.moveaxis(y, (1, 3), (0, 1)), fresh.y_antenna)
+        workspace = np.full(3 * fresh.y_antenna.size + 5, np.nan, dtype=complex)
+        for _ in range(2):
+            reused = synthesize_received(
+                real, stats, tc, normals=normals[:, sampler.n_normals:], workspace=workspace
+            )
+            assert np.shares_memory(reused.y_antenna, workspace)
+            np.testing.assert_array_equal(reused.y_antenna, fresh.y_antenna)
+            np.testing.assert_array_equal(reused.noise_raw, fresh.noise_raw)
+
     def test_size_mismatch_rejected(self, desk):
         scenario, stats = desk
         tc = make_training_config(16, 2, n_groups=4, rho=0.3, sigma_w2=1.0)
         real = ChannelSampler(stats).sample(np.random.default_rng(11))
-        bad = ChannelRealization(b=real.b, g=real.g, A=real.A, s=real.s[:, :-4])
+        bad = ChannelRealization(b=real.b, g=real.g, A=real.A, S=real.S[:, :-1])
         with pytest.raises(ConfigurationError):
             synthesize_received(bad, stats, tc, np.random.default_rng(12))
