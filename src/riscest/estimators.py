@@ -11,7 +11,11 @@ Every estimator is affine in the observation, so each carries a precomputed
 filter matrix plus its exact error trace under the true moments.  Pilot
 power enters only through eps = K sigma^2 / rho: every filter is
 W = V(eps) / sqrt(rho), with V built from one cached eigendecomposition of
-Q = Z C Z^H per block, so no system is solved.  Error statistics use the
+Q = Z C Z^H per block, so no system is solved.  One clipped inverse
+(`_clipped_inverse`) turns every spectrum into 1/(lambda + eps), Q's at the
+rule's eps and at eps = 0 and the correlated rule's inner Gram's at 0, and
+drops every lambda at or below the relative cutoff, so round-off in a null
+direction is never multiplied by 1/eps.  Error statistics use the
 stabilized (sum-of-PSD-terms) arrangement in V and eps to stay accurate at
 very high transmit power, and the power floor is the same trace at eps = 0;
 the trace is formed when the estimator is built, the covariance on read.
@@ -27,9 +31,9 @@ of the rotated target from column 0 of the rotated observation, and the
 orthogonal block's W_1 every other column from its own, so each trial costs
 one product per antenna and no dense filter is formed.  The per-block error
 covariances, and the dense filter and error covariance assembled from the
-blocks, are formed only when read.  Every
-pseudo-inverse cutoff is relative to the largest eigenvalue over all blocks,
-i.e. of the whole block-diagonal matrix, so both forms keep the same spectra.
+blocks, are formed only when read.  The cutoff is relative to the largest
+eigenvalue over all blocks, i.e. of the whole block-diagonal matrix, so both
+forms keep the same spectra.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError
 from .channel import target_vector
 from .moments import AntennaMomentSet, MomentSet, combine_blocks, group_expansion_matrix
 
@@ -157,50 +160,50 @@ class AffineEstimator:
         return np.einsum("cij,cij->i", flat, flat).reshape(target.shape[1:-1])[()]
 
 
-def hermitian_pinvs(
-    mats: list[np.ndarray], rcond: float = PINV_RCOND
-) -> tuple[list[np.ndarray], bool]:
+def _clipped_inverse(lams: list[np.ndarray], eps: float) -> list[np.ndarray]:
+    """1/(lambda + eps) for each block's spectrum in lams, the only spectral inverse.
+
+    Every lambda at or below PINV_RCOND times the largest lambda of any block
+    (of the whole block-diagonal matrix) is dropped, i.e. inverted to 0, a
+    negative round-off lambda with it, so a null direction's round-off is
+    never multiplied by 1/eps.  At eps = 0 this is the pseudo-inverse.
+    """
+    cutoff = PINV_RCOND * max(0.0, *(float(lam[-1]) for lam in lams))  # eigh's are ascending
+    return [np.divide(1.0, lam + eps, out=np.zeros_like(lam), where=lam > cutoff) for lam in lams]
+
+
+def hermitian_pinvs(mats: list[np.ndarray]) -> tuple[list[np.ndarray], bool]:
     """Pseudo-inverses of the diagonal blocks of one Hermitian PSD matrix.
 
-    Eigenvalues at or below rcond times the largest eigenvalue of any block
-    are dropped; the second return flags whether anything was dropped.
+    Eigenvalues are inverted by `_clipped_inverse`; the second return flags
+    whether any was dropped at its cutoff.
     """
     eigs = [np.linalg.eigh(mat) for mat in mats]
-    # eigh returns ascending order
-    cutoff = rcond * max(0.0, *(float(vals[-1]) for vals, _ in eigs))
-    pinvs, clipped = [], False
-    for eigvals, eigvecs in eigs:
-        keep = eigvals > cutoff
-        inv_vals = np.zeros_like(eigvals)
-        inv_vals[keep] = 1.0 / eigvals[keep]
-        pinvs.append((eigvecs * inv_vals[None, :]) @ eigvecs.conj().T)
-        clipped = clipped or bool(np.any(~keep))
-    return pinvs, clipped
+    invs = _clipped_inverse([vals for vals, _ in eigs], 0.0)
+    pinvs = [(vecs * inv) @ vecs.conj().T for (_, vecs), inv in zip(eigs, invs)]
+    return pinvs, not all(inv.all() for inv in invs)
 
 
-def _eps(b: MomentSet) -> float:
+def _eps(m: MomentSet | AntennaMomentSet) -> float:
     """eps = K sigma^2 / rho, the one place pilot power enters a rule."""
+    b, _ = m.blocks[0]
     return b.n_users * b.sigma_w2 / b.rho
 
 
 def _spectrum(b: MomentSet) -> tuple[np.ndarray, np.ndarray]:
     """(lambda, U) of Q = Z C Z^H, kept in b.power_free, which every power of b shares.
 
-    lambda is clamped at 0, as C_yy = rho Q + K sigma^2 I is bounded below by the noise.
+    lambda is eigh's as it comes, round-off below 0 included: `_inverse_spectra`
+    drops it with every other lambda at or below the relative cutoff.
     """
     if "spectrum" not in b.power_free:
-        lam, u = np.linalg.eigh(_hermitize(b.z_cov_zh))
-        b.power_free["spectrum"] = np.clip(lam, 0.0, None), u
+        b.power_free["spectrum"] = np.linalg.eigh(_hermitize(b.z_cov_zh))
     return b.power_free["spectrum"]
 
 
-def _inverse_spectra(m: MomentSet | AntennaMomentSet) -> list[np.ndarray]:
-    """The diagonal of D = (diag(lambda) + eps I)^-1 for each block of m, at m's eps."""
-    eps = _eps(m.blocks[0][0])
-    lams = [_spectrum(b)[0] for b, _ in m.blocks]
-    if eps == 0 and min(lam[0] for lam in lams) <= 0:
-        raise NumericalError("observation covariance is singular (zero noise with a singular Q)")
-    return [1.0 / (lam + eps) for lam in lams]
+def _inverse_spectra(m: MomentSet | AntennaMomentSet, eps: float) -> list[np.ndarray]:
+    """The diagonal of D = (diag(lambda) + eps I)^+ for each block of m (`_clipped_inverse`)."""
+    return _clipped_inverse([_spectrum(b)[0] for b, _ in m.blocks], eps)
 
 
 def _error_terms(
@@ -258,7 +261,7 @@ def _finalize(
     the aligned block has a mean, so only column 0 of the rotated estimate
     carries it.
     """
-    trace, eps = 0.0, _eps(m.blocks[0][0])
+    trace, eps = 0.0, _eps(m)
     for (b, mult), v in zip(m.blocks, vs):
         trace += mult * _error_trace(v, b, eps, innovation)
     offset = 0.0
@@ -280,7 +283,7 @@ def conventional_lmmse_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimato
     V = F D U^H with F = C Z^H U.  With enough patterns for the full target
     its floor is `asymptotic_mse`, which the ungrouped rule shares.
     """
-    ds = _inverse_spectra(m)
+    ds = _inverse_spectra(m, _eps(m))
     vs = []
     for (b, _), d in zip(m.blocks, ds):
         _, u = _spectrum(b)
@@ -343,7 +346,7 @@ def grouping_lmmse_filter(
     """
     if len(m.blocks) != len(m_model.blocks):
         raise ValueError("the model moments and the true moments are in different forms")
-    ds = _inverse_spectra(m_model)
+    ds = _inverse_spectra(m_model, _eps(m_model))
     cache = m_model.blocks[0][0].power_free
     if "grouping_lmmse" not in cache:  # E is built once per set
         e = _expansion(m_model.blocks[0][0])
@@ -360,7 +363,7 @@ def correlated_grouping_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimat
     Gram G = C_uy C_yy^-1 C_uy^H pseudo-inverted at a relative cutoff; a
     clipped inner spectrum is flagged as degenerate.
     """
-    ds = _inverse_spectra(m)
+    ds = _inverse_spectra(m, _eps(m))
     vs, clipped = _correlated_rules(m, ds)
     return _finalize(
         EstimatorKind.CORRELATED_GROUPING_LMMSE, vs, m,
@@ -408,19 +411,15 @@ def make_estimator(
 def asymptotic_mse(m: MomentSet | AntennaMomentSet) -> float:
     """Infinite-power limit of the correlated-grouping normalized MSE.
 
-    The correlated rule's error trace at eps = 0, where D is the
-    pseudo-inverse of lambda at the relative cutoff, over the prior trace.
-    The trace is a sum of PSD terms, so it needs no clamp.  The value is
-    power-free and kept in the cache of m's first block, which every power
-    of m shares.
+    The correlated rule's error trace at eps = 0, over the prior trace: the
+    same rule every finite power builds, with D = `_inverse_spectra(m, 0.0)`,
+    the pseudo-inverse of lambda at the one relative cutoff.  The trace is a
+    sum of PSD terms, so it needs no clamp.  The value is power-free and kept
+    in the cache of m's first block, which every power of m shares.
     """
-
     b0, _ = m.blocks[0]
     if "floor" not in b0.power_free:
-        lams = [_spectrum(b)[0] for b, _ in m.blocks]
-        cutoff = PINV_RCOND * max(lam[-1] for lam in lams)
-        ds = [np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > cutoff) for lam in lams]
-        vs, _ = _correlated_rules(m, ds)
+        vs, _ = _correlated_rules(m, _inverse_spectra(m, 0.0))
         trace = sum(mult * _error_trace(v, b, 0.0, True) for (b, mult), v in zip(m.blocks, vs))
         b0.power_free["floor"] = trace / m.prior_trace
     return b0.power_free["floor"]

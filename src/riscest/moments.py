@@ -400,7 +400,7 @@ def build_moments(
         r0 = rk = _block_correlation(stats.n_elements, config.n_groups)
     else:
         r0, rk = stats.R0, stats.R[k]
-    rho_k, direct = float(config.rho[k]), stats.rho_b[k] > 0
+    direct = stats.rho_b[k] > 0
     # Z is I_M (x) Z_0 up to the index order, and Z_0 is the mixing of one antenna
     one_antenna = replace(stats, a_bar=stats.a_bar[:1])
     z0 = build_Z(k, one_antenna, config)
@@ -409,7 +409,7 @@ def build_moments(
     def block(a_row: np.ndarray) -> MomentSet:
         return _complete(
             _mean(stats, k, a_row), _prior(stats, k, a_row, r0, rk, direct), z0, zg0,
-            rho_k, config.sigma_w2, config.n_users, 1, config.n_groups,
+            config.rho, config.sigma_w2, config.n_users, 1, config.n_groups,
         )
 
     return AntennaMomentSet(

@@ -229,9 +229,9 @@ def build_cell_bank(
     for k in range(stats.n_users):
         if k not in states:
             states[k] = _user_state(stats, k, tconfig, kinds)
-        state, rho_k = states[k], float(tconfig.rho[k])
-        m_true = state.true.at_power(rho_k)
-        m_model = None if state.model is None else state.model.at_power(rho_k)
+        state = states[k]
+        m_true = state.true.at_power(rho)
+        m_model = None if state.model is None else state.model.at_power(rho)
         for kind in kinds:
             filters[kind].append(make_estimator(kind, m_true, m_model))
         prior_traces[k] = m_true.prior_trace

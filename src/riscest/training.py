@@ -108,19 +108,15 @@ class TrainingConfig:
     n_users: int
     n_groups: int
     n_patterns: int
-    rho: np.ndarray  # (K,) pilot powers, watts; a scalar is given to every user
+    rho: float  # pilot power of every user, watts
     sigma_w2: float  # noise power, watts
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        self.rho = np.full(self.n_users, float(rho)) if rho.ndim == 0 else rho
         self.patterns, self.group_patterns = training_patterns(
             self.n_elements, self.n_groups, self.n_patterns
         )
         self.pilot_matrix = pilot_sequences(self.n_users)
-        if self.rho.shape != (self.n_users,):
-            raise ConfigurationError(f"need one pilot power per user, got {self.rho.shape}")
-        if self.sigma_w2 < 0 or np.any(self.rho < 0):
+        if self.sigma_w2 < 0 or self.rho < 0:
             raise ConfigurationError("powers must be nonnegative")
 
     @property
@@ -137,7 +133,7 @@ def make_training_config(
     n_users: int,
     n_groups: int | None = None,
     n_patterns: int | None = None,
-    rho: float | np.ndarray = 1.0,
+    rho: float = 1.0,
     sigma_w2: float = 1.0,
 ) -> TrainingConfig:
     """A TrainingConfig with G = N and the minimum identifiable T = G + 1 by default."""
@@ -180,16 +176,16 @@ def build_Z(
 
 
 def mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.ndarray:
-    """Every user's single-antenna mixing block with sqrt(rho_k)/K folded in, (K, T, N+1).
+    """Every user's single-antenna mixing block with sqrt(rho)/K folded in, (K, T, N+1).
 
-    Block k is sqrt(rho_k)/K Z_0 with Z_0 = K [sqrt(rho_b) 1, sqrt(rho_g rho_a) Theta],
+    Block k is sqrt(rho)/K Z_0 with Z_0 = K [sqrt(rho_b) 1, sqrt(rho_g rho_a) Theta],
     so user k's pilot contribution per slot is the (T, M) matrix block_k @ S_k.
     """
     k_users = config.n_users
     out = np.empty((k_users, config.n_patterns, config.n_elements + 1), dtype=complex)
     for k in range(k_users):
         block = _mixing_block(stats.rho_b[k], stats.rho_g[k], stats.rho_a, config.patterns, 1)
-        out[k] = np.sqrt(config.rho[k]) * block[:, 0, :]
+        out[k] = np.sqrt(config.rho) * block[:, 0, :]
     return out
 
 

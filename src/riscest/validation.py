@@ -248,7 +248,7 @@ def _training_checks(scenario: Scenario, stats: ChannelStatistics) -> list[Check
     for k in range(k_users):
         # reconstruct through the combined linear model with the recorded noise
         w_comb = np.einsum("tim,ki->ktm", obs.noise_raw, tc.pilot_matrix.conj())[k].reshape(-1)
-        model = np.sqrt(tc.rho[k]) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
+        model = np.sqrt(tc.rho) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
         worst = max(
             worst,
             float(
@@ -315,9 +315,9 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     n = stats.n_elements
     n_groups = n // 4
 
-    # monotone theory curve over a log-spaced power sweep; each group count keeps
-    # one power-free state over the powers, as a sweep does
-    rho_grid = np.geomspace(1e-4, 1e8, 20) * received_snr_to_power(0.0, stats, scenario.sigma_w2)
+    # monotone theory curve over a log-spaced power sweep from -40 to 240 dB, 6.2 dB
+    # apart; each group count keeps one power-free state over the powers, as a sweep does
+    rho_grid = np.geomspace(1e-4, 1e24, 46) * received_snr_to_power(0.0, stats, scenario.sigma_w2)
     ok, detail = True, ""
     curves = {LMMSE: [], GROUPING_LMMSE: [], CORRELATED: []}
     grouped_states, full_states = {}, {}
@@ -331,7 +331,7 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
         if any(b > a + 1e-10 for a, b in zip(c, c[1:])):
             ok, detail = False, f"{kind.value} not monotone"
             break
-    out.append(CheckResult("estimators.theory_monotone_in_power", ok, detail or "20-point sweep"))
+    out.append(CheckResult("estimators.theory_monotone_in_power", ok, detail or "46-point sweep"))
 
     # ordering and collapse at one moderate power
     rho = received_snr_to_power(30.0, stats, scenario.sigma_w2)

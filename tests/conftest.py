@@ -16,6 +16,6 @@ def dense_moments(stats, k, tc, block_ideal=False):
     c_ss = cov_ss_block_ideal(stats, k, tc.n_groups) if block_ideal else None
     return observation_moments(
         stats, k, build_Z(k, stats, tc), build_Z(k, stats, tc, grouped=True),
-        rho_k=float(tc.rho[k]), sigma_w2=tc.sigma_w2, n_users=tc.n_users,
+        rho_k=tc.rho, sigma_w2=tc.sigma_w2, n_users=tc.n_users,
         cov_ss_mat=c_ss,
     )

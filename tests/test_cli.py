@@ -221,18 +221,23 @@ class TestTheoryCommand:
         assert max(floors) - min(floors) < 1e-15
 
     def test_extreme_power_stays_finite_and_above_floor(self, tmp_path):
-        # at 160 dB the block-ideal observation covariance is singular to float64
+        # every spectral inverse drops Q_0's directions at or below the relative cutoff, so
+        # round-off in them is never multiplied by 1/eps: by 280 dB correlated grouping has
+        # reached its eps = 0 floor
         out = tmp_path / "theory.csv"
         assert main([
             "theory", "--config", str(DESK_INI), "--groups", "2", "4",
-            "--snr-min-db", "160", "--snr-max-db", "160", "--out", str(out),
+            "--snr-min-db", "160", "--snr-max-db", "280", "--snr-step-db", "120",
+            "--out", str(out),
         ]) == 0
         _, rows = read_csv(str(out))
-        assert len(rows) == 6
+        assert len(rows) == 12
         assert all(math.isfinite(r["nmse_theory"]) for r in rows)
         for r in rows:
             if r["estimator"] == "correlated_grouping_lmmse":
                 assert r["nmse_theory"] >= r["nmse_floor"] - 1e-12
+                if r["snr_db"] == 280:
+                    assert r["nmse_theory"] == pytest.approx(r["nmse_floor"], rel=1e-9)
 
     def test_expansion_built_once_per_group_count(self, monkeypatch, tmp_path):
         import riscest.estimators as est

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from riscest.channel import ChannelSampler, ChannelStatistics, FadingParams, build_statistics
-from riscest.errors import NumericalError
 from riscest.estimators import (
     EstimatorKind,
     asymptotic_mse,
@@ -25,7 +24,7 @@ from riscest.moments import (
     to_antenna_basis,
 )
 from riscest.montecarlo import received_snr_to_power
-from riscest.scenario import desk_scenario
+from riscest.scenario import default_scenario, desk_scenario
 from riscest.training import build_Z, make_training_config, mixing_blocks, synthesize_received
 
 from conftest import dense_moments
@@ -124,10 +123,22 @@ class TestConventionalLmmse:
             errs.append(filt.squared_error(*rotated_trial(filt, obs, real)))
         assert np.mean(errs) == pytest.approx(filt.mse_trace, rel=0.05)
 
-    def test_zero_noise_rank_deficient_raises(self):
-        m = scalar_moments(sigma2=0.0, z=0.0)
-        with pytest.raises(NumericalError):
-            make_estimator(EstimatorKind.LMMSE, m)
+    def test_zero_noise_singular_q_builds_the_pseudo_inverse_rule(self):
+        # eps = 0 with a singular Q_0 inverts Q_0's spectrum at the relative cutoff: the
+        # rule is C Z^H Q_0^+, and with Z_G = Z (G = N) its trace is asymptotic_mse's
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        z[:, 2] = z[:, 1]  # rank 2: Q_0 = Z C Z^H is singular
+        cov = np.diag([1.0, 2.0, 0.5]).astype(complex)
+        m = linear_moments(cov, z, rho=1.0, sigma2=0.0)
+        f = make_estimator(EstimatorKind.LMMSE, m)
+        want = m.cov_szh @ np.linalg.pinv(m.z_cov_zh, rcond=1e-10, hermitian=True)
+        np.testing.assert_allclose(f.w_blocks[0], want, atol=1e-12)
+        assert f.nmse > 0.01  # the direction Z cannot see keeps its error
+        assert f.nmse == pytest.approx(asymptotic_mse(m), rel=1e-12)
+        assert f.nmse_floor == asymptotic_mse(m)
+        blind = make_estimator(EstimatorKind.LMMSE, scalar_moments(sigma2=0.0, z=0.0))
+        assert blind.w_blocks[0] == 0 and blind.nmse == 1.0
 
 
 def hermitian_with_spectrum(eigvals, seed=0):
@@ -183,7 +194,7 @@ class TestSquaredError:
 
 class TestSpectrumClamp:
     def test_negative_eigenvalue_acts_as_zero(self):
-        # Q's spectrum is clamped at 0, as rho Q + K sigma^2 I is bounded below by the noise
+        # a negative round-off eigenvalue of Q lies below the relative cutoff and is dropped, like 0
         rng = np.random.default_rng(1)
         z = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         rules = []
@@ -508,18 +519,55 @@ class TestNoiseRatioForm:
 
     @pytest.mark.parametrize("n_groups", [2, 4, 8, 16])
     def test_bayesian_nmse_falls_to_its_floor(self, desk, n_groups):
-        scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=n_groups)
-        mi = desk_moments(scenario, stats, n_groups=n_groups, ideal=True)
-        kinds = [EstimatorKind.GROUPING_LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE]
-        if n_groups == 16:
-            kinds.append(EstimatorKind.LMMSE)
-        prev = dict.fromkeys(kinds, np.inf)
-        for snr in range(-20, 151, 2):
-            rho = float(desk_training(scenario, stats, n_groups, float(snr)).rho[0])
-            for kind in kinds:
-                f = make_estimator(kind, m.at_power(rho), mi.at_power(rho))
-                assert f.nmse <= prev[kind] * (1 + 1e-9), (kind, snr)
-                if f.nmse_floor is not None:
-                    assert f.nmse >= f.nmse_floor - 1e-12, (kind, snr)
-                prev[kind] = f.nmse
+        assert_falls_to_floor(*desk, n_groups, range(-20, 281, 2))
+
+    @pytest.mark.parametrize("n_groups", [16, 64])
+    def test_bayesian_nmse_falls_to_its_floor_at_the_reference_setup(self, reference, n_groups):
+        assert_falls_to_floor(*reference, n_groups, range(-20, 281, 10))
+
+    @pytest.mark.parametrize("setup", ["desk", "reference"])
+    def test_ungrouped_lmmse_never_exceeds_ls(self, request, setup):
+        # LMMSE is the best affine rule: up to 200 dB its trace is LS's to 1e-6, and where
+        # both fall below 1e-20 its excess over LS stays at round-off far below 1e-24
+        scenario, stats = request.getfixturevalue(setup)
+        n = stats.n_elements
+        for k in range(stats.n_users):
+            m = desk_moments(scenario, stats, n_groups=n, k=k)
+            for snr in range(-20, 281, 10):
+                rho = float(desk_training(scenario, stats, n, float(snr)).rho)
+                lmmse = make_estimator(EstimatorKind.LMMSE, m.at_power(rho)).nmse
+                ls = make_estimator(EstimatorKind.LS, m.at_power(rho)).nmse
+                if snr <= 200:
+                    assert lmmse <= ls * (1 + 1e-6), (k, snr, lmmse / ls - 1)
+                if snr >= 200:
+                    assert lmmse <= ls + 1e-24, (k, snr, lmmse - ls)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    scenario = default_scenario()
+    return scenario, scenario.statistics()
+
+
+def assert_falls_to_floor(scenario, stats, n_groups, snrs):
+    """Every Bayesian kind's NMSE is non-increasing in power and never below its floor.
+
+    From 200 dB on, a grouped correlated rule sits on its floor.
+    """
+    m = desk_moments(scenario, stats, n_groups=n_groups)
+    mi = desk_moments(scenario, stats, n_groups=n_groups, ideal=True)
+    kinds = [EstimatorKind.GROUPING_LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE]
+    if n_groups == stats.n_elements:
+        kinds.append(EstimatorKind.LMMSE)
+    prev = dict.fromkeys(kinds, np.inf)
+    for snr in snrs:
+        rho = float(desk_training(scenario, stats, n_groups, float(snr)).rho)
+        for kind in kinds:
+            f = make_estimator(kind, m.at_power(rho), mi.at_power(rho))
+            assert f.nmse <= prev[kind] * (1 + 1e-9), (kind, snr)
+            if f.nmse_floor is not None:
+                assert f.nmse >= f.nmse_floor - 1e-12, (kind, snr)
+            grouped_cg = kind == EstimatorKind.CORRELATED_GROUPING_LMMSE and n_groups < stats.n_elements
+            if grouped_cg and snr >= 200:
+                assert f.nmse == pytest.approx(f.nmse_floor, rel=1e-9), snr
+            prev[kind] = f.nmse

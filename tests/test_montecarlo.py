@@ -363,10 +363,9 @@ def test_engine_derives_the_moments_and_filters_of_a_fresh_build(make_scenario, 
                 stats.n_elements, stats.n_users, n_groups=g, rho=rho, sigma_w2=scenario.sigma_w2,
             )
             for k in range(stats.n_users):
-                rho_k = float(tc.rho[k])
                 derived = {
                     False: bank.filters[EstimatorKind.GROUPING_LS][k].moments,
-                    True: states[k].model.at_power(rho_k),
+                    True: states[k].model.at_power(rho),
                 }
                 for ideal, m in derived.items():
                     fresh = build_moments(stats, k, tc, block_ideal=ideal)

@@ -157,15 +157,11 @@ class TestTrainingConfig:
         assert [f.name for f in fields(tc)] == [
             "n_elements", "n_users", "n_groups", "n_patterns", "rho", "sigma_w2",
         ]
-        np.testing.assert_array_equal(tc.rho, [0.5, 0.5])
+        assert tc.rho == 0.5
         patterns, group_patterns = training_patterns(6, 3, 4)
         np.testing.assert_array_equal(tc.patterns, patterns)
         np.testing.assert_array_equal(tc.group_patterns, group_patterns)
         np.testing.assert_array_equal(tc.pilot_matrix, pilot_sequences(2))
-
-    def test_rejects_one_power_per_wrong_user_count(self):
-        with pytest.raises(ConfigurationError):
-            make_training_config(4, 2, rho=np.ones(3))
 
     def test_rejects_non_dividing_groups(self):
         with pytest.raises((ConfigurationError, DomainError)):
@@ -207,7 +203,7 @@ class TestSynthesis:
             w_comb = np.einsum(
                 "tim,i->tm", obs.noise_raw, tc.pilot_matrix[k].conj()
             ).reshape(-1)
-            model = np.sqrt(tc.rho[k]) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
+            model = np.sqrt(tc.rho) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
             rel = np.linalg.norm(obs.y_combined[k] - model) / np.linalg.norm(model)
             assert rel < 1e-10
 
