@@ -3,8 +3,9 @@
 The package covers the full chain: correlated Rician channel modelling,
 Hadamard-based RIS training with orthogonal pilots, closed-form moments of
 the cascaded channel, conventional and grouping-based linear estimators
-including the correlation-aware grouped LMMSE, and a reproducible Monte
-Carlo sweep engine with a CSV-emitting CLI.
+including the correlation-aware grouped LMMSE (the LMMSE of the grouped
+training), and a reproducible Monte Carlo sweep engine with a CSV-emitting
+CLI.
 """
 
 from .channel import (

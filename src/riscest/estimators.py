@@ -3,22 +3,26 @@
 Five estimators are provided: conventional LS/LMMSE over the full target,
 two grouping baselines that estimate group aggregates and expand them by
 equal division (LS, and LMMSE designed under the idealized block-correlation
-prior), and the two-stage correlated-grouping LMMSE that first estimates the
-group aggregates under the true correlation and then infers the full target
-from them.
+prior), and the correlated-grouping LMMSE.  The paper builds the last in two
+stages, the group aggregates u = P s under the true correlation first and
+the full target from them next.  Group-constant patterns give Z = Z_G P, so
+C_sy = C_su Z_G^H and the two stages reduce to C_sy C_yy^-1: the LMMSE of
+the grouped observation.  One LMMSE rule therefore builds both LMMSE kinds,
+which differ only in their label and in the training their moment set was
+built from.
 
 Every estimator is affine in the observation, so each carries a precomputed
 filter matrix plus its exact error trace under the true moments.  Pilot
 power enters only through eps = K sigma^2 / rho: every filter is
 W = V(eps) / sqrt(rho), with V built from one cached eigendecomposition of
 Q = Z C Z^H per block, so no system is solved.  One clipped inverse
-(`_clipped_inverse`) turns every spectrum into 1/(lambda + eps), Q's at the
-rule's eps and at eps = 0 and the correlated rule's inner Gram's at 0, and
-drops every lambda at or below the relative cutoff, so round-off in a null
-direction is never multiplied by 1/eps.  Error statistics use the
-stabilized (sum-of-PSD-terms) arrangement in V and eps to stay accurate at
-very high transmit power, and the power floor is the same trace at eps = 0;
-the trace is formed when the estimator is built, the covariance on read.
+(`_inverse_spectra`) turns Q's spectrum into 1/(lambda + eps), at the rule's
+eps and at eps = 0, and drops every lambda at or below the relative cutoff,
+so round-off in a null direction is never multiplied by 1/eps.  Error
+statistics use the stabilized (sum-of-PSD-terms) arrangement in V and eps to
+stay accurate at very high transmit power, and the power floor is LMMSE's
+trace at eps = 0; the trace is formed when the estimator is built, the
+covariance on read.
 
 Each filter function runs on the blocks of its moment set
 (`MomentSet.blocks`): the aligned block plus the orthogonal block standing
@@ -38,14 +42,14 @@ forms keep the same spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .channel import target_vector
-from .moments import AntennaMomentSet, MomentSet, combine_blocks, group_expansion_matrix
+from .moments import AntennaMomentSet, MomentSet, combine_blocks, cov_uu, group_expansion_matrix
 
 PINV_RCOND = 1e-10
 
@@ -73,7 +77,9 @@ class AffineEstimator:
 
     mse_trace / nmse are the exact second-order error statistics of this
     rule under the true observation moments, and error_cov the matching
-    error covariance; nmse_floor, when set, is the infinite-power limit.
+    error covariance; nmse_floor, set for both LMMSE kinds, is the
+    infinite-power limit.  degenerate flags an LS rule whose pseudo-inverse
+    dropped an active column; an LMMSE-kind filter is never flagged.
     w_blocks are the per-block filters of the true moment set `moments`,
     whose antenna factor is r (None for a dense set).  In the antenna basis
     the rule estimates column 0 of the target as offset + W_0 x_0 and every
@@ -160,30 +166,6 @@ class AffineEstimator:
         return np.einsum("cij,cij->i", flat, flat).reshape(target.shape[1:-1])[()]
 
 
-def _clipped_inverse(lams: list[np.ndarray], eps: float) -> list[np.ndarray]:
-    """1/(lambda + eps) for each block's spectrum in lams, the only spectral inverse.
-
-    Every lambda at or below PINV_RCOND times the largest lambda of any block
-    (of the whole block-diagonal matrix) is dropped, i.e. inverted to 0, a
-    negative round-off lambda with it, so a null direction's round-off is
-    never multiplied by 1/eps.  At eps = 0 this is the pseudo-inverse.
-    """
-    cutoff = PINV_RCOND * max(0.0, *(float(lam[-1]) for lam in lams))  # eigh's are ascending
-    return [np.divide(1.0, lam + eps, out=np.zeros_like(lam), where=lam > cutoff) for lam in lams]
-
-
-def hermitian_pinvs(mats: list[np.ndarray]) -> tuple[list[np.ndarray], bool]:
-    """Pseudo-inverses of the diagonal blocks of one Hermitian PSD matrix.
-
-    Eigenvalues are inverted by `_clipped_inverse`; the second return flags
-    whether any was dropped at its cutoff.
-    """
-    eigs = [np.linalg.eigh(mat) for mat in mats]
-    invs = _clipped_inverse([vals for vals, _ in eigs], 0.0)
-    pinvs = [(vecs * inv) @ vecs.conj().T for (_, vecs), inv in zip(eigs, invs)]
-    return pinvs, not all(inv.all() for inv in invs)
-
-
 def _eps(m: MomentSet | AntennaMomentSet) -> float:
     """eps = K sigma^2 / rho, the one place pilot power enters a rule."""
     b, _ = m.blocks[0]
@@ -202,8 +184,16 @@ def _spectrum(b: MomentSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inverse_spectra(m: MomentSet | AntennaMomentSet, eps: float) -> list[np.ndarray]:
-    """The diagonal of D = (diag(lambda) + eps I)^+ for each block of m (`_clipped_inverse`)."""
-    return _clipped_inverse([_spectrum(b)[0] for b, _ in m.blocks], eps)
+    """The diagonal of D = (diag(lambda) + eps I)^+ for each block of m, the only spectral inverse.
+
+    Every lambda at or below PINV_RCOND times the largest lambda of any block
+    (of the whole block-diagonal matrix) is dropped, i.e. inverted to 0, a
+    negative round-off lambda with it, so a null direction's round-off is
+    never multiplied by 1/eps.  At eps = 0 this is the pseudo-inverse.
+    """
+    lams = [_spectrum(b)[0] for b, _ in m.blocks]
+    cutoff = PINV_RCOND * max(0.0, *(float(lam[-1]) for lam in lams))  # eigh's are ascending
+    return [np.divide(1.0, lam + eps, out=np.zeros_like(lam), where=lam > cutoff) for lam in lams]
 
 
 def _error_terms(
@@ -277,20 +267,24 @@ def _finalize(
     )
 
 
-def conventional_lmmse_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
-    """Classic one-shot LMMSE of the full target from the stacked observation.
-
-    V = F D U^H with F = C Z^H U.  With enough patterns for the full target
-    its floor is `asymptotic_mse`, which the ungrouped rule shares.
-    """
-    ds = _inverse_spectra(m, _eps(m))
+def _lmmse_rules(m: MomentSet | AntennaMomentSet, eps: float) -> list[np.ndarray]:
+    """V = F D U^H per block of m, with F = C Z^H U and D = `_inverse_spectra(m, eps)`."""
     vs = []
-    for (b, _), d in zip(m.blocks, ds):
+    for (b, _), d in zip(m.blocks, _inverse_spectra(m, eps)):
         _, u = _spectrum(b)
         vs.append(((b.cov_szh @ u) * d) @ u.conj().T)
-    n_y, n_s = m.blocks[0][0].Z.shape  # T >= N+1 is MT >= M(N+1) for the dense Z
-    floor = asymptotic_mse(m) if n_y >= n_s else None
-    return _finalize(EstimatorKind.LMMSE, vs, m, nmse_floor=floor)
+    return vs
+
+
+def lmmse_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
+    """One-shot LMMSE of the full target from the stacked observation, C_sy C_yy^-1.
+
+    On a set built from the grouped training this is the correlated-grouping
+    LMMSE (module docstring), which `make_estimator` labels as such.  Its
+    floor is `asymptotic_mse`, the same rule's trace at eps = 0.
+    """
+    vs = _lmmse_rules(m, _eps(m))
+    return _finalize(EstimatorKind.LMMSE, vs, m, nmse_floor=asymptotic_mse(m))
 
 
 def _ls_rule(b: MomentSet, grouped: bool) -> tuple[np.ndarray, bool]:
@@ -342,49 +336,22 @@ def grouping_lmmse_filter(
     m_model supplies the (mismatched) prior the baseline believes in; the
     returned error statistics are still evaluated under the true moments m.
     Both sets must come in the same form (both dense or both antenna-domain).
-    V = E G_u D U^H on m_model's spectrum, with E G_u = E C_uu Z_G^H U cached.
+    V = E G_u D U^H on m_model's spectrum, with G_u = C_uu Z_G^H U for the
+    aggregates' prior C_uu = P C P^H (`moments.cov_uu`); E G_u is cached.
     """
     if len(m.blocks) != len(m_model.blocks):
         raise ValueError("the model moments and the true moments are in different forms")
     ds = _inverse_spectra(m_model, _eps(m_model))
     cache = m_model.blocks[0][0].power_free
-    if "grouping_lmmse" not in cache:  # E is built once per set
+    if "grouping_lmmse" not in cache:  # E and C_uu are built once per set
         e = _expansion(m_model.blocks[0][0])
-        cache["grouping_lmmse"] = [e @ b.cov_uzh @ _spectrum(b)[1] for b, _ in m_model.blocks]
+        cache["grouping_lmmse"] = [
+            e @ (cov_uu(b.cov_ss, b.m_antennas, b.n_groups) @ b.Z_G.conj().T) @ _spectrum(b)[1]
+            for b, _ in m_model.blocks
+        ]
     factors = zip(m_model.blocks, cache["grouping_lmmse"], ds)
     vs = [(eg * d) @ _spectrum(b)[1].conj().T for (b, _), eg, d in factors]
     return _finalize(EstimatorKind.GROUPING_LMMSE, vs, m)
-
-
-def correlated_grouping_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
-    """Two-stage LMMSE: group aggregates first, then the full target from them.
-
-    The combined filter is C_sy C_yy^-1 C_uy^H G^+ C_uy C_yy^-1 with the inner
-    Gram G = C_uy C_yy^-1 C_uy^H pseudo-inverted at a relative cutoff; a
-    clipped inner spectrum is flagged as degenerate.
-    """
-    ds = _inverse_spectra(m, _eps(m))
-    vs, clipped = _correlated_rules(m, ds)
-    return _finalize(
-        EstimatorKind.CORRELATED_GROUPING_LMMSE, vs, m,
-        degenerate=clipped, nmse_floor=asymptotic_mse(m),
-    )
-
-
-def _correlated_rules(m: MomentSet | AntennaMomentSet, ds: list[np.ndarray]) -> tuple[list, bool]:
-    """V = F D G_u^H Gamma^+ G_u D U^H per block, and whether Gamma^+ clipped.
-
-    F = C Z^H U, G_u = C_uu Z_G^H U and the inner Gram Gamma = G_u D G_u^H,
-    (n_u x n_u) and free of rho, pseudo-inverted at the relative cutoff.
-    """
-    grams, outer = [], []
-    for (b, _), d in zip(m.blocks, ds):
-        _, u = _spectrum(b)
-        g = b.cov_uzh @ u
-        grams.append(_hermitize((g * d) @ g.conj().T))
-        outer.append((((b.cov_szh @ u) * d) @ g.conj().T, (g * d) @ u.conj().T))
-    gram_pinvs, clipped = hermitian_pinvs(grams)
-    return [left @ gp @ right for (left, right), gp in zip(outer, gram_pinvs)], clipped
 
 
 def make_estimator(
@@ -393,8 +360,8 @@ def make_estimator(
     m_model: MomentSet | AntennaMomentSet | None = None,
 ) -> AffineEstimator:
     """Build any estimator kind; grouping LMMSE needs its model-prior moments."""
-    if kind == EstimatorKind.LMMSE:
-        return conventional_lmmse_filter(m)
+    if kind in (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE):
+        return replace(lmmse_filter(m), kind=kind)
     if kind == EstimatorKind.LS:
         return conventional_ls_filter(m)
     if kind == EstimatorKind.GROUPING_LS:
@@ -403,23 +370,21 @@ def make_estimator(
         if m_model is None:
             raise ValueError("grouping LMMSE needs the block-ideal moment set")
         return grouping_lmmse_filter(m, m_model)
-    if kind == EstimatorKind.CORRELATED_GROUPING_LMMSE:
-        return correlated_grouping_filter(m)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
 def asymptotic_mse(m: MomentSet | AntennaMomentSet) -> float:
-    """Infinite-power limit of the correlated-grouping normalized MSE.
+    """Infinite-power limit of the LMMSE normalized MSE, the floor of both LMMSE kinds.
 
-    The correlated rule's error trace at eps = 0, over the prior trace: the
-    same rule every finite power builds, with D = `_inverse_spectra(m, 0.0)`,
-    the pseudo-inverse of lambda at the one relative cutoff.  The trace is a
-    sum of PSD terms, so it needs no clamp.  The value is power-free and kept
-    in the cache of m's first block, which every power of m shares.
+    LMMSE's error trace at eps = 0, over the prior trace: the same rule every
+    finite power builds, with D = `_inverse_spectra(m, 0.0)`, the
+    pseudo-inverse of lambda at the one relative cutoff.  The trace is a sum
+    of PSD terms, so it needs no clamp.  The value is power-free and kept in
+    the cache of m's first block, which every power of m shares.
     """
     b0, _ = m.blocks[0]
     if "floor" not in b0.power_free:
-        vs, _ = _correlated_rules(m, _inverse_spectra(m, 0.0))
+        vs = _lmmse_rules(m, 0.0)
         trace = sum(mult * _error_trace(v, b, 0.0, True) for (b, mult), v in zip(m.blocks, vs))
         b0.power_free["floor"] = trace / m.prior_trace
     return b0.power_free["floor"]

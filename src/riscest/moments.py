@@ -52,23 +52,21 @@ class MomentSet:
     """Everything a linear estimator needs for one user at pilot power rho.
 
     The fields hold no pilot power.  Shapes: mean_s (n_s,), cov_ss (n_s,
-    n_s), cov_uu (n_u, n_u), Z (n_y, n_s), Z_G (n_y, n_u) and the products
-    z_mean = Z mean_s, cov_szh = cov_ss Z^H, cov_uzh = cov_uu Z_G^H and
-    z_cov_zh = Z cov_ss Z^H, with n_s = M(N+1), n_u = M(n_groups+1) and
-    n_y = M*T.  The observation moments mean_y, cov_sy, cov_uy and cov_yy
-    are formed from them on every read.  power_free caches what estimators
-    derive without pilot power (LS rules, spectrum of z_cov_zh, floor);
-    `at_power` shares it, like every array, with the sets it derives.
+    n_s), Z (n_y, n_s), Z_G (n_y, n_u) and the products z_mean = Z mean_s,
+    cov_szh = cov_ss Z^H and z_cov_zh = Z cov_ss Z^H, with n_s = M(N+1),
+    n_u = M(n_groups+1) and n_y = M*T.  The observation moments mean_y,
+    cov_sy and cov_yy are formed from them on every read.  power_free caches
+    what estimators derive without pilot power (LS rules, spectrum of
+    z_cov_zh, floor); `at_power` shares it, like every array, with the sets
+    it derives.
     """
 
     mean_s: np.ndarray
     cov_ss: np.ndarray
-    cov_uu: np.ndarray
     Z: np.ndarray
     Z_G: np.ndarray
     z_mean: np.ndarray
     cov_szh: np.ndarray
-    cov_uzh: np.ndarray
     z_cov_zh: np.ndarray
     rho: float
     sigma_w2: float
@@ -84,10 +82,6 @@ class MomentSet:
     @property
     def cov_sy(self) -> np.ndarray:
         return np.sqrt(self.rho) * self.cov_szh
-
-    @property
-    def cov_uy(self) -> np.ndarray:
-        return np.sqrt(self.rho) * self.cov_uzh
 
     @property
     def cov_yy(self) -> np.ndarray:
@@ -347,12 +341,10 @@ def _complete(
     n_groups: int,
 ) -> MomentSet:
     """Moments of a target with mean mu_s and prior c_ss seen through z_full at power rho_k."""
-    c_uu = cov_uu(c_ss, m_antennas, n_groups)
     return MomentSet(
-        mean_s=mu_s, cov_ss=c_ss, cov_uu=c_uu, Z=z_full, Z_G=z_grouped,
+        mean_s=mu_s, cov_ss=c_ss, Z=z_full, Z_G=z_grouped,
         z_mean=z_full @ mu_s,
         cov_szh=c_ss @ z_full.conj().T,
-        cov_uzh=c_uu @ z_grouped.conj().T,
         z_cov_zh=z_full @ c_ss @ z_full.conj().T,
         rho=rho_k, sigma_w2=sigma_w2,
         n_users=n_users, m_antennas=m_antennas, n_groups=n_groups,

@@ -41,8 +41,8 @@ import numpy as np
 from .channel import (ChannelRealization, ChannelSampler, ChannelStatistics, path_loss,
                       target_vector)
 from .estimators import EstimatorKind
-from .moments import (antenna_basis, combine_blocks, cov_ss, group_aggregation_matrix, mean_s,
-                      to_antenna_basis)
+from .moments import (antenna_basis, combine_blocks, cov_ss, cov_uu, group_aggregation_matrix,
+                      mean_s, to_antenna_basis)
 from .montecarlo import (SweepConfig, SweepEngine, SweepRow, _CellBank, build_cell_bank,
                          received_snr_to_power, run_sweep)
 from .scenario import DESK_SCENARIO, Scenario, config_digest, desk_scenario, load_config
@@ -277,7 +277,7 @@ def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list
     n_groups = stats.n_elements // 4
     m = _bank(scenario, stats, n_groups, rho, (CORRELATED,)).filters[CORRELATED][0].moments
     c_ss = combine_blocks(m.r, [b.cov_ss for b, _ in m.blocks])
-    c_uu = combine_blocks(m.r, [b.cov_uu for b, _ in m.blocks])
+    c_uu = cov_uu(c_ss, stats.m_antennas, n_groups)
     herm = float(np.max(np.abs(c_ss - c_ss.conj().T)))
     min_eig = float(np.linalg.eigvalsh(0.5 * (c_ss + c_ss.conj().T)).min())
     min_eig_u = float(np.linalg.eigvalsh(0.5 * (c_uu + c_uu.conj().T)).min())

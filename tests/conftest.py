@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from riscest.moments import cov_ss_block_ideal, observation_moments
+from riscest.moments import cov_ss_block_ideal, cov_uu, observation_moments
 from riscest.training import build_Z
 from riscest.validation import run_validation
 
@@ -19,3 +20,18 @@ def dense_moments(stats, k, tc, block_ideal=False):
         rho_k=tc.rho, sigma_w2=tc.sigma_w2, n_users=tc.n_users,
         cov_ss_mat=c_ss,
     )
+
+
+def two_stage_filter(d):
+    """The paper's two-stage correlated-grouping filter on the dense set d: its oracle.
+
+    The group aggregates u are estimated first, as C_uy C_yy^-1 y, and the
+    full target from them next, which gives the dense filter
+    C_sy C_yy^-1 C_uy^H Gamma^+ C_uy C_yy^-1 with the inner Gram
+    Gamma = C_uy C_yy^-1 C_uy^H pseudo-inverted.
+    """
+    c_uy = np.sqrt(d.rho) * cov_uu(d.cov_ss, d.m_antennas, d.n_groups) @ d.Z_G.conj().T
+    x = np.linalg.solve(d.cov_yy, c_uy.conj().T)  # C_yy^-1 C_uy^H
+    gram = c_uy @ x
+    gram_pinv = np.linalg.pinv(0.5 * (gram + gram.conj().T), rcond=1e-10, hermitian=True)
+    return d.cov_sy @ x @ gram_pinv @ x.conj().T

@@ -16,11 +16,10 @@ from riscest.errors import DomainError
 from riscest.estimators import (
     EstimatorKind,
     asymptotic_mse,
-    conventional_lmmse_filter,
     conventional_ls_filter,
-    correlated_grouping_filter,
     grouping_lmmse_filter,
     grouping_ls_filter,
+    lmmse_filter,
     make_estimator,
 )
 from riscest.channel import ChannelSampler, target_matrix
@@ -45,12 +44,9 @@ from riscest.training import (
 
 from conftest import dense_moments
 
-MOMENT_FIELDS = ("mean_s", "cov_ss", "cov_uu", "mean_y", "cov_sy", "cov_uy", "cov_yy", "Z", "Z_G")
+MOMENT_FIELDS = ("mean_s", "cov_ss", "mean_y", "cov_sy", "cov_yy", "Z", "Z_G")
 # the dense covariance fields and the index kinds ("s" or "y") of their rows and columns
-COVARIANCE_INDEX = {
-    "cov_ss": ("s", "s"), "cov_uu": ("s", "s"), "cov_sy": ("s", "y"),
-    "cov_uy": ("s", "y"), "cov_yy": ("y", "y"),
-}
+COVARIANCE_INDEX = {"cov_ss": ("s", "s"), "cov_sy": ("s", "y"), "cov_yy": ("y", "y")}
 
 
 def _desk_unblocked():
@@ -123,10 +119,10 @@ def _training(scenario, stats, n_groups, snr_db):
 def _dense_filters(m, m_model):
     return {
         EstimatorKind.LS: conventional_ls_filter(m),
-        EstimatorKind.LMMSE: conventional_lmmse_filter(m),
+        EstimatorKind.LMMSE: lmmse_filter(m),
         EstimatorKind.GROUPING_LS: grouping_ls_filter(m),
         EstimatorKind.GROUPING_LMMSE: grouping_lmmse_filter(m, m_model),
-        EstimatorKind.CORRELATED_GROUPING_LMMSE: correlated_grouping_filter(m),
+        EstimatorKind.CORRELATED_GROUPING_LMMSE: lmmse_filter(m),
     }
 
 

@@ -200,14 +200,20 @@ class TestCsvFormat:
 
 class TestTheoryCommand:
     def test_degenerate_grouping_matches_conventional(self, desk_ini, tmp_path):
+        # at G = N both kinds are the one LMMSE rule on the same moments, so every
+        # theory column is the same value at every power, floors included
         out = tmp_path / "theory.csv"
-        assert main(["theory", "--config", desk_ini, "--out", str(out), "--groups", "16"]) == 0
+        assert main([
+            "theory", "--config", desk_ini, "--out", str(out), "--groups", "16",
+            "--snr-min-db", "-20", "--snr-max-db", "280", "--snr-step-db", "20",
+        ]) == 0
         _, rows = read_csv(str(out))
+        columns = ("snr_db", "nmse_theory", "mse_trace_theory", "nmse_floor")
         by_est = {}
         for r in rows:
-            by_est.setdefault(r["estimator"], []).append(r["nmse_theory"])
-        for a, b in zip(by_est["lmmse"], by_est["correlated_grouping_lmmse"]):
-            assert abs(a - b) / a < 1e-8
+            by_est.setdefault(r["estimator"], []).append([r[c] for c in columns])
+        assert len(by_est["lmmse"]) == 16
+        assert by_est["lmmse"] == by_est["correlated_grouping_lmmse"]
 
     def test_floor_constant_across_snr(self, desk_ini, tmp_path):
         out = tmp_path / "theory.csv"

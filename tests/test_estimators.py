@@ -7,12 +7,10 @@ from riscest.channel import ChannelSampler, ChannelStatistics, FadingParams, bui
 from riscest.estimators import (
     EstimatorKind,
     asymptotic_mse,
-    conventional_lmmse_filter,
     conventional_ls_filter,
-    correlated_grouping_filter,
     grouping_lmmse_filter,
     grouping_ls_filter,
-    hermitian_pinvs,
+    lmmse_filter,
     make_estimator,
 )
 from riscest.moments import (
@@ -27,7 +25,7 @@ from riscest.montecarlo import received_snr_to_power
 from riscest.scenario import default_scenario, desk_scenario
 from riscest.training import build_Z, make_training_config, mixing_blocks, synthesize_received
 
-from conftest import dense_moments
+from conftest import dense_moments, two_stage_filter
 from test_moments import scalar_stats
 
 
@@ -47,10 +45,9 @@ def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
     cov = np.array([[c + 0j]])
     z_mat = np.array([[z]])
     return MomentSet(
-        mean_s=np.zeros(1, complex), cov_ss=cov, cov_uu=cov, Z=z_mat, Z_G=z_mat,
+        mean_s=np.zeros(1, complex), cov_ss=cov, Z=z_mat, Z_G=z_mat,
         z_mean=np.zeros(1, complex),
         cov_szh=cov @ z_mat.conj().T,
-        cov_uzh=cov @ z_mat.conj().T,
         z_cov_zh=np.abs(z) ** 2 * cov,
         rho=rho, sigma_w2=sigma2, n_users=1,
         m_antennas=1, n_groups=1,
@@ -60,10 +57,9 @@ def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
 def linear_moments(cov, z_mat, rho, sigma2):
     """Zero-mean target with covariance cov seen through z_mat, for the ungrouped kinds."""
     n_y, n_s = z_mat.shape
-    cov_szh = cov @ z_mat.conj().T
     return MomentSet(
-        mean_s=np.zeros(n_s, complex), cov_ss=cov, cov_uu=cov, Z=z_mat, Z_G=z_mat,
-        z_mean=np.zeros(n_y, complex), cov_szh=cov_szh, cov_uzh=cov_szh,
+        mean_s=np.zeros(n_s, complex), cov_ss=cov, Z=z_mat, Z_G=z_mat,
+        z_mean=np.zeros(n_y, complex), cov_szh=cov @ z_mat.conj().T,
         z_cov_zh=z_mat @ cov @ z_mat.conj().T,
         rho=rho, sigma_w2=sigma2, n_users=1,
         m_antennas=1, n_groups=1,
@@ -114,7 +110,7 @@ class TestConventionalLmmse:
         tc = make_training_config(16, 2, n_groups=16, rho=m.aligned.rho, sigma_w2=scenario.sigma_w2)
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(21)
-        filt = conventional_lmmse_filter(m)
+        filt = lmmse_filter(m)
         mixing = mixing_blocks(stats, tc)
         errs = []
         for _ in range(3000):
@@ -201,7 +197,7 @@ class TestSpectrumClamp:
         for low in (-1e-9, 0.0):
             m = linear_moments(np.eye(3, dtype=complex), z, rho=1.0, sigma2=0.1)
             m.z_cov_zh, _ = hermitian_with_spectrum([low, 0.5, 1.0, 2.0, 3.0])
-            rules.append(conventional_lmmse_filter(m).w_blocks[0])
+            rules.append(lmmse_filter(m).w_blocks[0])
         np.testing.assert_allclose(rules[0], rules[1], rtol=0, atol=1e-12)
 
 
@@ -244,7 +240,7 @@ class TestConventionalLs:
         scenario, stats = desk
         for snr in (-10, 0, 10, 20, 30, 40):
             m = desk_moments(scenario, stats, n_groups=16, snr_db=snr)
-            assert conventional_lmmse_filter(m).nmse <= conventional_ls_filter(m).nmse + 1e-12
+            assert lmmse_filter(m).nmse <= conventional_ls_filter(m).nmse + 1e-12
 
     def test_rank_deficiency_detected(self):
         z = np.zeros((4, 3), dtype=complex)
@@ -314,7 +310,7 @@ class TestGroupingBaselines:
         m = desk_moments(scenario, stats, n_groups=4, snr_db=50.0)
         mi = desk_moments(scenario, stats, n_groups=4, snr_db=50.0, ideal=True)
         soa = grouping_lmmse_filter(m, mi)
-        cg = correlated_grouping_filter(m)
+        cg = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m)
         assert soa.nmse > cg.nmse * 1.5
 
     def test_rejects_wrong_kind(self, desk):
@@ -344,11 +340,33 @@ class TestCorrelatedGrouping:
         s_hat = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).estimate(d.mean_y.copy())
         np.testing.assert_allclose(s_hat, d.mean_s, atol=1e-12)
 
-    def test_degenerate_inner_gram_flagged(self, desk):
-        # blocked direct link zeroes inner-Gram rows, so clipping must engage
+    def test_lmmse_kinds_never_flagged_degenerate(self, desk):
+        # the blocked direct links leave Q_0 singular; only an LS rule is flagged for a drop
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=4)
-        assert correlated_grouping_filter(m).degenerate
+        for kind in (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE):
+            assert not make_estimator(kind, m).degenerate, kind
+
+    @pytest.mark.parametrize("setup", ["desk", "reference"])
+    def test_matches_the_two_stage_oracle(self, request, setup):
+        # the one LMMSE rule on the grouped training against the paper's two-stage filter
+        scenario, stats = request.getfixturevalue(setup)
+        if setup == "desk":
+            grid, users = [(g, snr) for g in (2, 4, 8, 16) for snr in (-10.0, 20.0, 50.0)], None
+        else:
+            grid, users = [(g, 20.0) for g in (4, 16, 64)], (0,)
+        for n_groups, snr in grid:
+            tc = desk_training(scenario, stats, n_groups, snr)
+            for k in users or range(stats.n_users):
+                m, d = build_moments(stats, k, tc), dense_moments(stats, k, tc)
+                f = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m)
+                want = two_stage_filter(d)
+                assert np.abs(f.W - want).max() <= 1e-8 * np.abs(want).max(), (n_groups, snr, k)
+                # the oracle's trace in the sum-of-PSD-terms arrangement
+                a = np.eye(want.shape[0]) - np.sqrt(d.rho) * want @ d.Z
+                trace = np.vdot(a, a @ d.cov_ss).real
+                trace += d.n_users * d.sigma_w2 * np.vdot(want, want).real
+                assert f.nmse == pytest.approx(trace / d.prior_trace, rel=1e-10), (n_groups, snr, k)
 
     def test_empirical_mse_matches_error_covariance(self, desk):
         scenario, stats = desk
@@ -356,8 +374,8 @@ class TestCorrelatedGrouping:
         tc = make_training_config(16, 2, n_groups=4, rho=m.aligned.rho, sigma_w2=scenario.sigma_w2)
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(29)
-        filt = correlated_grouping_filter(m)
-        expected = np.trace(make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov).real
+        filt = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m)
+        expected = np.trace(filt.error_cov).real
         errs = []
         for _ in range(3000):
             real = sampler.sample(rng)
@@ -375,15 +393,12 @@ class TestErrorCovariance:
         assert np.trace(c).real / np.trace(d.cov_ss).real == pytest.approx(1.0, rel=1e-6)
 
     def test_matches_reduction_formula_at_moderate_power(self, desk):
-        # independent oracle: the prior-minus-reduction arrangement
+        # independent oracle: the prior-minus-reduction arrangement C_ss - W C_sy^H of the
+        # two-stage filter W
         scenario, stats = desk
         tc = desk_training(scenario, stats, n_groups=4, snr_db=10.0)
         m, d = build_moments(stats, 0, tc), dense_moments(stats, 0, tc)
-        x = np.linalg.solve(d.cov_yy, d.cov_uy.conj().T)
-        gram = d.cov_uy @ x
-        (gram_pinv,), _ = hermitian_pinvs([0.5 * (gram + gram.conj().T)])
-        f = d.cov_sy @ x
-        direct = d.cov_ss - f @ gram_pinv @ f.conj().T
+        direct = d.cov_ss - two_stage_filter(d) @ d.cov_sy.conj().T
         c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
         np.testing.assert_allclose(c, direct, atol=1e-10 * np.abs(direct).max())
 
@@ -422,7 +437,7 @@ class TestNormalizedMse:
     def test_scalar_lmmse_value(self):
         c, z, rho, sigma2 = 2.0, 1.5 - 0.5j, 0.8, 0.3
         m = scalar_moments(c, z, rho, sigma2)
-        filt = conventional_lmmse_filter(m)
+        filt = lmmse_filter(m)
         expected = sigma2 / (rho * abs(z) ** 2 * c + sigma2)
         assert filt.nmse == pytest.approx(expected, rel=1e-12)
         assert make_estimator(EstimatorKind.LMMSE, m).nmse == pytest.approx(expected, rel=1e-12)
@@ -448,7 +463,7 @@ class TestAsymptoticMse:
         floor = asymptotic_mse(desk_moments(scenario, stats, n_groups=4))
         for snr in np.linspace(-20, 60, 9):
             m = desk_moments(scenario, stats, n_groups=4, snr_db=float(snr))
-            assert correlated_grouping_filter(m).nmse >= floor - 1e-10
+            assert make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).nmse >= floor - 1e-10
 
 
 class TestTheoryCurves:
@@ -457,8 +472,8 @@ class TestTheoryCurves:
         base = received_snr_to_power(0.0, stats, scenario.sigma_w2)
         scales = np.geomspace(1e-4, 1e8, 20)
         for n_groups, builder in [
-            (16, lambda m: conventional_lmmse_filter(m).nmse),
-            (4, lambda m: correlated_grouping_filter(m).nmse),
+            (16, lambda m: lmmse_filter(m).nmse),
+            (4, lambda m: make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).nmse),
         ]:
             prev = np.inf
             for s in scales:
@@ -475,7 +490,7 @@ class TestTheoryCurves:
         for snr in (-10, 0, 10, 20, 30, 40):
             m = desk_moments(scenario, stats, n_groups=4, snr_db=snr)
             mi = desk_moments(scenario, stats, n_groups=4, snr_db=snr, ideal=True)
-            cg = correlated_grouping_filter(m).nmse
+            cg = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).nmse
             soa = grouping_lmmse_filter(m, mi).nmse
             assert cg <= soa * (1 + 1e-12)
             ratios.append(soa / cg)
@@ -567,6 +582,7 @@ def assert_falls_to_floor(scenario, stats, n_groups, snrs):
             assert f.nmse <= prev[kind] * (1 + 1e-9), (kind, snr)
             if f.nmse_floor is not None:
                 assert f.nmse >= f.nmse_floor - 1e-12, (kind, snr)
+                assert f.nmse >= f.nmse_floor * (1 - 1e-9), (kind, snr)
             grouped_cg = kind == EstimatorKind.CORRELATED_GROUPING_LMMSE and n_groups < stats.n_elements
             if grouped_cg and snr >= 200:
                 assert f.nmse == pytest.approx(f.nmse_floor, rel=1e-9), snr

@@ -280,7 +280,7 @@ class TestObservationMoments:
         tc = make_training_config(16, 2, n_groups=4, rho=0.4, sigma_w2=1e-9)
         for b, _ in build_moments(stats, 0, tc).blocks:
             lhs = b.Z @ b.cov_ss @ b.Z.conj().T
-            rhs = b.Z_G @ b.cov_uu @ b.Z_G.conj().T
+            rhs = b.Z_G @ cov_uu(b.cov_ss, 1, 4) @ b.Z_G.conj().T
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-20)
 
     def test_block_ideal_prior_structure(self):

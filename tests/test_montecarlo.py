@@ -338,7 +338,7 @@ def test_bank_assembles_dense_arrays_only_when_read(n_groups):
             assert not set(lazy) & set(vars(f)), f.kind
 
 
-MOMENT_FIELDS = ("mean_s", "cov_ss", "cov_uu", "mean_y", "cov_sy", "cov_uy", "cov_yy", "Z", "Z_G")
+MOMENT_FIELDS = ("mean_s", "cov_ss", "mean_y", "cov_sy", "cov_yy", "Z", "Z_G")
 
 
 @pytest.mark.parametrize(
