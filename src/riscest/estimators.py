@@ -24,6 +24,14 @@ stay accurate at very high transmit power, and the power floor is LMMSE's
 trace at eps = 0; the trace is formed when the estimator is built, the
 covariance on read.
 
+What holds no pilot power is kept in the power_free cache of each block
+(`MomentSet.power_free`), which `at_power` shares with every power of the
+block: the spectrum (lambda, U), the LS and grouping-LS rules with their
+rank flags and, per block, the three sums of their error traces
+(`_trace_terms`), the grouping-LMMSE factor and the floor.  An LS trace at
+any power is then t_A + eps t_V (+ t_bias); only the LMMSE-type rules and
+their traces are formed per power.
+
 Each filter function runs on the blocks of its moment set
 (`MomentSet.blocks`): the aligned block plus the orthogonal block standing
 for M-1 copies for the antenna-domain set `build_moments` returns, and one
@@ -52,6 +60,9 @@ from .channel import target_vector
 from .moments import AntennaMomentSet, MomentSet, combine_blocks, cov_uu, group_expansion_matrix
 
 PINV_RCOND = 1e-10
+
+# t_A, t_V and t_bias of an error trace (`_trace_terms`)
+_TraceTerms = tuple[float, float, float | None]
 
 
 class EstimatorKind(str, Enum):
@@ -205,16 +216,27 @@ def _error_terms(
     return a, bias
 
 
-def _error_trace(v: np.ndarray, b: MomentSet, eps: float, innovation: bool) -> float:
-    """Trace of `_error_cov`, summed from the diagonals of its PSD terms.
+def _trace_terms(v: np.ndarray, b: MomentSet, innovation: bool) -> _TraceTerms:
+    """The power-free sums of the error trace of rule v on block b.
 
-    Re sum (A C_ss) (.) conj(A) + eps ||V||_F^2 + ||bias||^2, which forms no
-    covariance.
+    Re sum (A C_ss) (.) conj(A), ||V||_F^2 and the raw-linear rule's
+    ||bias||^2 (None for an innovation rule), the diagonal sums of the PSD
+    terms of `_error_cov`, so no covariance is formed.
     """
     a, bias = _error_terms(v, b, innovation)
-    trace = np.vdot(a, a @ b.cov_ss).real + eps * np.vdot(v, v).real
-    if bias is not None:
-        trace += np.vdot(bias, bias).real
+    return (
+        np.vdot(a, a @ b.cov_ss).real,
+        np.vdot(v, v).real,
+        None if bias is None else np.vdot(bias, bias).real,
+    )
+
+
+def _trace(terms: _TraceTerms, eps: float) -> float:
+    """Trace of `_error_cov` at eps from its `_trace_terms`: t_A + eps t_V (+ t_bias)."""
+    t_a, t_v, t_bias = terms
+    trace = t_a + eps * t_v
+    if t_bias is not None:
+        trace += t_bias
     return float(trace)
 
 
@@ -239,6 +261,7 @@ def _finalize(
     kind: EstimatorKind,
     vs: list[np.ndarray],
     m: MomentSet | AntennaMomentSet,
+    terms: list[_TraceTerms] | None = None,
     innovation: bool = True,
     degenerate: bool = False,
     nmse_floor: float | None = None,
@@ -246,14 +269,18 @@ def _finalize(
     """Estimator from the per-block power-free rules vs of m.
 
     The error trace is summed over the blocks with their multiplicities
-    (`_error_trace`); no error covariance is formed here.  The offset is
+    (`_trace`); no error covariance is formed here.  terms are each
+    block's `_trace_terms` of a rule that holds no power, kept by the caller;
+    a rule built at m's eps has them formed here.  The offset is
     c = mean_s_0 - V_0 Z mean_s_0 on the first block: in the antenna form only
     the aligned block has a mean, so only column 0 of the rotated estimate
     carries it.
     """
+    if terms is None:
+        terms = [_trace_terms(v, b, innovation) for (b, _), v in zip(m.blocks, vs)]
     trace, eps = 0.0, _eps(m)
-    for (b, mult), v in zip(m.blocks, vs):
-        trace += mult * _error_trace(v, b, eps, innovation)
+    for (_, mult), t in zip(m.blocks, terms):
+        trace += mult * _trace(t, eps)
     offset = 0.0
     if innovation:
         b0, _ = m.blocks[0]
@@ -287,33 +314,44 @@ def lmmse_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     return _finalize(EstimatorKind.LMMSE, vs, m, nmse_floor=asymptotic_mse(m))
 
 
-def _ls_rule(b: MomentSet, grouped: bool) -> tuple[np.ndarray, bool]:
-    """Minimum-norm LS rule pinv(Z), or E pinv(Z_G) when grouped, flagged when rank deficient.
+def _ls_rule(
+    m: MomentSet | AntennaMomentSet, grouped: bool
+) -> tuple[np.ndarray, bool, list[_TraceTerms]]:
+    """Minimum-norm LS rule pinv(Z), or E pinv(Z_G) when grouped, its flag and trace sums.
 
-    trace(pinv(z) @ z) is the rank the pseudo-inverse kept; it falls short of
-    the active (nonzero) column count exactly when an active column lies
-    outside the row space of z.  Blocked columns add nothing to the trace.
-    Every block of a moment set shares its z, so the cutoff relative to the
-    largest singular value is the dense matrix's.  The power-free rule is
-    kept in b.power_free, which every power of b shares.
+    The rule is flagged when rank deficient: trace(pinv(z) @ z) is the rank
+    the pseudo-inverse kept; it falls short of the active (nonzero) column
+    count exactly when an active column lies outside the row space of z.
+    Blocked columns add nothing to the trace.  Every block of a moment set
+    shares its z, so the cutoff relative to the largest singular value is the
+    dense matrix's, and one rule serves every block.  The rule holds no
+    power, so neither do its `_trace_terms` on each block: the rule, its flag
+    and the block's sums are kept in every block's power_free, which every
+    power of the block shares, and each power forms only t_A + eps t_V
+    (+ t_bias).  The ungrouped rule is raw-linear, the grouped one an
+    innovation rule.
     """
     key = "grouping_ls" if grouped else "ls"
-    if key not in b.power_free:
-        z = b.Z_G if grouped else b.Z
+    blocks = [b for b, _ in m.blocks]
+    if key not in blocks[0].power_free:
+        b0 = blocks[0]
+        z = b0.Z_G if grouped else b0.Z
         pinv = np.linalg.pinv(z, rcond=PINV_RCOND)
         kept_rank = np.einsum("ij,ji->", pinv, z).real
         active = np.count_nonzero(np.any(z != 0, axis=0))
-        rule = _expansion(b) @ pinv if grouped else pinv
-        b.power_free[key] = rule, bool(kept_rank < active - 0.5)
-    return b.power_free[key]
+        rule = _expansion(b0) @ pinv if grouped else pinv
+        degenerate = bool(kept_rank < active - 0.5)
+        for b in blocks:
+            b.power_free[key] = rule, degenerate, _trace_terms(rule, b, innovation=grouped)
+    rule, degenerate, _ = blocks[0].power_free[key]
+    return rule, degenerate, [b.power_free[key][2] for b in blocks]
 
 
 def conventional_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """Least squares on the raw observation; minimum-norm on blocked columns."""
-    b, _ = m.blocks[0]
-    v, degenerate = _ls_rule(b, grouped=False)
+    v, degenerate, terms = _ls_rule(m, grouped=False)
     return _finalize(
-        EstimatorKind.LS, [v] * len(m.blocks), m, innovation=False, degenerate=degenerate
+        EstimatorKind.LS, [v] * len(m.blocks), m, terms, innovation=False, degenerate=degenerate
     )
 
 
@@ -323,9 +361,10 @@ def _expansion(b: MomentSet) -> np.ndarray:
 
 def grouping_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
     """LS of the group aggregates, expanded by equal division."""
-    b, _ = m.blocks[0]
-    v, degenerate = _ls_rule(b, grouped=True)
-    return _finalize(EstimatorKind.GROUPING_LS, [v] * len(m.blocks), m, degenerate=degenerate)
+    v, degenerate, terms = _ls_rule(m, grouped=True)
+    return _finalize(
+        EstimatorKind.GROUPING_LS, [v] * len(m.blocks), m, terms, degenerate=degenerate
+    )
 
 
 def grouping_lmmse_filter(
@@ -385,7 +424,8 @@ def asymptotic_mse(m: MomentSet | AntennaMomentSet) -> float:
     b0, _ = m.blocks[0]
     if "floor" not in b0.power_free:
         vs = _lmmse_rules(m, 0.0)
-        trace = sum(mult * _error_trace(v, b, 0.0, True) for (b, mult), v in zip(m.blocks, vs))
+        terms = [_trace_terms(v, b, True) for (b, _), v in zip(m.blocks, vs)]
+        trace = sum(mult * _trace(t, 0.0) for (_, mult), t in zip(m.blocks, terms))
         b0.power_free["floor"] = trace / m.prior_trace
     return b0.power_free["floor"]
 

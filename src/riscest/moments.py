@@ -27,8 +27,9 @@ oracle the tests hold the antenna form to.
 Pilot power.  A moment set stores only power-free arrays: the prior, the
 observation matrices and their products with the prior.  The pilot power
 rho enters the observation moments as sqrt(rho) and rho, so `at_power`
-gives the set at another power by sharing every array, and the moments it
-derives are bit-identical to a fresh build at that power.
+gives the set at another power by sharing every array and the power-free
+cache (`MomentSet.power_free`), and the moments it derives are
+bit-identical to a fresh build at that power.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ class MomentSet:
     cov_szh = cov_ss Z^H and z_cov_zh = Z cov_ss Z^H, with n_s = M(N+1),
     n_u = M(n_groups+1) and n_y = M*T.  The observation moments mean_y,
     cov_sy and cov_yy are formed from them on every read.  power_free caches
-    what estimators derive without pilot power (LS rules, spectrum of
-    z_cov_zh, floor); `at_power` shares it, like every array, with the sets
-    it derives.
+    what is derived without pilot power: the prior trace here, and in
+    `estimators` the spectrum of z_cov_zh, the LS rules with their error-trace
+    sums, the grouping-LMMSE factor and the floor; `at_power` shares it, like
+    every array, with the sets it derives.
     """
 
     mean_s: np.ndarray
@@ -104,7 +106,10 @@ class MomentSet:
 
     @property
     def prior_trace(self) -> float:
-        return float(np.trace(self.cov_ss).real)
+        """trace(cov_ss), kept in power_free on first read, since it holds no power."""
+        if "prior_trace" not in self.power_free:
+            self.power_free["prior_trace"] = float(np.trace(self.cov_ss).real)
+        return self.power_free["prior_trace"]
 
 
 def _antenna_order(m_antennas: int, per_antenna: int, observation: bool) -> np.ndarray:

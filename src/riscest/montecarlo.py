@@ -18,6 +18,13 @@ synthesis and every estimator's scoring run once per (cell, batch), in
 buffers the engine reuses from batch to batch.  The batch size is not part
 of the stream and changes no output byte.
 
+Each group count keeps one power-free state (`build_group_state`): its
+training round, every user's mixing block without pilot power and each
+user's moment sets, whose caches hold the spectra, LS rules, trace sums,
+prior traces and floors.  Every SNR point of the group count derives its
+cell from that state at its own power, with the same bits as a fresh build;
+at G = N one LMMSE rule serves both LMMSE kinds and is scored once.
+
 Trials run in the antenna basis (`moments.antenna_basis`): synthesis
 multiplies each user's (T, N+1) mixing block with its antenna-major
 targets, the targets and observations are rotated with one product per
@@ -28,10 +35,9 @@ dense mixing matrix or filter is formed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -59,8 +65,8 @@ from .training import (
     TrainingConfig,
     build_Z,
     make_training_config,
-    mixing_blocks,
     synthesize_received,
+    unit_mixing_blocks,
 )
 
 
@@ -181,9 +187,7 @@ class _CellBank:
 class _UserState:
     """User k's power-free moments at one group count.
 
-    Every SNR point derives its moment sets from these with `at_power`, which
-    shares their power-free caches (spectra, LS rules, floor); the block-ideal
-    model is None unless grouping LMMSE is built.
+    The block-ideal model is None unless grouping LMMSE is built.
     """
 
     true: AntennaMomentSet
@@ -200,21 +204,39 @@ def _user_state(
     return _UserState(build_moments(stats, k, tconfig), m_model)
 
 
-def build_cell_bank(
+@dataclass(eq=False)
+class _GroupState:
+    """One group count's power-free state: its training round and every user's moments.
+
+    tconfig holds the round's patterns, group patterns and pilot matrix,
+    unit_mixing every user's mixing block without pilot power
+    (`training.unit_mixing_blocks`), and users each user's moment sets.
+    Every power point derives its config and mixing blocks with `at_power`,
+    and its moment sets with theirs, which share the sets' power-free caches
+    (`MomentSet.power_free`: spectra, LS rules and their trace sums, prior
+    traces, the grouping-LMMSE factor and the floor).  What a point derives
+    is bit-identical to a fresh build at its power.
+    """
+
+    tconfig: TrainingConfig
+    unit_mixing: np.ndarray  # (K, T, N+1)
+    users: list[_UserState]
+
+    def at_power(self, rho: float) -> tuple[TrainingConfig, np.ndarray]:
+        """The training config and its `training.mixing_blocks` at pilot power rho."""
+        return self.tconfig.at_power(rho), np.sqrt(rho) * self.unit_mixing
+
+
+def build_group_state(
     stats: ChannelStatistics,
     sigma_w2: float,
     n_groups: int,
     rho: float,
     kinds: tuple[EstimatorKind, ...],
-    states: dict[int, _UserState],
-) -> _CellBank:
-    """Training config, mixing blocks and per-user filters of one (G, power) cell.
+) -> _GroupState:
+    """A group count's state, built at pilot power rho with the moment sets the kinds need.
 
-    states maps user index to that user's power-free moments for this group
-    count (`_UserState`).  A missing user's state is built here, at this
-    cell's power; every power point then scales the state's moments to its
-    own pilot power, which gives the same bits as building them anew.
-    Only the per-point products of the cached spectral rules remain per cell.
+    Every cell trains with the minimum identifiable T = G + 1.
     """
     tconfig = make_training_config(
         n_elements=stats.n_elements,
@@ -223,20 +245,51 @@ def build_cell_bank(
         rho=rho,
         sigma_w2=sigma_w2,
     )
+    users = [_user_state(stats, k, tconfig, kinds) for k in range(stats.n_users)]
+    return _GroupState(tconfig, unit_mixing_blocks(stats, tconfig), users)
+
+
+def build_cell_bank(
+    stats: ChannelStatistics,
+    sigma_w2: float,
+    n_groups: int,
+    rho: float,
+    kinds: tuple[EstimatorKind, ...],
+    state: _GroupState | None = None,
+) -> _CellBank:
+    """Training config, mixing blocks and per-user filters of one (G, power) cell.
+
+    state is the group count's power-free state (`build_group_state`), from
+    which this cell derives everything at its own pilot power, with the same
+    bits as building it anew; without one, a state is built at this power.
+    Only the per-point products of the cached spectral rules remain per cell.
+    At G = N the LMMSE and correlated-grouping LMMSE kinds are one rule on
+    one moment set (`estimators`), so when both are asked for, the rule is
+    built once per user as LMMSE and the correlated entry shares its arrays.
+    """
+    if state is None:
+        state = build_group_state(stats, sigma_w2, n_groups, rho, kinds)
+    tconfig, mixing = state.at_power(rho)
     kinds = applicable_kinds(kinds, n_groups, stats.n_elements)
+    shared_lmmse = EstimatorKind.LMMSE in kinds  # applicable at G = N only
     filters: dict[EstimatorKind, list[AffineEstimator]] = {k: [] for k in kinds}
     prior_traces = np.empty(stats.n_users)
-    for k in range(stats.n_users):
-        if k not in states:
-            states[k] = _user_state(stats, k, tconfig, kinds)
-        state = states[k]
-        m_true = state.true.at_power(rho)
-        m_model = None if state.model is None else state.model.at_power(rho)
+    for k, user in enumerate(state.users):
+        m_true = user.true.at_power(rho)
+        m_model = None if user.model is None else user.model.at_power(rho)
+        built: dict[EstimatorKind, AffineEstimator] = {}
         for kind in kinds:
-            filters[kind].append(make_estimator(kind, m_true, m_model))
+            if kind == EstimatorKind.CORRELATED_GROUPING_LMMSE and shared_lmmse:
+                rule_kind = EstimatorKind.LMMSE
+            else:
+                rule_kind = kind
+            if rule_kind not in built:
+                built[rule_kind] = make_estimator(rule_kind, m_true, m_model)
+            f = built[rule_kind]
+            filters[kind].append(f if f.kind == kind else replace(f, kind=kind))
         prior_traces[k] = m_true.prior_trace
     return _CellBank(
-        stats=stats, tconfig=tconfig, mixing=mixing_blocks(stats, tconfig),
+        stats=stats, tconfig=tconfig, mixing=mixing,
         filters=filters, prior_traces=prior_traces, rho=rho,
     )
 
@@ -281,11 +334,11 @@ class SweepEngine:
 
     Only the banks of the SNR point served last are kept: asking for another
     SNR point drops them, so memory does not grow with the grid.  Each group
-    count keeps one power-free state (`_UserState` per user), built with its
-    first bank; every later bank of that group count derives its moment sets,
-    spectra and floors from it.  The state is dropped once the grid's last SNR point
-    is served, so a one-point grid keeps none, and memory grows with the
-    number of group counts only.
+    count keeps one power-free state (`build_group_state`), built with its
+    first bank; every bank of that group count derives its training config,
+    mixing blocks, moment sets and cached power-free terms from it.  The
+    state is dropped once the grid's last SNR point is served, so a one-point
+    grid keeps none, and memory grows with the number of group counts only.
 
     The random stream is fixed by the trial block: B = `block_size`
     consecutive indices, block b covering trials [b*B, (b+1)*B), so the
@@ -308,7 +361,7 @@ class SweepEngine:
     (`moments.antenna_basis`) once, for every group cell.  The first
     `run_cell_trial` of a cell in a batch synthesizes the whole batch,
     rotates each user's observations with one product and scores every
-    (kind, user) with one `squared_error` call.  The normals, the synthesis
+    (rule, user) with one `squared_error` call.  The normals, the synthesis
     of each group cell and the scoring write into buffers the engine keeps
     (`_scratch`), a contiguous prefix for a clipped last batch, so a sweep
     allocates them once.  The batch size is not part of the stream and
@@ -327,11 +380,11 @@ class SweepEngine:
         self.block_size = max(1, TRIAL_BLOCK_BYTES // trial_bytes)
         block_bytes = self.block_size * trial_bytes
         self.batch_size = self.block_size * max(1, SCORE_BATCH_BYTES // block_bytes)
-        # every cell trains with the minimum identifiable T = G + 1 (build_cell_bank)
+        # every cell trains with the minimum identifiable T = G + 1 (build_group_state)
         self._noise_size = 2 * (max(config.n_groups) + 1) * k * m
         self._snr_index: int | None = None  # the SNR point whose banks are kept
         self._banks: dict[int, _CellBank] = {}  # group index -> bank
-        self._states: dict[int, dict[int, _UserState]] = {}  # group index -> user -> state
+        self._states: dict[int, _GroupState] = {}  # group index -> state
         self._batch: _TrialBatch | None = None
         self._buffers: dict[object, np.ndarray] = {}
         r = antenna_factor(self.stats.a_bar)  # None only where build_moments refuses the scenario
@@ -347,10 +400,14 @@ class SweepEngine:
             self._snr_index = snr_index
         if group_index not in self._banks:
             cfg = self.config
+            n_groups, sigma_w2 = cfg.n_groups[group_index], cfg.scenario.sigma_w2
+            rho = received_snr_to_power(cfg.snr_db[snr_index], self.stats, sigma_w2)
+            if group_index not in self._states:
+                self._states[group_index] = build_group_state(
+                    self.stats, sigma_w2, n_groups, rho, cfg.estimators
+                )
             self._banks[group_index] = build_cell_bank(
-                self.stats, cfg.scenario.sigma_w2, cfg.n_groups[group_index],
-                received_snr_to_power(cfg.snr_db[snr_index], self.stats, cfg.scenario.sigma_w2),
-                cfg.estimators, self._states.setdefault(group_index, {}),
+                self.stats, sigma_w2, n_groups, rho, cfg.estimators, self._states[group_index]
             )
             if snr_index == len(cfg.snr_db) - 1:
                 del self._states[group_index]  # no later point of the grid reads it
@@ -422,8 +479,10 @@ class SweepEngine:
         as long as the batch; each user's observations are rotated into the
         antenna basis with one product, and every `squared_error` scores a
         (kind, user) over the batch in a residual buffer the cells share.  A
-        NumericalError of one estimator is recorded as NaN for that (kind,
-        user) over the batch rather than aborting the sweep.
+        kind whose entry shares an earlier kind's rule (LMMSE's, at G = N)
+        copies that kind's column instead.  A NumericalError of one estimator
+        is recorded as NaN for that (kind, user) over the batch rather than
+        aborting the sweep.
         """
         k_users, m, rows, n_s = batch.targets.shape
         t_pats = bank.tconfig.n_patterns
@@ -437,8 +496,13 @@ class SweepEngine:
             to_antenna_basis(self.basis, obs.y_antenna[k], out=xs[k])
         residual = self._scratch("residual", (m, rows, n_s))
         errors = np.empty((rows, len(bank.filters), k_users))
+        scored: dict[int, int] = {}  # id of a rule's w_blocks -> the kind column scoring it
         for i, per_user in enumerate(bank.filters.values()):
             for k, f in enumerate(per_user):
+                j = scored.setdefault(id(f.w_blocks), i)
+                if j != i:  # a kind sharing an earlier kind's rule (build_cell_bank)
+                    errors[:, i, k] = errors[:, j, k]
+                    continue
                 try:
                     errors[:, i, k] = f.squared_error(xs[k], batch.targets[k], out=residual)
                 except NumericalError:
@@ -530,6 +594,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
         engine = SweepEngine(config)
         results = [_trial_block(engine, *task) for task in tasks]
     else:
+        import concurrent.futures  # only a pooled run pays for the import
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(config,)
         ) as pool:

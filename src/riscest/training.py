@@ -16,7 +16,9 @@ index orders, for the moment formulas and the tests.
 
 from __future__ import annotations
 
+import copy
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +41,19 @@ def hadamard(order: int) -> np.ndarray:
     while h.shape[0] < order:
         h = np.block([[h, h], [h, -h]])
     return h
+
+
+def _outside_stacklevel() -> int:
+    """The `warnings.warn` stacklevel, for its caller here, of the first frame outside this module.
+
+    TrainingConfig's generated __init__ runs with this module's globals and is
+    skipped with it, so a warning raised through `make_training_config`
+    points at the line that called it.
+    """
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def training_patterns(
@@ -65,10 +80,10 @@ def training_patterns(
     order = max(order, 1 << int(np.ceil(np.log2(n_groups + 1))))
     if n_patterns & (n_patterns - 1) != 0:
         warnings.warn(
-            f"T = {n_patterns} is not a power of two; the truncated Hadamard "
-            "row set does not guarantee orthogonal pattern columns",
+            f"T = {n_patterns} patterns for n_groups = {n_groups} is not a power of two; "
+            "the truncated Hadamard row set does not guarantee orthogonal pattern columns",
             PatternOrthogonalityWarning,
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
     h = hadamard(order)
     group_patterns = h[:n_patterns, 1 : n_groups + 1].astype(complex)
@@ -101,7 +116,8 @@ class TrainingConfig:
     n_groups == N recovers the ungrouped protocol.  tau_p = K*T is the pilot
     overhead actually spent.  The Hadamard patterns (T, N), their group
     columns (T, G) and the (K, K) pilot matrix follow from these and are
-    built with the config, as `patterns`, `group_patterns` and `pilot_matrix`.
+    built with the config, as `patterns`, `group_patterns` and `pilot_matrix`;
+    `at_power` gives the round at another pilot power without rebuilding them.
     """
 
     n_elements: int
@@ -118,6 +134,14 @@ class TrainingConfig:
         self.pilot_matrix = pilot_sequences(self.n_users)
         if self.sigma_w2 < 0 or self.rho < 0:
             raise ConfigurationError("powers must be nonnegative")
+
+    def at_power(self, rho: float) -> TrainingConfig:
+        """The same round at pilot power rho, sharing its patterns and pilot matrix."""
+        if rho < 0:
+            raise ConfigurationError("powers must be nonnegative")
+        out = copy.copy(self)
+        out.rho = rho
+        return out
 
     @property
     def tau_p(self) -> int:
@@ -175,18 +199,27 @@ def build_Z(
     return config.n_users * blocks.reshape(config.n_patterns * m, -1)
 
 
-def mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.ndarray:
-    """Every user's single-antenna mixing block with sqrt(rho)/K folded in, (K, T, N+1).
+def unit_mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.ndarray:
+    """Every user's single-antenna mixing block with 1/K folded in, (K, T, N+1).
 
-    Block k is sqrt(rho)/K Z_0 with Z_0 = K [sqrt(rho_b) 1, sqrt(rho_g rho_a) Theta],
-    so user k's pilot contribution per slot is the (T, M) matrix block_k @ S_k.
+    Block k is Z_0 / K with Z_0 = K [sqrt(rho_b) 1, sqrt(rho_g rho_a) Theta]:
+    the pilot power is left out, so one array serves every power of a round.
     """
     k_users = config.n_users
     out = np.empty((k_users, config.n_patterns, config.n_elements + 1), dtype=complex)
     for k in range(k_users):
         block = _mixing_block(stats.rho_b[k], stats.rho_g[k], stats.rho_a, config.patterns, 1)
-        out[k] = np.sqrt(config.rho) * block[:, 0, :]
+        out[k] = block[:, 0, :]
     return out
+
+
+def mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.ndarray:
+    """Every user's single-antenna mixing block with sqrt(rho)/K folded in, (K, T, N+1).
+
+    sqrt(rho) times `unit_mixing_blocks`, so user k's pilot contribution per
+    slot is the (T, M) matrix block_k @ S_k.
+    """
+    return np.sqrt(config.rho) * unit_mixing_blocks(stats, config)
 
 
 @dataclass

@@ -44,7 +44,7 @@ from .estimators import EstimatorKind
 from .moments import (antenna_basis, combine_blocks, cov_ss, cov_uu, group_aggregation_matrix,
                       mean_s, to_antenna_basis)
 from .montecarlo import (SweepConfig, SweepEngine, SweepRow, _CellBank, build_cell_bank,
-                         received_snr_to_power, run_sweep)
+                         build_group_state, received_snr_to_power, run_sweep)
 from .scenario import DESK_SCENARIO, Scenario, config_digest, desk_scenario, load_config
 from .training import (
     PatternOrthogonalityWarning,
@@ -147,7 +147,7 @@ def _acceptance_sweep(scenario: Scenario) -> tuple[dict[tuple, SweepRow], float]
 def _bank(scenario: Scenario, stats: ChannelStatistics, n_groups: int, rho: float,
           kinds: tuple[EstimatorKind, ...] = ()) -> _CellBank:
     """A fresh (G, rho) cell from build_cell_bank, the builder `theory` and `sweep` run."""
-    return build_cell_bank(stats, scenario.sigma_w2, n_groups, rho, kinds, {})
+    return build_cell_bank(stats, scenario.sigma_w2, n_groups, rho, kinds)
 
 
 def _power_floor(scenario: Scenario, stats: ChannelStatistics, snr_db: float
@@ -320,11 +320,12 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     rho_grid = np.geomspace(1e-4, 1e24, 46) * received_snr_to_power(0.0, stats, scenario.sigma_w2)
     ok, detail = True, ""
     curves = {LMMSE: [], GROUPING_LMMSE: [], CORRELATED: []}
-    grouped_states, full_states = {}, {}
+    cells = {n_groups: (GROUPING_LMMSE, CORRELATED), n: (LMMSE,)}
+    states = {g: build_group_state(stats, scenario.sigma_w2, g, rho_grid[0], kinds)
+              for g, kinds in cells.items()}
     for rho in rho_grid:
-        grouped = build_cell_bank(stats, scenario.sigma_w2, n_groups, rho,
-                                  (GROUPING_LMMSE, CORRELATED), grouped_states)
-        full = build_cell_bank(stats, scenario.sigma_w2, n, rho, (LMMSE,), full_states)
+        grouped, full = (build_cell_bank(stats, scenario.sigma_w2, g, rho, kinds, states[g])
+                         for g, kinds in cells.items())
         for kind in curves:
             curves[kind].append((full if kind == LMMSE else grouped).filters[kind][0].nmse)
     for kind, c in curves.items():

@@ -267,6 +267,44 @@ class TestTheoryCommand:
         # grouping LS and grouping LMMSE, once per (group count, user)
         assert counts == [2 * 2 * 2] * 2
 
+    def test_power_free_terms_formed_once_per_group_count(self, monkeypatch, tmp_path):
+        """Training rounds, LS error-trace sums and prior traces do not grow with the SNR grid."""
+        import riscest.estimators as est
+        import riscest.montecarlo as mc
+
+        rounds, sums, traces = [], [], []
+        make_round, trace_terms, trace = mc.make_training_config, est._trace_terms, np.trace
+
+        def counted_round(*args, **kwargs):
+            rounds.append(args)
+            return make_round(*args, **kwargs)
+
+        def counted_terms(*args, **kwargs):
+            sums.append(args)
+            return trace_terms(*args, **kwargs)
+
+        def counted_trace(*args, **kwargs):
+            traces.append(args)
+            return trace(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "make_training_config", counted_round)
+        monkeypatch.setattr(est, "_trace_terms", counted_terms)
+        monkeypatch.setattr(np, "trace", counted_trace)
+        counts = []
+        for max_db in ("0", "50"):  # 1 and 11 SNR points
+            for calls in (rounds, sums, traces):
+                calls.clear()
+            assert main([
+                "theory", "--config", str(DESK_INI), "--groups", "4", "16",
+                "--estimators", "ls", "grouping_ls",
+                "--snr-min-db", "0", "--snr-max-db", max_db, "--snr-step-db", "5",
+                "--out", str(tmp_path / "theory.csv"),
+            ]) == 0
+            counts.append((len(rounds), len(sums), len(traces)))
+        # one round per group count; per (user, block), 2 of each with M = 4: grouping
+        # LS at G = 4, both LS kinds at G = 16, and each group count's true prior
+        assert counts == [(2, 2 * 2 * 3, 2 * 2 * 2)] * 2
+
     def test_empty_estimator_list_is_usage_error(self, tmp_path, desk_ini, capsys):
         path = tmp_path / "empty.ini"
         path.write_text(DESK_SCENARIO_INI.replace(
@@ -490,11 +528,15 @@ assert main(["theory", "--config", desk, "--groups", "4", "16", "--out", out]) =
 assert main(["sweep", "--config", desk, "--trials", "2", "--out", out]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
+assert "concurrent.futures" not in sys.modules  # only a pooled sweep imports it
 """
 
 
 def test_runs_without_scipy(tmp_path):
-    """riscest's one numerical dependency is numpy: a theory run and a sweep load no scipy."""
+    """riscest's one numerical dependency is numpy: a theory run and a sweep load no scipy.
+
+    Neither, run with one worker, loads the process pool either.
+    """
     src = str(Path(riscest.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -22,7 +22,7 @@ from riscest.montecarlo import (
     run_sweep,
 )
 from riscest.scenario import default_scenario, desk_scenario
-from riscest.training import make_training_config, synthesize_received
+from riscest.training import make_training_config, mixing_blocks, synthesize_received
 
 
 DESK_INI = Path(__file__).resolve().parents[1] / "perfbench" / "desk.ini"
@@ -323,7 +323,7 @@ def test_bank_assembles_dense_arrays_only_when_read(n_groups):
     scenario = desk_scenario()
     stats = scenario.statistics()
     rho = received_snr_to_power(20.0, stats, scenario.sigma_w2)
-    bank = build_cell_bank(stats, scenario.sigma_w2, n_groups, rho, ALL_KINDS, {})
+    bank = build_cell_bank(stats, scenario.sigma_w2, n_groups, rho, ALL_KINDS)
     filters = [f for per_user in bank.filters.values() for f in per_user]
     assert len(filters) == stats.n_users * len(applicable_kinds(ALL_KINDS, n_groups, 16))
     lazy = ("W", "error_blocks", "error_cov")
@@ -338,6 +338,31 @@ def test_bank_assembles_dense_arrays_only_when_read(n_groups):
             assert not set(lazy) & set(vars(f)), f.kind
 
 
+@pytest.mark.parametrize("estimators", [ALL_KINDS, ALL_KINDS[::-1]])
+def test_full_group_count_builds_and_scores_one_lmmse_rule(monkeypatch, estimators):
+    """At G = N correlated grouping shares LMMSE's rule, and each rule is scored once."""
+    engine = SweepEngine(desk_config(estimators=estimators, n_groups=(16,), snr_db=(20.0,)))
+    filters = engine.bank(0, 0).filters
+    lmmse = filters[EstimatorKind.LMMSE]
+    correlated = filters[EstimatorKind.CORRELATED_GROUPING_LMMSE]
+    for a, b in zip(lmmse, correlated, strict=True):
+        assert (a.kind, b.kind) == (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE)
+        assert b.w_blocks is a.w_blocks
+    scored = []
+    original = AffineEstimator.squared_error
+
+    def counting(self, *args, **kwargs):
+        scored.append(self.kind)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AffineEstimator, "squared_error", counting)
+    errors, _ = engine.run_cell_trial(0, 0, 0)
+    assert len(scored) == (len(ALL_KINDS) - 1) * engine.stats.n_users
+    assert np.array_equal(
+        errors[EstimatorKind.LMMSE], errors[EstimatorKind.CORRELATED_GROUPING_LMMSE]
+    )
+
+
 MOMENT_FIELDS = ("mean_s", "cov_ss", "mean_y", "cov_sy", "cov_yy", "Z", "Z_G")
 
 
@@ -345,10 +370,20 @@ MOMENT_FIELDS = ("mean_s", "cov_ss", "mean_y", "cov_sy", "cov_yy", "Z", "Z_G")
     "make_scenario, n_groups", [(desk_scenario, (4, 16)), (default_scenario, (16, 64))]
 )
 def test_engine_derives_the_moments_and_filters_of_a_fresh_build(make_scenario, n_groups):
-    """Every SNR point's moments and LS filters equal a fresh build's bit for bit."""
+    """Every SNR point's training, moments and filters equal a fresh build's bit for bit.
+
+    The fresh build makes its training config, moment sets and estimators
+    anew at each power, so no power-free cache is shared with the engine's.
+    Desk runs -20...280 dB; the reference setup, with 65-dimensional blocks,
+    three points.
+    """
     scenario = make_scenario()
+    if make_scenario is desk_scenario:
+        snr_db = tuple(np.arange(-20.0, 281.0, 20.0))
+    else:
+        snr_db = (-10.0, 20.0, 50.0)
     cfg = SweepConfig(
-        scenario=scenario, estimators=ALL_KINDS, snr_db=(-10.0, 20.0, 50.0),
+        scenario=scenario, estimators=ALL_KINDS, snr_db=snr_db,
         n_trials=1, n_groups=n_groups, base_seed=0,
     )
     engine = SweepEngine(cfg)
@@ -357,31 +392,35 @@ def test_engine_derives_the_moments_and_filters_of_a_fresh_build(make_scenario, 
         states = None
         for si, snr in enumerate(cfg.snr_db):
             bank = engine.bank(gi, si)
-            states = engine._states[gi] if states is None else states
+            states = engine._states[gi].users if states is None else states
             rho = received_snr_to_power(snr, stats, scenario.sigma_w2)
             tc = make_training_config(
                 stats.n_elements, stats.n_users, n_groups=g, rho=rho, sigma_w2=scenario.sigma_w2,
             )
+            assert dataclasses.asdict(bank.tconfig) == dataclasses.asdict(tc)
+            for field in ("patterns", "group_patterns", "pilot_matrix"):
+                assert np.array_equal(getattr(bank.tconfig, field), getattr(tc, field)), field
+            assert np.array_equal(bank.mixing, mixing_blocks(stats, tc))
             for k in range(stats.n_users):
+                fresh = {i: build_moments(stats, k, tc, block_ideal=i) for i in (False, True)}
                 derived = {
                     False: bank.filters[EstimatorKind.GROUPING_LS][k].moments,
                     True: states[k].model.at_power(rho),
                 }
                 for ideal, m in derived.items():
-                    fresh = build_moments(stats, k, tc, block_ideal=ideal)
-                    for (b, _), (want, _) in zip(m.blocks, fresh.blocks, strict=True):
+                    for (b, _), (want, _) in zip(m.blocks, fresh[ideal].blocks, strict=True):
                         assert b.rho == want.rho
                         for field in MOMENT_FIELDS:
                             assert np.array_equal(getattr(b, field), getattr(want, field)), field
-                for kind in (EstimatorKind.LS, EstimatorKind.GROUPING_LS):
-                    if kind not in bank.filters:
-                        continue
-                    want = make_estimator(kind, build_moments(stats, k, tc))
-                    pairs = zip(bank.filters[kind][k].w_blocks, want.w_blocks, strict=True)
-                    assert all(np.array_equal(a, b) for a, b in pairs), kind
                 for kind, per_user in bank.filters.items():
-                    trace = np.trace(per_user[k].error_cov).real
-                    assert per_user[k].mse_trace == pytest.approx(trace, rel=1e-12), kind
+                    got, want = per_user[k], make_estimator(kind, fresh[False], fresh[True])
+                    assert got.kind == want.kind
+                    for field in ("mse_trace", "nmse", "nmse_floor"):
+                        assert getattr(got, field) == getattr(want, field), (kind, field)
+                    pairs = zip(got.w_blocks, want.w_blocks, strict=True)
+                    assert all(np.array_equal(a, b) for a, b in pairs), kind
+                    trace = np.trace(got.error_cov).real
+                    assert got.mse_trace == pytest.approx(trace, rel=1e-12), kind
 
 
 class TestRunSweep:
@@ -575,12 +614,12 @@ class TestBankLifetime:
     def test_state_dropped_after_the_last_snr_point(self):
         engine = SweepEngine(desk_config(snr_db=(0.0, 10.0, 20.0), n_groups=(4, 16)))
         engine.bank(0, 0)
-        states = [weakref.ref(state) for state in engine._states[0].values()]
+        states = [weakref.ref(state) for state in engine._states[0].users]
         assert len(states) == engine.stats.n_users
         engine.bank(0, 1)
         gc.collect()
         assert all(ref() is not None for ref in states)
-        assert list(engine._states[0].values()) == [ref() for ref in states]
+        assert engine._states[0].users == [ref() for ref in states]
         engine.bank(0, 2)
         gc.collect()
         assert all(ref() is None for ref in states)

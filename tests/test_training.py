@@ -64,6 +64,12 @@ class TestTrainingPatterns:
             c, d = group_patterns[t]
             np.testing.assert_array_equal(patterns[t], [c, c, d, d])
 
+    def test_warning_names_the_round_and_points_at_the_caller(self):
+        match = "T = 5 patterns for n_groups = 4"
+        with pytest.warns(PatternOrthogonalityWarning, match=match) as rec:
+            make_training_config(16, 2, n_groups=4)
+        assert [w.filename for w in rec] == [__file__]
+
     def test_stacked_gram_power_of_two(self):
         patterns, group_patterns = training_patterns(6, 3, 4)
         stacked = np.hstack([np.ones((4, 1)), group_patterns])
