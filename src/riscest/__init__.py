@@ -58,6 +58,7 @@ from .training import (
     build_Z,
     hadamard,
     make_training_config,
+    mixing_blocks,
     pilot_overhead,
     pilot_sequences,
     synthesize_received,

@@ -332,7 +332,7 @@ def build_statistics(
     )
 
 
-def psd_factor(matrix: np.ndarray, error_tol: float = PSD_ERROR_TOL) -> np.ndarray:
+def psd_factor(matrix: np.ndarray) -> np.ndarray:
     """Factor L with L @ L^H = matrix for a Hermitian PSD matrix.
 
     Uses a symmetric eigendecomposition and clips small negative eigenvalues
@@ -340,7 +340,7 @@ def psd_factor(matrix: np.ndarray, error_tol: float = PSD_ERROR_TOL) -> np.ndarr
     nearly singular matrix would fail.
     """
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    if eigvals.min() < -error_tol * max(1.0, eigvals.max()):
+    if eigvals.min() < -PSD_ERROR_TOL * max(1.0, eigvals.max()):
         raise NumericalError(
             f"matrix is not PSD within tolerance (min eigenvalue {eigvals.min():.3e})"
         )

@@ -12,10 +12,12 @@ which differ only in their label and in the training their moment set was
 built from.
 
 Every estimator is affine in the observation, so each carries a precomputed
-filter matrix plus its exact error trace under the true moments.  Pilot
-power enters only through eps = K sigma^2 / rho: every filter is
-W = V(eps) / sqrt(rho), with V built from one cached eigendecomposition of
-Q = Z C Z^H per block, so no system is solved.  One clipped inverse
+filter matrix plus its exact error trace under the true moments.  No
+moment set holds a pilot power: rho is an argument of every builder here
+and enters only through eps = K sigma^2 / rho (`_eps`, which rejects any
+rho outside 0 < rho < inf).  Every filter is W = V(eps) / sqrt(rho), with
+V built from one cached eigendecomposition of Q = Z C Z^H per block, so no
+system is solved.  One clipped inverse
 (`_inverse_spectra`) turns Q's spectrum into 1/(lambda + eps), at the rule's
 eps and at eps = 0, and drops every lambda at or below the relative cutoff,
 so round-off in a null direction is never multiplied by 1/eps.  Error
@@ -25,8 +27,8 @@ trace at eps = 0; the trace is formed when the estimator is built, the
 covariance on read.
 
 What holds no pilot power is kept in the power_free cache of each block
-(`MomentSet.power_free`), which `at_power` shares with every power of the
-block: the spectrum (lambda, U), the LS and grouping-LS rules with their
+(`MomentSet.power_free`), which serves every power the block is built at:
+the spectrum (lambda, U), the LS and grouping-LS rules with their
 rank flags and, per block, the three sums of their error traces
 (`_trace_terms`), the grouping-LMMSE factor and the floor.  An LS trace at
 any power is then t_A + eps t_V (+ t_bias); only the LMMSE-type rules and
@@ -57,6 +59,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import target_vector
+from .errors import ConfigurationError
 from .moments import AntennaMomentSet, MomentSet, combine_blocks, cov_uu, group_expansion_matrix
 
 PINV_RCOND = 1e-10
@@ -96,14 +99,16 @@ class AffineEstimator:
     the rule estimates column 0 of the target as offset + W_0 x_0 and every
     other column m as W_1 x_m (`residual`).  The per-block error_blocks, the
     dense W and error_cov are formed on first read.  Each W_i is
-    V_i(eps) / sqrt(rho) for the power-free rule V_i (module docstring), and
-    the error terms are formed in V and eps.
+    V_i(eps) / sqrt(rho) for the power-free rule V_i at the pilot power rho
+    the rule was built for (module docstring), and the error terms are
+    formed in V and eps.
     """
 
     kind: EstimatorKind
     w_blocks: tuple[np.ndarray, ...]
     innovation: bool  # False: raw-linear rule W y with no mean terms
     moments: MomentSet | AntennaMomentSet
+    rho: float  # the pilot power the rule was built for
     offset: np.ndarray | float  # mean_s - W_0 mean_y on the first block, 0 for the raw rule
     mse_trace: float
     nmse: float
@@ -121,7 +126,9 @@ class AffineEstimator:
     @cached_property
     def error_blocks(self) -> tuple[np.ndarray, ...]:
         blocks = [b for b, _ in self.moments.blocks]
-        return tuple(_error_cov(w, b, self.innovation) for b, w in zip(blocks, self.w_blocks))
+        return tuple(
+            _error_cov(w, b, self.rho, self.innovation) for b, w in zip(blocks, self.w_blocks)
+        )
 
     @cached_property
     def error_cov(self) -> np.ndarray:
@@ -177,14 +184,16 @@ class AffineEstimator:
         return np.einsum("cij,cij->i", flat, flat).reshape(target.shape[1:-1])[()]
 
 
-def _eps(m: MomentSet | AntennaMomentSet) -> float:
-    """eps = K sigma^2 / rho, the one place pilot power enters a rule."""
+def _eps(m: MomentSet | AntennaMomentSet, rho: float) -> float:
+    """eps = K sigma^2 / rho, the one place pilot power enters a rule; 0 < rho < inf."""
+    if not 0.0 < rho < np.inf:
+        raise ConfigurationError(f"pilot power must be positive and finite, got {rho:g}")
     b, _ = m.blocks[0]
-    return b.n_users * b.sigma_w2 / b.rho
+    return b.n_users * b.sigma_w2 / rho
 
 
 def _spectrum(b: MomentSet) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, U) of Q = Z C Z^H, kept in b.power_free, which every power of b shares.
+    """(lambda, U) of Q = Z C Z^H, kept in b.power_free for every power.
 
     lambda is eigh's as it comes, round-off below 0 included: `_inverse_spectra`
     drops it with every other lambda at or below the relative cutoff.
@@ -240,15 +249,16 @@ def _trace(terms: _TraceTerms, eps: float) -> float:
     return float(trace)
 
 
-def _error_cov(w: np.ndarray, b: MomentSet, innovation: bool) -> np.ndarray:
-    """Error covariance of the affine rule with filter w on block b.
+def _error_cov(w: np.ndarray, b: MomentSet, rho: float, innovation: bool) -> np.ndarray:
+    """Error covariance of the affine rule with filter w on block b at pilot power rho.
 
     Computed as A C_ss A^H + eps V V^H with V = sqrt(rho) W and A = I - V Z,
     which is a sum of PSD terms and therefore immune to the cancellation the
     direct prior-minus-reduction form suffers at high power.  The raw-linear
     rule's deterministic bias adds a rank-one term.
     """
-    v, eps = np.sqrt(b.rho) * w, _eps(b)
+    eps = _eps(b, rho)
+    v = np.sqrt(rho) * w
     a, bias = _error_terms(v, b, innovation)
     cov = a @ b.cov_ss @ a.conj().T
     cov += eps * (v @ v.conj().T)
@@ -261,12 +271,13 @@ def _finalize(
     kind: EstimatorKind,
     vs: list[np.ndarray],
     m: MomentSet | AntennaMomentSet,
+    rho: float,
     terms: list[_TraceTerms] | None = None,
     innovation: bool = True,
     degenerate: bool = False,
     nmse_floor: float | None = None,
 ) -> AffineEstimator:
-    """Estimator from the per-block power-free rules vs of m.
+    """Estimator from the per-block power-free rules vs of m, at pilot power rho.
 
     The error trace is summed over the blocks with their multiplicities
     (`_trace`); no error covariance is formed here.  terms are each
@@ -278,18 +289,18 @@ def _finalize(
     """
     if terms is None:
         terms = [_trace_terms(v, b, innovation) for (b, _), v in zip(m.blocks, vs)]
-    trace, eps = 0.0, _eps(m)
+    trace, eps = 0.0, _eps(m, rho)
     for (_, mult), t in zip(m.blocks, terms):
         trace += mult * _trace(t, eps)
     offset = 0.0
     if innovation:
         b0, _ = m.blocks[0]
         offset = b0.mean_s - vs[0] @ b0.z_mean
-    ws = {id(v): v / np.sqrt(m.blocks[0][0].rho) for v in vs}  # LS shares one over the blocks
+    ws = {id(v): v / np.sqrt(rho) for v in vs}  # LS shares one over the blocks
     return AffineEstimator(
         kind=kind,
         w_blocks=tuple(ws[id(v)] for v in vs),
-        innovation=innovation, moments=m, offset=offset, mse_trace=trace,
+        innovation=innovation, moments=m, rho=rho, offset=offset, mse_trace=trace,
         nmse=trace / m.prior_trace, nmse_floor=nmse_floor, degenerate=degenerate,
     )
 
@@ -303,15 +314,15 @@ def _lmmse_rules(m: MomentSet | AntennaMomentSet, eps: float) -> list[np.ndarray
     return vs
 
 
-def lmmse_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
+def lmmse_filter(m: MomentSet | AntennaMomentSet, rho: float) -> AffineEstimator:
     """One-shot LMMSE of the full target from the stacked observation, C_sy C_yy^-1.
 
     On a set built from the grouped training this is the correlated-grouping
     LMMSE (module docstring), which `make_estimator` labels as such.  Its
     floor is `asymptotic_mse`, the same rule's trace at eps = 0.
     """
-    vs = _lmmse_rules(m, _eps(m))
-    return _finalize(EstimatorKind.LMMSE, vs, m, nmse_floor=asymptotic_mse(m))
+    vs = _lmmse_rules(m, _eps(m, rho))
+    return _finalize(EstimatorKind.LMMSE, vs, m, rho, nmse_floor=asymptotic_mse(m))
 
 
 def _ls_rule(
@@ -326,10 +337,9 @@ def _ls_rule(
     shares its z, so the cutoff relative to the largest singular value is the
     dense matrix's, and one rule serves every block.  The rule holds no
     power, so neither do its `_trace_terms` on each block: the rule, its flag
-    and the block's sums are kept in every block's power_free, which every
-    power of the block shares, and each power forms only t_A + eps t_V
-    (+ t_bias).  The ungrouped rule is raw-linear, the grouped one an
-    innovation rule.
+    and the block's sums are kept in every block's power_free, and each
+    power forms only t_A + eps t_V (+ t_bias).  The ungrouped rule is
+    raw-linear, the grouped one an innovation rule.
     """
     key = "grouping_ls" if grouped else "ls"
     blocks = [b for b, _ in m.blocks]
@@ -347,11 +357,12 @@ def _ls_rule(
     return rule, degenerate, [b.power_free[key][2] for b in blocks]
 
 
-def conventional_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
+def conventional_ls_filter(m: MomentSet | AntennaMomentSet, rho: float) -> AffineEstimator:
     """Least squares on the raw observation; minimum-norm on blocked columns."""
     v, degenerate, terms = _ls_rule(m, grouped=False)
     return _finalize(
-        EstimatorKind.LS, [v] * len(m.blocks), m, terms, innovation=False, degenerate=degenerate
+        EstimatorKind.LS, [v] * len(m.blocks), m, rho, terms,
+        innovation=False, degenerate=degenerate,
     )
 
 
@@ -359,16 +370,16 @@ def _expansion(b: MomentSet) -> np.ndarray:
     return group_expansion_matrix(b.m_antennas, b.n_groups, b.Z.shape[1] // b.m_antennas - 1)
 
 
-def grouping_ls_filter(m: MomentSet | AntennaMomentSet) -> AffineEstimator:
+def grouping_ls_filter(m: MomentSet | AntennaMomentSet, rho: float) -> AffineEstimator:
     """LS of the group aggregates, expanded by equal division."""
     v, degenerate, terms = _ls_rule(m, grouped=True)
     return _finalize(
-        EstimatorKind.GROUPING_LS, [v] * len(m.blocks), m, terms, degenerate=degenerate
+        EstimatorKind.GROUPING_LS, [v] * len(m.blocks), m, rho, terms, degenerate=degenerate
     )
 
 
 def grouping_lmmse_filter(
-    m: MomentSet | AntennaMomentSet, m_model: MomentSet | AntennaMomentSet
+    m: MomentSet | AntennaMomentSet, rho: float, m_model: MomentSet | AntennaMomentSet
 ) -> AffineEstimator:
     """Grouping LMMSE designed under the idealized block-correlation prior.
 
@@ -380,7 +391,7 @@ def grouping_lmmse_filter(
     """
     if len(m.blocks) != len(m_model.blocks):
         raise ValueError("the model moments and the true moments are in different forms")
-    ds = _inverse_spectra(m_model, _eps(m_model))
+    ds = _inverse_spectra(m_model, _eps(m_model, rho))
     cache = m_model.blocks[0][0].power_free
     if "grouping_lmmse" not in cache:  # E and C_uu are built once per set
         e = _expansion(m_model.blocks[0][0])
@@ -390,25 +401,29 @@ def grouping_lmmse_filter(
         ]
     factors = zip(m_model.blocks, cache["grouping_lmmse"], ds)
     vs = [(eg * d) @ _spectrum(b)[1].conj().T for (b, _), eg, d in factors]
-    return _finalize(EstimatorKind.GROUPING_LMMSE, vs, m)
+    return _finalize(EstimatorKind.GROUPING_LMMSE, vs, m, rho)
 
 
 def make_estimator(
     kind: EstimatorKind,
     m: MomentSet | AntennaMomentSet,
+    rho: float,
     m_model: MomentSet | AntennaMomentSet | None = None,
 ) -> AffineEstimator:
-    """Build any estimator kind; grouping LMMSE needs its model-prior moments."""
+    """Build any estimator kind at pilot power rho.
+
+    Grouping LMMSE needs its model-prior moments m_model.
+    """
     if kind in (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE):
-        return replace(lmmse_filter(m), kind=kind)
+        return replace(lmmse_filter(m, rho), kind=kind)
     if kind == EstimatorKind.LS:
-        return conventional_ls_filter(m)
+        return conventional_ls_filter(m, rho)
     if kind == EstimatorKind.GROUPING_LS:
-        return grouping_ls_filter(m)
+        return grouping_ls_filter(m, rho)
     if kind == EstimatorKind.GROUPING_LMMSE:
         if m_model is None:
             raise ValueError("grouping LMMSE needs the block-ideal moment set")
-        return grouping_lmmse_filter(m, m_model)
+        return grouping_lmmse_filter(m, rho, m_model)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
@@ -419,7 +434,7 @@ def asymptotic_mse(m: MomentSet | AntennaMomentSet) -> float:
     finite power builds, with D = `_inverse_spectra(m, 0.0)`, the
     pseudo-inverse of lambda at the one relative cutoff.  The trace is a sum
     of PSD terms, so it needs no clamp.  The value is power-free and kept in
-    the cache of m's first block, which every power of m shares.
+    the cache of m's first block.
     """
     b0, _ = m.blocks[0]
     if "floor" not in b0.power_free:

@@ -24,12 +24,12 @@ column 0 is the aligned block's and every other column an orthogonal one's.
 `observation_moments` builds the dense `MomentSet` directly and is the
 oracle the tests hold the antenna form to.
 
-Pilot power.  A moment set stores only power-free arrays: the prior, the
-observation matrices and their products with the prior.  The pilot power
-rho enters the observation moments as sqrt(rho) and rho, so `at_power`
-gives the set at another power by sharing every array and the power-free
-cache (`MomentSet.power_free`), and the moments it derives are
-bit-identical to a fresh build at that power.
+Pilot power.  A moment set holds no pilot power: the prior, the
+observation matrices and their products with the prior serve every power
+rho, which enters the observation moments as sqrt(rho) and rho
+(`MomentSet.mean_y`, `cov_sy`, `cov_yy`) and a filter only through
+`estimators`.  What is derived from a set without rho is kept in its
+`MomentSet.power_free` cache.
 """
 
 from __future__ import annotations
@@ -50,17 +50,16 @@ FACTOR_TOL = 1e-12
 
 @dataclass(eq=False)
 class MomentSet:
-    """Everything a linear estimator needs for one user at pilot power rho.
+    """Everything a linear estimator needs for one user, at any pilot power.
 
     The fields hold no pilot power.  Shapes: mean_s (n_s,), cov_ss (n_s,
     n_s), Z (n_y, n_s), Z_G (n_y, n_u) and the products z_mean = Z mean_s,
     cov_szh = cov_ss Z^H and z_cov_zh = Z cov_ss Z^H, with n_s = M(N+1),
-    n_u = M(n_groups+1) and n_y = M*T.  The observation moments mean_y,
-    cov_sy and cov_yy are formed from them on every read.  power_free caches
-    what is derived without pilot power: the prior trace here, and in
-    `estimators` the spectrum of z_cov_zh, the LS rules with their error-trace
-    sums, the grouping-LMMSE factor and the floor; `at_power` shares it, like
-    every array, with the sets it derives.
+    n_u = M(n_groups+1) and n_y = M*T.  The observation moments at pilot
+    power rho, `mean_y`, `cov_sy` and `cov_yy`, are formed from them on every
+    call.  power_free caches what is derived without pilot power: the prior
+    trace here, and in `estimators` the spectrum of z_cov_zh, the LS rules
+    with their error-trace sums, the grouping-LMMSE factor and the floor.
     """
 
     mean_s: np.ndarray
@@ -70,29 +69,21 @@ class MomentSet:
     z_mean: np.ndarray
     cov_szh: np.ndarray
     z_cov_zh: np.ndarray
-    rho: float
     sigma_w2: float
     n_users: int
     m_antennas: int
     n_groups: int
     power_free: dict[str, object] = field(default_factory=dict, repr=False)
 
-    @property
-    def mean_y(self) -> np.ndarray:
-        return np.sqrt(self.rho) * self.z_mean
+    def mean_y(self, rho: float) -> np.ndarray:
+        return np.sqrt(rho) * self.z_mean
 
-    @property
-    def cov_sy(self) -> np.ndarray:
-        return np.sqrt(self.rho) * self.cov_szh
+    def cov_sy(self, rho: float) -> np.ndarray:
+        return np.sqrt(rho) * self.cov_szh
 
-    @property
-    def cov_yy(self) -> np.ndarray:
+    def cov_yy(self, rho: float) -> np.ndarray:
         n_y = self.z_cov_zh.shape[0]
-        return self.rho * self.z_cov_zh + self.n_users * self.sigma_w2 * np.eye(n_y)
-
-    def at_power(self, rho: float) -> MomentSet:
-        """The same user at pilot power rho, sharing every array with this set."""
-        return replace(self, rho=rho)
+        return rho * self.z_cov_zh + self.n_users * self.sigma_w2 * np.eye(n_y)
 
     @property
     def r(self) -> None:
@@ -194,10 +185,6 @@ class AntennaMomentSet:
     aligned: MomentSet
     orthogonal: MomentSet
 
-    def at_power(self, rho: float) -> AntennaMomentSet:
-        """Both blocks at pilot power rho, sharing every array with this set."""
-        return AntennaMomentSet(self.r, self.aligned.at_power(rho), self.orthogonal.at_power(rho))
-
     @property
     def blocks(self) -> tuple[tuple[MomentSet, int], ...]:
         if self.r.size == 1:
@@ -279,15 +266,13 @@ def _block_correlation(n_elements: int, n_groups: int) -> np.ndarray:
     return np.repeat(np.repeat(np.eye(n_groups, dtype=complex), size, axis=0), size, axis=1)
 
 
-def cov_ss(stats: ChannelStatistics, k: int, direct_present: bool | None = None) -> np.ndarray:
+def cov_ss(stats: ChannelStatistics, k: int) -> np.ndarray:
     """Prior covariance of the cascaded target for user k, shape (M(N+1), M(N+1)).
 
     The direct-link block is the identity when that link exists and zero when
     it is blocked (rho_b[k] == 0), matching what the sampler actually emits.
     """
-    if direct_present is None:
-        direct_present = stats.rho_b[k] > 0
-    return _prior(stats, k, stats.a_bar, stats.R0, stats.R[k], direct_present)
+    return _prior(stats, k, stats.a_bar, stats.R0, stats.R[k], stats.rho_b[k] > 0)
 
 
 def cov_ss_block_ideal(stats: ChannelStatistics, k: int, n_groups: int) -> np.ndarray:
@@ -339,19 +324,18 @@ def _complete(
     c_ss: np.ndarray,
     z_full: np.ndarray,
     z_grouped: np.ndarray,
-    rho_k: float,
     sigma_w2: float,
     n_users: int,
     m_antennas: int,
     n_groups: int,
 ) -> MomentSet:
-    """Moments of a target with mean mu_s and prior c_ss seen through z_full at power rho_k."""
+    """Moments of a target with mean mu_s and prior c_ss seen through z_full."""
     return MomentSet(
         mean_s=mu_s, cov_ss=c_ss, Z=z_full, Z_G=z_grouped,
         z_mean=z_full @ mu_s,
         cov_szh=c_ss @ z_full.conj().T,
         z_cov_zh=z_full @ c_ss @ z_full.conj().T,
-        rho=rho_k, sigma_w2=sigma_w2,
+        sigma_w2=sigma_w2,
         n_users=n_users, m_antennas=m_antennas, n_groups=n_groups,
     )
 
@@ -361,7 +345,6 @@ def observation_moments(
     k: int,
     z_full: np.ndarray,
     z_grouped: np.ndarray,
-    rho_k: float,
     sigma_w2: float,
     n_users: int,
     cov_ss_mat: np.ndarray | None = None,
@@ -371,7 +354,7 @@ def observation_moments(
         cov_ss_mat = cov_ss(stats, k)
     return _complete(
         mean_s(stats, k), cov_ss_mat, z_full, z_grouped,
-        rho_k, sigma_w2, n_users, stats.m_antennas,
+        sigma_w2, n_users, stats.m_antennas,
         z_grouped.shape[1] // stats.m_antennas - 1,
     )
 
@@ -406,7 +389,7 @@ def build_moments(
     def block(a_row: np.ndarray) -> MomentSet:
         return _complete(
             _mean(stats, k, a_row), _prior(stats, k, a_row, r0, rk, direct), z0, zg0,
-            config.rho, config.sigma_w2, config.n_users, 1, config.n_groups,
+            config.sigma_w2, config.n_users, 1, config.n_groups,
         )
 
     return AntennaMomentSet(

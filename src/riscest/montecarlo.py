@@ -19,11 +19,11 @@ buffers the engine reuses from batch to batch.  The batch size is not part
 of the stream and changes no output byte.
 
 Each group count keeps one power-free state (`build_group_state`): its
-training round, every user's mixing block without pilot power and each
-user's moment sets, whose caches hold the spectra, LS rules, trace sums,
-prior traces and floors.  Every SNR point of the group count derives its
-cell from that state at its own power, with the same bits as a fresh build;
-at G = N one LMMSE rule serves both LMMSE kinds and is scored once.
+training round, every user's mixing block and each user's moment sets,
+whose caches hold the spectra, LS rules, trace sums, prior traces and
+floors.  Every SNR point of the group count builds its cell's filters from
+that state at its own pilot power, with the same bits as a fresh build; at
+G = N one LMMSE rule serves both LMMSE kinds and is scored once.
 
 Trials run in the antenna basis (`moments.antenna_basis`): synthesis
 multiplies each user's (T, N+1) mixing block with its antenna-major
@@ -65,8 +65,8 @@ from .training import (
     TrainingConfig,
     build_Z,
     make_training_config,
+    mixing_blocks,
     synthesize_received,
-    unit_mixing_blocks,
 )
 
 
@@ -163,7 +163,7 @@ class _CellBank:
 
     stats: ChannelStatistics
     tconfig: TrainingConfig
-    mixing: np.ndarray  # (K, T, N+1), see training.mixing_blocks
+    mixing: np.ndarray  # (K, T, N+1), sqrt(rho) times training.mixing_blocks
     filters: dict[EstimatorKind, list[AffineEstimator]]  # kind -> per-user
     prior_traces: np.ndarray  # (K,)
     rho: float
@@ -184,57 +184,31 @@ class _CellBank:
 
 
 @dataclass(eq=False)
-class _UserState:
-    """User k's power-free moments at one group count.
-
-    The block-ideal model is None unless grouping LMMSE is built.
-    """
-
-    true: AntennaMomentSet
-    model: AntennaMomentSet | None
-
-
-def _user_state(
-    stats: ChannelStatistics, k: int, tconfig: TrainingConfig, kinds: tuple[EstimatorKind, ...]
-) -> _UserState:
-    """User k's state, built at the power of tconfig with the sets the kinds need."""
-    m_model = None
-    if EstimatorKind.GROUPING_LMMSE in kinds:
-        m_model = build_moments(stats, k, tconfig, block_ideal=True)
-    return _UserState(build_moments(stats, k, tconfig), m_model)
-
-
-@dataclass(eq=False)
 class _GroupState:
     """One group count's power-free state: its training round and every user's moments.
 
     tconfig holds the round's patterns, group patterns and pilot matrix,
-    unit_mixing every user's mixing block without pilot power
-    (`training.unit_mixing_blocks`), and users each user's moment sets.
-    Every power point derives its config and mixing blocks with `at_power`,
-    and its moment sets with theirs, which share the sets' power-free caches
+    mixing every user's mixing block (`training.mixing_blocks`), true each
+    user's moment set and model each user's block-ideal one (None unless
+    grouping LMMSE is built).  None of them holds a pilot power, so every
+    power point reads them as they are, and the sets' caches
     (`MomentSet.power_free`: spectra, LS rules and their trace sums, prior
-    traces, the grouping-LMMSE factor and the floor).  What a point derives
-    is bit-identical to a fresh build at its power.
+    traces, the grouping-LMMSE factor and the floor) serve every point.
     """
 
     tconfig: TrainingConfig
-    unit_mixing: np.ndarray  # (K, T, N+1)
-    users: list[_UserState]
-
-    def at_power(self, rho: float) -> tuple[TrainingConfig, np.ndarray]:
-        """The training config and its `training.mixing_blocks` at pilot power rho."""
-        return self.tconfig.at_power(rho), np.sqrt(rho) * self.unit_mixing
+    mixing: np.ndarray  # (K, T, N+1)
+    true: list[AntennaMomentSet]
+    model: list[AntennaMomentSet | None]
 
 
 def build_group_state(
     stats: ChannelStatistics,
     sigma_w2: float,
     n_groups: int,
-    rho: float,
     kinds: tuple[EstimatorKind, ...],
 ) -> _GroupState:
-    """A group count's state, built at pilot power rho with the moment sets the kinds need.
+    """A group count's state, with the moment sets the kinds need.
 
     Every cell trains with the minimum identifiable T = G + 1.
     """
@@ -242,11 +216,14 @@ def build_group_state(
         n_elements=stats.n_elements,
         n_users=stats.n_users,
         n_groups=n_groups,
-        rho=rho,
         sigma_w2=sigma_w2,
     )
-    users = [_user_state(stats, k, tconfig, kinds) for k in range(stats.n_users)]
-    return _GroupState(tconfig, unit_mixing_blocks(stats, tconfig), users)
+    users = range(stats.n_users)
+    true = [build_moments(stats, k, tconfig) for k in users]
+    model = [None] * stats.n_users
+    if EstimatorKind.GROUPING_LMMSE in kinds:
+        model = [build_moments(stats, k, tconfig, block_ideal=True) for k in users]
+    return _GroupState(tconfig, mixing_blocks(stats, tconfig), true, model)
 
 
 def build_cell_bank(
@@ -260,23 +237,21 @@ def build_cell_bank(
     """Training config, mixing blocks and per-user filters of one (G, power) cell.
 
     state is the group count's power-free state (`build_group_state`), from
-    which this cell derives everything at its own pilot power, with the same
-    bits as building it anew; without one, a state is built at this power.
-    Only the per-point products of the cached spectral rules remain per cell.
+    which this cell builds its filters at its own pilot power rho, with the
+    same bits as building it anew; without one, a state is built.  Only the
+    per-point products of the cached spectral rules, and sqrt(rho) times the
+    state's mixing blocks, remain per cell.
     At G = N the LMMSE and correlated-grouping LMMSE kinds are one rule on
     one moment set (`estimators`), so when both are asked for, the rule is
     built once per user as LMMSE and the correlated entry shares its arrays.
     """
     if state is None:
-        state = build_group_state(stats, sigma_w2, n_groups, rho, kinds)
-    tconfig, mixing = state.at_power(rho)
+        state = build_group_state(stats, sigma_w2, n_groups, kinds)
     kinds = applicable_kinds(kinds, n_groups, stats.n_elements)
     shared_lmmse = EstimatorKind.LMMSE in kinds  # applicable at G = N only
     filters: dict[EstimatorKind, list[AffineEstimator]] = {k: [] for k in kinds}
     prior_traces = np.empty(stats.n_users)
-    for k, user in enumerate(state.users):
-        m_true = user.true.at_power(rho)
-        m_model = None if user.model is None else user.model.at_power(rho)
+    for k, (m_true, m_model) in enumerate(zip(state.true, state.model)):
         built: dict[EstimatorKind, AffineEstimator] = {}
         for kind in kinds:
             if kind == EstimatorKind.CORRELATED_GROUPING_LMMSE and shared_lmmse:
@@ -284,12 +259,12 @@ def build_cell_bank(
             else:
                 rule_kind = kind
             if rule_kind not in built:
-                built[rule_kind] = make_estimator(rule_kind, m_true, m_model)
+                built[rule_kind] = make_estimator(rule_kind, m_true, rho, m_model)
             f = built[rule_kind]
             filters[kind].append(f if f.kind == kind else replace(f, kind=kind))
         prior_traces[k] = m_true.prior_trace
     return _CellBank(
-        stats=stats, tconfig=tconfig, mixing=mixing,
+        stats=stats, tconfig=state.tconfig, mixing=np.sqrt(rho) * state.mixing,
         filters=filters, prior_traces=prior_traces, rho=rho,
     )
 
@@ -335,7 +310,7 @@ class SweepEngine:
     Only the banks of the SNR point served last are kept: asking for another
     SNR point drops them, so memory does not grow with the grid.  Each group
     count keeps one power-free state (`build_group_state`), built with its
-    first bank; every bank of that group count derives its training config,
+    first bank; every bank of that group count takes its training config,
     mixing blocks, moment sets and cached power-free terms from it.  The
     state is dropped once the grid's last SNR point is served, so a one-point
     grid keeps none, and memory grows with the number of group counts only.
@@ -404,7 +379,7 @@ class SweepEngine:
             rho = received_snr_to_power(cfg.snr_db[snr_index], self.stats, sigma_w2)
             if group_index not in self._states:
                 self._states[group_index] = build_group_state(
-                    self.stats, sigma_w2, n_groups, rho, cfg.estimators
+                    self.stats, sigma_w2, n_groups, cfg.estimators
                 )
             self._banks[group_index] = build_cell_bank(
                 self.stats, sigma_w2, n_groups, rho, cfg.estimators, self._states[group_index]
@@ -488,7 +463,7 @@ class SweepEngine:
         t_pats = bank.tconfig.n_patterns
         workspace = self._scratch(("synthesis", group_index), (3 * k_users * m * rows * t_pats,))
         obs = synthesize_received(
-            batch.realization, self.stats, bank.tconfig, mixing=bank.mixing,
+            batch.realization, self.stats, bank.tconfig, bank.mixing,
             normals=batch.normals, workspace=workspace,
         )
         xs = self._scratch("observations", (k_users, m, rows, t_pats))

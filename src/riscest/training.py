@@ -16,7 +16,6 @@ index orders, for the moment formulas and the tests.
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 import warnings
@@ -77,7 +76,6 @@ def training_patterns(
             f"identifiability, got {n_patterns}"
         )
     order = 1 << max(0, int(np.ceil(np.log2(n_patterns))))
-    order = max(order, 1 << int(np.ceil(np.log2(n_groups + 1))))
     if n_patterns & (n_patterns - 1) != 0:
         warnings.warn(
             f"T = {n_patterns} patterns for n_groups = {n_groups} is not a power of two; "
@@ -110,21 +108,20 @@ def pilot_overhead(n_users: int, n_elements: int, n_groups: int) -> tuple[int, i
 
 @dataclass
 class TrainingConfig:
-    """One training round: N elements, K users, G groups, T patterns and the powers.
+    """One training round: N elements, K users, G groups, T patterns and the noise power.
 
     Group g holds the contiguous elements g*N/G .. (g+1)*N/G - 1;
     n_groups == N recovers the ungrouped protocol.  tau_p = K*T is the pilot
     overhead actually spent.  The Hadamard patterns (T, N), their group
     columns (T, G) and the (K, K) pilot matrix follow from these and are
-    built with the config, as `patterns`, `group_patterns` and `pilot_matrix`;
-    `at_power` gives the round at another pilot power without rebuilding them.
+    built with the config, as `patterns`, `group_patterns` and `pilot_matrix`.
+    The round holds no pilot power, so one round serves every power.
     """
 
     n_elements: int
     n_users: int
     n_groups: int
     n_patterns: int
-    rho: float  # pilot power of every user, watts
     sigma_w2: float  # noise power, watts
 
     def __post_init__(self):
@@ -132,16 +129,8 @@ class TrainingConfig:
             self.n_elements, self.n_groups, self.n_patterns
         )
         self.pilot_matrix = pilot_sequences(self.n_users)
-        if self.sigma_w2 < 0 or self.rho < 0:
-            raise ConfigurationError("powers must be nonnegative")
-
-    def at_power(self, rho: float) -> TrainingConfig:
-        """The same round at pilot power rho, sharing its patterns and pilot matrix."""
-        if rho < 0:
-            raise ConfigurationError("powers must be nonnegative")
-        out = copy.copy(self)
-        out.rho = rho
-        return out
+        if self.sigma_w2 < 0:
+            raise ConfigurationError("the noise power must be nonnegative")
 
     @property
     def tau_p(self) -> int:
@@ -157,13 +146,12 @@ def make_training_config(
     n_users: int,
     n_groups: int | None = None,
     n_patterns: int | None = None,
-    rho: float = 1.0,
     sigma_w2: float = 1.0,
 ) -> TrainingConfig:
     """A TrainingConfig with G = N and the minimum identifiable T = G + 1 by default."""
     n_groups = n_elements if n_groups is None else n_groups
     n_patterns = n_groups + 1 if n_patterns is None else n_patterns
-    return TrainingConfig(n_elements, n_users, n_groups, n_patterns, rho, sigma_w2)
+    return TrainingConfig(n_elements, n_users, n_groups, n_patterns, sigma_w2)
 
 
 def _mixing_block(
@@ -199,11 +187,13 @@ def build_Z(
     return config.n_users * blocks.reshape(config.n_patterns * m, -1)
 
 
-def unit_mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.ndarray:
+def mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.ndarray:
     """Every user's single-antenna mixing block with 1/K folded in, (K, T, N+1).
 
     Block k is Z_0 / K with Z_0 = K [sqrt(rho_b) 1, sqrt(rho_g rho_a) Theta]:
-    the pilot power is left out, so one array serves every power of a round.
+    the pilot power is left out, so one array serves every power of a round,
+    and at pilot power rho user k's pilot contribution per slot is the (T, M)
+    matrix sqrt(rho) block_k @ S_k.
     """
     k_users = config.n_users
     out = np.empty((k_users, config.n_patterns, config.n_elements + 1), dtype=complex)
@@ -211,15 +201,6 @@ def unit_mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.n
         block = _mixing_block(stats.rho_b[k], stats.rho_g[k], stats.rho_a, config.patterns, 1)
         out[k] = block[:, 0, :]
     return out
-
-
-def mixing_blocks(stats: ChannelStatistics, config: TrainingConfig) -> np.ndarray:
-    """Every user's single-antenna mixing block with sqrt(rho)/K folded in, (K, T, N+1).
-
-    sqrt(rho) times `unit_mixing_blocks`, so user k's pilot contribution per
-    slot is the (T, M) matrix block_k @ S_k.
-    """
-    return np.sqrt(config.rho) * unit_mixing_blocks(stats, config)
 
 
 @dataclass
@@ -247,8 +228,8 @@ def synthesize_received(
     realization: ChannelRealization,
     stats: ChannelStatistics,
     config: TrainingConfig,
+    mixing: np.ndarray,
     rng: np.random.Generator | None = None,
-    mixing: np.ndarray | None = None,
     normals: np.ndarray | None = None,
     workspace: np.ndarray | None = None,
 ) -> ObservationSet:
@@ -260,9 +241,10 @@ def synthesize_received(
     every antenna and trial are one product of its mixing block with its
     antenna-major targets (`ChannelRealization.s_antenna`, a view for the
     sampler's realizations), and the pilot scaling and the combining are one
-    product each over every trial and slot; mixing (from `mixing_blocks`)
-    may be passed in to avoid rebuilding it in tight loops.  Noise is drawn
-    once, so every estimator consuming this set sees identical observations.
+    product each over every trial and slot.  mixing is the (K, T, N+1)
+    `mixing_blocks` of the round times sqrt(rho), which sets the pilot power.
+    Noise is drawn once, so every estimator consuming this set sees identical
+    observations.
 
     The realization may carry leading trial axes (`ChannelSampler.sample` with
     stacked normals); so do the outputs.  With n = T*K*M, the noise takes its
@@ -280,8 +262,6 @@ def synthesize_received(
     lead = realization.S.shape[:-3]
     if realization.S.shape[-3:] != (k_users, n + 1, m):
         raise ConfigurationError("realization does not match the configured sizes")
-    if mixing is None:
-        mixing = mixing_blocks(stats, config)
     size = t_pats * k_users * m
     if normals is None:
         normals = rng.standard_normal((*lead, 2 * size))

@@ -11,7 +11,7 @@ Everything runs on the desk scenario (M = 4, N = 4x4 = 16, K = 2, eta = 0.99,
 blocked direct links), through the code `theory` and `sweep` run: every
 filter, training config and mixing block comes from
 `montecarlo.build_cell_bank` (the noiseless interuser-leakage check builds
-its own training config, as no cell exists at zero noise), and every channel
+its own training config and mixing blocks, as no cell exists at zero noise), and every channel
 draw from `ChannelSampler.sample`.  The two expensive artifacts are computed
 once and every check that needs them reads them:
 
@@ -51,6 +51,7 @@ from .training import (
     build_Z,
     hadamard,
     make_training_config,
+    mixing_blocks,
     pilot_overhead,
     pilot_sequences,
     synthesize_received,
@@ -176,14 +177,13 @@ def _pilot_gram_dev(user_counts) -> float:
 
 def _interuser_leakage(stats: ChannelStatistics, rho: float, seed: int) -> float:
     """Noiseless synthesis with user 1 silenced: its combined observation over user 2's."""
-    tc = make_training_config(
-        stats.n_elements, stats.n_users, n_groups=stats.n_elements // 4, rho=rho, sigma_w2=0.0
-    )
+    tc = make_training_config(stats.n_elements, stats.n_users, stats.n_elements // 4, sigma_w2=0.0)
     real = ChannelSampler(stats).sample(np.random.default_rng(seed))
     s_masked = real.S.copy()
     s_masked[0] = 0.0
     masked = ChannelRealization(b=real.b, g=real.g, A=real.A, S=s_masked)
-    obs = synthesize_received(masked, stats, tc, np.random.default_rng(seed + 1))
+    mixing = np.sqrt(rho) * mixing_blocks(stats, tc)
+    obs = synthesize_received(masked, stats, tc, mixing, np.random.default_rng(seed + 1))
     return float(
         np.linalg.norm(obs.y_combined[0]) / max(np.linalg.norm(obs.y_combined[1]), 1e-300)
     )
@@ -243,12 +243,12 @@ def _training_checks(scenario: Scenario, stats: ChannelStatistics) -> list[Check
     tc = bank.tconfig
     rng = np.random.default_rng(3)
     real = ChannelSampler(stats).sample(rng)
-    obs = synthesize_received(real, stats, tc, rng, mixing=bank.mixing)
+    obs = synthesize_received(real, stats, tc, bank.mixing, rng)
     worst = 0.0
     for k in range(k_users):
         # reconstruct through the combined linear model with the recorded noise
         w_comb = np.einsum("tim,ki->ktm", obs.noise_raw, tc.pilot_matrix.conj())[k].reshape(-1)
-        model = np.sqrt(tc.rho) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
+        model = np.sqrt(bank.rho) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
         worst = max(
             worst,
             float(
@@ -321,7 +321,7 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     ok, detail = True, ""
     curves = {LMMSE: [], GROUPING_LMMSE: [], CORRELATED: []}
     cells = {n_groups: (GROUPING_LMMSE, CORRELATED), n: (LMMSE,)}
-    states = {g: build_group_state(stats, scenario.sigma_w2, g, rho_grid[0], kinds)
+    states = {g: build_group_state(stats, scenario.sigma_w2, g, kinds)
               for g, kinds in cells.items()}
     for rho in rho_grid:
         grouped, full = (build_cell_bank(stats, scenario.sigma_w2, g, rho, kinds, states[g])
@@ -385,9 +385,7 @@ def _estimator_checks(scenario: Scenario, stats: ChannelStatistics, sweep) -> li
     n_noise = 2 * tc.n_patterns * tc.n_users * stats.m_antennas
     normals = np.random.default_rng(11).standard_normal((n_trials, sampler.n_normals + n_noise))
     real = sampler.sample(normals=normals)
-    obs = synthesize_received(
-        real, stats, tc, mixing=bank.mixing, normals=normals[:, sampler.n_normals:]
-    )
+    obs = synthesize_received(real, stats, tc, bank.mixing, normals=normals[:, sampler.n_normals:])
     q = antenna_basis(cg.r)
     x, target = (to_antenna_basis(q, a[0]) for a in (obs.y_antenna, real.s_antenna))
     mean_err = cg.residual(x, target).mean(axis=1)  # the same norm as in the antenna domain
@@ -524,7 +522,7 @@ def _acceptance_criteria(scenario: Scenario, stats: ChannelStatistics, oracle, s
         conv, corr = bank.filters[LMMSE][k], bank.filters[CORRELATED][k]
         worst_trace = max(worst_trace, abs(conv.mse_trace - corr.mse_trace) / conv.mse_trace)
         real = sampler.sample(rng)
-        obs = synthesize_received(real, stats, bank.tconfig, rng, mixing=bank.mixing)
+        obs = synthesize_received(real, stats, bank.tconfig, bank.mixing, rng)
         a = conv.estimate(obs.y_combined[k])
         b = corr.estimate(obs.y_combined[k])
         worst_est = max(worst_est, float(np.linalg.norm(a - b) / np.linalg.norm(a)))

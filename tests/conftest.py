@@ -17,12 +17,18 @@ def dense_moments(stats, k, tc, block_ideal=False):
     c_ss = cov_ss_block_ideal(stats, k, tc.n_groups) if block_ideal else None
     return observation_moments(
         stats, k, build_Z(k, stats, tc), build_Z(k, stats, tc, grouped=True),
-        rho_k=tc.rho, sigma_w2=tc.sigma_w2, n_users=tc.n_users,
+        sigma_w2=tc.sigma_w2, n_users=tc.n_users,
         cov_ss_mat=c_ss,
     )
 
 
-def two_stage_filter(d):
+def moment_field(m, name, rho):
+    """Field name of the moment set m; an observation moment is formed at pilot power rho."""
+    value = getattr(m, name)
+    return value(rho) if callable(value) else value
+
+
+def two_stage_filter(d, rho):
     """The paper's two-stage correlated-grouping filter on the dense set d: its oracle.
 
     The group aggregates u are estimated first, as C_uy C_yy^-1 y, and the
@@ -30,8 +36,8 @@ def two_stage_filter(d):
     C_sy C_yy^-1 C_uy^H Gamma^+ C_uy C_yy^-1 with the inner Gram
     Gamma = C_uy C_yy^-1 C_uy^H pseudo-inverted.
     """
-    c_uy = np.sqrt(d.rho) * cov_uu(d.cov_ss, d.m_antennas, d.n_groups) @ d.Z_G.conj().T
-    x = np.linalg.solve(d.cov_yy, c_uy.conj().T)  # C_yy^-1 C_uy^H
+    c_uy = np.sqrt(rho) * cov_uu(d.cov_ss, d.m_antennas, d.n_groups) @ d.Z_G.conj().T
+    x = np.linalg.solve(d.cov_yy(rho), c_uy.conj().T)  # C_yy^-1 C_uy^H
     gram = c_uy @ x
     gram_pinv = np.linalg.pinv(0.5 * (gram + gram.conj().T), rcond=1e-10, hermitian=True)
-    return d.cov_sy @ x @ gram_pinv @ x.conj().T
+    return d.cov_sy(rho) @ x @ gram_pinv @ x.conj().T

@@ -39,10 +39,11 @@ from riscest.training import (
     PatternOrthogonalityWarning,
     build_Z,
     make_training_config,
+    mixing_blocks,
     synthesize_received,
 )
 
-from conftest import dense_moments
+from conftest import dense_moments, moment_field
 
 MOMENT_FIELDS = ("mean_s", "cov_ss", "mean_y", "cov_sy", "cov_yy", "Z", "Z_G")
 # the dense covariance fields and the index kinds ("s" or "y") of their rows and columns
@@ -108,21 +109,22 @@ def statistics():
 
 
 def _training(scenario, stats, n_groups, snr_db):
+    """The training round of n_groups and the pilot power of snr_db."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PatternOrthogonalityWarning)
-        return make_training_config(
-            stats.n_elements, stats.n_users, n_groups=n_groups,
-            rho=received_snr_to_power(snr_db, stats, scenario.sigma_w2), sigma_w2=scenario.sigma_w2,
+        tc = make_training_config(
+            stats.n_elements, stats.n_users, n_groups=n_groups, sigma_w2=scenario.sigma_w2,
         )
+    return tc, received_snr_to_power(snr_db, stats, scenario.sigma_w2)
 
 
-def _dense_filters(m, m_model):
+def _dense_filters(m, m_model, rho):
     return {
-        EstimatorKind.LS: conventional_ls_filter(m),
-        EstimatorKind.LMMSE: lmmse_filter(m),
-        EstimatorKind.GROUPING_LS: grouping_ls_filter(m),
-        EstimatorKind.GROUPING_LMMSE: grouping_lmmse_filter(m, m_model),
-        EstimatorKind.CORRELATED_GROUPING_LMMSE: lmmse_filter(m),
+        EstimatorKind.LS: conventional_ls_filter(m, rho),
+        EstimatorKind.LMMSE: lmmse_filter(m, rho),
+        EstimatorKind.GROUPING_LS: grouping_ls_filter(m, rho),
+        EstimatorKind.GROUPING_LMMSE: grouping_lmmse_filter(m, rho, m_model),
+        EstimatorKind.CORRELATED_GROUPING_LMMSE: lmmse_filter(m, rho),
     }
 
 
@@ -144,7 +146,7 @@ def _check_floor(got, want, ungrouped):
 )
 def test_block_path_matches_dense_oracle(statistics, name, n_groups, snr_db, users):
     scenario, stats = statistics(name)
-    tc = _training(scenario, stats, n_groups, snr_db)
+    tc, rho = _training(scenario, stats, n_groups, snr_db)
     # with one antenna the aligned block is the dense problem itself, so its
     # ungrouped floor carries the oracle's cutoff noise and is held to it
     ungrouped = n_groups == stats.n_elements and stats.m_antennas > 1
@@ -154,8 +156,8 @@ def test_block_path_matches_dense_oracle(statistics, name, n_groups, snr_db, use
         assert isinstance(m, AntennaMomentSet) and isinstance(m_model, AntennaMomentSet)
         d, d_model = dense_moments(stats, k, tc), dense_moments(stats, k, tc, block_ideal=True)
         _check_floor(asymptotic_mse(m), asymptotic_mse(d), ungrouped)
-        for kind, want in _dense_filters(d, d_model).items():
-            got = make_estimator(kind, m, m_model)
+        for kind, want in _dense_filters(d, d_model, rho).items():
+            got = make_estimator(kind, m, rho, m_model)
             assert got.nmse == pytest.approx(want.nmse, rel=1e-10), kind
             assert got.mse_trace == pytest.approx(want.mse_trace, rel=1e-10), kind
             assert got.degenerate == want.degenerate, kind
@@ -170,16 +172,16 @@ def test_block_path_matches_dense_oracle(statistics, name, n_groups, snr_db, use
 @pytest.mark.parametrize("name", ["desk", "desk-unblocked"])
 def test_assembled_moments_match_dense(statistics, name, block_ideal):
     scenario, stats = statistics(name)
-    tc = _training(scenario, stats, 4, 20.0)
+    tc, rho = _training(scenario, stats, 4, 20.0)
     for k in range(stats.n_users):
         m = build_moments(stats, k, tc, block_ideal=block_ideal)
         d = dense_moments(stats, k, tc, block_ideal=block_ideal)
         assert m.prior_trace == pytest.approx(d.prior_trace, rel=1e-12)
         m_ant = m.r.size
         for field in MOMENT_FIELDS:
-            want = getattr(d, field)
+            want = moment_field(d, field, rho)
             if field in COVARIANCE_INDEX:
-                blocks = [getattr(b, field) for b, _ in m.blocks]
+                blocks = [moment_field(b, field, rho) for b, _ in m.blocks]
                 got = combine_blocks(m.r, blocks, *COVARIANCE_INDEX[field])
             elif field == "mean_s":
                 # only the aligned block has a mean; compare in the target_matrix form
@@ -188,7 +190,7 @@ def test_assembled_moments_match_dense(statistics, name, block_ideal):
             elif field == "mean_y":
                 # observations run (t, m), so the (T, M) matrix is a plain reshape
                 want = want.reshape(-1, m_ant)
-                got = np.outer(m.aligned.mean_y, m.r) / np.sqrt(m_ant)
+                got = np.outer(m.aligned.mean_y(rho), m.r) / np.sqrt(m_ant)
             else:
                 z0 = getattr(m.aligned, field)  # Z or Z_G: every block shares Z_0
                 got = combine_blocks(m.r, [z0, z0], "y", "s")
@@ -204,7 +206,7 @@ def test_unfactored_los_is_rejected(statistics):
     assert np.linalg.matrix_rank(a_bar) == 2
     assert antenna_factor(a_bar) is None
     np.testing.assert_array_equal(antenna_factor(a_bar[:1]), [1.0])  # one antenna: r = [1]
-    tc = _training(scenario, stats, 4, 20.0)
+    tc, _ = _training(scenario, stats, 4, 20.0)
     with pytest.raises(DomainError):
         build_moments(stats, 1, tc)
     # the oracle still builds the rank-2 set
@@ -230,21 +232,22 @@ def test_rotated_rule_matches_dense_rule(statistics, name, n_groups, users):
     """estimate, and squared_error in the antenna basis, against the assembled dense W."""
     scenario, stats = statistics(name)
     q = antenna_basis(antenna_factor(stats.a_bar))
-    tc = _training(scenario, stats, n_groups, 20.0)
+    tc, rho = _training(scenario, stats, n_groups, 20.0)
     sampler = ChannelSampler(stats)
     rng = np.random.default_rng(41)
     draws = [sampler.sample(rng) for _ in range(3)]
-    observations = [synthesize_received(real, stats, tc, rng) for real in draws]
+    mixing = np.sqrt(rho) * mixing_blocks(stats, tc)
+    observations = [synthesize_received(real, stats, tc, mixing, rng) for real in draws]
     for k in users or range(stats.n_users):
         m = build_moments(stats, k, tc)
         m_model = build_moments(stats, k, tc, block_ideal=True)
         d = dense_moments(stats, k, tc)
         assert isinstance(m, AntennaMomentSet) and m.r.size == stats.m_antennas
         for kind in EstimatorKind:
-            f = make_estimator(kind, m, m_model)
+            f = make_estimator(kind, m, rho, m_model)
             for real, obs in zip(draws, observations):
                 y, s = obs.y_combined[k], real.s[k]
-                want = d.mean_s + f.W @ (y - d.mean_y) if f.innovation else f.W @ y
+                want = d.mean_s + f.W @ (y - d.mean_y(rho)) if f.innovation else f.W @ y
                 got = f.estimate(y)
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), kind

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from riscest.channel import ChannelSampler, ChannelStatistics, FadingParams, build_statistics
+from riscest.errors import ConfigurationError
 from riscest.estimators import (
     EstimatorKind,
     asymptotic_mse,
@@ -40,7 +41,7 @@ def dense_z(m):
     return combine_blocks(m.r, [m.aligned.Z, m.aligned.Z], "y", "s")
 
 
-def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
+def scalar_moments(c=2.0, z=1.5 - 0.5j, sigma2=0.3):
     """Hand-assembled scalar moment set: zero-mean target with variance c."""
     cov = np.array([[c + 0j]])
     z_mat = np.array([[z]])
@@ -49,19 +50,19 @@ def scalar_moments(c=2.0, z=1.5 - 0.5j, rho=0.8, sigma2=0.3):
         z_mean=np.zeros(1, complex),
         cov_szh=cov @ z_mat.conj().T,
         z_cov_zh=np.abs(z) ** 2 * cov,
-        rho=rho, sigma_w2=sigma2, n_users=1,
+        sigma_w2=sigma2, n_users=1,
         m_antennas=1, n_groups=1,
     )
 
 
-def linear_moments(cov, z_mat, rho, sigma2):
+def linear_moments(cov, z_mat, sigma2):
     """Zero-mean target with covariance cov seen through z_mat, for the ungrouped kinds."""
     n_y, n_s = z_mat.shape
     return MomentSet(
         mean_s=np.zeros(n_s, complex), cov_ss=cov, Z=z_mat, Z_G=z_mat,
         z_mean=np.zeros(n_y, complex), cov_szh=cov @ z_mat.conj().T,
         z_cov_zh=z_mat @ cov @ z_mat.conj().T,
-        rho=rho, sigma_w2=sigma2, n_users=1,
+        sigma_w2=sigma2, n_users=1,
         m_antennas=1, n_groups=1,
     )
 
@@ -72,24 +73,26 @@ def desk():
     return scenario, scenario.statistics()
 
 
-def desk_training(scenario, stats, n_groups, snr_db=20.0, rho_scale=1.0):
-    rho = received_snr_to_power(snr_db, stats, scenario.sigma_w2) * rho_scale
+def desk_power(scenario, stats, snr_db=20.0, rho_scale=1.0):
+    return received_snr_to_power(snr_db, stats, scenario.sigma_w2) * rho_scale
+
+
+def desk_training(scenario, stats, n_groups):
     return make_training_config(
-        stats.n_elements, stats.n_users, n_groups=n_groups,
-        rho=rho, sigma_w2=scenario.sigma_w2,
+        stats.n_elements, stats.n_users, n_groups=n_groups, sigma_w2=scenario.sigma_w2,
     )
 
 
-def desk_moments(scenario, stats, n_groups, snr_db=20.0, k=0, rho_scale=1.0, ideal=False):
-    tc = desk_training(scenario, stats, n_groups, snr_db, rho_scale)
+def desk_moments(scenario, stats, n_groups, k=0, ideal=False):
+    tc = desk_training(scenario, stats, n_groups)
     return build_moments(stats, k, tc, block_ideal=ideal)
 
 
 class TestConventionalLmmse:
     def test_scalar_textbook_formula(self):
         c, z, rho, sigma2 = 2.0, 1.5 - 0.5j, 0.8, 0.3
-        m = scalar_moments(c, z, rho, sigma2)
-        filt = make_estimator(EstimatorKind.LMMSE, m)
+        m = scalar_moments(c, z, sigma2)
+        filt = make_estimator(EstimatorKind.LMMSE, m, rho)
         rng = np.random.default_rng(0)
         for _ in range(5):
             y = rng.standard_normal(1) + 1j * rng.standard_normal(1)
@@ -99,23 +102,23 @@ class TestConventionalLmmse:
 
     def test_zero_innovation_returns_prior_mean(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=16)
+        m, rho = desk_moments(scenario, stats, n_groups=16), desk_power(scenario, stats)
         d = dense_moments(stats, 0, desk_training(scenario, stats, n_groups=16))
-        s_hat = make_estimator(EstimatorKind.LMMSE, m).estimate(d.mean_y.copy())
+        s_hat = make_estimator(EstimatorKind.LMMSE, m, rho).estimate(d.mean_y(rho).copy())
         np.testing.assert_allclose(s_hat, d.mean_s, atol=1e-12)
 
     def test_empirical_mse_matches_trace(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=16, snr_db=10.0)
-        tc = make_training_config(16, 2, n_groups=16, rho=m.aligned.rho, sigma_w2=scenario.sigma_w2)
+        m, rho = desk_moments(scenario, stats, n_groups=16), desk_power(scenario, stats, 10.0)
+        tc = make_training_config(16, 2, n_groups=16, sigma_w2=scenario.sigma_w2)
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(21)
-        filt = lmmse_filter(m)
-        mixing = mixing_blocks(stats, tc)
+        filt = lmmse_filter(m, rho)
+        mixing = np.sqrt(rho) * mixing_blocks(stats, tc)
         errs = []
         for _ in range(3000):
             real = sampler.sample(rng)
-            obs = synthesize_received(real, stats, tc, rng, mixing=mixing)
+            obs = synthesize_received(real, stats, tc, mixing, rng)
             errs.append(filt.squared_error(*rotated_trial(filt, obs, real)))
         assert np.mean(errs) == pytest.approx(filt.mse_trace, rel=0.05)
 
@@ -126,14 +129,14 @@ class TestConventionalLmmse:
         z = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         z[:, 2] = z[:, 1]  # rank 2: Q_0 = Z C Z^H is singular
         cov = np.diag([1.0, 2.0, 0.5]).astype(complex)
-        m = linear_moments(cov, z, rho=1.0, sigma2=0.0)
-        f = make_estimator(EstimatorKind.LMMSE, m)
+        m = linear_moments(cov, z, sigma2=0.0)
+        f = make_estimator(EstimatorKind.LMMSE, m, 1.0)
         want = m.cov_szh @ np.linalg.pinv(m.z_cov_zh, rcond=1e-10, hermitian=True)
         np.testing.assert_allclose(f.w_blocks[0], want, atol=1e-12)
         assert f.nmse > 0.01  # the direction Z cannot see keeps its error
         assert f.nmse == pytest.approx(asymptotic_mse(m), rel=1e-12)
         assert f.nmse_floor == asymptotic_mse(m)
-        blind = make_estimator(EstimatorKind.LMMSE, scalar_moments(sigma2=0.0, z=0.0))
+        blind = make_estimator(EstimatorKind.LMMSE, scalar_moments(sigma2=0.0, z=0.0), 0.8)
         assert blind.w_blocks[0] == 0 and blind.nmse == 1.0
 
 
@@ -152,19 +155,19 @@ class TestSquaredError:
     @pytest.mark.parametrize("n_groups", [4, 16])
     def test_stacked_trials_match_lone_calls_and_the_dense_oracle(self, desk, n_groups):
         scenario, stats = desk
-        tc = desk_training(scenario, stats, n_groups)
+        tc, rho = desk_training(scenario, stats, n_groups), desk_power(scenario, stats)
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(8)
         n_trials, n_users = 5, stats.n_users
         real = sampler.sample(normals=rng.standard_normal((n_trials, sampler.n_normals)))
-        obs = synthesize_received(real, stats, tc, rng, mixing=mixing_blocks(stats, tc))
+        obs = synthesize_received(real, stats, tc, np.sqrt(rho) * mixing_blocks(stats, tc), rng)
         for k in range(n_users):
             m, m_model = build_moments(stats, k, tc), build_moments(stats, k, tc, block_ideal=True)
             q = antenna_basis(m.r)
             x = to_antenna_basis(q, obs.y_antenna[k])  # (M, B, T), as SweepEngine scores
             s = to_antenna_basis(q, real.s_antenna[k])  # (M, B, N+1)
             for kind in EstimatorKind:
-                f = make_estimator(kind, m, m_model)
+                f = make_estimator(kind, m, rho, m_model)
                 lone = np.array([f.squared_error(x[:, t], s[:, t]) for t in range(n_trials)])
                 assert lone.dtype == np.float64 and np.ndim(f.squared_error(x[:, 0], s[:, 0])) == 0
                 # the dense oracle ||W y + offset - s||^2 in the antenna domain
@@ -178,7 +181,7 @@ class TestSquaredError:
                 np.testing.assert_array_equal(out, f.residual(x, s))
 
     def test_dense_column_form(self):
-        f = make_estimator(EstimatorKind.LMMSE, scalar_moments())
+        f = make_estimator(EstimatorKind.LMMSE, scalar_moments(), 0.8)
         rng = np.random.default_rng(9)
         # a dense set has one antenna-basis column, the dense observation itself
         x = rng.standard_normal((1, 3, 4, 1)) + 1j * rng.standard_normal((1, 3, 4, 1))
@@ -195,21 +198,22 @@ class TestSpectrumClamp:
         z = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
         rules = []
         for low in (-1e-9, 0.0):
-            m = linear_moments(np.eye(3, dtype=complex), z, rho=1.0, sigma2=0.1)
+            m = linear_moments(np.eye(3, dtype=complex), z, sigma2=0.1)
             m.z_cov_zh, _ = hermitian_with_spectrum([low, 0.5, 1.0, 2.0, 3.0])
-            rules.append(lmmse_filter(m).w_blocks[0])
+            rules.append(lmmse_filter(m, 1.0).w_blocks[0])
         np.testing.assert_allclose(rules[0], rules[1], rtol=0, atol=1e-12)
 
 
 class TestConventionalLs:
     def test_noiseless_recovery(self, desk):
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=16, rho=0.5, sigma_w2=0.0)
+        tc = make_training_config(16, 2, n_groups=16, sigma_w2=0.0)
         real = ChannelSampler(stats).sample(np.random.default_rng(22))
-        obs = synthesize_received(real, stats, tc, np.random.default_rng(23))
+        mixing = np.sqrt(0.5) * mixing_blocks(stats, tc)
+        obs = synthesize_received(real, stats, tc, mixing, np.random.default_rng(23))
         m = build_moments(stats, 0, tc)
         np.testing.assert_array_equal(dense_z(m), build_Z(0, stats, tc))
-        s_hat = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
+        s_hat = make_estimator(EstimatorKind.LS, m, 0.5).estimate(obs.y_combined[0])
         err = np.linalg.norm(s_hat - real.s[0]) / np.linalg.norm(real.s[0])
         assert err < 1e-9
 
@@ -223,31 +227,32 @@ class TestConventionalLs:
             R=np.stack([np.eye(3, dtype=complex)]), R0=np.eye(3, dtype=complex),
             fading=geo_stats.fading,
         )
-        tc = make_training_config(3, 1, n_groups=3, n_patterns=4, rho=0.9, sigma_w2=0.1)
+        tc = make_training_config(3, 1, n_groups=3, n_patterns=4, sigma_w2=0.1)
         rng = np.random.default_rng(24)
         real = ChannelSampler(stats).sample(rng)
-        obs = synthesize_received(real, stats, tc, rng)
+        obs = synthesize_received(real, stats, tc, np.sqrt(0.9) * mixing_blocks(stats, tc), rng)
         z = build_Z(0, stats, tc)
         gram = z.conj().T @ z
         np.testing.assert_allclose(gram, gram[0, 0] * np.eye(4), atol=1e-12)
         direct = z.conj().T @ obs.y_combined[0] / (np.sqrt(0.9) * gram[0, 0].real)
         m = build_moments(stats, 0, tc)
         np.testing.assert_array_equal(m.aligned.Z, z)
-        s_hat = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
+        s_hat = make_estimator(EstimatorKind.LS, m, 0.9).estimate(obs.y_combined[0])
         np.testing.assert_allclose(s_hat, direct, rtol=1e-10)
 
     def test_ls_never_beats_lmmse_in_theory(self, desk):
         scenario, stats = desk
+        m = desk_moments(scenario, stats, n_groups=16)
         for snr in (-10, 0, 10, 20, 30, 40):
-            m = desk_moments(scenario, stats, n_groups=16, snr_db=snr)
-            assert lmmse_filter(m).nmse <= conventional_ls_filter(m).nmse + 1e-12
+            rho = desk_power(scenario, stats, snr)
+            assert lmmse_filter(m, rho).nmse <= conventional_ls_filter(m, rho).nmse + 1e-12
 
     def test_rank_deficiency_detected(self):
         z = np.zeros((4, 3), dtype=complex)
         z[:, 0] = 1.0
         z[:, 1] = 1.0  # duplicated active column
-        m = linear_moments(np.eye(3, dtype=complex), z, rho=1.0, sigma2=1.0)
-        assert make_estimator(EstimatorKind.LS, m).degenerate
+        m = linear_moments(np.eye(3, dtype=complex), z, sigma2=1.0)
+        assert make_estimator(EstimatorKind.LS, m, 1.0).degenerate
 
 
 class TestGroupingBaselines:
@@ -266,28 +271,29 @@ class TestGroupingBaselines:
             g_bar=np.ones((1, 4), complex), a_bar=np.ones((2, 4), complex),
             R=np.stack([block]), R0=block.copy(), fading=fading,
         )
-        tc = make_training_config(4, 1, n_groups=2, rho=1e10, sigma_w2=1.0)
+        tc, rho = make_training_config(4, 1, n_groups=2, sigma_w2=1.0), 1e10
         m = build_moments(stats, 0, tc)
         mi = build_moments(stats, 0, tc, block_ideal=True)
-        filt = grouping_lmmse_filter(m, mi)
+        filt = grouping_lmmse_filter(m, rho, mi)
         assert filt.nmse < 1e-6
         rng = np.random.default_rng(25)
         real = ChannelSampler(stats).sample(rng)
-        obs = synthesize_received(real, stats, tc, rng)
-        s_hat = make_estimator(EstimatorKind.GROUPING_LMMSE, m, mi).estimate(obs.y_combined[0])
+        obs = synthesize_received(real, stats, tc, np.sqrt(rho) * mixing_blocks(stats, tc), rng)
+        f = make_estimator(EstimatorKind.GROUPING_LMMSE, m, rho, mi)
+        s_hat = f.estimate(obs.y_combined[0])
         rel = np.linalg.norm(s_hat - real.s[0]) / np.linalg.norm(real.s[0])
         assert rel < 1e-2  # per-draw error scale is sqrt(nmse) ~ 1e-3
 
     def test_grouping_ls_collapses_to_ls(self, desk):
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=16, rho=0.7, sigma_w2=scenario.sigma_w2)
+        tc, rho = make_training_config(16, 2, n_groups=16, sigma_w2=scenario.sigma_w2), 0.7
         m = build_moments(stats, 0, tc)
         rng = np.random.default_rng(26)
         real = ChannelSampler(stats).sample(rng)
-        obs = synthesize_received(real, stats, tc, rng)
+        obs = synthesize_received(real, stats, tc, np.sqrt(rho) * mixing_blocks(stats, tc), rng)
         np.testing.assert_array_equal(dense_z(m), build_Z(0, stats, tc))
-        a = make_estimator(EstimatorKind.GROUPING_LS, m).estimate(obs.y_combined[0])
-        b = make_estimator(EstimatorKind.LS, m).estimate(obs.y_combined[0])
+        a = make_estimator(EstimatorKind.GROUPING_LS, m, rho).estimate(obs.y_combined[0])
+        b = make_estimator(EstimatorKind.LS, m, rho).estimate(obs.y_combined[0])
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_grouping_lmmse_collapses_under_uncorrelated_scattering(self):
@@ -295,57 +301,59 @@ class TestGroupingBaselines:
         scenario = desk_scenario()
         scenario.fading = replace(scenario.fading, eta=np.zeros(3))
         stats = scenario.statistics()
-        tc = make_training_config(16, 2, n_groups=16, rho=0.4, sigma_w2=scenario.sigma_w2)
+        tc, rho = make_training_config(16, 2, n_groups=16, sigma_w2=scenario.sigma_w2), 0.4
         m = build_moments(stats, 0, tc)
         mi = build_moments(stats, 0, tc, block_ideal=True)
         rng = np.random.default_rng(27)
         real = ChannelSampler(stats).sample(rng)
-        obs = synthesize_received(real, stats, tc, rng)
-        a = make_estimator(EstimatorKind.GROUPING_LMMSE, m, mi).estimate(obs.y_combined[0])
-        b = make_estimator(EstimatorKind.LMMSE, m).estimate(obs.y_combined[0])
+        obs = synthesize_received(real, stats, tc, np.sqrt(rho) * mixing_blocks(stats, tc), rng)
+        a = make_estimator(EstimatorKind.GROUPING_LMMSE, m, rho, mi).estimate(obs.y_combined[0])
+        b = make_estimator(EstimatorKind.LMMSE, m, rho).estimate(obs.y_combined[0])
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-9
 
     def test_exponential_model_floors_above_correlated_grouping(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=4, snr_db=50.0)
-        mi = desk_moments(scenario, stats, n_groups=4, snr_db=50.0, ideal=True)
-        soa = grouping_lmmse_filter(m, mi)
-        cg = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m)
+        m, rho = desk_moments(scenario, stats, n_groups=4), desk_power(scenario, stats, 50.0)
+        mi = desk_moments(scenario, stats, n_groups=4, ideal=True)
+        soa = grouping_lmmse_filter(m, rho, mi)
+        cg = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho)
         assert soa.nmse > cg.nmse * 1.5
 
     def test_rejects_wrong_kind(self, desk):
         scenario, stats = desk
         m = desk_moments(scenario, stats, n_groups=4)
         with pytest.raises(ValueError):
-            make_estimator("grouping", m)
+            make_estimator("grouping", m, desk_power(scenario, stats))
 
 
 class TestCorrelatedGrouping:
     def test_collapse_to_conventional(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=16)
+        m, rho = desk_moments(scenario, stats, n_groups=16), desk_power(scenario, stats)
         d = dense_moments(stats, 0, desk_training(scenario, stats, n_groups=16))
         rng = np.random.default_rng(28)
-        y = d.mean_y + (rng.standard_normal(d.mean_y.size) + 1j * rng.standard_normal(d.mean_y.size))
-        a = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m)
-        b = make_estimator(EstimatorKind.LMMSE, m)
+        mean_y = d.mean_y(rho)
+        y = mean_y + (rng.standard_normal(mean_y.size) + 1j * rng.standard_normal(mean_y.size))
+        a = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho)
+        b = make_estimator(EstimatorKind.LMMSE, m, rho)
         a_hat, b_hat = a.estimate(y), b.estimate(y)
         assert np.linalg.norm(a_hat - b_hat) / np.linalg.norm(b_hat) < 1e-8
         assert a.mse_trace == pytest.approx(b.mse_trace, rel=1e-8)
 
     def test_zero_innovation(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=4)
+        m, rho = desk_moments(scenario, stats, n_groups=4), desk_power(scenario, stats)
         d = dense_moments(stats, 0, desk_training(scenario, stats, n_groups=4))
-        s_hat = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).estimate(d.mean_y.copy())
+        f = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho)
+        s_hat = f.estimate(d.mean_y(rho).copy())
         np.testing.assert_allclose(s_hat, d.mean_s, atol=1e-12)
 
     def test_lmmse_kinds_never_flagged_degenerate(self, desk):
         # the blocked direct links leave Q_0 singular; only an LS rule is flagged for a drop
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=4)
+        m, rho = desk_moments(scenario, stats, n_groups=4), desk_power(scenario, stats)
         for kind in (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE):
-            assert not make_estimator(kind, m).degenerate, kind
+            assert not make_estimator(kind, m, rho).degenerate, kind
 
     @pytest.mark.parametrize("setup", ["desk", "reference"])
     def test_matches_the_two_stage_oracle(self, request, setup):
@@ -356,30 +364,31 @@ class TestCorrelatedGrouping:
         else:
             grid, users = [(g, 20.0) for g in (4, 16, 64)], (0,)
         for n_groups, snr in grid:
-            tc = desk_training(scenario, stats, n_groups, snr)
+            tc, rho = desk_training(scenario, stats, n_groups), desk_power(scenario, stats, snr)
             for k in users or range(stats.n_users):
                 m, d = build_moments(stats, k, tc), dense_moments(stats, k, tc)
-                f = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m)
-                want = two_stage_filter(d)
+                f = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho)
+                want = two_stage_filter(d, rho)
                 assert np.abs(f.W - want).max() <= 1e-8 * np.abs(want).max(), (n_groups, snr, k)
                 # the oracle's trace in the sum-of-PSD-terms arrangement
-                a = np.eye(want.shape[0]) - np.sqrt(d.rho) * want @ d.Z
+                a = np.eye(want.shape[0]) - np.sqrt(rho) * want @ d.Z
                 trace = np.vdot(a, a @ d.cov_ss).real
                 trace += d.n_users * d.sigma_w2 * np.vdot(want, want).real
                 assert f.nmse == pytest.approx(trace / d.prior_trace, rel=1e-10), (n_groups, snr, k)
 
     def test_empirical_mse_matches_error_covariance(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=4, snr_db=20.0)
-        tc = make_training_config(16, 2, n_groups=4, rho=m.aligned.rho, sigma_w2=scenario.sigma_w2)
+        m, rho = desk_moments(scenario, stats, n_groups=4), desk_power(scenario, stats, 20.0)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=scenario.sigma_w2)
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(29)
-        filt = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m)
+        filt = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho)
         expected = np.trace(filt.error_cov).real
+        mixing = np.sqrt(rho) * mixing_blocks(stats, tc)
         errs = []
         for _ in range(3000):
             real = sampler.sample(rng)
-            obs = synthesize_received(real, stats, tc, rng)
+            obs = synthesize_received(real, stats, tc, mixing, rng)
             errs.append(filt.squared_error(*rotated_trial(filt, obs, real)))
         assert np.mean(errs) == pytest.approx(expected, rel=0.05)
 
@@ -387,19 +396,20 @@ class TestCorrelatedGrouping:
 class TestErrorCovariance:
     def test_zero_power_returns_prior(self, desk):
         scenario, stats = desk
-        tc = desk_training(scenario, stats, n_groups=4, rho_scale=1e-30)
+        tc = desk_training(scenario, stats, n_groups=4)
+        rho = desk_power(scenario, stats, rho_scale=1e-30)
         m, d = build_moments(stats, 0, tc), dense_moments(stats, 0, tc)
-        c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
+        c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho).error_cov
         assert np.trace(c).real / np.trace(d.cov_ss).real == pytest.approx(1.0, rel=1e-6)
 
     def test_matches_reduction_formula_at_moderate_power(self, desk):
         # independent oracle: the prior-minus-reduction arrangement C_ss - W C_sy^H of the
         # two-stage filter W
         scenario, stats = desk
-        tc = desk_training(scenario, stats, n_groups=4, snr_db=10.0)
+        tc, rho = desk_training(scenario, stats, n_groups=4), desk_power(scenario, stats, 10.0)
         m, d = build_moments(stats, 0, tc), dense_moments(stats, 0, tc)
-        direct = d.cov_ss - two_stage_filter(d) @ d.cov_sy.conj().T
-        c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
+        direct = d.cov_ss - two_stage_filter(d, rho) @ d.cov_sy(rho).conj().T
+        c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho).error_cov
         np.testing.assert_allclose(c, direct, atol=1e-10 * np.abs(direct).max())
 
     def test_hermitian_psd_and_bounded_fuzz(self, desk):
@@ -408,19 +418,19 @@ class TestErrorCovariance:
         for _ in range(100):
             n_groups = int(rng.choice([1, 2, 4, 8, 16]))
             snr = float(rng.uniform(-20, 60))
-            tc = desk_training(scenario, stats, n_groups=n_groups, snr_db=snr)
+            tc, rho = desk_training(scenario, stats, n_groups), desk_power(scenario, stats, snr)
             m, d = build_moments(stats, 0, tc), dense_moments(stats, 0, tc)
-            c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
+            c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho).error_cov
             assert np.abs(c - c.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() > -1e-8
             assert np.trace(c).real <= np.trace(d.cov_ss).real * (1 + 1e-10)
 
     def test_ungrouped_equals_conventional_error_covariance(self, desk):
         scenario, stats = desk
-        tc = desk_training(scenario, stats, n_groups=16, snr_db=15.0)
+        tc, rho = desk_training(scenario, stats, n_groups=16), desk_power(scenario, stats, 15.0)
         m, d = build_moments(stats, 0, tc), dense_moments(stats, 0, tc)
-        conv = d.cov_ss - d.cov_sy @ np.linalg.solve(d.cov_yy, d.cov_sy.conj().T)
-        c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).error_cov
+        conv = d.cov_ss - d.cov_sy(rho) @ np.linalg.solve(d.cov_yy(rho), d.cov_sy(rho).conj().T)
+        c = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho).error_cov
         assert np.abs(c - conv).max() < 1e-8 * np.abs(conv).max()
 
 
@@ -429,18 +439,19 @@ class TestNormalizedMse:
         # an unobserved target keeps its prior as the error; a noiseless
         # identity observation leaves none
         c = np.diag([1.0, 2.0]).astype(complex)
-        blind = linear_moments(c, np.zeros((2, 2), complex), rho=1.0, sigma2=1.0)
-        assert make_estimator(EstimatorKind.LMMSE, blind).nmse == 1.0
-        exact = linear_moments(c, np.eye(2, dtype=complex), rho=1.0, sigma2=0.0)
-        assert make_estimator(EstimatorKind.LS, exact).nmse == 0.0
+        blind = linear_moments(c, np.zeros((2, 2), complex), sigma2=1.0)
+        assert make_estimator(EstimatorKind.LMMSE, blind, 1.0).nmse == 1.0
+        exact = linear_moments(c, np.eye(2, dtype=complex), sigma2=0.0)
+        assert make_estimator(EstimatorKind.LS, exact, 1.0).nmse == 0.0
 
     def test_scalar_lmmse_value(self):
         c, z, rho, sigma2 = 2.0, 1.5 - 0.5j, 0.8, 0.3
-        m = scalar_moments(c, z, rho, sigma2)
-        filt = lmmse_filter(m)
+        m = scalar_moments(c, z, sigma2)
+        filt = lmmse_filter(m, rho)
         expected = sigma2 / (rho * abs(z) ** 2 * c + sigma2)
         assert filt.nmse == pytest.approx(expected, rel=1e-12)
-        assert make_estimator(EstimatorKind.LMMSE, m).nmse == pytest.approx(expected, rel=1e-12)
+        lmmse = make_estimator(EstimatorKind.LMMSE, m, rho)
+        assert lmmse.nmse == pytest.approx(expected, rel=1e-12)
 
 
 class TestAsymptoticMse:
@@ -452,18 +463,20 @@ class TestAsymptoticMse:
 
     def test_matches_extreme_power_evaluation(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=4, snr_db=20.0)
-        m_hi = desk_moments(scenario, stats, n_groups=4, snr_db=20.0, rho_scale=1e12)
+        m = desk_moments(scenario, stats, n_groups=4)
+        m_hi = desk_moments(scenario, stats, n_groups=4)  # a fresh set: no cache shared with m
         floor = asymptotic_mse(m)
-        at_hi = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m_hi).nmse
+        rho_hi = desk_power(scenario, stats, 20.0, rho_scale=1e12)
+        at_hi = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m_hi, rho_hi).nmse
         assert at_hi == pytest.approx(floor, rel=0.01)
 
     def test_lower_bounds_finite_power(self, desk):
         scenario, stats = desk
         floor = asymptotic_mse(desk_moments(scenario, stats, n_groups=4))
         for snr in np.linspace(-20, 60, 9):
-            m = desk_moments(scenario, stats, n_groups=4, snr_db=float(snr))
-            assert make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).nmse >= floor - 1e-10
+            m, rho = desk_moments(scenario, stats, n_groups=4), desk_power(scenario, stats, float(snr))
+            cg = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho)
+            assert cg.nmse >= floor - 1e-10
 
 
 class TestTheoryCurves:
@@ -472,15 +485,13 @@ class TestTheoryCurves:
         base = received_snr_to_power(0.0, stats, scenario.sigma_w2)
         scales = np.geomspace(1e-4, 1e8, 20)
         for n_groups, builder in [
-            (16, lambda m: lmmse_filter(m).nmse),
-            (4, lambda m: make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).nmse),
+            (16, lambda m, r: lmmse_filter(m, r).nmse),
+            (4, lambda m, r: make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, r).nmse),
         ]:
             prev = np.inf
             for s in scales:
-                tc = make_training_config(
-                    16, 2, n_groups=n_groups, rho=base * s, sigma_w2=scenario.sigma_w2
-                )
-                val = builder(build_moments(stats, 0, tc))
+                tc = make_training_config(16, 2, n_groups=n_groups, sigma_w2=scenario.sigma_w2)
+                val = builder(build_moments(stats, 0, tc), base * s)
                 assert val <= prev + 1e-10
                 prev = val
 
@@ -488,24 +499,24 @@ class TestTheoryCurves:
         scenario, stats = desk
         ratios = []
         for snr in (-10, 0, 10, 20, 30, 40):
-            m = desk_moments(scenario, stats, n_groups=4, snr_db=snr)
-            mi = desk_moments(scenario, stats, n_groups=4, snr_db=snr, ideal=True)
-            cg = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m).nmse
-            soa = grouping_lmmse_filter(m, mi).nmse
+            m, rho = desk_moments(scenario, stats, n_groups=4), desk_power(scenario, stats, snr)
+            mi = desk_moments(scenario, stats, n_groups=4, ideal=True)
+            cg = make_estimator(EstimatorKind.CORRELATED_GROUPING_LMMSE, m, rho).nmse
+            soa = grouping_lmmse_filter(m, rho, mi).nmse
             assert cg <= soa * (1 + 1e-12)
             ratios.append(soa / cg)
         assert ratios[-1] >= 1.10
 
     def test_make_estimator_dispatch(self, desk):
         scenario, stats = desk
-        m = desk_moments(scenario, stats, n_groups=4)
+        m, rho = desk_moments(scenario, stats, n_groups=4), desk_power(scenario, stats)
         mi = desk_moments(scenario, stats, n_groups=4, ideal=True)
         for kind in EstimatorKind:
-            est = make_estimator(kind, m, mi)
+            est = make_estimator(kind, m, rho, mi)
             assert est.kind == kind
             assert est.nmse >= 0
         with pytest.raises(ValueError):
-            make_estimator(EstimatorKind.GROUPING_LMMSE, m, None)
+            make_estimator(EstimatorKind.GROUPING_LMMSE, m, rho, None)
 
 
 class TestNoiseRatioForm:
@@ -519,12 +530,13 @@ class TestNoiseRatioForm:
         scenario, stats = desk
         eps, traces, norms = [], [], []
         for scale in (1e-2, 1.0, 1e3):
-            m = desk_moments(scenario, stats, n_groups=n_groups, rho_scale=scale)
-            f = make_estimator(kind, m)
-            eps.append(stats.n_users * scenario.sigma_w2 / m.aligned.rho)
+            m = desk_moments(scenario, stats, n_groups=n_groups)
+            rho = desk_power(scenario, stats, rho_scale=scale)
+            f = make_estimator(kind, m, rho)
+            eps.append(stats.n_users * scenario.sigma_w2 / rho)
             traces.append(f.mse_trace)
             norms.append(sum(
-                mult * np.linalg.norm(np.sqrt(b.rho) * w) ** 2
+                mult * np.linalg.norm(np.sqrt(rho) * w) ** 2
                 for (b, mult), w in zip(m.blocks, f.w_blocks)
             ))
         slope = (traces[0] - traces[1]) / (eps[0] - eps[1])
@@ -549,13 +561,34 @@ class TestNoiseRatioForm:
         for k in range(stats.n_users):
             m = desk_moments(scenario, stats, n_groups=n, k=k)
             for snr in range(-20, 281, 10):
-                rho = float(desk_training(scenario, stats, n, float(snr)).rho)
-                lmmse = make_estimator(EstimatorKind.LMMSE, m.at_power(rho)).nmse
-                ls = make_estimator(EstimatorKind.LS, m.at_power(rho)).nmse
+                rho = desk_power(scenario, stats, float(snr))
+                lmmse = make_estimator(EstimatorKind.LMMSE, m, rho).nmse
+                ls = make_estimator(EstimatorKind.LS, m, rho).nmse
                 if snr <= 200:
                     assert lmmse <= ls * (1 + 1e-6), (k, snr, lmmse / ls - 1)
                 if snr >= 200:
                     assert lmmse <= ls + 1e-24, (k, snr, lmmse - ls)
+
+
+class TestPilotPower:
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
+    def test_invalid_pilot_power_rejected(self, desk, rho):
+        """Every filter builder, and error_cov, rejects a pilot power outside 0 < rho < inf."""
+        scenario, stats = desk
+        m = desk_moments(scenario, stats, n_groups=4)
+        mi = desk_moments(scenario, stats, n_groups=4, ideal=True)
+        builders = [
+            lambda: conventional_ls_filter(m, rho),
+            lambda: lmmse_filter(m, rho),
+            lambda: grouping_ls_filter(m, rho),
+            lambda: grouping_lmmse_filter(m, rho, mi),
+        ] + [lambda kind=kind: make_estimator(kind, m, rho, mi) for kind in EstimatorKind]
+        for build in builders:
+            with pytest.raises(ConfigurationError, match="pilot power"):
+                build()
+        f = make_estimator(EstimatorKind.LMMSE, m, desk_power(scenario, stats))
+        with pytest.raises(ConfigurationError, match="pilot power"):
+            replace(f, rho=rho).error_cov
 
 
 @pytest.fixture(scope="module")
@@ -576,9 +609,9 @@ def assert_falls_to_floor(scenario, stats, n_groups, snrs):
         kinds.append(EstimatorKind.LMMSE)
     prev = dict.fromkeys(kinds, np.inf)
     for snr in snrs:
-        rho = float(desk_training(scenario, stats, n_groups, float(snr)).rho)
+        rho = desk_power(scenario, stats, float(snr))
         for kind in kinds:
-            f = make_estimator(kind, m.at_power(rho), mi.at_power(rho))
+            f = make_estimator(kind, m, rho, mi)
             assert f.nmse <= prev[kind] * (1 + 1e-9), (kind, snr)
             if f.nmse_floor is not None:
                 assert f.nmse >= f.nmse_floor - 1e-12, (kind, snr)

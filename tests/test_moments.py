@@ -234,22 +234,22 @@ def test_grouping_matrices_match_contiguous_slices(m, n, g):
 class TestObservationMoments:
     def test_zero_power(self):
         stats = desk_scenario().statistics()
-        tc = make_training_config(16, 2, n_groups=4, rho=0.0, sigma_w2=2.0)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=2.0)
         m = build_moments(stats, 0, tc)
         for b, _ in m.blocks:
-            np.testing.assert_array_equal(b.mean_y, 0.0)
-            np.testing.assert_allclose(b.cov_yy, 2 * 2.0 * np.eye(b.cov_yy.shape[0]), atol=1e-15)
+            np.testing.assert_array_equal(b.mean_y(0.0), 0.0)
+            cov_yy = b.cov_yy(0.0)
+            np.testing.assert_allclose(cov_yy, 2 * 2.0 * np.eye(cov_yy.shape[0]), atol=1e-15)
 
     def test_scalar_noiseless(self):
         stats = scalar_stats()
         z = np.array([[2.0 + 0j, 3.0 - 1.0j]])
         m = observation_moments(
-            stats, 0, z_full=z, z_grouped=z, rho_k=0.7, sigma_w2=0.0,
-            n_users=1,
+            stats, 0, z_full=z, z_grouped=z, sigma_w2=0.0, n_users=1,
         )
         c = cov_ss(stats, 0)
         expected = 0.7 * (z @ c @ z.conj().T)
-        np.testing.assert_allclose(m.cov_yy, expected, rtol=1e-14)
+        np.testing.assert_allclose(m.cov_yy(0.7), expected, rtol=1e-14)
 
     def test_cov_yy_hermitian_psd_fuzz(self):
         rng = np.random.default_rng(18)
@@ -266,18 +266,19 @@ class TestObservationMoments:
             stats = build_statistics(geo, fading)
             divisors = [g for g in range(1, n + 1) if n % g == 0]
             n_groups = int(rng.choice(divisors))
+            rho = float(rng.uniform(0, 2))
             tc = make_training_config(
-                n, 1, n_groups=n_groups, rho=float(rng.uniform(0, 2)),
-                sigma_w2=float(rng.uniform(1e-6, 1.0)),
+                n, 1, n_groups=n_groups, sigma_w2=float(rng.uniform(1e-6, 1.0)),
             )
             for b, _ in build_moments(stats, 0, tc).blocks:
-                assert np.abs(b.cov_yy - b.cov_yy.conj().T).max() < 1e-10
-                assert np.linalg.eigvalsh(0.5 * (b.cov_yy + b.cov_yy.conj().T)).min() > -1e-8
+                cov_yy = b.cov_yy(rho)
+                assert np.abs(cov_yy - cov_yy.conj().T).max() < 1e-10
+                assert np.linalg.eigvalsh(0.5 * (cov_yy + cov_yy.conj().T)).min() > -1e-8
 
     def test_grouped_observation_covariance_identity(self):
         # group-constant patterns make Z C_ss Z^H and Z_G C_uu Z_G^H agree
         stats = desk_scenario().statistics()
-        tc = make_training_config(16, 2, n_groups=4, rho=0.4, sigma_w2=1e-9)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=1e-9)
         for b, _ in build_moments(stats, 0, tc).blocks:
             lhs = b.Z @ b.cov_ss @ b.Z.conj().T
             rhs = b.Z_G @ cov_uu(b.cov_ss, 1, 4) @ b.Z_G.conj().T

@@ -24,6 +24,8 @@ from riscest.montecarlo import (
 from riscest.scenario import default_scenario, desk_scenario
 from riscest.training import make_training_config, mixing_blocks, synthesize_received
 
+from conftest import moment_field
+
 
 DESK_INI = Path(__file__).resolve().parents[1] / "perfbench" / "desk.ini"
 ALL_KINDS = tuple(EstimatorKind)
@@ -207,8 +209,7 @@ class TestTrialBlocks:
                 errors, _ = engine.run_cell_trial(gi, 0, trial)
                 bank = engine.bank(gi, 0)
                 obs = synthesize_received(
-                    real, engine.stats, bank.tconfig, mixing=bank.mixing,
-                    normals=noise[:, trial % b],
+                    real, engine.stats, bank.tconfig, bank.mixing, normals=noise[:, trial % b],
                 )
                 assert set(errors) == set(bank.filters)
                 for kind, per_user in bank.filters.items():
@@ -367,21 +368,25 @@ MOMENT_FIELDS = ("mean_s", "cov_ss", "mean_y", "cov_sy", "cov_yy", "Z", "Z_G")
 
 
 @pytest.mark.parametrize(
-    "make_scenario, n_groups", [(desk_scenario, (4, 16)), (default_scenario, (16, 64))]
+    "make_scenario, n_groups, snr_db",
+    [
+        (desk_scenario, (4, 16), tuple(np.arange(-20.0, 281.0, 20.0))),
+        (desk_scenario, (4, 16), tuple(np.arange(280.0, -21.0, -20.0))),
+        (default_scenario, (16, 64), (-10.0, 20.0, 50.0)),
+    ],
+    # the first and last keep the ids they had before the descending grid joined them
+    ids=["desk_scenario-n_groups0", "desk_scenario-descending", "default_scenario-n_groups1"],
 )
-def test_engine_derives_the_moments_and_filters_of_a_fresh_build(make_scenario, n_groups):
+def test_engine_derives_the_moments_and_filters_of_a_fresh_build(make_scenario, n_groups, snr_db):
     """Every SNR point's training, moments and filters equal a fresh build's bit for bit.
 
     The fresh build makes its training config, moment sets and estimators
     anew at each power, so no power-free cache is shared with the engine's.
-    Desk runs -20...280 dB; the reference setup, with 65-dimensional blocks,
-    three points.
+    Desk runs -20...280 dB in both orders, so the caches filled at the first
+    point serve every later point whichever way the grid runs; the reference
+    setup, with 65-dimensional blocks, three points.
     """
     scenario = make_scenario()
-    if make_scenario is desk_scenario:
-        snr_db = tuple(np.arange(-20.0, 281.0, 20.0))
-    else:
-        snr_db = (-10.0, 20.0, 50.0)
     cfg = SweepConfig(
         scenario=scenario, estimators=ALL_KINDS, snr_db=snr_db,
         n_trials=1, n_groups=n_groups, base_seed=0,
@@ -389,31 +394,35 @@ def test_engine_derives_the_moments_and_filters_of_a_fresh_build(make_scenario, 
     engine = SweepEngine(cfg)
     stats = engine.stats
     for gi, g in enumerate(n_groups):
-        states = None
+        state = None
         for si, snr in enumerate(cfg.snr_db):
             bank = engine.bank(gi, si)
-            states = engine._states[gi].users if states is None else states
+            state = engine._states[gi] if state is None else state
             rho = received_snr_to_power(snr, stats, scenario.sigma_w2)
             tc = make_training_config(
-                stats.n_elements, stats.n_users, n_groups=g, rho=rho, sigma_w2=scenario.sigma_w2,
+                stats.n_elements, stats.n_users, n_groups=g, sigma_w2=scenario.sigma_w2,
             )
+            assert bank.rho == rho
             assert dataclasses.asdict(bank.tconfig) == dataclasses.asdict(tc)
             for field in ("patterns", "group_patterns", "pilot_matrix"):
                 assert np.array_equal(getattr(bank.tconfig, field), getattr(tc, field)), field
-            assert np.array_equal(bank.mixing, mixing_blocks(stats, tc))
+            assert np.array_equal(bank.mixing, np.sqrt(rho) * mixing_blocks(stats, tc))
             for k in range(stats.n_users):
                 fresh = {i: build_moments(stats, k, tc, block_ideal=i) for i in (False, True)}
                 derived = {
                     False: bank.filters[EstimatorKind.GROUPING_LS][k].moments,
-                    True: states[k].model.at_power(rho),
+                    True: state.model[k],
                 }
                 for ideal, m in derived.items():
                     for (b, _), (want, _) in zip(m.blocks, fresh[ideal].blocks, strict=True):
-                        assert b.rho == want.rho
                         for field in MOMENT_FIELDS:
-                            assert np.array_equal(getattr(b, field), getattr(want, field)), field
+                            got_field, want_field = (
+                                moment_field(x, field, rho) for x in (b, want)
+                            )
+                            assert np.array_equal(got_field, want_field), field
                 for kind, per_user in bank.filters.items():
-                    got, want = per_user[k], make_estimator(kind, fresh[False], fresh[True])
+                    got = per_user[k]
+                    want = make_estimator(kind, fresh[False], rho, fresh[True])
                     assert got.kind == want.kind
                     for field in ("mse_trace", "nmse", "nmse_floor"):
                         assert getattr(got, field) == getattr(want, field), (kind, field)
@@ -614,12 +623,15 @@ class TestBankLifetime:
     def test_state_dropped_after_the_last_snr_point(self):
         engine = SweepEngine(desk_config(snr_db=(0.0, 10.0, 20.0), n_groups=(4, 16)))
         engine.bank(0, 0)
-        states = [weakref.ref(state) for state in engine._states[0].users]
-        assert len(states) == engine.stats.n_users
+        # the state and its block-ideal sets; the true sets live on in the last bank's filters
+        state = engine._states[0]
+        states = [weakref.ref(x) for x in (state, *state.model)]
+        del state
+        assert len(states) == 1 + engine.stats.n_users
         engine.bank(0, 1)
         gc.collect()
         assert all(ref() is not None for ref in states)
-        assert engine._states[0].users == [ref() for ref in states]
+        assert engine._states[0] is states[0]()
         engine.bank(0, 2)
         gc.collect()
         assert all(ref() is None for ref in states)

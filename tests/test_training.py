@@ -122,7 +122,7 @@ class TestBuildZ:
 
     def test_shapes(self, desk):
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=4, rho=0.1, sigma_w2=scenario.sigma_w2)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=scenario.sigma_w2)
         z = build_Z(0, stats, tc)
         z_g = build_Z(0, stats, tc, grouped=True)
         m, t = stats.m_antennas, tc.n_patterns
@@ -131,7 +131,7 @@ class TestBuildZ:
 
     def test_structure_per_pattern(self, desk):
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=4, rho=0.1, sigma_w2=scenario.sigma_w2)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=scenario.sigma_w2)
         z = build_Z(1, stats, tc)
         m = stats.m_antennas
         k = tc.n_users
@@ -145,7 +145,7 @@ class TestBuildZ:
 
     def test_grouped_equals_full_when_ungrouped(self, desk):
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=16, rho=0.1, sigma_w2=scenario.sigma_w2)
+        tc = make_training_config(16, 2, n_groups=16, sigma_w2=scenario.sigma_w2)
         np.testing.assert_array_equal(
             build_Z(0, stats, tc), build_Z(0, stats, tc, grouped=True)
         )
@@ -159,11 +159,11 @@ class TestTrainingConfig:
         assert tc.group_size == 4
 
     def test_holds_its_inputs_and_derives_the_rest(self):
-        tc = TrainingConfig(6, 2, 3, 4, rho=0.5, sigma_w2=1.0)
+        tc = TrainingConfig(6, 2, 3, 4, sigma_w2=1.0)
         assert [f.name for f in fields(tc)] == [
-            "n_elements", "n_users", "n_groups", "n_patterns", "rho", "sigma_w2",
+            "n_elements", "n_users", "n_groups", "n_patterns", "sigma_w2",
         ]
-        assert tc.rho == 0.5
+        assert tc.sigma_w2 == 1.0
         patterns, group_patterns = training_patterns(6, 3, 4)
         np.testing.assert_array_equal(tc.patterns, patterns)
         np.testing.assert_array_equal(tc.group_patterns, group_patterns)
@@ -182,50 +182,52 @@ class TestSynthesis:
         geo.ue_positions = geo.ue_positions[:1]
         sub.fading.eta = sub.fading.eta[:2]
         stats1 = sub.statistics()
-        tc = make_training_config(16, 1, n_groups=4, rho=0.25, sigma_w2=0.0)
+        tc = make_training_config(16, 1, n_groups=4, sigma_w2=0.0)
         real = ChannelSampler(stats1).sample(np.random.default_rng(0))
-        obs = synthesize_received(real, stats1, tc, np.random.default_rng(1))
+        mixing = np.sqrt(0.25) * mixing_blocks(stats1, tc)
+        obs = synthesize_received(real, stats1, tc, mixing, np.random.default_rng(1))
         expected = np.sqrt(0.25) * (build_Z(0, stats1, tc) @ real.s[0])
         np.testing.assert_allclose(obs.y_combined[0], expected, rtol=1e-12)
 
     def test_interuser_cancellation(self, desk):
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=4, rho=0.25, sigma_w2=0.0)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=0.0)
         real = ChannelSampler(stats).sample(np.random.default_rng(4))
         masked = ChannelRealization(
             b=real.b, g=real.g, A=real.A, S=np.stack([np.zeros_like(real.S[0]), real.S[1]])
         )
-        obs = synthesize_received(masked, stats, tc, np.random.default_rng(5))
+        mixing = np.sqrt(0.25) * mixing_blocks(stats, tc)
+        obs = synthesize_received(masked, stats, tc, mixing, np.random.default_rng(5))
         leak = np.linalg.norm(obs.y_combined[0]) / np.linalg.norm(obs.y_combined[1])
         assert leak < 1e-10
 
     def test_linear_model_reconstruction(self, desk):
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=4, rho=0.3, sigma_w2=scenario.sigma_w2)
+        tc, rho = make_training_config(16, 2, n_groups=4, sigma_w2=scenario.sigma_w2), 0.3
         rng = np.random.default_rng(6)
         real = ChannelSampler(stats).sample(rng)
-        obs = synthesize_received(real, stats, tc, rng)
+        obs = synthesize_received(real, stats, tc, np.sqrt(rho) * mixing_blocks(stats, tc), rng)
         for k in range(2):
             w_comb = np.einsum(
                 "tim,i->tm", obs.noise_raw, tc.pilot_matrix[k].conj()
             ).reshape(-1)
-            model = np.sqrt(tc.rho) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
+            model = np.sqrt(rho) * (build_Z(k, stats, tc) @ real.s[k]) + w_comb
             rel = np.linalg.norm(obs.y_combined[k] - model) / np.linalg.norm(model)
             assert rel < 1e-10
 
     def test_combined_noise_covariance(self, desk):
         scenario, stats = desk
         sigma = 2.5
-        tc = make_training_config(16, 2, n_groups=4, rho=1.0, sigma_w2=sigma)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=sigma)
         zero = ChannelSampler(stats).sample(np.random.default_rng(7))
         zero = ChannelRealization(b=zero.b, g=zero.g, A=zero.A, S=np.zeros_like(zero.S))
         rng = np.random.default_rng(8)
         n_draws = 10_000
         dim = stats.m_antennas * tc.n_patterns
         acc = np.zeros((dim, dim), dtype=complex)
-        mixing = mixing_blocks(stats, tc)
+        mixing = mixing_blocks(stats, tc)  # at unit pilot power
         for _ in range(n_draws):
-            obs = synthesize_received(zero, stats, tc, rng, mixing=mixing)
+            obs = synthesize_received(zero, stats, tc, mixing, rng)
             y = obs.y_combined[0]
             acc += np.outer(y, y.conj())
         cov = acc / n_draws
@@ -234,21 +236,23 @@ class TestSynthesis:
 
     def test_estimators_share_observations(self, desk):
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=4, rho=0.3, sigma_w2=scenario.sigma_w2)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=scenario.sigma_w2)
         real = ChannelSampler(stats).sample(np.random.default_rng(9))
-        obs1 = synthesize_received(real, stats, tc, np.random.default_rng(10))
-        obs2 = synthesize_received(real, stats, tc, np.random.default_rng(10))
+        mixing = np.sqrt(0.3) * mixing_blocks(stats, tc)
+        obs1 = synthesize_received(real, stats, tc, mixing, np.random.default_rng(10))
+        obs2 = synthesize_received(real, stats, tc, mixing, np.random.default_rng(10))
         np.testing.assert_array_equal(obs1.y_combined, obs2.y_combined)
         np.testing.assert_array_equal(obs1.noise_raw, obs2.noise_raw)
 
     def test_antenna_major_observations_in_a_reused_workspace(self, desk):
         """y_antenna[k, m, ..., t] is y_combined[..., k, t*M + m], in a workspace or not."""
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=4, rho=0.3, sigma_w2=scenario.sigma_w2)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=scenario.sigma_w2)
+        mixing = np.sqrt(0.3) * mixing_blocks(stats, tc)
         sampler = ChannelSampler(stats)
         normals = np.random.default_rng(13).standard_normal((3, sampler.n_normals + 200))
         real = sampler.sample(normals=normals[:, :sampler.n_normals])
-        fresh = synthesize_received(real, stats, tc, normals=normals[:, sampler.n_normals:])
+        fresh = synthesize_received(real, stats, tc, mixing, normals=normals[:, sampler.n_normals:])
         k_users, m, t = tc.n_users, stats.m_antennas, tc.n_patterns
         assert fresh.y_antenna.shape == (k_users, m, 3, t)
         assert fresh.noise_raw.shape == (3, t, k_users, m)
@@ -257,7 +261,7 @@ class TestSynthesis:
         workspace = np.full(3 * fresh.y_antenna.size + 5, np.nan, dtype=complex)
         for _ in range(2):
             reused = synthesize_received(
-                real, stats, tc, normals=normals[:, sampler.n_normals:], workspace=workspace
+                real, stats, tc, mixing, normals=normals[:, sampler.n_normals:], workspace=workspace
             )
             assert np.shares_memory(reused.y_antenna, workspace)
             np.testing.assert_array_equal(reused.y_antenna, fresh.y_antenna)
@@ -265,8 +269,9 @@ class TestSynthesis:
 
     def test_size_mismatch_rejected(self, desk):
         scenario, stats = desk
-        tc = make_training_config(16, 2, n_groups=4, rho=0.3, sigma_w2=1.0)
+        tc = make_training_config(16, 2, n_groups=4, sigma_w2=1.0)
         real = ChannelSampler(stats).sample(np.random.default_rng(11))
         bad = ChannelRealization(b=real.b, g=real.g, A=real.A, S=real.S[:, :-1])
+        mixing = np.sqrt(0.3) * mixing_blocks(stats, tc)
         with pytest.raises(ConfigurationError):
-            synthesize_received(bad, stats, tc, np.random.default_rng(12))
+            synthesize_received(bad, stats, tc, mixing, np.random.default_rng(12))
