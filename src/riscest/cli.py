@@ -156,7 +156,22 @@ def _reproduce(config: RunConfig, workers: int) -> int:
     return cmd_sweep(config, workers=workers)
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "theory": "closed-form NMSE curves",
+    "sweep": "Monte Carlo NMSE sweep",
+    "validate": "run every invariant check and acceptance criterion",
+    "reproduce-fig2": "estimator comparison at the reference setup",
+    "reproduce-fig3": "group-count comparison at the reference setup",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The riscest parser, with only command's subcommand parser when command is given.
+
+    A subcommand's parser and its help do not depend on the others, so a
+    call naming its command builds that one alone; without one every
+    subcommand is built, for the top-level help and its errors.
+    """
     parser = argparse.ArgumentParser(
         prog="riscest",
         description="Channel-estimation theory curves and Monte Carlo sweeps "
@@ -177,11 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
             p.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
 
-    add_common(sub.add_parser("theory", help="closed-form NMSE curves"), needs_trials=False)
-    add_common(sub.add_parser("sweep", help="Monte Carlo NMSE sweep"))
-    sub.add_parser("validate", help="run every invariant check and acceptance criterion")
-    add_common(sub.add_parser("reproduce-fig2", help="estimator comparison at the reference setup"))
-    add_common(sub.add_parser("reproduce-fig3", help="group-count comparison at the reference setup"))
+    for name, text in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=text)
+            if name != "validate":
+                add_common(p, needs_trials=name != "theory")
     return parser
 
 
@@ -204,8 +219,13 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option but -h, so a command comes first
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported by the full parser, whose usage names every subcommand
+        build_parser().parse_args(argv)
     try:
         if args.command == "validate":
             return cmd_validate()

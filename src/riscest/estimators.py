@@ -11,28 +11,36 @@ the grouped observation.  One LMMSE rule therefore builds both LMMSE kinds,
 which differ only in their label and in the training their moment set was
 built from.
 
-Every estimator is affine in the observation, so each carries a precomputed
-filter matrix plus its exact error trace under the true moments.  No
-moment set holds a pilot power: rho is an argument of every builder here
-and enters only through eps = K sigma^2 / rho (`_eps`, which rejects any
-rho outside 0 < rho < inf).  Every filter is W = V(eps) / sqrt(rho), with
-V built from one cached eigendecomposition of Q = Z C Z^H per block, so no
-system is solved.  One clipped inverse
-(`_inverse_spectra`) turns Q's spectrum into 1/(lambda + eps), at the rule's
-eps and at eps = 0, and drops every lambda at or below the relative cutoff,
-so round-off in a null direction is never multiplied by 1/eps.  Error
-statistics use the stabilized (sum-of-PSD-terms) arrangement in V and eps to
-stay accurate at very high transmit power, and the power floor is LMMSE's
-trace at eps = 0; the trace is formed when the estimator is built, the
-covariance on read.
+Every estimator is affine in the observation, so each carries its exact
+error trace under the true moments and forms its filter only when read.
+No moment set holds a pilot power: rho is an argument of every builder
+here and enters only through eps = K sigma^2 / rho (`_eps`, which rejects
+any rho outside 0 < rho < inf).  Every filter is W = V(eps) / sqrt(rho),
+and every LMMSE-type rule (both LMMSE kinds and grouping LMMSE) is
+V = F D U^H per block, with the power-free factor F = C Z^H U for LMMSE
+and F = E G_u U for grouping LMMSE, U from one cached eigendecomposition
+of Q = Z C Z^H per block and D diagonal, so no system is solved.  One
+clipped inverse (`_inverse_spectra`) turns Q's spectrum into
+1/(lambda + eps), at the rule's eps and at eps = 0, and drops every lambda
+at or below the relative cutoff, so round-off in a null direction is
+never multiplied by 1/eps.  Error statistics use the stabilized
+(sum-of-PSD-terms) arrangement in V and eps to stay accurate at very high
+transmit power, and the power floor is LMMSE's trace at eps = 0.
 
 What holds no pilot power is kept in the power_free cache of each block
 (`MomentSet.power_free`), which serves every power the block is built at:
-the spectrum (lambda, U), the LS and grouping-LS rules with their
-rank flags and, per block, the three sums of their error traces
-(`_trace_terms`), the grouping-LMMSE factor and the floor.  An LS trace at
-any power is then t_A + eps t_V (+ t_bias); only the LMMSE-type rules and
-their traces are formed per power.
+the spectrum (lambda, U), the LS and grouping-LS rules with their rank
+flags and, per block, the three sums of their error traces
+(`_trace_terms`), the grouping-LMMSE factor, the floor and, where
+T < N+1, each LMMSE-type rule's `_Projection`: the products along range(F)
+that give its trace.  An LS trace at any power is then
+t_A + eps t_V (+ t_bias).  An LMMSE-type trace at T < N+1 costs a point two
+(T, T) x (T, N+1) products per block and forms no V; at T = N+1 the point
+forms V for the trace, and the filter is formed from it.  The trace is formed when
+the estimator is built; the filters W = V / sqrt(rho) and the offset are
+formed, with the same arithmetic whenever it happens, on their first read
+(`AffineEstimator.w_blocks`), so a theory curve forms none, and the error
+covariances on theirs.
 
 Each filter function runs on the blocks of its moment set
 (`MomentSet.blocks`): the aligned block plus the orthogonal block standing
@@ -52,9 +60,10 @@ forms keep the same spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -97,19 +106,21 @@ class AffineEstimator:
     w_blocks are the per-block filters of the true moment set `moments`,
     whose antenna factor is r (None for a dense set).  In the antenna basis
     the rule estimates column 0 of the target as offset + W_0 x_0 and every
-    other column m as W_1 x_m (`residual`).  The per-block error_blocks, the
-    dense W and error_cov are formed on first read.  Each W_i is
-    V_i(eps) / sqrt(rho) for the power-free rule V_i at the pilot power rho
-    the rule was built for (module docstring), and the error terms are
-    formed in V and eps.
+    other column m as W_1 x_m (`residual`).  w_blocks and offset, the
+    per-block error_blocks, the dense W and error_cov are formed on first
+    read; w_blocks and offset come from `arrays`, which copies made with
+    `dataclasses.replace` share, so a rule two kinds share is formed once.
+    Each W_i is V_i(eps) / sqrt(rho) for the power-free rule V_i at the
+    pilot power rho the rule was built for (module docstring), and the
+    error terms are formed in V and eps.
     """
 
     kind: EstimatorKind
-    w_blocks: tuple[np.ndarray, ...]
+    # (w_blocks, offset), formed on the first call and the same arrays after
+    arrays: Callable[[], tuple[tuple[np.ndarray, ...], np.ndarray | float]] = field(repr=False)
     innovation: bool  # False: raw-linear rule W y with no mean terms
     moments: MomentSet | AntennaMomentSet
     rho: float  # the pilot power the rule was built for
-    offset: np.ndarray | float  # mean_s - W_0 mean_y on the first block, 0 for the raw rule
     mse_trace: float
     nmse: float
     nmse_floor: float | None = None
@@ -118,6 +129,15 @@ class AffineEstimator:
     @property
     def r(self) -> np.ndarray | None:
         return self.moments.r
+
+    @property
+    def w_blocks(self) -> tuple[np.ndarray, ...]:
+        return self.arrays()[0]
+
+    @property
+    def offset(self) -> np.ndarray | float:
+        """mean_s - W_0 mean_y on the first block, 0 for the raw rule."""
+        return self.arrays()[1]
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -226,7 +246,7 @@ def _error_terms(
 
 
 def _trace_terms(v: np.ndarray, b: MomentSet, innovation: bool) -> _TraceTerms:
-    """The power-free sums of the error trace of rule v on block b.
+    """The sums of the error trace of rule v on block b.
 
     Re sum (A C_ss) (.) conj(A), ||V||_F^2 and the raw-linear rule's
     ||bias||^2 (None for an innovation rule), the diagonal sums of the PSD
@@ -238,6 +258,49 @@ def _trace_terms(v: np.ndarray, b: MomentSet, innovation: bool) -> _TraceTerms:
         np.vdot(v, v).real,
         None if bias is None else np.vdot(bias, bias).real,
     )
+
+
+@dataclass(frozen=True)
+class _Projection:
+    """Power-free products giving the error trace of a rule V = F D U^H on a block with T < N+1.
+
+    With the thin QR F = Q R, V = Q R D U^H lies in range(Q), so
+    A = I - V Z = P + Q B with P = I - Q Q^H and B = Q^H - (R D)(U^H Z);
+    Q^H P = 0, hence tr(A C A^H) = tr(P C P) + Re <B, B C> with
+    B C = Q^H C - (R D)(U^H Z C), and ||V||_F^2 = sum_k d_k^2 ||f_k||^2.  Both
+    are sums of PSD terms (Golub and Van Loan, Matrix Computations, on
+    orthogonal projectors), and a power costs two (T, T) x (T, N+1) products.
+    """
+
+    r: np.ndarray  # (T, T)
+    qh: np.ndarray  # (T, N+1) Q^H
+    qh_c: np.ndarray  # Q^H C
+    uh_z: np.ndarray  # U^H Z
+    uh_zc: np.ndarray  # U^H Z C
+    t_perp: float  # tr(P C P)
+    f_norms: np.ndarray  # (T,) ||f_k||^2
+
+
+def _projection(b: MomentSet, f: np.ndarray, u: np.ndarray) -> _Projection:
+    """The `_Projection` of the rule with factor f and eigenvectors u on block b."""
+    q, r = np.linalg.qr(f)
+    qh = q.conj().T
+    qh_c = qh @ b.cov_ss
+    perp = np.eye(f.shape[0]) - q @ qh
+    c_perp = b.cov_ss - qh_c.conj().T @ qh  # C P, with C Q = (Q^H C)^H
+    return _Projection(
+        r=r, qh=qh, qh_c=qh_c, uh_z=u.conj().T @ b.Z,
+        uh_zc=(b.cov_szh @ u).conj().T,  # (C Z^H U)^H
+        t_perp=np.vdot(perp, c_perp).real,
+        f_norms=np.einsum("ij,ij->j", f.conj(), f).real,
+    )
+
+
+def _projected_terms(p: _Projection, d: np.ndarray) -> _TraceTerms:
+    """`_trace_terms` of the innovation rule V = F D U^H from its block's `_Projection`."""
+    rd = p.r * d
+    b = p.qh - rd @ p.uh_z
+    return p.t_perp + np.vdot(b, p.qh_c - rd @ p.uh_zc).real, p.f_norms @ (d * d), None
 
 
 def _trace(terms: _TraceTerms, eps: float) -> float:
@@ -269,49 +332,93 @@ def _error_cov(w: np.ndarray, b: MomentSet, rho: float, innovation: bool) -> np.
 
 def _finalize(
     kind: EstimatorKind,
-    vs: list[np.ndarray],
+    form: Callable[[], list[np.ndarray]],
     m: MomentSet | AntennaMomentSet,
     rho: float,
-    terms: list[_TraceTerms] | None = None,
+    terms: list[_TraceTerms],
     innovation: bool = True,
     degenerate: bool = False,
     nmse_floor: float | None = None,
 ) -> AffineEstimator:
-    """Estimator from the per-block power-free rules vs of m, at pilot power rho.
+    """Estimator at pilot power rho from the `_trace_terms` of each block of m.
 
     The error trace is summed over the blocks with their multiplicities
-    (`_trace`); no error covariance is formed here.  terms are each
-    block's `_trace_terms` of a rule that holds no power, kept by the caller;
-    a rule built at m's eps has them formed here.  The offset is
-    c = mean_s_0 - V_0 Z mean_s_0 on the first block: in the antenna form only
-    the aligned block has a mean, so only column 0 of the rotated estimate
-    carries it.
+    (`_trace`); no error covariance is formed here.  form returns the
+    per-block power-free rules V, and is called on the first read of the
+    filters W = V / sqrt(rho) or of the offset
+    c = mean_s_0 - V_0 Z mean_s_0 on the first block: in the antenna form
+    only the aligned block has a mean, so only column 0 of the rotated
+    estimate carries it.
     """
-    if terms is None:
-        terms = [_trace_terms(v, b, innovation) for (b, _), v in zip(m.blocks, vs)]
-    trace, eps = 0.0, _eps(m, rho)
+    trace, eps = 0.0, _eps(m, rho)  # rejects rho before any filter divides by sqrt(rho)
     for (_, mult), t in zip(m.blocks, terms):
         trace += mult * _trace(t, eps)
-    offset = 0.0
-    if innovation:
-        b0, _ = m.blocks[0]
-        offset = b0.mean_s - vs[0] @ b0.z_mean
-    ws = {id(v): v / np.sqrt(rho) for v in vs}  # LS shares one over the blocks
+    formed = None
+
+    def arrays() -> tuple[tuple[np.ndarray, ...], np.ndarray | float]:
+        nonlocal form, formed
+        if formed is None:
+            vs, form = form(), None  # no V is kept past its filters
+            offset = 0.0
+            if innovation:
+                b0, _ = m.blocks[0]
+                offset = b0.mean_s - vs[0] @ b0.z_mean
+            ws = {id(v): v / np.sqrt(rho) for v in vs}  # LS shares one over the blocks
+            formed = tuple(ws[id(v)] for v in vs), offset
+        return formed
+
     return AffineEstimator(
-        kind=kind,
-        w_blocks=tuple(ws[id(v)] for v in vs),
-        innovation=innovation, moments=m, rho=rho, offset=offset, mse_trace=trace,
-        nmse=trace / m.prior_trace, nmse_floor=nmse_floor, degenerate=degenerate,
+        kind=kind, arrays=arrays, innovation=innovation, moments=m, rho=rho,
+        mse_trace=trace, nmse=trace / m.prior_trace, nmse_floor=nmse_floor,
+        degenerate=degenerate,
     )
 
 
-def _lmmse_rules(m: MomentSet | AntennaMomentSet, eps: float) -> list[np.ndarray]:
-    """V = F D U^H per block of m, with F = C Z^H U and D = `_inverse_spectra(m, eps)`."""
-    vs = []
-    for (b, _), d in zip(m.blocks, _inverse_spectra(m, eps)):
-        _, u = _spectrum(b)
-        vs.append(((b.cov_szh @ u) * d) @ u.conj().T)
-    return vs
+def _rules(
+    factors: list[np.ndarray], us: list[np.ndarray], ds: list[np.ndarray]
+) -> list[np.ndarray]:
+    """V = F D U^H per block: the one step that forms a spectral rule."""
+    return [(f * d) @ u.conj().T for f, u, d in zip(factors, us, ds)]
+
+
+def _spectral_rule(
+    m: MomentSet | AntennaMomentSet,
+    m_model: MomentSet | AntennaMomentSet,
+    factors: Callable[[], list[np.ndarray]],
+    key: object,
+    eps: float,
+) -> tuple[list[_TraceTerms], Callable[[], list[np.ndarray]]]:
+    """The `_trace_terms` on m of V = F D U^H per block, and a function forming the V.
+
+    factors returns the F, and (lambda, U) are the spectra of m_model's
+    blocks, D = `_inverse_spectra(m_model, eps)`.  With fewer observations
+    than unknowns (T < N+1) the terms come from each block's `_Projection`,
+    kept under key in m_model's first block, and no V is formed until the
+    function is called; at T = N+1 the V are formed for their terms, and
+    the function returns them.
+    """
+    ds = _inverse_spectra(m_model, eps)
+    us = [_spectrum(b)[1] for b, _ in m_model.blocks]
+    z = m_model.blocks[0][0].Z
+    if z.shape[0] < z.shape[1]:
+        cache = m_model.blocks[0][0].power_free
+        if key not in cache:
+            cache[key] = [_projection(b, f, u) for (b, _), f, u in zip(m.blocks, factors(), us)]
+        terms = [_projected_terms(p, d) for p, d in zip(cache[key], ds)]
+        return terms, lambda: _rules(factors(), us, ds)
+    vs = _rules(factors(), us, ds)
+    return [_trace_terms(v, b, True) for (b, _), v in zip(m.blocks, vs)], lambda: vs
+
+
+def _lmmse_rule(
+    m: MomentSet | AntennaMomentSet, eps: float
+) -> tuple[list[_TraceTerms], Callable[[], list[np.ndarray]]]:
+    """`_spectral_rule` of LMMSE on m, whose F = C Z^H U is formed where it is used."""
+
+    def factors() -> list[np.ndarray]:
+        return [b.cov_szh @ _spectrum(b)[1] for b, _ in m.blocks]
+
+    return _spectral_rule(m, m, factors, "lmmse_projections", eps)
 
 
 def lmmse_filter(m: MomentSet | AntennaMomentSet, rho: float) -> AffineEstimator:
@@ -321,8 +428,8 @@ def lmmse_filter(m: MomentSet | AntennaMomentSet, rho: float) -> AffineEstimator
     LMMSE (module docstring), which `make_estimator` labels as such.  Its
     floor is `asymptotic_mse`, the same rule's trace at eps = 0.
     """
-    vs = _lmmse_rules(m, _eps(m, rho))
-    return _finalize(EstimatorKind.LMMSE, vs, m, rho, nmse_floor=asymptotic_mse(m))
+    terms, form = _lmmse_rule(m, _eps(m, rho))
+    return _finalize(EstimatorKind.LMMSE, form, m, rho, terms, nmse_floor=asymptotic_mse(m))
 
 
 def _ls_rule(
@@ -361,7 +468,7 @@ def conventional_ls_filter(m: MomentSet | AntennaMomentSet, rho: float) -> Affin
     """Least squares on the raw observation; minimum-norm on blocked columns."""
     v, degenerate, terms = _ls_rule(m, grouped=False)
     return _finalize(
-        EstimatorKind.LS, [v] * len(m.blocks), m, rho, terms,
+        EstimatorKind.LS, lambda: [v] * len(m.blocks), m, rho, terms,
         innovation=False, degenerate=degenerate,
     )
 
@@ -374,7 +481,8 @@ def grouping_ls_filter(m: MomentSet | AntennaMomentSet, rho: float) -> AffineEst
     """LS of the group aggregates, expanded by equal division."""
     v, degenerate, terms = _ls_rule(m, grouped=True)
     return _finalize(
-        EstimatorKind.GROUPING_LS, [v] * len(m.blocks), m, rho, terms, degenerate=degenerate
+        EstimatorKind.GROUPING_LS, lambda: [v] * len(m.blocks), m, rho, terms,
+        degenerate=degenerate,
     )
 
 
@@ -387,11 +495,11 @@ def grouping_lmmse_filter(
     returned error statistics are still evaluated under the true moments m.
     Both sets must come in the same form (both dense or both antenna-domain).
     V = E G_u D U^H on m_model's spectrum, with G_u = C_uu Z_G^H U for the
-    aggregates' prior C_uu = P C P^H (`moments.cov_uu`); E G_u is cached.
+    aggregates' prior C_uu = P C P^H (`moments.cov_uu`); E G_u is kept in
+    m_model's cache, and so are the projections on m, so they go with m_model.
     """
     if len(m.blocks) != len(m_model.blocks):
         raise ValueError("the model moments and the true moments are in different forms")
-    ds = _inverse_spectra(m_model, _eps(m_model, rho))
     cache = m_model.blocks[0][0].power_free
     if "grouping_lmmse" not in cache:  # E and C_uu are built once per set
         e = _expansion(m_model.blocks[0][0])
@@ -399,9 +507,11 @@ def grouping_lmmse_filter(
             e @ (cov_uu(b.cov_ss, b.m_antennas, b.n_groups) @ b.Z_G.conj().T) @ _spectrum(b)[1]
             for b, _ in m_model.blocks
         ]
-    factors = zip(m_model.blocks, cache["grouping_lmmse"], ds)
-    vs = [(eg * d) @ _spectrum(b)[1].conj().T for (b, _), eg, d in factors]
-    return _finalize(EstimatorKind.GROUPING_LMMSE, vs, m, rho)
+    factors = cache["grouping_lmmse"]
+    terms, form = _spectral_rule(
+        m, m_model, lambda: factors, ("projections", m), _eps(m_model, rho)
+    )
+    return _finalize(EstimatorKind.GROUPING_LMMSE, form, m, rho, terms)
 
 
 def make_estimator(
@@ -430,16 +540,15 @@ def make_estimator(
 def asymptotic_mse(m: MomentSet | AntennaMomentSet) -> float:
     """Infinite-power limit of the LMMSE normalized MSE, the floor of both LMMSE kinds.
 
-    LMMSE's error trace at eps = 0, over the prior trace: the same rule every
-    finite power builds, with D = `_inverse_spectra(m, 0.0)`, the
-    pseudo-inverse of lambda at the one relative cutoff.  The trace is a sum
-    of PSD terms, so it needs no clamp.  The value is power-free and kept in
-    the cache of m's first block.
+    LMMSE's error trace at eps = 0, over the prior trace: the same rule and
+    trace every finite power forms (`_lmmse_rule`), with
+    D = `_inverse_spectra(m, 0.0)`, the pseudo-inverse of lambda at the one
+    relative cutoff.  The trace is a sum of PSD terms, so it needs no clamp.
+    The value is power-free and kept in the cache of m's first block.
     """
     b0, _ = m.blocks[0]
     if "floor" not in b0.power_free:
-        vs = _lmmse_rules(m, 0.0)
-        terms = [_trace_terms(v, b, True) for (b, _), v in zip(m.blocks, vs)]
+        terms, _ = _lmmse_rule(m, 0.0)
         trace = sum(mult * _trace(t, 0.0) for (_, mult), t in zip(m.blocks, terms))
         b0.power_free["floor"] = trace / m.prior_trace
     return b0.power_free["floor"]

@@ -20,10 +20,12 @@ of the stream and changes no output byte.
 
 Each group count keeps one power-free state (`build_group_state`): its
 training round, every user's mixing block and each user's moment sets,
-whose caches hold the spectra, LS rules, trace sums, prior traces and
-floors.  Every SNR point of the group count builds its cell's filters from
-that state at its own pilot power, with the same bits as a fresh build; at
-G = N one LMMSE rule serves both LMMSE kinds and is scored once.
+whose caches hold the spectra, LS rules, trace sums, prior traces, the
+grouping-LMMSE factor, the LMMSE-type projected trace products and the
+floors.  Every SNR point of the group count builds its cell's estimators
+from that state at its own pilot power, with the same bits as a fresh
+build; their filters are formed only when trials read them.  At G = N one
+LMMSE rule serves both LMMSE kinds and is scored once.
 
 Trials run in the antenna basis (`moments.antenna_basis`): synthesis
 multiplies each user's (T, N+1) mixing block with its antenna-major
@@ -193,7 +195,10 @@ class _GroupState:
     grouping LMMSE is built).  None of them holds a pilot power, so every
     power point reads them as they are, and the sets' caches
     (`MomentSet.power_free`: spectra, LS rules and their trace sums, prior
-    traces, the grouping-LMMSE factor and the floor) serve every point.
+    traces, the grouping-LMMSE factor, the LMMSE-type projected trace
+    products and the floor) serve every point.  Grouping LMMSE keeps its
+    factor and products in the block-ideal sets' caches, so the products go
+    with the state.
     """
 
     tconfig: TrainingConfig
@@ -239,8 +244,9 @@ def build_cell_bank(
     state is the group count's power-free state (`build_group_state`), from
     which this cell builds its filters at its own pilot power rho, with the
     same bits as building it anew; without one, a state is built.  Only the
-    per-point products of the cached spectral rules, and sqrt(rho) times the
-    state's mixing blocks, remain per cell.
+    per-point traces of the cached spectral rules, and sqrt(rho) times the
+    state's mixing blocks, remain per cell; a filter is formed when trials
+    first read it.
     At G = N the LMMSE and correlated-grouping LMMSE kinds are one rule on
     one moment set (`estimators`), so when both are asked for, the rule is
     built once per user as LMMSE and the correlated entry shares its arrays.

@@ -129,8 +129,10 @@ class TrainingConfig:
             self.n_elements, self.n_groups, self.n_patterns
         )
         self.pilot_matrix = pilot_sequences(self.n_users)
-        if self.sigma_w2 < 0:
-            raise ConfigurationError("the noise power must be nonnegative")
+        if not 0.0 <= self.sigma_w2 < np.inf:
+            raise ConfigurationError(
+                f"the noise power must be nonnegative and finite, got {self.sigma_w2:g}"
+            )
 
     @property
     def tau_p(self) -> int:

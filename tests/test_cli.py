@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import riscest
-from riscest.cli import SWEEP_COLUMNS, _sweep_config, main, read_csv, write_csv
+from riscest.cli import (
+    COMMANDS,
+    SWEEP_COLUMNS,
+    _sweep_config,
+    build_parser,
+    main,
+    read_csv,
+    write_csv,
+)
 from riscest.errors import ConfigurationError
 from riscest.moments import group_expansion_matrix
 from riscest.montecarlo import SweepEngine
@@ -305,6 +313,35 @@ class TestTheoryCommand:
         # LS at G = 4, both LS kinds at G = 16, and each group count's true prior
         assert counts == [(2, 2 * 2 * 3, 2 * 2 * 2)] * 2
 
+    def test_filters_formed_only_where_trials_read_them(self, monkeypatch, tmp_path):
+        """A T < N+1 theory walk forms no spectral rule; a sweep forms each rule once per point."""
+        import riscest.estimators as est
+
+        calls = []
+        rules = est._rules
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rules(*args, **kwargs)
+
+        monkeypatch.setattr(est, "_rules", counted)
+        all_kinds = [kind.value for kind in est.EstimatorKind]
+        grid = ["--snr-min-db", "-20", "--snr-max-db", "80", "--snr-step-db", "10"]
+        assert main([
+            "theory", "--config", str(DESK_INI), "--groups", "2", "4", "8",
+            "--estimators", *all_kinds, *grid, "--out", str(tmp_path / "theory.csv"),
+        ]) == 0
+        _, rows = read_csv(str(tmp_path / "theory.csv"))
+        assert len(rows) == 3 * 11 * 3  # three grouped kinds, 11 points, 3 group counts
+        assert calls == []
+        assert main([
+            "sweep", "--config", str(DESK_INI), "--groups", "4", "--estimators", *all_kinds,
+            "--snr-min-db", "0", "--snr-max-db", "10", "--snr-step-db", "10", "--trials", "3",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        # grouping LMMSE and correlated grouping, per (point, user)
+        assert len(calls) == 2 * 2 * 2
+
     def test_empty_estimator_list_is_usage_error(self, tmp_path, desk_ini, capsys):
         path = tmp_path / "empty.ini"
         path.write_text(DESK_SCENARIO_INI.replace(
@@ -320,6 +357,23 @@ class TestTheoryCommand:
         header = out.read_text().splitlines()[0]
         assert header.startswith("# config_hash=")
         assert len(header.split("=", 1)[1]) == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([command, "--help"] for command in COMMANDS),
+    ["theory", "--bogus"], ["bogus"], [],
+])
+def test_named_command_parser_prints_the_full_parsers_bytes(argv, monkeypatch, capsys):
+    """main builds only the named subcommand's parser; its help and errors are the full one's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    outputs = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        outputs.append((exc.value.code, captured.out, captured.err))
+    assert outputs[0] == outputs[1]
+    assert (outputs[0][1] + outputs[0][2]).startswith("usage: riscest")
 
 
 @pytest.mark.parametrize("command", ["theory", "sweep"])

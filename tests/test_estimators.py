@@ -570,6 +570,47 @@ class TestNoiseRatioForm:
                     assert lmmse <= ls + 1e-24, (k, snr, lmmse - ls)
 
 
+def _scenario(make, direct_blocked):
+    scenario = make()
+    scenario.fading.direct_blocked = direct_blocked
+    return scenario, scenario.statistics()
+
+
+# (setup, direct link blocked, group counts): T < N+1 for the smaller, T = N+1 for the larger
+SPECTRAL_CASES = [
+    ("desk", True, (4, 16)),
+    ("desk", False, (4, 16)),
+    ("reference", True, (16, 64)),
+    ("reference", False, (16, 64)),
+]
+
+
+class TestSpectralTrace:
+    """An LMMSE-type trace, projected (T < N+1) or direct (T = N+1), is its error covariance's."""
+
+    @pytest.mark.parametrize(
+        "setup,blocked,groups", SPECTRAL_CASES,
+        ids=[f"{c[0]}-{'blocked' if c[1] else 'unblocked'}" for c in SPECTRAL_CASES],
+    )
+    def test_trace_matches_the_error_covariance(self, setup, blocked, groups):
+        make = {"desk": desk_scenario, "reference": default_scenario}[setup]
+        scenario, stats = _scenario(make, blocked)
+        for n_groups in groups:
+            m = desk_moments(scenario, stats, n_groups=n_groups)
+            mi = desk_moments(scenario, stats, n_groups=n_groups, ideal=True)
+            kinds = [EstimatorKind.GROUPING_LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE]
+            if n_groups == stats.n_elements:
+                kinds.append(EstimatorKind.LMMSE)
+            for snr in range(-20, 81, 10):
+                rho = desk_power(scenario, stats, float(snr))
+                for kind in kinds:
+                    f = make_estimator(kind, m, rho, mi)
+                    dense = sum(
+                        mult * np.trace(e).real for (_, mult), e in zip(m.blocks, f.error_blocks)
+                    )
+                    assert f.mse_trace == pytest.approx(dense, rel=1e-10), (n_groups, snr, kind)
+
+
 class TestPilotPower:
     @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
     def test_invalid_pilot_power_rejected(self, desk, rho):

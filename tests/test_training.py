@@ -169,6 +169,11 @@ class TestTrainingConfig:
         np.testing.assert_array_equal(tc.group_patterns, group_patterns)
         np.testing.assert_array_equal(tc.pilot_matrix, pilot_sequences(2))
 
+    @pytest.mark.parametrize("sigma_w2", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_negative_or_non_finite_noise_power(self, sigma_w2):
+        with pytest.raises(ConfigurationError, match="noise power"):
+            make_training_config(16, 2, n_groups=4, sigma_w2=sigma_w2)
+
     def test_rejects_non_dividing_groups(self):
         with pytest.raises((ConfigurationError, DomainError)):
             make_training_config(16, 2, n_groups=5)
