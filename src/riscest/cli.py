@@ -20,7 +20,6 @@ from .moments import build_moments  # noqa: F401
 from .montecarlo import SweepConfig, SweepEngine, SweepRow, run_sweep, theory_means
 from .scenario import RunConfig, SweepSettings, config_digest, load_config
 from .training import make_training_config, pilot_overhead  # noqa: F401
-from .validation import run_validation
 
 SWEEP_COLUMNS = [
     "estimator", "n_groups", "snr_db", "rho", "trials",
@@ -139,6 +138,7 @@ def cmd_sweep(config: RunConfig, workers: int = 1) -> int:
 
 def cmd_validate(out=sys.stdout) -> int:
     """Run the validation registry and print a pass/fail table."""
+    from .validation import run_validation  # only this command pays for the import
     results = run_validation()
     width = max(len(r.name) for r in results)
     failed = 0

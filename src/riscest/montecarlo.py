@@ -16,7 +16,8 @@ Work runs in scoring batches of whole blocks: one `ChannelSampler.sample`
 call builds a batch's realizations, which the group cells share, and
 synthesis and every estimator's scoring run once per (cell, batch), in
 buffers the engine reuses from batch to batch.  The batch size is not part
-of the stream and changes no output byte.
+of the stream and changes no output byte; while one is scored, a helper
+thread draws the next one's normals (`_trial_block`).
 
 Each group count keeps one power-free state (`build_group_state`): its
 training round, every user's mixing block and each user's moment sets,
@@ -39,6 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import queue
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -336,21 +339,22 @@ class SweepEngine:
     layout are part of the stream.
 
     Work is done in scoring batches of `batch_size` trials, a whole number of
-    blocks: batch c covers blocks [c*NB, (c+1)*NB).  A batch draws its blocks
-    into one array, each block by its own generator; one `sample` call builds
-    its realizations, and their targets are rotated into the antenna basis
-    (`moments.antenna_basis`) once, for every group cell.  The first
-    `run_cell_trial` of a cell in a batch synthesizes the whole batch,
-    rotates each user's observations with one product and scores every
-    (rule, user) with one `squared_error` call.  The normals, the synthesis
-    of each group cell and the scoring write into buffers the engine keeps
-    (`_scratch`), a contiguous prefix for a clipped last batch, so a sweep
-    allocates them once.  The batch size is not part of the stream and
-    changes no output byte.  Only the batch served last is kept, with its
-    cells' scores, and its arrays are valid until the next batch is drawn.
+    blocks: batch c covers blocks [c*NB, (c+1)*NB).  A batch draws each block
+    into a row of one of two arrays (`_rows`) with one call of the block's
+    generator; one `sample` call builds its realizations, and their targets
+    are rotated into the antenna basis (`moments.antenna_basis`) once, for
+    every group cell.  The first `run_cell_trial` of a cell in a batch
+    synthesizes the whole batch, rotates each user's observations with one
+    product and scores every (rule, user) with one `squared_error` call.
+    The normals, the synthesis of each group cell and the scoring write into
+    buffers the engine keeps (`_scratch`), a contiguous prefix for a clipped
+    last batch, so a sweep allocates them once.  The batch size is not part
+    of the stream and changes no output byte.  Only the batch served last is
+    kept, with its cells' scores, and its arrays are valid until the next
+    batch is built; the normals buffers hold its draws and the next batch's.
     Calls may come in any order, but run_cell_trial mutates that cache, so an
-    engine is not safe to share between threads.  Each worker process builds
-    its own.
+    engine is not safe to share between threads: `_trial_block`'s helper
+    thread only fills rows handed to it.  Each worker process builds its own.
     """
 
     def __init__(self, config: SweepConfig):
@@ -419,35 +423,43 @@ class SweepEngine:
             buf = self._buffers[name] = np.empty(size, dtype=dtype)
         return buf[:size].reshape(shape)
 
-    def _batch_of(self, snr_index: int, trial_index: int) -> _TrialBatch:
+    def _rows(self, batch_index: int) -> np.ndarray:
+        """A batch's rows, in one of two buffers: per block, (B, n_channel) then (n_noise, B)."""
+        lo = batch_index * self.batch_size
+        n_blocks = -(-(min(lo + self.batch_size, self.config.n_trials) - lo) // self.block_size)
+        width = self.block_size * (self.sampler.n_normals + self._noise_size)
+        return self._scratch(("normals", batch_index % 2), (n_blocks, width), float)
+
+    def _fill_job(self, snr_index: int, batch_index: int) -> tuple[list, np.ndarray]:
+        """The generators of a batch's blocks and the rows they fill (`_fill`)."""
+        rows, b, lo = self._rows(batch_index), self.block_size, batch_index * self.batch_size
+        return [self.trial_rng(snr_index, lo + i * b) for i in range(len(rows))], rows
+
+    def _batch_of(self, snr_index: int, trial_index: int, filled: bool = False) -> _TrialBatch:
         """The batch holding the trial, drawn when it is not the one kept.
 
         Each block is filled by its own generator, so a trial's draws do not
         depend on the batch it sits in.  A clipped last batch holds whole
         blocks too; its rows past the last trial are scored and never read.
+        filled: a helper thread has filled the batch's rows (`_trial_block`).
         """
         if not 0 <= trial_index < self.config.n_trials:
             raise IndexError(f"trial {trial_index} outside 0..{self.config.n_trials - 1}")
         key = (snr_index, trial_index // self.batch_size)
         if self._batch is None or self._batch.key != key:
-            self._batch = None  # before the next batch is drawn, so two never coexist
-            b, n_channel, n_noise = self.block_size, self.sampler.n_normals, self._noise_size
-            lo = key[1] * self.batch_size
-            n_blocks = -(-(min(lo + self.batch_size, self.config.n_trials) - lo) // b)
-            normals = self._scratch("normals", (n_blocks * b * (n_channel + n_noise),), float)
-            channel = normals[:n_blocks * b * n_channel].reshape(n_blocks, b, n_channel)
-            noise = normals[n_blocks * b * n_channel:].reshape(n_blocks, n_noise, b)
-            for i in range(n_blocks):  # a clipped last block is still drawn whole
-                rng = self.trial_rng(snr_index, lo + i * b)
-                rng.standard_normal(out=channel[i])
-                rng.standard_normal(out=noise[i])
+            self._batch = None  # before the next batch is built, so two never coexist
+            rows = self._rows(key[1]) if filled else _fill(*self._fill_job(*key))
+            b, n_channel = self.block_size, self.sampler.n_normals
+            channel = rows[:, :b * n_channel].reshape(-1, b, n_channel)
+            noise = rows[:, b * n_channel:].reshape(-1, self._noise_size, b)
             realization = self.sampler.sample(normals=channel)  # leading axes (blocks, B)
             s_antenna = realization.s_antenna  # (K, M, blocks, B, N+1), a view
             k_users, m = s_antenna.shape[:2]
-            targets = self._scratch("targets", (k_users, m, n_blocks * b, s_antenna.shape[-1]))
+            targets = self._scratch("targets", (k_users, m, len(rows) * b, s_antenna.shape[-1]))
             for k in range(k_users):
                 to_antenna_basis(self.basis, s_antenna[k], out=targets[k])
             # each trial's noise normals, a (blocks, B, 2 T_max K M) view of the draws
+            lo = key[1] * self.batch_size
             self._batch = _TrialBatch(key, lo, realization, noise.swapaxes(1, 2), targets, {})
         return self._batch
 
@@ -517,6 +529,24 @@ class SweepEngine:
 CellResult = tuple[float, dict[EstimatorKind, tuple[float, float, float]], np.ndarray]
 
 
+def _fill(rngs: list[np.random.Generator], rows: np.ndarray) -> np.ndarray:
+    """Fill each row with one draw of its generator, the stream of drawing its parts in turn."""
+    for rng, row in zip(rngs, rows):
+        rng.standard_normal(out=row)
+    return rows
+
+
+def _fill_ahead(jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    """`_trial_block`'s helper thread: runs each `_fill` job and puts None or its error on done."""
+    for job in iter(jobs.get, None):
+        try:
+            _fill(*job)
+        except BaseException as exc:  # re-raised on the main thread
+            done.put(exc)
+        else:
+            done.put(None)
+
+
 def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[CellResult]:
     """Trials lo..hi-1 at one SNR over every group cell, one CellResult per cell.
 
@@ -524,17 +554,36 @@ def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[
     For each (cell, batch), `run_cell_trial` on the batch's first trial in
     range scores the batch (it is also the span perfbench/tracing.py times),
     and one slice copies the batch's rows in range.  Each result carries its
-    cell's theory, so no caller needs the bank again.
+    cell's theory, so no caller needs the bank again.  Over two or more
+    batches a helper thread (`_fill_ahead`) fills the next batch's normals
+    while this one is scored; it is joined before this call returns.
     """
     banks = [engine.bank(gi, snr_index) for gi in range(len(engine.config.n_groups))]
     out = [np.empty((hi - lo, len(b.filters), engine.stats.n_users)) for b in banks]
     size = engine.batch_size
-    for first in range(lo - lo % size, hi, size):  # the first trial of each batch in range
-        start, stop = max(lo, first), min(hi, first + size)
-        for gi in range(len(banks)):
-            engine.run_cell_trial(gi, snr_index, start)
-            errors = engine._batch.cells[gi][0]
-            out[gi][start - lo:stop - lo] = errors[start - first:stop - first]
+    batches = range(lo // size, -(-hi // size))
+    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+    helper = None
+    if len(batches) > 1:
+        helper = threading.Thread(target=_fill_ahead, args=(jobs, done), daemon=True)
+        helper.start()
+    try:
+        for c in batches:
+            if c + 1 in batches:  # into the buffer of batch c-1, whose scores are copied out
+                jobs.put(engine._fill_job(snr_index, c + 1))
+            if c != batches[0]:  # the first batch is filled in run_cell_trial, the rest ahead
+                if (exc := done.get()) is not None:
+                    raise exc
+                engine._batch_of(snr_index, c * size, filled=True)
+            start, stop = max(lo, c * size), min(hi, (c + 1) * size)
+            for gi in range(len(banks)):
+                engine.run_cell_trial(gi, snr_index, start)
+                errors = engine._batch.cells[gi][0]
+                out[gi][start - lo:stop - lo] = errors[start - c * size:stop - c * size]
+    finally:
+        if helper is not None:
+            jobs.put(None)
+            helper.join()
     return [
         (b.rho, {kind: theory_means(f) for kind, f in b.filters.items()}, e / b.prior_traces)
         for b, e in zip(banks, out)

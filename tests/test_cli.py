@@ -573,6 +573,18 @@ class TestValidation:
         assert result.detail == "max deviation 5.00e-01"
 
 
+def test_cli_import_leaves_validation_unloaded():
+    """Only `riscest validate` imports riscest.validation; every other command skips it."""
+    src = str(Path(riscest.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = "import sys, riscest.cli; sys.exit('riscest.validation' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 NO_SCIPY_SCRIPT = """
 import sys
 from riscest.cli import main

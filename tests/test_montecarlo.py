@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import threading
 import weakref
 from pathlib import Path
 
@@ -304,19 +305,96 @@ class TestTrialBlocks:
     def test_trial_range_across_two_batch_boundaries_matches_each_trial(self):
         n = SweepEngine(desk_config(n_trials=1)).batch_size
         cfg = desk_config(n_groups=(4, 16), snr_db=(10.0,), n_trials=2 * n + 20)
-        lo, hi = n - 7, 2 * n + 5
-        cells = _trial_block(SweepEngine(cfg), 0, lo, hi)
-        engine = SweepEngine(cfg)
-        for gi, (_, theory, got) in enumerate(cells):
-            bank = engine.bank(gi, 0)
-            assert list(theory) == list(bank.filters)
-            want = [list(engine.run_cell_trial(gi, 0, t)[0].values()) for t in range(lo, hi)]
-            np.testing.assert_array_equal(got, np.array(want) / bank.prior_traces)
+        assert_trial_block_matches_each_trial(cfg, n - 7, 2 * n + 5)
 
     def test_trial_outside_the_sweep_rejected(self):
         engine = SweepEngine(desk_config(n_trials=10))
         with pytest.raises(IndexError):
             engine.run_cell_trial(0, 0, 10)
+
+
+def assert_trial_block_matches_each_trial(cfg: SweepConfig, lo: int, hi: int) -> None:
+    """`_trial_block` over trials lo..hi-1 of SNR point 0 equals a walk over run_cell_trial."""
+    cells = _trial_block(SweepEngine(cfg), 0, lo, hi)
+    engine = SweepEngine(cfg)
+    for gi, (_, theory, got) in enumerate(cells):
+        bank = engine.bank(gi, 0)
+        assert list(theory) == list(bank.filters)
+        want = [list(engine.run_cell_trial(gi, 0, t)[0].values()) for t in range(lo, hi)]
+        np.testing.assert_array_equal(got, np.array(want) / bank.prior_traces)
+
+
+@pytest.fixture
+def threads_made(monkeypatch) -> list[threading.Thread]:
+    """Every threading.Thread made while the test runs."""
+    made = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return made
+
+
+class TestFillAhead:
+    """One helper thread draws the next scoring batch's normals while this one is scored."""
+
+    def test_batches_filled_ahead_match_a_synchronous_walk(self, threads_made):
+        """From inside block 1 of batch 0 to inside block 8 of the clipped batch 2, bit for bit."""
+        cfg = desk_config(n_groups=(4, 16), snr_db=(10.0,), n_trials=250)
+        engine = SweepEngine(cfg)
+        assert (engine.block_size, engine.batch_size) == (30, 120)
+        assert_trial_block_matches_each_trial(cfg, 45, 245)
+        assert len(threads_made) == 1 and not threads_made[0].is_alive()  # one helper, joined
+
+    @pytest.mark.parametrize("make_scenario, block_size", [(desk_scenario, 30), (default_scenario, 1)])
+    def test_one_draw_per_block_is_the_channel_then_the_noise_draw(self, make_scenario, block_size):
+        """The block's one standard_normal call gives its (B, n_channel) and (n_noise, B) draws."""
+        engine = SweepEngine(desk_config(scenario=make_scenario(), n_groups=(4, 16)))
+        b, n_channel, n_noise = engine.block_size, engine.sampler.n_normals, noise_size(engine)
+        assert b == block_size
+        seq = np.random.SeedSequence((4242, 1, 2))
+        row = np.random.default_rng(seq).standard_normal(b * (n_channel + n_noise))
+        rng = np.random.default_rng(seq)
+        channel = rng.standard_normal((b, n_channel))
+        noise = rng.standard_normal((n_noise, b))
+        np.testing.assert_array_equal(row, np.concatenate([channel.ravel(), noise.ravel()]))
+
+    def test_a_failing_fill_propagates_and_the_helper_is_joined(self, monkeypatch):
+        class FillError(Exception):
+            pass
+
+        fill_threads = []
+
+        class FailingGenerator:
+            def standard_normal(self, out):
+                fill_threads.append(threading.current_thread())
+                raise FillError("fill failed")
+
+        cfg = desk_config(snr_db=(10.0,), n_trials=250)
+        trial_rng = SweepEngine.trial_rng
+
+        def failing_after_the_first_batch(engine, snr_index, trial_index):
+            if trial_index < engine.batch_size:
+                return trial_rng(engine, snr_index, trial_index)
+            return FailingGenerator()
+
+        monkeypatch.setattr(SweepEngine, "trial_rng", failing_after_the_first_batch)
+        before = threading.active_count()
+        with pytest.raises(FillError, match="fill failed"):
+            run_sweep(cfg, workers=1)
+        assert threading.active_count() == before
+        assert fill_threads and threading.main_thread() not in fill_threads  # the helper's fill
+
+    def test_no_thread_for_one_batch_or_for_theory(self, threads_made, tmp_path):
+        n = SweepEngine(desk_config(n_trials=1)).batch_size
+        rows = run_sweep(desk_config(n_groups=(4, 16), n_trials=n), workers=1)
+        assert rows and threads_made == []
+        args = ["theory", "--config", str(DESK_INI), "--groups", "4", "16"]
+        assert cli.main([*args, "--out", str(tmp_path / "theory.csv")]) == 0
+        assert threads_made == []
 
 
 @pytest.mark.parametrize("n_groups", [4, 16])

@@ -65,7 +65,7 @@ def test_report_covers_every_stated_invariant(validation_results):
 def test_cmd_validate_exit_codes(monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(
-        "riscest.cli.run_validation",
+        "riscest.validation.run_validation",
         lambda: [CheckResult("x.good", True, "ok"), CheckResult("y.bad", False, "boom")],
     )
     assert cmd_validate(out=out) == 1
@@ -75,7 +75,7 @@ def test_cmd_validate_exit_codes(monkeypatch):
 
     out = io.StringIO()
     monkeypatch.setattr(
-        "riscest.cli.run_validation", lambda: [CheckResult("x.good", True, "ok")]
+        "riscest.validation.run_validation", lambda: [CheckResult("x.good", True, "ok")]
     )
     assert cmd_validate(out=out) == 0
 
