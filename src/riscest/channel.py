@@ -193,12 +193,18 @@ def target_vector(s_mat: np.ndarray) -> np.ndarray:
 
 
 def path_loss(distance: float, alpha: float, rho_0: float) -> float:
-    """Power-law gain rho_0 * distance**(-alpha)."""
+    """Power-law gain rho_0 * distance**(-alpha), which must be positive and finite."""
     if distance <= 0:
         raise DomainError(f"distance must be positive, got {distance}")
     if rho_0 <= 0:
         raise DomainError(f"reference gain must be positive, got {rho_0}")
-    return rho_0 * distance ** (-alpha)
+    try:
+        gain = rho_0 * float(distance) ** (-alpha)
+    except OverflowError:
+        gain = np.inf
+    if not 0.0 < gain < np.inf:
+        raise DomainError(f"path gain {gain:g} at distance {distance:g}, exponent {alpha:g}")
+    return gain
 
 
 def element_distance(n1: int, n2: int, geometry: SystemGeometry) -> float:
@@ -290,7 +296,8 @@ def build_statistics(
         )
 
     def _dist(p, q):
-        d = float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
+        with np.errstate(over="ignore"):  # an overflowing distance is inf, which path_loss rejects
+            d = float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
         if d == 0:
             raise DomainError("coincident node positions give zero distance")
         return d

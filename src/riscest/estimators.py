@@ -69,7 +69,7 @@ import numpy as np
 
 from .channel import target_vector
 from .errors import ConfigurationError
-from .moments import AntennaMomentSet, MomentSet, combine_blocks, cov_uu, group_expansion_matrix
+from .moments import AntennaMomentSet, MomentSet, combine_blocks, cov_uu, group_aggregation_matrix
 
 PINV_RCOND = 1e-10
 
@@ -474,7 +474,9 @@ def conventional_ls_filter(m: MomentSet | AntennaMomentSet, rho: float) -> Affin
 
 
 def _expansion(b: MomentSet) -> np.ndarray:
-    return group_expansion_matrix(b.m_antennas, b.n_groups, b.Z.shape[1] // b.m_antennas - 1)
+    """Equal-division expansion: P^T over P's row sums, the group sizes (1 on the direct block)."""
+    p = group_aggregation_matrix(b.group_index, b.m_antennas)
+    return p.T / p.sum(axis=1)
 
 
 def grouping_ls_filter(m: MomentSet | AntennaMomentSet, rho: float) -> AffineEstimator:
@@ -504,7 +506,7 @@ def grouping_lmmse_filter(
     if "grouping_lmmse" not in cache:  # E and C_uu are built once per set
         e = _expansion(m_model.blocks[0][0])
         cache["grouping_lmmse"] = [
-            e @ (cov_uu(b.cov_ss, b.m_antennas, b.n_groups) @ b.Z_G.conj().T) @ _spectrum(b)[1]
+            e @ (cov_uu(b.cov_ss, b.group_index, b.m_antennas) @ b.Z_G.conj().T) @ _spectrum(b)[1]
             for b, _ in m_model.blocks
         ]
     factors = cache["grouping_lmmse"]

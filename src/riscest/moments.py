@@ -24,6 +24,10 @@ column 0 is the aligned block's and every other column an orthogonal one's.
 `observation_moments` builds the dense `MomentSet` directly and is the
 oracle the tests hold the antenna form to.
 
+Grouping.  A moment set carries its round's `TrainingConfig.group_index`,
+from which alone the aggregation matrix P (`group_aggregation_matrix`), the
+aggregates' prior (`cov_uu`) and the block-ideal prior are built.
+
 Pilot power.  A moment set holds no pilot power: the prior, the
 observation matrices and their products with the prior serve every power
 rho, which enters the observation moments as sqrt(rho) and rho
@@ -55,11 +59,12 @@ class MomentSet:
     The fields hold no pilot power.  Shapes: mean_s (n_s,), cov_ss (n_s,
     n_s), Z (n_y, n_s), Z_G (n_y, n_u) and the products z_mean = Z mean_s,
     cov_szh = cov_ss Z^H and z_cov_zh = Z cov_ss Z^H, with n_s = M(N+1),
-    n_u = M(n_groups+1) and n_y = M*T.  The observation moments at pilot
-    power rho, `mean_y`, `cov_sy` and `cov_yy`, are formed from them on every
-    call.  power_free caches what is derived without pilot power: the prior
-    trace here, and in `estimators` the spectrum of z_cov_zh, the LS rules
-    with their error-trace sums, the grouping-LMMSE factor and the floor.
+    n_u = M(n_groups+1) and n_y = M*T; group_index (N,) is the round's
+    grouping.  The observation moments at pilot power rho, `mean_y`, `cov_sy`
+    and `cov_yy`, are formed from them on every call.  power_free caches what
+    is derived without pilot power: the prior trace here, and in `estimators`
+    the spectrum of z_cov_zh, the LS rules with their error-trace sums, the
+    grouping-LMMSE factor and the floor.
     """
 
     mean_s: np.ndarray
@@ -72,7 +77,7 @@ class MomentSet:
     sigma_w2: float
     n_users: int
     m_antennas: int
-    n_groups: int
+    group_index: np.ndarray
     power_free: dict[str, object] = field(default_factory=dict, repr=False)
 
     def mean_y(self, rho: float) -> np.ndarray:
@@ -260,10 +265,9 @@ def _prior(
     return out
 
 
-def _block_correlation(n_elements: int, n_groups: int) -> np.ndarray:
+def _block_correlation(group_index: np.ndarray) -> np.ndarray:
     """All-ones within a group, zero across groups."""
-    size = n_elements // n_groups
-    return np.repeat(np.repeat(np.eye(n_groups, dtype=complex), size, axis=0), size, axis=1)
+    return (group_index[:, None] == group_index[None, :]).astype(complex)
 
 
 def cov_ss(stats: ChannelStatistics, k: int) -> np.ndarray:
@@ -275,47 +279,37 @@ def cov_ss(stats: ChannelStatistics, k: int) -> np.ndarray:
     return _prior(stats, k, stats.a_bar, stats.R0, stats.R[k], stats.rho_b[k] > 0)
 
 
-def cov_ss_block_ideal(stats: ChannelStatistics, k: int, n_groups: int) -> np.ndarray:
+def cov_ss_block_ideal(stats: ChannelStatistics, k: int, group_index: np.ndarray) -> np.ndarray:
     """Prior covariance under the idealized block-correlation model.
 
     Replaces both scattering correlation matrices with the block matrix that
     is all-ones within a group and zero across groups, i.e. the assumption
     that elements in a group share identical scattering while groups are
-    independent.
+    independent.  group_index (N,) names each element's group.
     """
-    block = _block_correlation(stats.n_elements, n_groups)
+    block = _block_correlation(group_index)
     return _prior(stats, k, stats.a_bar, block, block, stats.rho_b[k] > 0)
 
 
-def group_aggregation_matrix(m_antennas: int, n_groups: int, n_elements: int) -> np.ndarray:
+def group_aggregation_matrix(group_index: np.ndarray, m_antennas: int) -> np.ndarray:
     """Real matrix P with u = P (s - E[s]): direct block copied, groups summed.
 
-    Shape (M(n_groups+1), M(N+1)).  The cascade runs antenna-major, so its
-    block is I_{M n_groups} (x) 1^T_{N/n_groups}.
+    Shape (M(G+1), M(N+1)) for the grouping group_index (N,) of G groups.
+    The cascade runs antenna-major, so its block is I_M (x) H with the
+    one-hot H[g, n] = (group_index[n] == g).  Row sums are 1 on the direct
+    block and the group sizes on the cascade.
     """
-    out = np.zeros((m_antennas * (n_groups + 1), m_antennas * (n_elements + 1)))
+    n_groups = int(group_index.max()) + 1
+    one_hot = np.arange(n_groups)[:, None] == group_index
+    out = np.zeros((m_antennas * (n_groups + 1), m_antennas * (group_index.size + 1)))
     out[:m_antennas, :m_antennas] = np.eye(m_antennas)
-    out[m_antennas:, m_antennas:] = np.repeat(
-        np.eye(m_antennas * n_groups), n_elements // n_groups, axis=1
-    )
+    out[m_antennas:, m_antennas:] = np.kron(np.eye(m_antennas), one_hot)
     return out
 
 
-def group_expansion_matrix(m_antennas: int, n_groups: int, n_elements: int) -> np.ndarray:
-    """Equal-division expansion from group aggregates back to elements.
-
-    The transpose of the aggregation matrix with each group row divided by
-    its size; shape (M(N+1), M(n_groups+1)).
-    """
-    expand = group_aggregation_matrix(m_antennas, n_groups, n_elements).T.copy()
-    expand[m_antennas:, m_antennas:] /= n_elements // n_groups
-    return expand
-
-
-def cov_uu(cov_ss_mat: np.ndarray, m_antennas: int, n_groups: int) -> np.ndarray:
+def cov_uu(cov_ss_mat: np.ndarray, group_index: np.ndarray, m_antennas: int) -> np.ndarray:
     """Covariance of the group-aggregate vector, by summing matched rows/columns."""
-    n_elements = cov_ss_mat.shape[0] // m_antennas - 1
-    p = group_aggregation_matrix(m_antennas, n_groups, n_elements)
+    p = group_aggregation_matrix(group_index, m_antennas)
     return p @ cov_ss_mat @ p.T
 
 
@@ -327,7 +321,7 @@ def _complete(
     sigma_w2: float,
     n_users: int,
     m_antennas: int,
-    n_groups: int,
+    group_index: np.ndarray,
 ) -> MomentSet:
     """Moments of a target with mean mu_s and prior c_ss seen through z_full."""
     return MomentSet(
@@ -336,7 +330,7 @@ def _complete(
         cov_szh=c_ss @ z_full.conj().T,
         z_cov_zh=z_full @ c_ss @ z_full.conj().T,
         sigma_w2=sigma_w2,
-        n_users=n_users, m_antennas=m_antennas, n_groups=n_groups,
+        n_users=n_users, m_antennas=m_antennas, group_index=group_index,
     )
 
 
@@ -347,15 +341,15 @@ def observation_moments(
     z_grouped: np.ndarray,
     sigma_w2: float,
     n_users: int,
+    group_index: np.ndarray,
     cov_ss_mat: np.ndarray | None = None,
 ) -> MomentSet:
-    """Complete the dense moment set for one user given its observation matrices."""
+    """Complete the dense moment set for one user given its observation matrices and grouping."""
     if cov_ss_mat is None:
         cov_ss_mat = cov_ss(stats, k)
     return _complete(
         mean_s(stats, k), cov_ss_mat, z_full, z_grouped,
-        sigma_w2, n_users, stats.m_antennas,
-        z_grouped.shape[1] // stats.m_antennas - 1,
+        sigma_w2, n_users, stats.m_antennas, group_index,
     )
 
 
@@ -377,7 +371,7 @@ def build_moments(
     if r is None:
         raise DomainError("RIS-BS LoS vectors do not share one RIS-side factor")
     if block_ideal:
-        r0 = rk = _block_correlation(stats.n_elements, config.n_groups)
+        r0 = rk = _block_correlation(config.group_index)
     else:
         r0, rk = stats.R0, stats.R[k]
     direct = stats.rho_b[k] > 0
@@ -389,7 +383,7 @@ def build_moments(
     def block(a_row: np.ndarray) -> MomentSet:
         return _complete(
             _mean(stats, k, a_row), _prior(stats, k, a_row, r0, rk, direct), z0, zg0,
-            config.sigma_w2, config.n_users, 1, config.n_groups,
+            config.sigma_w2, config.n_users, 1, config.group_index,
         )
 
     return AntennaMomentSet(

@@ -3,9 +3,10 @@
 One training round holds T RIS patterns; under each pattern every one of the
 K users sends one pilot symbol, so the pilot overhead is K*T symbol slots.
 Patterns come from Hadamard rows and are constant within an element group,
-which reduces the minimum identifiable T from N+1 to n_groups+1.  The G
-groups are contiguous blocks of N/G element indices, so (N, G) alone fixes
-the grouping.
+which reduces the minimum identifiable T from N+1 to n_groups+1.  Which
+elements form a group is data: the round's `TrainingConfig.group_index`
+names each element's group, and every element pattern, aggregation and
+block prior reads it.
 
 Every antenna sees the same single-antenna mixing block Z_0 (T x (N+1)), so
 synthesis multiplies each user's Z_0 with its (N+1) x M target matrix, held
@@ -55,21 +56,13 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def training_patterns(
-    n_elements: int,
-    n_groups: int,
-    n_patterns: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group-constant +-1 RIS patterns from Hadamard rows.
+def training_patterns(n_groups: int, n_patterns: int) -> np.ndarray:
+    """Group +-1 RIS patterns from Hadamard rows, a complex (T, n_groups) array.
 
     Row t of the order-2^ceil(log2(T)) Hadamard matrix supplies
-    [1, group_pattern_t] as its first n_groups+1 entries; group g's value is
-    then repeated across elements g*N/G .. (g+1)*N/G - 1.  Returns
-    (patterns (T, N), group_patterns (T, N_G)) as complex arrays with
-    unit-modulus entries.
+    [1, group_pattern_t] as its first n_groups+1 entries.  Every element
+    takes its group's column (`TrainingConfig.patterns`).
     """
-    if n_groups < 1 or n_elements % n_groups != 0:
-        raise DomainError(f"{n_groups} groups do not divide N = {n_elements}")
     if n_patterns < n_groups + 1:
         raise ConfigurationError(
             f"need at least n_groups+1 = {n_groups + 1} patterns for "
@@ -83,10 +76,7 @@ def training_patterns(
             PatternOrthogonalityWarning,
             stacklevel=_outside_stacklevel(),
         )
-    h = hadamard(order)
-    group_patterns = h[:n_patterns, 1 : n_groups + 1].astype(complex)
-    patterns = np.repeat(group_patterns, n_elements // n_groups, axis=1)
-    return patterns, group_patterns
+    return hadamard(order)[:n_patterns, 1 : n_groups + 1].astype(complex)
 
 
 def pilot_sequences(n_users: int) -> np.ndarray:
@@ -110,12 +100,13 @@ def pilot_overhead(n_users: int, n_elements: int, n_groups: int) -> tuple[int, i
 class TrainingConfig:
     """One training round: N elements, K users, G groups, T patterns and the noise power.
 
-    Group g holds the contiguous elements g*N/G .. (g+1)*N/G - 1;
-    n_groups == N recovers the ungrouped protocol.  tau_p = K*T is the pilot
-    overhead actually spent.  The Hadamard patterns (T, N), their group
-    columns (T, G) and the (K, K) pilot matrix follow from these and are
-    built with the config, as `patterns`, `group_patterns` and `pilot_matrix`.
-    The round holds no pilot power, so one round serves every power.
+    group_index (N,) names each element's group, the contiguous blocks
+    arange(N) // (N/G), and is the one place the grouping is kept; n_groups
+    == N recovers the ungrouped protocol.  tau_p = K*T is the pilot overhead
+    actually spent.  The Hadamard group patterns (T, G), the element
+    patterns (T, N), each its element's group column, and the (K, K) pilot
+    matrix are built with the config.  The round holds no pilot power, so one
+    round serves every power.
     """
 
     n_elements: int
@@ -125,9 +116,11 @@ class TrainingConfig:
     sigma_w2: float  # noise power, watts
 
     def __post_init__(self):
-        self.patterns, self.group_patterns = training_patterns(
-            self.n_elements, self.n_groups, self.n_patterns
-        )
+        if self.n_groups < 1 or self.n_elements % self.n_groups != 0:
+            raise DomainError(f"{self.n_groups} groups do not divide N = {self.n_elements}")
+        self.group_index = np.arange(self.n_elements) // (self.n_elements // self.n_groups)
+        self.group_patterns = training_patterns(self.n_groups, self.n_patterns)
+        self.patterns = self.group_patterns[:, self.group_index]
         self.pilot_matrix = pilot_sequences(self.n_users)
         if not 0.0 <= self.sigma_w2 < np.inf:
             raise ConfigurationError(
@@ -137,10 +130,6 @@ class TrainingConfig:
     @property
     def tau_p(self) -> int:
         return self.n_users * self.n_patterns
-
-    @property
-    def group_size(self) -> int:
-        return self.n_elements // self.n_groups
 
 
 def make_training_config(

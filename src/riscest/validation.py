@@ -231,7 +231,7 @@ def _training_checks(scenario: Scenario, stats: ChannelStatistics) -> list[Check
 
     ok = True
     for n_groups, n_patterns in [(3, 4), (7, 8), (15, 16)]:
-        _, group_patterns = training_patterns(n_groups * 2, n_groups, n_patterns)
+        group_patterns = training_patterns(n_groups, n_patterns)
         stacked = np.hstack([np.ones((n_patterns, 1)), group_patterns])
         gram = stacked.conj().T @ stacked
         ok = ok and np.array_equal(gram, n_patterns * np.eye(n_groups + 1))
@@ -277,7 +277,7 @@ def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list
     n_groups = stats.n_elements // 4
     m = _bank(scenario, stats, n_groups, rho, (CORRELATED,)).filters[CORRELATED][0].moments
     c_ss = combine_blocks(m.r, [b.cov_ss for b, _ in m.blocks])
-    c_uu = cov_uu(c_ss, stats.m_antennas, n_groups)
+    c_uu = cov_uu(c_ss, m.aligned.group_index, stats.m_antennas)
     herm = float(np.max(np.abs(c_ss - c_ss.conj().T)))
     min_eig = float(np.linalg.eigvalsh(0.5 * (c_ss + c_ss.conj().T)).min())
     min_eig_u = float(np.linalg.eigvalsh(0.5 * (c_uu + c_uu.conj().T)).min())
@@ -289,7 +289,7 @@ def _moment_checks(scenario: Scenario, stats: ChannelStatistics, oracle) -> list
         )
     )
 
-    p = group_aggregation_matrix(stats.m_antennas, n_groups, stats.n_elements)
+    p = group_aggregation_matrix(m.aligned.group_index, stats.m_antennas)
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(20):

@@ -14,10 +14,10 @@ def validation_results():
 
 def dense_moments(stats, k, tc, block_ideal=False):
     """The dense M(N+1)-dimensional moment set of user k: the oracle for build_moments."""
-    c_ss = cov_ss_block_ideal(stats, k, tc.n_groups) if block_ideal else None
+    c_ss = cov_ss_block_ideal(stats, k, tc.group_index) if block_ideal else None
     return observation_moments(
         stats, k, build_Z(k, stats, tc), build_Z(k, stats, tc, grouped=True),
-        sigma_w2=tc.sigma_w2, n_users=tc.n_users,
+        sigma_w2=tc.sigma_w2, n_users=tc.n_users, group_index=tc.group_index,
         cov_ss_mat=c_ss,
     )
 
@@ -36,7 +36,7 @@ def two_stage_filter(d, rho):
     C_sy C_yy^-1 C_uy^H Gamma^+ C_uy C_yy^-1 with the inner Gram
     Gamma = C_uy C_yy^-1 C_uy^H pseudo-inverted.
     """
-    c_uy = np.sqrt(rho) * cov_uu(d.cov_ss, d.m_antennas, d.n_groups) @ d.Z_G.conj().T
+    c_uy = np.sqrt(rho) * cov_uu(d.cov_ss, d.group_index, d.m_antennas) @ d.Z_G.conj().T
     x = np.linalg.solve(d.cov_yy(rho), c_uy.conj().T)  # C_yy^-1 C_uy^H
     gram = c_uy @ x
     gram_pinv = np.linalg.pinv(0.5 * (gram + gram.conj().T), rcond=1e-10, hermitian=True)

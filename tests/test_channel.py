@@ -63,6 +63,14 @@ class TestPathLoss:
         with pytest.raises(DomainError):
             path_loss(1.0, 2.0, 0.0)
 
+    def test_gain_must_be_positive_and_finite(self):
+        with pytest.raises(DomainError, match="path gain inf"):
+            path_loss(50.0, -400.0, 1e-3)  # 50**400 overflows
+        with pytest.raises(DomainError, match="path gain 0"):
+            path_loss(1e200, 2.2, 1e-3)  # underflows to zero
+        with pytest.raises(DomainError, match="path gain 0"):
+            path_loss(float("inf"), 2.2, 1e-3)
+
     def test_strictly_decreasing_in_distance(self):
         rng = np.random.default_rng(1)
         for alpha in (0.5, 2.0, 3.7):

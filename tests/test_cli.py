@@ -21,7 +21,7 @@ from riscest.cli import (
     write_csv,
 )
 from riscest.errors import ConfigurationError
-from riscest.moments import group_expansion_matrix
+from riscest.moments import group_aggregation_matrix
 from riscest.montecarlo import SweepEngine
 from riscest.scenario import (
     CONFIG_KEYS,
@@ -36,6 +36,13 @@ from riscest.validation import check_correlation_matrix, check_unit_modulus
 
 ROOT = Path(__file__).resolve().parents[1]
 DESK_INI = ROOT / "perfbench" / "desk.ini"
+DATA = ROOT / "tests" / "data"
+ALL_KINDS = ["ls", "lmmse", "grouping_ls", "grouping_lmmse", "correlated_grouping_lmmse"]
+# the pinned theory runs: every kind at every G dividing N, -20..80 dB in 10 dB steps
+PINNED_THEORY = {
+    "theory-desk.csv": ["--config", str(DESK_INI), "--groups", "1", "2", "4", "8", "16"],
+    "theory-reference.csv": ["--groups", "1", "2", "4", "8", "16", "32", "64"],
+}
 README = ROOT / "README.md"
 
 
@@ -206,6 +213,34 @@ class TestCsvFormat:
         assert math.isnan(rows[0]["nmse_floor"])
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_THEORY))
+def test_theory_matches_pinned_values(name, tmp_path):
+    """The theory columns stay where tests/data pins them.
+
+    Regenerate a file with `riscest theory <its arguments in PINNED_THEORY>
+    --estimators <ALL_KINDS> --snr-min-db -20 --snr-max-db 80 --snr-step-db 10
+    --out tests/data/<name>`, and only for a change meant to move the values.
+    The 1e-20 absolute term admits the round-off floors (below 1e-26) of G = N.
+    """
+    out = tmp_path / name
+    assert main([
+        "theory", *PINNED_THEORY[name], "--estimators", *ALL_KINDS,
+        "--snr-min-db", "-20", "--snr-max-db", "80", "--snr-step-db", "10", "--out", str(out),
+    ]) == 0
+    _, got = read_csv(str(out))
+    _, want = read_csv(str(DATA / name))
+    key = ("estimator", "n_groups", "snr_db")
+    assert [[r[c] for c in key] for r in got] == [[r[c] for c in key] for r in want]
+    assert {r["estimator"] for r in want} == set(ALL_KINDS)
+    for g, w in zip(got, want):
+        for c in ("nmse_theory", "mse_trace_theory", "nmse_floor"):
+            a, b = g[c], w[c]
+            if math.isnan(b):
+                assert math.isnan(a), (w, c)
+            else:
+                assert abs(a - b) <= 1e-10 * max(abs(a), abs(b)) + 1e-20, (w, c, a)
+
+
 class TestTheoryCommand:
     def test_degenerate_grouping_matches_conventional(self, desk_ini, tmp_path):
         # at G = N both kinds are the one LMMSE rule on the same moments, so every
@@ -260,9 +295,10 @@ class TestTheoryCommand:
 
         def counted(*args):
             calls.append(args)
-            return group_expansion_matrix(*args)
+            return group_aggregation_matrix(*args)
 
-        monkeypatch.setattr(est, "group_expansion_matrix", counted)
+        # the estimators module's P builds only the expansion E; C_uu's is the moments module's
+        monkeypatch.setattr(est, "group_aggregation_matrix", counted)
         counts = []
         for step in ("20", "5"):  # 3 and 9 SNR points
             calls.clear()
@@ -437,6 +473,23 @@ def test_unknown_ini_entry_is_usage_error(command, old, new, message, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["theory", "sweep"])
+@pytest.mark.parametrize("old,new", [
+    ("alpha_g = 2.2", "alpha_g = -400"),  # the UE-RIS gain overflows
+    # the only UE so far away that its UE-RIS gain underflows to zero
+    ("ue_positions = -8 44 5; 8 44 5", "ue_positions = -8 1e200 5"),
+])
+def test_out_of_range_gain_is_usage_error(command, old, new, tmp_path, capsys):
+    assert old in DESK_SCENARIO_INI
+    path = tmp_path / "bad.ini"
+    path.write_text(DESK_SCENARIO_INI.replace(old, new))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "path gain" in err
 
 
 def test_bad_worker_count_is_usage_error(desk_ini, capsys):

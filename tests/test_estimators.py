@@ -22,7 +22,7 @@ from riscest.moments import (
     cov_ss,
     to_antenna_basis,
 )
-from riscest.montecarlo import received_snr_to_power
+from riscest.montecarlo import applicable_kinds, received_snr_to_power
 from riscest.scenario import default_scenario, desk_scenario
 from riscest.training import build_Z, make_training_config, mixing_blocks, synthesize_received
 
@@ -51,7 +51,7 @@ def scalar_moments(c=2.0, z=1.5 - 0.5j, sigma2=0.3):
         cov_szh=cov @ z_mat.conj().T,
         z_cov_zh=np.abs(z) ** 2 * cov,
         sigma_w2=sigma2, n_users=1,
-        m_antennas=1, n_groups=1,
+        m_antennas=1, group_index=np.arange(0),
     )
 
 
@@ -63,7 +63,7 @@ def linear_moments(cov, z_mat, sigma2):
         z_mean=np.zeros(n_y, complex), cov_szh=cov @ z_mat.conj().T,
         z_cov_zh=z_mat @ cov @ z_mat.conj().T,
         sigma_w2=sigma2, n_users=1,
-        m_antennas=1, n_groups=1,
+        m_antennas=1, group_index=np.arange(n_s - 1),
     )
 
 
@@ -661,3 +661,45 @@ def assert_falls_to_floor(scenario, stats, n_groups, snrs):
             if grouped_cg and snr >= 200:
                 assert f.nmse == pytest.approx(f.nmse_floor, rel=1e-9), snr
             prev[kind] = f.nmse
+
+
+def _nmse_of_every_kind(stats, tc, sigma_w2, snrs):
+    """{(kind, user, snr): nmse} of every kind applicable at tc's group count."""
+    kinds = applicable_kinds(tuple(EstimatorKind), tc.n_groups, stats.n_elements)
+    out = {}
+    for k in range(stats.n_users):
+        m, mi = build_moments(stats, k, tc), build_moments(stats, k, tc, block_ideal=True)
+        for snr in snrs:
+            rho = received_snr_to_power(snr, stats, sigma_w2)
+            for kind in kinds:
+                out[kind, k, snr] = make_estimator(kind, m, rho, mi).nmse
+    return out
+
+
+@pytest.mark.parametrize("setup,n_groups", [
+    *(("desk", g) for g in (1, 2, 4, 8, 16)), *(("reference", g) for g in (4, 16, 64)),
+])
+def test_relabelled_elements_keep_every_nmse(setup, n_groups, request):
+    """The grouping is the round's group_index, not the element order.
+
+    Relabelling the elements by a permutation, in the statistics and in the
+    round's group index and patterns alike, is the same physical system, so
+    every kind's NMSE holds; the groups are then no longer contiguous runs.
+    """
+    scenario, stats = request.getfixturevalue(setup)
+    perm = np.random.default_rng(n_groups).permutation(stats.n_elements)
+    relabelled = replace(
+        stats, R0=stats.R0[perm][:, perm], R=stats.R[:, perm][:, :, perm],
+        a_bar=stats.a_bar[:, perm], g_bar=stats.g_bar[:, perm],
+    )
+    tc = desk_training(scenario, stats, n_groups)
+    tc_perm = desk_training(scenario, stats, n_groups)
+    tc_perm.group_index, tc_perm.patterns = tc.group_index[perm], tc.patterns[:, perm]
+    if 1 < n_groups < stats.n_elements:  # the relabelled groups are not contiguous runs
+        assert np.any(np.diff(tc_perm.group_index) < 0)
+    snrs = (0.0, 30.0, 80.0)
+    want = _nmse_of_every_kind(stats, tc, scenario.sigma_w2, snrs)
+    got = _nmse_of_every_kind(relabelled, tc_perm, scenario.sigma_w2, snrs)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key

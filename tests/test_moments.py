@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from riscest.channel import ChannelSampler, ChannelStatistics, FadingParams, build_statistics
+from riscest.estimators import _expansion
 from riscest.moments import (
     _block_correlation,
     build_moments,
@@ -9,7 +12,6 @@ from riscest.moments import (
     cov_ss_block_ideal,
     cov_uu,
     group_aggregation_matrix,
-    group_expansion_matrix,
     mean_s,
     observation_moments,
 )
@@ -17,6 +19,11 @@ from riscest.scenario import desk_scenario
 from riscest.training import make_training_config
 
 from test_channel import default_fading, small_geometry
+
+
+def contiguous(n_elements, n_groups):
+    """The contiguous grouping of a training round (`TrainingConfig.group_index`)."""
+    return make_training_config(n_elements, 1, n_groups=n_groups).group_index
 
 
 def scalar_stats(kappa_a=0.0, kappa_g=0.0, rho_b=1.0):
@@ -174,14 +181,14 @@ class TestCovUu:
     def test_identity_grouping_is_identical(self):
         stats = desk_scenario().statistics()
         c = cov_ss(stats, 0)
-        np.testing.assert_array_equal(cov_uu(c, stats.m_antennas, 16), c)
+        np.testing.assert_array_equal(cov_uu(c, contiguous(16, 16), stats.m_antennas), c)
 
     def test_two_to_one_aggregation(self):
         # M = 1, N = 2 with hand-filled cascade block
         c = np.zeros((3, 3), dtype=complex)
         c[0, 0] = 1.0
         c[1:, 1:] = np.array([[2.0, 0.5 + 0.25j], [0.5 - 0.25j, 3.0]])
-        agg = cov_uu(c, 1, 1)
+        agg = cov_uu(c, contiguous(2, 1), 1)
         assert agg.shape == (2, 2)
         assert agg[0, 0] == 1.0
         assert agg[1, 1] == pytest.approx(2.0 + 3.0 + 2 * 0.5, rel=1e-15)
@@ -189,8 +196,8 @@ class TestCovUu:
     def test_quadratic_form_consistency(self):
         stats = desk_scenario().statistics()
         c = cov_ss(stats, 0)
-        agg = cov_uu(c, stats.m_antennas, 4)
-        p = group_aggregation_matrix(stats.m_antennas, 4, 16)
+        agg = cov_uu(c, contiguous(16, 4), stats.m_antennas)
+        p = group_aggregation_matrix(contiguous(16, 4), stats.m_antennas)
         rng = np.random.default_rng(16)
         for _ in range(30):
             v = rng.standard_normal(agg.shape[0]) + 1j * rng.standard_normal(agg.shape[0])
@@ -202,33 +209,52 @@ class TestCovUu:
     def test_matches_sample_aggregates(self):
         stats = desk_scenario().statistics()
         s = sampler_targets(stats, 0, 40_000, 17)
-        p = group_aggregation_matrix(stats.m_antennas, 4, 16)
+        p = group_aggregation_matrix(contiguous(16, 4), stats.m_antennas)
         u = (s - mean_s(stats, 0)[None, :]) @ p.T
         cov_hat = u.T @ u.conj() / s.shape[0]
-        agg = cov_uu(cov_ss(stats, 0), stats.m_antennas, 4)
+        agg = cov_uu(cov_ss(stats, 0), contiguous(16, 4), stats.m_antennas)
         assert np.abs(cov_hat - agg).max() < 0.05 * np.abs(agg).max()
 
     def test_expansion_matrix_left_inverse_on_groups(self):
-        p = group_aggregation_matrix(2, 2, 8)
-        e = group_expansion_matrix(2, 2, 8)
+        p = group_aggregation_matrix(contiguous(8, 2), 2)
+        e = _expansion(SimpleNamespace(group_index=contiguous(8, 2), m_antennas=2))
         np.testing.assert_allclose(p @ e, np.eye(p.shape[0]), atol=1e-14)
 
 
-@pytest.mark.parametrize("m,n,g", [(1, 4, 2), (2, 8, 2), (4, 16, 4), (4, 16, 16), (1, 16, 1)])
-def test_grouping_matrices_match_contiguous_slices(m, n, g):
+def _runs(n, g):
+    """Members of the contiguous grouping of n elements into g groups."""
+    return tuple(range(j * (n // g), (j + 1) * (n // g)) for j in range(g))
+
+
+GROUPINGS = {
+    **{f"{m}-{n}-{g}": (m, _runs(n, g))
+       for m, n, g in [(1, 4, 2), (2, 8, 2), (4, 16, 4), (4, 16, 16), (1, 16, 1)]},
+    "2-8-scattered": (2, ((0, 3, 5, 6), (1, 2, 4, 7))),
+}
+
+
+@pytest.mark.parametrize("m,members", GROUPINGS.values(), ids=GROUPINGS.keys())
+def test_grouping_matrices_match_contiguous_slices(m, members):
     # independent oracle: the direct block is copied and group j of antenna a
-    # sums antenna a's cascade entries j*N/G .. (j+1)*N/G - 1
-    size = n // g
+    # sums antenna a's cascade entries at group j's members, N/G consecutive
+    # indices j*N/G .. (j+1)*N/G - 1 in the contiguous cases
+    n, g = sum(len(group) for group in members), len(members)
+    index = np.empty(n, dtype=int)
+    for j, group in enumerate(members):
+        index[list(group)] = j
     x = np.random.default_rng(m * 100 + n + g).standard_normal(m * (n + 1))
     cascade = x[m:].reshape(m, n)
     expected = np.concatenate(
-        [x[:m], [cascade[a, j * size:(j + 1) * size].sum() for a in range(m) for j in range(g)]]
+        [x[:m], [sum(cascade[a, i] for i in group) for a in range(m) for group in members]]
     )
-    aggregated = group_aggregation_matrix(m, g, n) @ x
+    aggregated = group_aggregation_matrix(index, m) @ x
     np.testing.assert_allclose(aggregated, expected, rtol=1e-14, atol=1e-14)
-    i = np.arange(n)
-    same_group = (i[:, None] // size) == (i[None, :] // size)
-    np.testing.assert_array_equal(_block_correlation(n, g), same_group.astype(float))
+    same_group = np.zeros((n, n))
+    for group in members:
+        for i in group:
+            for j in group:
+                same_group[i, j] = 1.0
+    np.testing.assert_array_equal(_block_correlation(index), same_group)
 
 
 class TestObservationMoments:
@@ -245,7 +271,7 @@ class TestObservationMoments:
         stats = scalar_stats()
         z = np.array([[2.0 + 0j, 3.0 - 1.0j]])
         m = observation_moments(
-            stats, 0, z_full=z, z_grouped=z, sigma_w2=0.0, n_users=1,
+            stats, 0, z_full=z, z_grouped=z, sigma_w2=0.0, n_users=1, group_index=contiguous(1, 1),
         )
         c = cov_ss(stats, 0)
         expected = 0.7 * (z @ c @ z.conj().T)
@@ -281,12 +307,12 @@ class TestObservationMoments:
         tc = make_training_config(16, 2, n_groups=4, sigma_w2=1e-9)
         for b, _ in build_moments(stats, 0, tc).blocks:
             lhs = b.Z @ b.cov_ss @ b.Z.conj().T
-            rhs = b.Z_G @ cov_uu(b.cov_ss, 1, 4) @ b.Z_G.conj().T
+            rhs = b.Z_G @ cov_uu(b.cov_ss, tc.group_index, 1) @ b.Z_G.conj().T
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-20)
 
     def test_block_ideal_prior_structure(self):
         stats = desk_scenario().statistics()
-        c = cov_ss_block_ideal(stats, 0, 4)
+        c = cov_ss_block_ideal(stats, 0, contiguous(16, 4))
         m = stats.m_antennas
         cascade = c[m:, m:]
         # cross-group entries vanish for the same antenna pair

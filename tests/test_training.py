@@ -53,16 +53,18 @@ class TestTrainingPatterns:
     def test_rows_from_order_four_matrix(self):
         # enumerated order-4 Hadamard rows: columns 2..3 of rows 1..3
         with pytest.warns(PatternOrthogonalityWarning):
-            patterns, group_patterns = training_patterns(2, 2, 3)
+            group_patterns = training_patterns(2, 3)
+            tc = TrainingConfig(2, 1, 2, 3, sigma_w2=1.0)
         np.testing.assert_array_equal(group_patterns.real, [[1, 1], [-1, 1], [1, -1]])
-        np.testing.assert_array_equal(patterns, group_patterns)
+        np.testing.assert_array_equal(tc.patterns, group_patterns)
 
     def test_kronecker_replication_shape(self):
         with pytest.warns(PatternOrthogonalityWarning):
-            patterns, group_patterns = training_patterns(4, 2, 3)
+            tc = TrainingConfig(4, 1, 2, 3, sigma_w2=1.0)
+        np.testing.assert_array_equal(tc.group_index, [0, 0, 1, 1])
         for t in range(3):
-            c, d = group_patterns[t]
-            np.testing.assert_array_equal(patterns[t], [c, c, d, d])
+            c, d = tc.group_patterns[t]
+            np.testing.assert_array_equal(tc.patterns[t], [c, c, d, d])
 
     def test_warning_names_the_round_and_points_at_the_caller(self):
         match = "T = 5 patterns for n_groups = 4"
@@ -71,18 +73,19 @@ class TestTrainingPatterns:
         assert [w.filename for w in rec] == [__file__]
 
     def test_stacked_gram_power_of_two(self):
-        patterns, group_patterns = training_patterns(6, 3, 4)
+        group_patterns = training_patterns(3, 4)
         stacked = np.hstack([np.ones((4, 1)), group_patterns])
         gram = stacked.conj().T @ stacked
         np.testing.assert_array_equal(gram, 4 * np.eye(4))
 
     def test_identifiability_guard(self):
         with pytest.raises(ConfigurationError):
-            training_patterns(8, 4, 4)
+            training_patterns(4, 4)
 
     def test_bad_group_count(self):
-        with pytest.raises(DomainError):
-            training_patterns(8, 3, 5)
+        for n_groups in (3, 0):
+            with pytest.raises(DomainError):
+                TrainingConfig(8, 1, n_groups, 5, sigma_w2=1.0)
 
 
 class TestPilots:
@@ -156,7 +159,7 @@ class TestTrainingConfig:
         tc = make_training_config(16, 2, n_groups=4)
         assert tc.n_patterns == 5
         assert tc.tau_p == 10
-        assert tc.group_size == 4
+        np.testing.assert_array_equal(tc.group_index, np.repeat(np.arange(4), 4))
 
     def test_holds_its_inputs_and_derives_the_rest(self):
         tc = TrainingConfig(6, 2, 3, 4, sigma_w2=1.0)
@@ -164,8 +167,9 @@ class TestTrainingConfig:
             "n_elements", "n_users", "n_groups", "n_patterns", "sigma_w2",
         ]
         assert tc.sigma_w2 == 1.0
-        patterns, group_patterns = training_patterns(6, 3, 4)
-        np.testing.assert_array_equal(tc.patterns, patterns)
+        group_patterns = training_patterns(3, 4)
+        np.testing.assert_array_equal(tc.group_index, [0, 0, 1, 1, 2, 2])
+        np.testing.assert_array_equal(tc.patterns, np.repeat(group_patterns, 2, axis=1))
         np.testing.assert_array_equal(tc.group_patterns, group_patterns)
         np.testing.assert_array_equal(tc.pilot_matrix, pilot_sequences(2))
 
