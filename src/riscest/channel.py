@@ -18,8 +18,9 @@ copy; the dense vector s = [b; a_1*g; ...; a_M*g] is formed only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -139,19 +140,39 @@ class ChannelStatistics:
 class ChannelRealization:
     """One draw of every link plus the cascaded estimation targets.
 
-    b, g, A carry the physical large-scale gains.  S holds each user's
-    estimation target as the (N+1) x M matrix [b; (a_m*g)^T], built from the
-    unit-power (gain-stripped) draws, because the pilot mixing matrices carry
-    the large-scale gains themselves; column m is antenna m's share.  Row m
-    of A is the per-antenna RIS-BS vector entering the elementwise cascade.
-    The sampler lays S out as `target_matrix` does, so `s_antenna` is a view;
-    the dense target s = [b; a_1*g; ...; a_M*g] is formed on first read.
+    S holds each user's estimation target as the (N+1) x M matrix
+    [b; (a_m*g)^T], built from the unit-power (gain-stripped) draws, because
+    the pilot mixing matrices carry the large-scale gains themselves; column
+    m is antenna m's share.  The sampler lays S out as `target_matrix` does,
+    so `s_antenna` is a view; the dense target s = [b; a_1*g; ...; a_M*g] is
+    formed on first read.  The links b, g and A carry the physical
+    large-scale gains (row m of A is the per-antenna RIS-BS vector entering
+    the elementwise cascade); trials read none of them, so they come from
+    `links`, called on the first read of any, and copies made with
+    `dataclasses.replace` keep the original's links.
     """
 
-    b: np.ndarray  # (K, M)
-    g: np.ndarray  # (K, N)
-    A: np.ndarray  # (M, N)
     S: np.ndarray  # (K, N+1, M); every field may carry leading trial axes
+    links: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
+
+    @cached_property
+    def _links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.links()
+
+    @property
+    def b(self) -> np.ndarray:
+        """The direct links, (..., K, M)."""
+        return self._links[0]
+
+    @property
+    def g(self) -> np.ndarray:
+        """The UE-RIS links, (..., K, N)."""
+        return self._links[1]
+
+    @property
+    def A(self) -> np.ndarray:
+        """The RIS-BS links, (..., M, N)."""
+        return self._links[2]
 
     @property
     def s_antenna(self) -> np.ndarray:
@@ -263,6 +284,21 @@ def bs_los_vectors(
     return ramp[:, None] * v[None, :]
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm, rescaled by the largest entry only where the plain one overflows.
+
+    A finite plain norm is returned as it is, so every shipped distance keeps
+    its bits; a vector whose squares overflow (entries near 1e200) gets its
+    true norm, and one whose norm exceeds the float range gets inf.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+        if norm == np.inf and np.isfinite(v).all():  # the squares overflowed, not the norm
+            scale = np.abs(v).max()
+            norm = float(scale * np.linalg.norm(v / scale))
+    return norm
+
+
 def arrival_angles(geometry: SystemGeometry, point: np.ndarray) -> tuple[float, float]:
     """(azimuth, elevation) of `point` seen from the RIS, broadside along +x.
 
@@ -270,7 +306,7 @@ def arrival_angles(geometry: SystemGeometry, point: np.ndarray) -> tuple[float, 
     steering phase reduces to the projection onto the unit direction.
     """
     u = np.asarray(point, dtype=float) - geometry.ris_position
-    norm = np.linalg.norm(u)
+    norm = _norm(u)
     if norm == 0:
         raise DomainError("point coincides with the RIS position")
     u = u / norm
@@ -297,7 +333,7 @@ def build_statistics(
 
     def _dist(p, q):
         with np.errstate(over="ignore"):  # an overflowing distance is inf, which path_loss rejects
-            d = float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
+            d = _norm(np.asarray(p, float) - np.asarray(q, float))
         if d == 0:
             raise DomainError("coincident node positions give zero distance")
         return d
@@ -373,7 +409,9 @@ class ChannelSampler:
 
     Draw order per realization is fixed (direct links, then each user's RIS
     link, then the RIS-BS link) so a given seed reproduces bit-identically;
-    `sample` maps stacked rows of `n_normals` normals to stacked realizations.
+    `sample` maps stacked rows of `n_normals` normals to stacked realizations,
+    writing each draw in the layout its reader takes, with the bits of
+    drawing each row alone.
     """
 
     def __init__(self, stats: ChannelStatistics):
@@ -389,7 +427,7 @@ class ChannelSampler:
         self._gain_b = np.sqrt(stats.rho_b)[:, None]
         self._gain_g = np.sqrt(stats.rho_g)[:, None]
         self._gain_a = np.sqrt(stats.rho_a)
-        self._direct = (stats.rho_b > 0)[:, None]
+        self._blocked = ~(stats.rho_b > 0)
         # A realization takes its n_normals normals in this order: the K*M real
         # parts of the direct draws zb, then their imaginary parts; per user,
         # the N real then the N imaginary parts of its RIS-link draw w_g; then
@@ -400,7 +438,17 @@ class ChannelSampler:
     def sample(
         self, rng: np.random.Generator | None = None, normals: np.ndarray | None = None
     ) -> ChannelRealization:
-        """A realization from n_normals drawn from rng, or one per row of normals (..., >= n_normals)."""
+        """A realization from n_normals drawn from rng, or one per row of normals (..., >= n_normals).
+
+        Each draw is written where its reader takes it, over the leading axes
+        (rows): the direct draws straight into the targets' direct entries,
+        antenna-major (K, M, ...), zero for a blocked user; the RIS-link draws
+        user-major, (K, rows, N), through the batched matvec with each user's
+        L_g; the RIS-BS draws antenna-major, (M, rows, N), through one
+        (M rows, N) x L_a^T product (one per row at M = 1, where the single
+        product would change their bits); then one broadcast product of the
+        two fills the cascade entries.  b, g and A are formed on first read.
+        """
         st = self.stats
         k_users, n, m = st.n_users, st.n_elements, st.m_antennas
         km, kn = k_users * m, k_users * n
@@ -408,30 +456,51 @@ class ChannelSampler:
         if normals is None:
             normals = rng.standard_normal(self.n_normals)
         lead = normals.shape[:-1]
-        # each draw's real and imaginary runs, (..., 2, size), read as views
-        zb_parts = normals[..., :2 * km].reshape(*lead, 2, km)
+        n_lead = len(lead)
+        # each draw's real and imaginary runs, (..., 2, ...), read as views; to_front moves
+        # the K or M axis after the leading axes to the front, the K and M axes for zb
+        zb_parts = normals[..., :2 * km].reshape(*lead, 2, k_users, m)
         g_parts = normals[..., 2 * km:2 * (km + kn)].reshape(*lead, k_users, 2, n)
         a_parts = normals[..., 2 * (km + kn):self.n_normals].reshape(*lead, 2, m, n)
-        zb = complex_normal(zb_parts[..., 0, :], zb_parts[..., 1, :]).reshape(*lead, k_users, m)
-        w_g = complex_normal(g_parts[..., 0, :], g_parts[..., 1, :])  # (..., K, N)
-        w_a = complex_normal(a_parts[..., 0, :, :], a_parts[..., 1, :, :])  # (..., M, N)
-        g_unit = self._mu_g + (self._L_g @ w_g[..., None])[..., 0]
-        a_unit = self._mu_a + w_a @ self._L_a.T  # rows independent
-
-        b = self._gain_b * zb
-        g = self._gain_g * g_unit
-        a_mat = self._gain_a * a_unit
-
-        # the targets antenna-major, (K, M, ..., N+1), as target_matrix lays them out;
-        # transpose(L, ...) moves the K or M axis after the L leading axes to the front
-        n_lead = len(lead)
-        targets = np.empty((k_users, m, *lead, n + 1), dtype=complex)
-        b_part = np.where(self._direct, zb, 0.0)  # (..., K, M)
-        targets[..., 0] = b_part.transpose(n_lead, n_lead + 1, *range(n_lead))
         to_front = (n_lead, *range(n_lead), n_lead + 1)
+        zb_to_front = (n_lead, n_lead + 1, *range(n_lead))
+
+        # the targets antenna-major, (K, M, ..., N+1), as target_matrix lays them out
+        targets = np.empty((k_users, m, *lead, n + 1), dtype=complex)
+        complex_normal(
+            zb_parts[..., 0, :, :].transpose(zb_to_front),
+            zb_parts[..., 1, :, :].transpose(zb_to_front),
+            out=targets[..., 0],
+        )
+        targets[self._blocked, ..., 0] = 0.0
+
+        w_g = np.empty((k_users, *lead, n), dtype=complex)
+        complex_normal(
+            g_parts[..., 0, :].transpose(to_front), g_parts[..., 1, :].transpose(to_front), out=w_g
+        )
+        g_unit = (self._L_g[:, None] @ w_g.reshape(k_users, -1, n, 1))[..., 0]  # (K, rows, N)
+        g_unit += self._mu_g[:, None]
+
+        w_a = np.empty((m, *lead, n), dtype=complex)
+        complex_normal(
+            a_parts[..., 0, :, :].transpose(to_front), a_parts[..., 1, :, :].transpose(to_front),
+            out=w_a,
+        )
+        per_row = (-1, n) if m > 1 else (-1, 1, n)
+        a_unit = (w_a.reshape(per_row) @ self._L_a.T).reshape(m, -1, n)  # (M, rows, N)
+        a_unit += self._mu_a[:, None]
+
         np.multiply(
-            a_unit.transpose(to_front)[None], g_unit.transpose(to_front)[:, None],
+            a_unit.reshape(1, m, *lead, n), g_unit.reshape(k_users, 1, *lead, n),
             out=targets[..., 1:],
         )
         s_mat = targets.transpose(*range(2, n_lead + 2), 0, n_lead + 2, 1)  # (..., K, N+1, M)
-        return ChannelRealization(b=b, g=g, A=a_mat, S=s_mat)
+
+        def links() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            return (
+                self._gain_b * s_mat[..., 0, :],
+                self._gain_g * np.moveaxis(g_unit.reshape(k_users, *lead, n), 0, -2),
+                self._gain_a * np.moveaxis(a_unit.reshape(m, *lead, n), 0, -2),
+            )
+
+        return ChannelRealization(S=s_mat, links=links)

@@ -9,7 +9,8 @@ the full target from them next.  Group-constant patterns give Z = Z_G P, so
 C_sy = C_su Z_G^H and the two stages reduce to C_sy C_yy^-1: the LMMSE of
 the grouped observation.  One LMMSE rule therefore builds both LMMSE kinds,
 which differ only in their label and in the training their moment set was
-built from.
+built from.  At G = N grouping LS is likewise LS's rule unless LS is
+degenerate (`rule_kind`).
 
 Every estimator is affine in the observation, so each carries its exact
 error trace under the true moments and forms its filter only when read.
@@ -62,7 +63,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -108,8 +108,9 @@ class AffineEstimator:
     the rule estimates column 0 of the target as offset + W_0 x_0 and every
     other column m as W_1 x_m (`residual`).  w_blocks and offset, the
     per-block error_blocks, the dense W and error_cov are formed on first
-    read; w_blocks and offset come from `arrays`, which copies made with
-    `dataclasses.replace` share, so a rule two kinds share is formed once.
+    read; w_blocks and offset come from `arrays`, and the others are kept in
+    `dense`, both of which copies made with `dataclasses.replace` share, so
+    a rule two kinds share is formed, and assembled, once.
     Each W_i is V_i(eps) / sqrt(rho) for the power-free rule V_i at the
     pilot power rho the rule was built for (module docstring), and the
     error terms are formed in V and eps.
@@ -125,6 +126,8 @@ class AffineEstimator:
     nmse: float
     nmse_floor: float | None = None
     degenerate: bool = False
+    # W, error_blocks and error_cov under their names, each kept on its first read
+    dense: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def r(self) -> np.ndarray | None:
@@ -139,20 +142,29 @@ class AffineEstimator:
         """mean_s - W_0 mean_y on the first block, 0 for the raw rule."""
         return self.arrays()[1]
 
-    @cached_property
+    def _kept(self, name: str, form: Callable[[], object]):
+        """The array kept in `dense` under name, formed by form on its first read."""
+        if name not in self.dense:
+            self.dense[name] = form()
+        return self.dense[name]
+
+    @property
     def W(self) -> np.ndarray:
-        return combine_blocks(self.r, self.w_blocks, "s", "y")
+        return self._kept("W", lambda: combine_blocks(self.r, self.w_blocks, "s", "y"))
 
-    @cached_property
+    @property
     def error_blocks(self) -> tuple[np.ndarray, ...]:
-        blocks = [b for b, _ in self.moments.blocks]
-        return tuple(
-            _error_cov(w, b, self.rho, self.innovation) for b, w in zip(blocks, self.w_blocks)
-        )
+        def form() -> tuple[np.ndarray, ...]:
+            blocks = [b for b, _ in self.moments.blocks]
+            return tuple(
+                _error_cov(w, b, self.rho, self.innovation) for b, w in zip(blocks, self.w_blocks)
+            )
 
-    @cached_property
+        return self._kept("error_blocks", form)
+
+    @property
     def error_cov(self) -> np.ndarray:
-        return combine_blocks(self.r, self.error_blocks)
+        return self._kept("error_cov", lambda: combine_blocks(self.r, self.error_blocks))
 
     def estimate(self, y: np.ndarray) -> np.ndarray:
         """Estimate of the dense target from the dense observation y, through the dense W."""
@@ -516,6 +528,24 @@ def grouping_lmmse_filter(
     return _finalize(EstimatorKind.GROUPING_LMMSE, form, m, rho, terms)
 
 
+def rule_kind(kind: EstimatorKind, m: MomentSet | AntennaMomentSet) -> EstimatorKind:
+    """The kind whose rule `kind` is on m, which `make_estimator` builds and relabels.
+
+    Correlated grouping is LMMSE's rule on every set (module docstring).  At
+    G = N, Z_G = Z and the expansion is I, so grouping LS is LS's pinv(Z) in
+    innovation form, which adds (I - V Z) mean_s = 0 whenever the pinv keeps
+    every active column; a degenerate LS rule drops one, the two forms then
+    differ, and grouping LS keeps its own.
+    """
+    if kind == EstimatorKind.CORRELATED_GROUPING_LMMSE:
+        return EstimatorKind.LMMSE
+    if kind == EstimatorKind.GROUPING_LS:
+        b0, _ = m.blocks[0]
+        if b0.Z_G.shape == b0.Z.shape and not _ls_rule(m, grouped=False)[1]:
+            return EstimatorKind.LS
+    return kind
+
+
 def make_estimator(
     kind: EstimatorKind,
     m: MomentSet | AntennaMomentSet,
@@ -524,10 +554,14 @@ def make_estimator(
 ) -> AffineEstimator:
     """Build any estimator kind at pilot power rho.
 
-    Grouping LMMSE needs its model-prior moments m_model.
+    A kind that is another kind's rule on m (`rule_kind`) is that kind's
+    estimator relabelled.  Grouping LMMSE needs its model-prior moments m_model.
     """
-    if kind in (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE):
-        return replace(lmmse_filter(m, rho), kind=kind)
+    rule = rule_kind(kind, m)
+    if rule != kind:
+        return replace(make_estimator(rule, m, rho, m_model), kind=kind)
+    if kind == EstimatorKind.LMMSE:
+        return lmmse_filter(m, rho)
     if kind == EstimatorKind.LS:
         return conventional_ls_filter(m, rho)
     if kind == EstimatorKind.GROUPING_LS:

@@ -25,8 +25,9 @@ whose caches hold the spectra, LS rules, trace sums, prior traces, the
 grouping-LMMSE factor, the LMMSE-type projected trace products and the
 floors.  Every SNR point of the group count builds its cell's estimators
 from that state at its own pilot power, with the same bits as a fresh
-build; their filters are formed only when trials read them.  At G = N one
-LMMSE rule serves both LMMSE kinds and is scored once.
+build; their filters are formed only when trials read them.  Kinds that
+are one rule (`estimators.rule_kind`: at G = N both LMMSE kinds, and LS
+with grouping LS unless LS is degenerate) share it, and it is scored once.
 
 Trials run in the antenna basis (`moments.antenna_basis`): synthesis
 multiplies each user's (T, N+1) mixing block with its antenna-major
@@ -56,6 +57,7 @@ from .estimators import (  # noqa: F401
     GROUPED_KINDS,
     asymptotic_mse,
     make_estimator,
+    rule_kind,
 )
 from .moments import (
     AntennaMomentSet,
@@ -250,26 +252,23 @@ def build_cell_bank(
     per-point traces of the cached spectral rules, and sqrt(rho) times the
     state's mixing blocks, remain per cell; a filter is formed when trials
     first read it.
-    At G = N the LMMSE and correlated-grouping LMMSE kinds are one rule on
-    one moment set (`estimators`), so when both are asked for, the rule is
-    built once per user as LMMSE and the correlated entry shares its arrays.
+    Kinds that are one rule on a user's moment set (`estimators.rule_kind`:
+    at G = N correlated grouping is LMMSE's rule, and grouping LS is LS's
+    unless LS is degenerate) build it once, as the first of them asked for,
+    and the others' entries share its arrays.
     """
     if state is None:
         state = build_group_state(stats, sigma_w2, n_groups, kinds)
     kinds = applicable_kinds(kinds, n_groups, stats.n_elements)
-    shared_lmmse = EstimatorKind.LMMSE in kinds  # applicable at G = N only
     filters: dict[EstimatorKind, list[AffineEstimator]] = {k: [] for k in kinds}
     prior_traces = np.empty(stats.n_users)
     for k, (m_true, m_model) in enumerate(zip(state.true, state.model)):
-        built: dict[EstimatorKind, AffineEstimator] = {}
+        built: dict[EstimatorKind, AffineEstimator] = {}  # rule kind -> its estimator
         for kind in kinds:
-            if kind == EstimatorKind.CORRELATED_GROUPING_LMMSE and shared_lmmse:
-                rule_kind = EstimatorKind.LMMSE
-            else:
-                rule_kind = kind
-            if rule_kind not in built:
-                built[rule_kind] = make_estimator(rule_kind, m_true, rho, m_model)
-            f = built[rule_kind]
+            rule = rule_kind(kind, m_true)
+            if rule not in built:
+                built[rule] = make_estimator(kind, m_true, rho, m_model)
+            f = built[rule]
             filters[kind].append(f if f.kind == kind else replace(f, kind=kind))
         prior_traces[k] = m_true.prior_trace
     return _CellBank(

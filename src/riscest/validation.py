@@ -38,8 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelRealization, ChannelSampler, ChannelStatistics, path_loss,
-                      target_vector)
+from .channel import ChannelSampler, ChannelStatistics, path_loss, target_vector
 from .estimators import EstimatorKind
 from .moments import (antenna_basis, combine_blocks, cov_ss, cov_uu, group_aggregation_matrix,
                       mean_s, to_antenna_basis)
@@ -181,7 +180,7 @@ def _interuser_leakage(stats: ChannelStatistics, rho: float, seed: int) -> float
     real = ChannelSampler(stats).sample(np.random.default_rng(seed))
     s_masked = real.S.copy()
     s_masked[0] = 0.0
-    masked = ChannelRealization(b=real.b, g=real.g, A=real.A, S=s_masked)
+    masked = dataclasses.replace(real, S=s_masked)
     mixing = np.sqrt(rho) * mixing_blocks(stats, tc)
     obs = synthesize_received(masked, stats, tc, mixing, np.random.default_rng(seed + 1))
     return float(

@@ -220,6 +220,19 @@ class TestBuildStatistics:
         stats2 = build_statistics(small_geometry(), default_fading(blocked=False))
         assert np.all(stats2.rho_b > 0)
 
+    def test_huge_position_keeps_its_distance(self):
+        # the squares of 1e200 overflow, the distance does not: the gain is the true one
+        geo = small_geometry(k=1)
+        geo.ue_positions[0] = [-8.0, 1e200, 5.0]
+        fading = dataclasses.replace(default_fading(k_users=1), alpha_g=1.0)
+        stats = build_statistics(geo, fading)
+        assert stats.rho_g[0] == path_loss(1e200, 1.0, 1e-3)
+        azimuth, elevation = arrival_angles(geo, geo.ue_positions[0])
+        assert azimuth == pytest.approx(-5e-200, rel=1e-12) and elevation == math.pi / 2
+        # at the default exponent the gain underflows, and the error names the true distance
+        with pytest.raises(DomainError, match=r"path gain 0 at distance 1e\+200, exponent 2.2"):
+            build_statistics(geo, default_fading(k_users=1))
+
     def test_coincident_positions_rejected(self):
         geo = small_geometry()
         geo.ue_positions[0] = geo.ris_position
@@ -339,6 +352,42 @@ class TestSampling:
                 for field in ("b", "g", "A", "s", "S"):
                     got = getattr(stacked, field)[seed]
                     assert np.array_equal(got, getattr(real, field)), (name, seed, field)
+
+    @pytest.mark.parametrize(
+        "name, lead",
+        [("blocked", (4, 30)), ("unblocked", (4, 30)), ("single-antenna", (4, 30)),
+         ("reference", (7, 1))],
+    )
+    def test_engine_shaped_targets_match_per_trial(self, name, lead):
+        """At the sweep engine's (blocks, B) shapes every stacked S is bit-equal to a lone draw's."""
+        desk = desk_scenario()
+        scenario = {
+            "blocked": desk,
+            "unblocked": dataclasses.replace(
+                desk, fading=dataclasses.replace(desk.fading, direct_blocked=False)
+            ),
+            "single-antenna": dataclasses.replace(
+                desk, geometry=dataclasses.replace(desk.geometry, m_antennas=1)
+            ),
+            "reference": default_scenario(),
+        }[name]
+        sampler = ChannelSampler(scenario.statistics())
+        n_blocks, b = lead
+        size = sampler.n_normals
+        # as the engine lays them out: per block, B trials' channel normals, then their
+        # noise, so the (blocks, B, n_normals) normals are a strided view
+        rows = np.zeros((n_blocks, b * (size + 5)))
+        for i in range(n_blocks):
+            for j in range(b):
+                rows[i, j * size:(j + 1) * size] = np.random.default_rng(i * b + j).standard_normal(size)
+        stacked = sampler.sample(normals=rows[:, :b * size].reshape(n_blocks, b, size))
+        for i in range(n_blocks):
+            for j in range(b):
+                real = sampler.sample(np.random.default_rng(i * b + j))
+                got = np.ascontiguousarray(stacked.S[i, j])
+                assert got.tobytes() == real.S.tobytes(), (i, j)
+                for field in ("b", "g", "A"):
+                    assert np.array_equal(getattr(stacked, field)[i, j], getattr(real, field))
 
     def test_deterministic_per_seed(self):
         stats = desk_scenario().statistics()

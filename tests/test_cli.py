@@ -308,8 +308,9 @@ class TestTheoryCommand:
                 "--out", str(tmp_path / "theory.csv"),
             ]) == 0
             counts.append(len(calls))
-        # grouping LS and grouping LMMSE, once per (group count, user)
-        assert counts == [2 * 2 * 2] * 2
+        # per user, grouping LS and grouping LMMSE at G = 4 and grouping LMMSE at G = 16,
+        # where grouping LS is LS's rule and expands by nothing
+        assert counts == [3 * 2] * 2
 
     def test_power_free_terms_formed_once_per_group_count(self, monkeypatch, tmp_path):
         """Training rounds, LS error-trace sums and prior traces do not grow with the SNR grid."""
@@ -346,8 +347,9 @@ class TestTheoryCommand:
             ]) == 0
             counts.append((len(rounds), len(sums), len(traces)))
         # one round per group count; per (user, block), 2 of each with M = 4: grouping
-        # LS at G = 4, both LS kinds at G = 16, and each group count's true prior
-        assert counts == [(2, 2 * 2 * 3, 2 * 2 * 2)] * 2
+        # LS at G = 4, LS's rule at G = 16, which grouping LS is there, and each group
+        # count's true prior
+        assert counts == [(2, 2 * 2 * 2, 2 * 2 * 2)] * 2
 
     def test_filters_formed_only_where_trials_read_them(self, monkeypatch, tmp_path):
         """A T < N+1 theory walk forms no spectral rule; a sweep forms each rule once per point."""
@@ -490,6 +492,21 @@ def test_out_of_range_gain_is_usage_error(command, old, new, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "path gain" in err
+
+
+@pytest.mark.parametrize("command", ["theory", "sweep"])
+def test_huge_position_reports_its_true_distance(command, tmp_path, capsys):
+    # the squares of 1e200 overflow in a plain norm, which reported the distance as inf
+    path = tmp_path / "far.ini"
+    path.write_text(
+        DESK_SCENARIO_INI.replace("ue_positions = -8 44 5; 8 44 5", "ue_positions = -8 1e200 5")
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at distance 1e+200," in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_bad_worker_count_is_usage_error(desk_ini, capsys):

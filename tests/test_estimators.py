@@ -13,6 +13,7 @@ from riscest.estimators import (
     grouping_ls_filter,
     lmmse_filter,
     make_estimator,
+    rule_kind,
 )
 from riscest.moments import (
     MomentSet,
@@ -256,6 +257,29 @@ class TestConventionalLs:
 
 
 class TestGroupingBaselines:
+    def test_full_grouping_ls_is_the_ls_rule_unless_ls_is_degenerate(self, desk):
+        scenario, stats = desk
+        m = desk_moments(scenario, stats, n_groups=16)
+        rho = desk_power(scenario, stats)
+        ls = make_estimator(EstimatorKind.LS, m, rho)
+        shared = make_estimator(EstimatorKind.GROUPING_LS, m, rho)
+        assert rule_kind(EstimatorKind.GROUPING_LS, m) == EstimatorKind.LS
+        assert (shared.kind, ls.degenerate, shared.innovation) == (
+            EstimatorKind.GROUPING_LS, False, False
+        )
+        assert (shared.mse_trace, shared.nmse) == (ls.mse_trace, ls.nmse)
+        # the innovation form it stands for agrees with it to round-off
+        own = grouping_ls_filter(m, rho)
+        assert own.innovation and own.nmse == pytest.approx(ls.nmse, rel=1e-12)
+        np.testing.assert_allclose(own.W, ls.W, rtol=0, atol=1e-10 * np.abs(ls.W).max())
+        # a degenerate LS drops an active column, so grouping LS keeps its own rule
+        z = np.zeros((4, 3), dtype=complex)
+        z[:, 0] = 1.0
+        z[:, 1] = 1.0
+        m = linear_moments(np.eye(3, dtype=complex), z, sigma2=1.0)
+        assert rule_kind(EstimatorKind.GROUPING_LS, m) == EstimatorKind.GROUPING_LS
+        assert make_estimator(EstimatorKind.GROUPING_LS, m, 1.0).innovation
+
     def test_ideal_model_is_estimated_perfectly_at_high_power(self):
         # channels generated exactly under the block model the baseline assumes
         groups = [np.arange(0, 2), np.arange(2, 4)]

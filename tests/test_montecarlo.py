@@ -407,19 +407,50 @@ def test_bank_assembles_dense_arrays_only_when_read(n_groups):
     assert len(filters) == stats.n_users * len(applicable_kinds(ALL_KINDS, n_groups, 16))
     lazy = ("W", "error_blocks", "error_cov")
     for f in filters:
-        assert not set(lazy) & set(vars(f)), f.kind
+        assert not set(lazy) & set(f.dense), f.kind
     for f in filters:
         assert f.W.flags.c_contiguous, f.kind
     engine = SweepEngine(desk_config(snr_db=(20.0,), n_groups=(n_groups,)))
     engine.run_cell_trial(0, 0, 0)
     for per_user in engine.bank(0, 0).filters.values():
         for f in per_user:
-            assert not set(lazy) & set(vars(f)), f.kind
+            assert not set(lazy) & set(f.dense), f.kind
+
+
+def test_sweep_batch_forms_no_links():
+    """Trials read only the targets: a scored batch forms none of b, g and A."""
+    engine = SweepEngine(desk_config(n_groups=(4, 16), n_trials=100))
+    for gi in range(2):
+        engine.run_cell_trial(gi, 0, 0)
+    realization = engine._batch.realization
+    assert realization.S.shape[1] == engine.block_size
+    assert "_links" not in vars(realization)
+    real = engine.sampler.sample(engine.trial_rng(0, 0))
+    for field in ("b", "g", "A"):
+        assert np.array_equal(getattr(realization, field)[0, 0], getattr(real, field)), field
+
+
+def test_full_group_count_pairs_share_their_dense_arrays():
+    """Each G = N pair of one rule assembles W, error_blocks and error_cov once for both."""
+    scenario = desk_scenario()
+    stats = scenario.statistics()
+    rho = received_snr_to_power(20.0, stats, scenario.sigma_w2)
+    filters = build_cell_bank(stats, scenario.sigma_w2, 16, rho, ALL_KINDS).filters
+    pairs = [
+        (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE),
+        (EstimatorKind.LS, EstimatorKind.GROUPING_LS),
+    ]
+    for kind_a, kind_c in pairs:
+        for a, c in zip(filters[kind_a], filters[kind_c], strict=True):
+            assert (a.kind, c.kind) == (kind_a, kind_c)
+            assert a.W is c.W, kind_c
+            assert c.error_blocks is a.error_blocks, kind_c
+            assert a.error_cov is c.error_cov, kind_c
 
 
 @pytest.mark.parametrize("estimators", [ALL_KINDS, ALL_KINDS[::-1]])
 def test_full_group_count_builds_and_scores_one_lmmse_rule(monkeypatch, estimators):
-    """At G = N correlated grouping shares LMMSE's rule, and each rule is scored once."""
+    """At G = N correlated grouping shares LMMSE's rule and grouping LS LS's; each rule is scored once."""
     engine = SweepEngine(desk_config(estimators=estimators, n_groups=(16,), snr_db=(20.0,)))
     filters = engine.bank(0, 0).filters
     lmmse = filters[EstimatorKind.LMMSE]
@@ -427,6 +458,11 @@ def test_full_group_count_builds_and_scores_one_lmmse_rule(monkeypatch, estimato
     for a, b in zip(lmmse, correlated, strict=True):
         assert (a.kind, b.kind) == (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE)
         assert b.w_blocks is a.w_blocks
+    for a, b in zip(filters[EstimatorKind.LS], filters[EstimatorKind.GROUPING_LS], strict=True):
+        assert (a.kind, b.kind) == (EstimatorKind.LS, EstimatorKind.GROUPING_LS)
+        assert not a.degenerate
+        assert b.w_blocks is a.w_blocks and b.offset is a.offset
+        assert (b.innovation, b.mse_trace, b.nmse) == (a.innovation, a.mse_trace, a.nmse)
     scored = []
     original = AffineEstimator.squared_error
 
@@ -436,10 +472,11 @@ def test_full_group_count_builds_and_scores_one_lmmse_rule(monkeypatch, estimato
 
     monkeypatch.setattr(AffineEstimator, "squared_error", counting)
     errors, _ = engine.run_cell_trial(0, 0, 0)
-    assert len(scored) == (len(ALL_KINDS) - 1) * engine.stats.n_users
+    assert len(scored) == (len(ALL_KINDS) - 2) * engine.stats.n_users
     assert np.array_equal(
         errors[EstimatorKind.LMMSE], errors[EstimatorKind.CORRELATED_GROUPING_LMMSE]
     )
+    assert np.array_equal(errors[EstimatorKind.LS], errors[EstimatorKind.GROUPING_LS])
 
 
 MOMENT_FIELDS = ("mean_s", "cov_ss", "mean_y", "cov_sy", "cov_yy", "Z", "Z_G")
@@ -729,7 +766,7 @@ class TestBankLifetime:
             for si in range(len(cfg.snr_db)):
                 filters += [f for fs in engine.bank(gi, si).filters.values() for f in fs]
         for f in filters:
-            assert "error_blocks" not in vars(f) and "error_cov" not in vars(f), f.kind
+            assert "error_blocks" not in f.dense and "error_cov" not in f.dense, f.kind
         for f in filters:
             blocks = zip(f.error_blocks, f.moments.blocks, strict=True)
             traces = [mult * np.trace(c).real for c, (_, mult) in blocks]

@@ -1,9 +1,9 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from riscest.channel import ChannelRealization, ChannelSampler
+from riscest.channel import ChannelSampler
 from riscest.errors import ConfigurationError, DomainError
 from riscest.scenario import desk_scenario
 from riscest.training import (
@@ -202,9 +202,7 @@ class TestSynthesis:
         scenario, stats = desk
         tc = make_training_config(16, 2, n_groups=4, sigma_w2=0.0)
         real = ChannelSampler(stats).sample(np.random.default_rng(4))
-        masked = ChannelRealization(
-            b=real.b, g=real.g, A=real.A, S=np.stack([np.zeros_like(real.S[0]), real.S[1]])
-        )
+        masked = replace(real, S=np.stack([np.zeros_like(real.S[0]), real.S[1]]))
         mixing = np.sqrt(0.25) * mixing_blocks(stats, tc)
         obs = synthesize_received(masked, stats, tc, mixing, np.random.default_rng(5))
         leak = np.linalg.norm(obs.y_combined[0]) / np.linalg.norm(obs.y_combined[1])
@@ -229,7 +227,7 @@ class TestSynthesis:
         sigma = 2.5
         tc = make_training_config(16, 2, n_groups=4, sigma_w2=sigma)
         zero = ChannelSampler(stats).sample(np.random.default_rng(7))
-        zero = ChannelRealization(b=zero.b, g=zero.g, A=zero.A, S=np.zeros_like(zero.S))
+        zero = replace(zero, S=np.zeros_like(zero.S))
         rng = np.random.default_rng(8)
         n_draws = 10_000
         dim = stats.m_antennas * tc.n_patterns
@@ -280,7 +278,7 @@ class TestSynthesis:
         scenario, stats = desk
         tc = make_training_config(16, 2, n_groups=4, sigma_w2=1.0)
         real = ChannelSampler(stats).sample(np.random.default_rng(11))
-        bad = ChannelRealization(b=real.b, g=real.g, A=real.A, S=real.S[:, :-1])
+        bad = replace(real, S=real.S[:, :-1])
         mixing = np.sqrt(0.3) * mixing_blocks(stats, tc)
         with pytest.raises(ConfigurationError):
             synthesize_received(bad, stats, tc, mixing, np.random.default_rng(12))
