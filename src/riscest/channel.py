@@ -18,9 +18,8 @@ copy; the dense vector s = [b; a_1*g; ...; a_M*g] is formed only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -138,41 +137,17 @@ class ChannelStatistics:
 
 @dataclass
 class ChannelRealization:
-    """One draw of every link plus the cascaded estimation targets.
+    """One draw of every user's cascaded estimation target.
 
-    S holds each user's estimation target as the (N+1) x M matrix
-    [b; (a_m*g)^T], built from the unit-power (gain-stripped) draws, because
-    the pilot mixing matrices carry the large-scale gains themselves; column
-    m is antenna m's share.  The sampler lays S out as `target_matrix` does,
-    so `s_antenna` is a view; the dense target s = [b; a_1*g; ...; a_M*g] is
-    formed on first read.  The links b, g and A carry the physical
-    large-scale gains (row m of A is the per-antenna RIS-BS vector entering
-    the elementwise cascade); trials read none of them, so they come from
-    `links`, called on the first read of any, and copies made with
-    `dataclasses.replace` keep the original's links.
+    S holds each user's target as the (N+1) x M matrix [b; (a_m*g)^T],
+    built from the unit-power (gain-stripped) draws of the direct, UE-RIS
+    and RIS-BS links, because the pilot mixing matrices carry the
+    large-scale gains themselves; column m is antenna m's share.  The
+    sampler lays S out as `target_matrix` does, so `s_antenna` is a view;
+    the dense target s = [b; a_1*g; ...; a_M*g] is formed on first read.
     """
 
-    S: np.ndarray  # (K, N+1, M); every field may carry leading trial axes
-    links: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
-
-    @cached_property
-    def _links(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.links()
-
-    @property
-    def b(self) -> np.ndarray:
-        """The direct links, (..., K, M)."""
-        return self._links[0]
-
-    @property
-    def g(self) -> np.ndarray:
-        """The UE-RIS links, (..., K, N)."""
-        return self._links[1]
-
-    @property
-    def A(self) -> np.ndarray:
-        """The RIS-BS links, (..., M, N)."""
-        return self._links[2]
+    S: np.ndarray  # (K, N+1, M), with any leading trial axes
 
     @property
     def s_antenna(self) -> np.ndarray:
@@ -424,9 +399,6 @@ class ChannelSampler:
         scale_a = np.sqrt(1.0 / (1.0 + ka))
         self._L_g = np.stack([scale_g * psd_factor(stats.R[k]) for k in range(stats.n_users)])
         self._L_a = scale_a * psd_factor(stats.R0)
-        self._gain_b = np.sqrt(stats.rho_b)[:, None]
-        self._gain_g = np.sqrt(stats.rho_g)[:, None]
-        self._gain_a = np.sqrt(stats.rho_a)
         self._blocked = ~(stats.rho_b > 0)
         # A realization takes its n_normals normals in this order: the K*M real
         # parts of the direct draws zb, then their imaginary parts; per user,
@@ -447,7 +419,8 @@ class ChannelSampler:
         L_g; the RIS-BS draws antenna-major, (M, rows, N), through one
         (M rows, N) x L_a^T product (one per row at M = 1, where the single
         product would change their bits); then one broadcast product of the
-        two fills the cascade entries.  b, g and A are formed on first read.
+        two fills the cascade entries.  The realization holds the targets
+        alone: the link draws are dropped once they are multiplied.
         """
         st = self.stats
         k_users, n, m = st.n_users, st.n_elements, st.m_antennas
@@ -495,12 +468,4 @@ class ChannelSampler:
             out=targets[..., 1:],
         )
         s_mat = targets.transpose(*range(2, n_lead + 2), 0, n_lead + 2, 1)  # (..., K, N+1, M)
-
-        def links() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            return (
-                self._gain_b * s_mat[..., 0, :],
-                self._gain_g * np.moveaxis(g_unit.reshape(k_users, *lead, n), 0, -2),
-                self._gain_a * np.moveaxis(a_unit.reshape(m, *lead, n), 0, -2),
-            )
-
-        return ChannelRealization(S=s_mat, links=links)
+        return ChannelRealization(S=s_mat)

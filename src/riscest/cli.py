@@ -42,7 +42,11 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, header: list[str], rows, comments: list[str] = ()) -> None:
-    """Write rows of already-ordered values; see module docstring for format."""
+    """Write rows of already-ordered values; see module docstring for format.
+
+    A path that cannot be written is a ConfigurationError, as an unreadable
+    config file is (`scenario.load_config`).
+    """
 
     def _dump(fh):
         for line in comments:
@@ -53,9 +57,12 @@ def write_csv(path, header: list[str], rows, comments: list[str] = ()) -> None:
 
     if path in (None, "-"):
         _dump(sys.stdout)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             _dump(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
 def read_csv(path) -> tuple[list[str], list[dict]]:

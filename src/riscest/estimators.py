@@ -8,9 +8,10 @@ stages, the group aggregates u = P s under the true correlation first and
 the full target from them next.  Group-constant patterns give Z = Z_G P, so
 C_sy = C_su Z_G^H and the two stages reduce to C_sy C_yy^-1: the LMMSE of
 the grouped observation.  One LMMSE rule therefore builds both LMMSE kinds,
-which differ only in their label and in the training their moment set was
-built from.  At G = N grouping LS is likewise LS's rule unless LS is
-degenerate (`rule_kind`).
+which differ only in the training their moment set was built from.  At
+G = N grouping LS is likewise LS's rule unless LS is degenerate
+(`rule_kind`).  An estimator is a rule and carries no kind: `make_estimator`
+builds the rule a kind is.
 
 Every estimator is affine in the observation, so each carries its exact
 error trace under the true moments and forms its filter only when read.
@@ -61,8 +62,9 @@ forms keep the same spectra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -102,23 +104,22 @@ class AffineEstimator:
     rule under the true observation moments, and error_cov the matching
     error covariance; nmse_floor, set for both LMMSE kinds, is the
     infinite-power limit.  degenerate flags an LS rule whose pseudo-inverse
-    dropped an active column; an LMMSE-kind filter is never flagged.
+    dropped an active column; an LMMSE-type filter is never flagged.
     w_blocks are the per-block filters of the true moment set `moments`,
     whose antenna factor is r (None for a dense set).  In the antenna basis
     the rule estimates column 0 of the target as offset + W_0 x_0 and every
-    other column m as W_1 x_m (`residual`).  w_blocks and offset, the
-    per-block error_blocks, the dense W and error_cov are formed on first
-    read; w_blocks and offset come from `arrays`, and the others are kept in
-    `dense`, both of which copies made with `dataclasses.replace` share, so
-    a rule two kinds share is formed, and assembled, once.
-    Each W_i is V_i(eps) / sqrt(rho) for the power-free rule V_i at the
-    pilot power rho the rule was built for (module docstring), and the
-    error terms are formed in V and eps.
+    other column m as W_1 x_m (`residual`).  It is a rule and carries no
+    kind: `make_estimator` builds for a kind the rule it is (`rule_kind`),
+    and a cell bank holds one object for the kinds that share it.
+    w_blocks and offset are formed on the first read of either, from the
+    per-block power-free rules V that form returns, and form is dropped then,
+    so no V outlives its filters; the per-block error_blocks, the dense W and
+    error_cov are formed on their first read and kept.  Each W_i is
+    V_i(eps) / sqrt(rho) at the pilot power rho the rule was built for
+    (module docstring), and the error terms are formed in V and eps.
     """
 
-    kind: EstimatorKind
-    # (w_blocks, offset), formed on the first call and the same arrays after
-    arrays: Callable[[], tuple[tuple[np.ndarray, ...], np.ndarray | float]] = field(repr=False)
+    form: Callable[[], list[np.ndarray]] | None = field(repr=False)
     innovation: bool  # False: raw-linear rule W y with no mean terms
     moments: MomentSet | AntennaMomentSet
     rho: float  # the pilot power the rule was built for
@@ -126,45 +127,50 @@ class AffineEstimator:
     nmse: float
     nmse_floor: float | None = None
     degenerate: bool = False
-    # W, error_blocks and error_cov under their names, each kept on its first read
-    dense: dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def r(self) -> np.ndarray | None:
         return self.moments.r
 
+    @cached_property
+    def _formed(self) -> tuple[tuple[np.ndarray, ...], np.ndarray | float]:
+        """(w_blocks, offset): W = V / sqrt(rho) per block, c = mean_s_0 - V_0 Z mean_s_0.
+
+        In the antenna form only the aligned block has a mean, so only
+        column 0 of the rotated estimate carries the offset.
+        """
+        _eps(self.moments, self.rho)  # rejects rho before any filter divides by sqrt(rho)
+        vs, self.form = self.form(), None  # no V outlives its filters
+        offset = 0.0
+        if self.innovation:
+            b0, _ = self.moments.blocks[0]
+            offset = b0.mean_s - vs[0] @ b0.z_mean
+        ws = {id(v): v / np.sqrt(self.rho) for v in vs}  # LS shares one over the blocks
+        return tuple(ws[id(v)] for v in vs), offset
+
     @property
     def w_blocks(self) -> tuple[np.ndarray, ...]:
-        return self.arrays()[0]
+        return self._formed[0]
 
     @property
     def offset(self) -> np.ndarray | float:
         """mean_s - W_0 mean_y on the first block, 0 for the raw rule."""
-        return self.arrays()[1]
+        return self._formed[1]
 
-    def _kept(self, name: str, form: Callable[[], object]):
-        """The array kept in `dense` under name, formed by form on its first read."""
-        if name not in self.dense:
-            self.dense[name] = form()
-        return self.dense[name]
-
-    @property
+    @cached_property
     def W(self) -> np.ndarray:
-        return self._kept("W", lambda: combine_blocks(self.r, self.w_blocks, "s", "y"))
+        return combine_blocks(self.r, self.w_blocks, "s", "y")
 
-    @property
+    @cached_property
     def error_blocks(self) -> tuple[np.ndarray, ...]:
-        def form() -> tuple[np.ndarray, ...]:
-            blocks = [b for b, _ in self.moments.blocks]
-            return tuple(
-                _error_cov(w, b, self.rho, self.innovation) for b, w in zip(blocks, self.w_blocks)
-            )
+        blocks = [b for b, _ in self.moments.blocks]
+        return tuple(
+            _error_cov(w, b, self.rho, self.innovation) for b, w in zip(blocks, self.w_blocks)
+        )
 
-        return self._kept("error_blocks", form)
-
-    @property
+    @cached_property
     def error_cov(self) -> np.ndarray:
-        return self._kept("error_cov", lambda: combine_blocks(self.r, self.error_blocks))
+        return combine_blocks(self.r, self.error_blocks)
 
     def estimate(self, y: np.ndarray) -> np.ndarray:
         """Estimate of the dense target from the dense observation y, through the dense W."""
@@ -343,7 +349,6 @@ def _error_cov(w: np.ndarray, b: MomentSet, rho: float, innovation: bool) -> np.
 
 
 def _finalize(
-    kind: EstimatorKind,
     form: Callable[[], list[np.ndarray]],
     m: MomentSet | AntennaMomentSet,
     rho: float,
@@ -356,31 +361,14 @@ def _finalize(
 
     The error trace is summed over the blocks with their multiplicities
     (`_trace`); no error covariance is formed here.  form returns the
-    per-block power-free rules V, and is called on the first read of the
-    filters W = V / sqrt(rho) or of the offset
-    c = mean_s_0 - V_0 Z mean_s_0 on the first block: in the antenna form
-    only the aligned block has a mean, so only column 0 of the rotated
-    estimate carries it.
+    per-block power-free rules V, which the estimator turns into its filters
+    on their first read (`AffineEstimator.w_blocks`).
     """
     trace, eps = 0.0, _eps(m, rho)  # rejects rho before any filter divides by sqrt(rho)
     for (_, mult), t in zip(m.blocks, terms):
         trace += mult * _trace(t, eps)
-    formed = None
-
-    def arrays() -> tuple[tuple[np.ndarray, ...], np.ndarray | float]:
-        nonlocal form, formed
-        if formed is None:
-            vs, form = form(), None  # no V is kept past its filters
-            offset = 0.0
-            if innovation:
-                b0, _ = m.blocks[0]
-                offset = b0.mean_s - vs[0] @ b0.z_mean
-            ws = {id(v): v / np.sqrt(rho) for v in vs}  # LS shares one over the blocks
-            formed = tuple(ws[id(v)] for v in vs), offset
-        return formed
-
     return AffineEstimator(
-        kind=kind, arrays=arrays, innovation=innovation, moments=m, rho=rho,
+        form=form, innovation=innovation, moments=m, rho=rho,
         mse_trace=trace, nmse=trace / m.prior_trace, nmse_floor=nmse_floor,
         degenerate=degenerate,
     )
@@ -437,11 +425,11 @@ def lmmse_filter(m: MomentSet | AntennaMomentSet, rho: float) -> AffineEstimator
     """One-shot LMMSE of the full target from the stacked observation, C_sy C_yy^-1.
 
     On a set built from the grouped training this is the correlated-grouping
-    LMMSE (module docstring), which `make_estimator` labels as such.  Its
-    floor is `asymptotic_mse`, the same rule's trace at eps = 0.
+    LMMSE (module docstring), which `make_estimator` builds for that kind.
+    Its floor is `asymptotic_mse`, the same rule's trace at eps = 0.
     """
     terms, form = _lmmse_rule(m, _eps(m, rho))
-    return _finalize(EstimatorKind.LMMSE, form, m, rho, terms, nmse_floor=asymptotic_mse(m))
+    return _finalize(form, m, rho, terms, nmse_floor=asymptotic_mse(m))
 
 
 def _ls_rule(
@@ -480,8 +468,7 @@ def conventional_ls_filter(m: MomentSet | AntennaMomentSet, rho: float) -> Affin
     """Least squares on the raw observation; minimum-norm on blocked columns."""
     v, degenerate, terms = _ls_rule(m, grouped=False)
     return _finalize(
-        EstimatorKind.LS, lambda: [v] * len(m.blocks), m, rho, terms,
-        innovation=False, degenerate=degenerate,
+        lambda: [v] * len(m.blocks), m, rho, terms, innovation=False, degenerate=degenerate
     )
 
 
@@ -494,10 +481,7 @@ def _expansion(b: MomentSet) -> np.ndarray:
 def grouping_ls_filter(m: MomentSet | AntennaMomentSet, rho: float) -> AffineEstimator:
     """LS of the group aggregates, expanded by equal division."""
     v, degenerate, terms = _ls_rule(m, grouped=True)
-    return _finalize(
-        EstimatorKind.GROUPING_LS, lambda: [v] * len(m.blocks), m, rho, terms,
-        degenerate=degenerate,
-    )
+    return _finalize(lambda: [v] * len(m.blocks), m, rho, terms, degenerate=degenerate)
 
 
 def grouping_lmmse_filter(
@@ -525,11 +509,11 @@ def grouping_lmmse_filter(
     terms, form = _spectral_rule(
         m, m_model, lambda: factors, ("projections", m), _eps(m_model, rho)
     )
-    return _finalize(EstimatorKind.GROUPING_LMMSE, form, m, rho, terms)
+    return _finalize(form, m, rho, terms)
 
 
 def rule_kind(kind: EstimatorKind, m: MomentSet | AntennaMomentSet) -> EstimatorKind:
-    """The kind whose rule `kind` is on m, which `make_estimator` builds and relabels.
+    """The kind whose rule `kind` is on m, the estimator `make_estimator` builds for it.
 
     Correlated grouping is LMMSE's rule on every set (module docstring).  At
     G = N, Z_G = Z and the expansion is I, so grouping LS is LS's pinv(Z) in
@@ -554,12 +538,10 @@ def make_estimator(
 ) -> AffineEstimator:
     """Build any estimator kind at pilot power rho.
 
-    A kind that is another kind's rule on m (`rule_kind`) is that kind's
-    estimator relabelled.  Grouping LMMSE needs its model-prior moments m_model.
+    A kind that is another kind's rule on m (`rule_kind`) gets that kind's
+    estimator.  Grouping LMMSE needs its model-prior moments m_model.
     """
-    rule = rule_kind(kind, m)
-    if rule != kind:
-        return replace(make_estimator(rule, m, rho, m_model), kind=kind)
+    kind = rule_kind(kind, m)
     if kind == EstimatorKind.LMMSE:
         return lmmse_filter(m, rho)
     if kind == EstimatorKind.LS:

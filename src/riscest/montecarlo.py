@@ -27,7 +27,8 @@ floors.  Every SNR point of the group count builds its cell's estimators
 from that state at its own pilot power, with the same bits as a fresh
 build; their filters are formed only when trials read them.  Kinds that
 are one rule (`estimators.rule_kind`: at G = N both LMMSE kinds, and LS
-with grouping LS unless LS is degenerate) share it, and it is scored once.
+with grouping LS unless LS is degenerate) share one estimator object, which
+is scored once.
 
 Trials run in the antenna basis (`moments.antenna_basis`): synthesis
 multiplies each user's (T, N+1) mixing block with its antenna-major
@@ -43,7 +44,7 @@ import hashlib
 import math
 import queue
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -117,6 +118,12 @@ class SweepConfig:
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigurationError(f"{name} repeated: {' '.join(repeated)}")
+        if not any(applicable_kinds(self.estimators, g, n) for g in self.n_groups):
+            kinds = " ".join(k.value for k in self.estimators)
+            groups = " ".join(str(g) for g in self.n_groups)
+            raise ConfigurationError(
+                f"no estimator applies at group counts {groups}: {kinds} run only at G = N = {n}"
+            )
 
 
 @dataclass
@@ -171,7 +178,7 @@ class _CellBank:
     stats: ChannelStatistics
     tconfig: TrainingConfig
     mixing: np.ndarray  # (K, T, N+1), sqrt(rho) times training.mixing_blocks
-    filters: dict[EstimatorKind, list[AffineEstimator]]  # kind -> per-user
+    filters: dict[EstimatorKind, list[AffineEstimator]]  # kind -> per-user, one object per rule
     prior_traces: np.ndarray  # (K,)
     rho: float
 
@@ -255,7 +262,7 @@ def build_cell_bank(
     Kinds that are one rule on a user's moment set (`estimators.rule_kind`:
     at G = N correlated grouping is LMMSE's rule, and grouping LS is LS's
     unless LS is degenerate) build it once, as the first of them asked for,
-    and the others' entries share its arrays.
+    and every one of their lists holds that one object.
     """
     if state is None:
         state = build_group_state(stats, sigma_w2, n_groups, kinds)
@@ -268,8 +275,7 @@ def build_cell_bank(
             rule = rule_kind(kind, m_true)
             if rule not in built:
                 built[rule] = make_estimator(kind, m_true, rho, m_model)
-            f = built[rule]
-            filters[kind].append(f if f.kind == kind else replace(f, kind=kind))
+            filters[kind].append(built[rule])
         prior_traces[k] = m_true.prior_trace
     return _CellBank(
         stats=stats, tconfig=state.tconfig, mixing=np.sqrt(rho) * state.mixing,
@@ -471,10 +477,10 @@ class SweepEngine:
         as long as the batch; each user's observations are rotated into the
         antenna basis with one product, and every `squared_error` scores a
         (kind, user) over the batch in a residual buffer the cells share.  A
-        kind whose entry shares an earlier kind's rule (LMMSE's, at G = N)
-        copies that kind's column instead.  A NumericalError of one estimator
-        is recorded as NaN for that (kind, user) over the batch rather than
-        aborting the sweep.
+        kind whose entry is an earlier kind's estimator (at G = N, LMMSE's or
+        LS's; `build_cell_bank`) copies that kind's column instead.  A
+        NumericalError of one estimator is recorded as NaN for that
+        (kind, user) over the batch rather than aborting the sweep.
         """
         k_users, m, rows, n_s = batch.targets.shape
         t_pats = bank.tconfig.n_patterns
@@ -488,11 +494,11 @@ class SweepEngine:
             to_antenna_basis(self.basis, obs.y_antenna[k], out=xs[k])
         residual = self._scratch("residual", (m, rows, n_s))
         errors = np.empty((rows, len(bank.filters), k_users))
-        scored: dict[int, int] = {}  # id of a rule's w_blocks -> the kind column scoring it
+        scored: dict[int, int] = {}  # id of an estimator -> the kind column scoring it
         for i, per_user in enumerate(bank.filters.values()):
             for k, f in enumerate(per_user):
-                j = scored.setdefault(id(f.w_blocks), i)
-                if j != i:  # a kind sharing an earlier kind's rule (build_cell_bank)
+                j = scored.setdefault(id(f), i)
+                if j != i:  # an earlier kind's estimator (build_cell_bank)
                     errors[:, i, k] = errors[:, j, k]
                     continue
                 try:

@@ -280,7 +280,7 @@ def _crandn(rng, shape):
 
 
 def _sample_per_user(sampler, rng):
-    """The per-user draw loop of the original sampler: the oracle of its random stream."""
+    """The dense targets of the original sampler's per-user draw loop: the oracle of its stream."""
     st = sampler.stats
     k_users, n, m = st.n_users, st.n_elements, st.m_antennas
     zb = _crandn(rng, (k_users, m))
@@ -292,10 +292,15 @@ def _sample_per_user(sampler, rng):
     for k in range(k_users):
         b_part = zb[k] if st.rho_b[k] > 0 else np.zeros(m, dtype=complex)
         s[k] = np.concatenate([b_part, (a_unit * g_unit[k][None, :]).reshape(-1)])
-    return {
-        "b": np.sqrt(st.rho_b)[:, None] * zb, "g": np.sqrt(st.rho_g)[:, None] * g_unit,
-        "A": np.sqrt(st.rho_a) * a_unit, "s": s,
-    }
+    return s
+
+
+def _ris_link(real, stats, k):
+    """User k's gain-scaled UE-RIS link read through S: antenna 0's cascade over a_bar[0].
+
+    Exact up to the RIS-BS link's scattering, which a large kappa_a makes negligible.
+    """
+    return np.sqrt(stats.rho_g[k]) * real.S[..., k, 1:, 0] / stats.a_bar[0]
 
 
 class TestSampling:
@@ -305,8 +310,7 @@ class TestSampling:
         for seed in range(50):
             real = sampler.sample(np.random.default_rng(seed))
             want = _sample_per_user(sampler, np.random.default_rng(seed))
-            for field, value in want.items():
-                np.testing.assert_array_equal(getattr(real, field), value, err_msg=field)
+            np.testing.assert_array_equal(real.s, want)
 
     def test_target_matrix_round_trip(self):
         stats = desk_scenario().statistics()
@@ -349,7 +353,7 @@ class TestSampling:
             assert stacked.s_antenna.flags.c_contiguous
             for seed in range(3):
                 real = sampler.sample(np.random.default_rng(seed))
-                for field in ("b", "g", "A", "s", "S"):
+                for field in ("s", "S"):
                     got = getattr(stacked, field)[seed]
                     assert np.array_equal(got, getattr(real, field)), (name, seed, field)
 
@@ -386,31 +390,29 @@ class TestSampling:
                 real = sampler.sample(np.random.default_rng(i * b + j))
                 got = np.ascontiguousarray(stacked.S[i, j])
                 assert got.tobytes() == real.S.tobytes(), (i, j)
-                for field in ("b", "g", "A"):
-                    assert np.array_equal(getattr(stacked, field)[i, j], getattr(real, field))
 
     def test_deterministic_per_seed(self):
         stats = desk_scenario().statistics()
         a = ChannelSampler(stats).sample(np.random.default_rng(99))
         b = ChannelSampler(stats).sample(np.random.default_rng(99))
-        for field in ("b", "g", "A", "s"):
+        for field in ("S", "s"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_blocked_direct_is_exactly_zero(self):
         stats = desk_scenario().statistics()
         real = ChannelSampler(stats).sample(np.random.default_rng(0))
-        np.testing.assert_array_equal(real.b, 0.0)
+        np.testing.assert_array_equal(real.S[:, 0], 0.0)
         np.testing.assert_array_equal(real.s[:, : stats.m_antennas], 0.0)
 
     def test_pure_los_limit(self):
         fading = FadingParams(
-            kappa_a=0.01, kappa_g=1e12, alpha_a=2.5, alpha_g=2.2, alpha_b=3.0,
+            kappa_a=1e12, kappa_g=1e12, alpha_a=2.5, alpha_g=2.2, alpha_b=3.0,
             rho_0=1e-3, eta=np.full(3, 0.99),
         )
         stats = build_statistics(small_geometry(), fading)
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(5)
-        draws = np.stack([sampler.sample(rng).g[0] for _ in range(200)])
+        draws = np.stack([_ris_link(sampler.sample(rng), stats, 0) for _ in range(200)])
         rho_g = stats.rho_g[0]
         assert np.var(draws, axis=0).max() <= 1e-10 * rho_g
         np.testing.assert_allclose(
@@ -420,13 +422,13 @@ class TestSampling:
     def test_ris_link_covariance_oracle(self):
         # Monte Carlo moment oracle on the definition of the correlated draw
         geo = small_geometry(n_x=2, n_y=2, m=1, k=1)
-        stats = build_statistics(geo, default_fading(k_users=1))
+        stats = build_statistics(geo, dataclasses.replace(default_fading(k_users=1), kappa_a=1e12))
         sampler = ChannelSampler(stats)
         rng = np.random.default_rng(3)
         n_draws = 100_000
         draws = np.empty((n_draws, stats.n_elements), dtype=complex)
         for i in range(n_draws):
-            draws[i] = sampler.sample(rng).g[0]
+            draws[i] = _ris_link(sampler.sample(rng), stats, 0)
         mu_hat = draws.mean(axis=0)
         centered = draws - mu_hat
         cov_hat = centered.T @ centered.conj() / n_draws
@@ -434,27 +436,29 @@ class TestSampling:
         expected = (stats.rho_g[0] / (1 + kg)) * stats.R[0]
         assert np.abs(cov_hat - expected).max() < 0.05 * stats.rho_g[0]
 
-    def test_cascade_stack_bit_exact_at_unit_gains(self):
-        geo = small_geometry(n_x=2, n_y=2, m=2, k=1)
-        stats = build_statistics(geo, default_fading(k_users=1, blocked=False))
-        stats.rho_b = np.array([1.0])
-        stats.rho_g = np.array([1.0])
-        stats.rho_a = 1.0
-        real = ChannelSampler(stats).sample(np.random.default_rng(8))
-        expected = np.concatenate(
-            [real.b[0]] + [real.A[m] * real.g[0] for m in range(2)]
-        )
-        np.testing.assert_array_equal(real.s[0], expected)
-
-    def test_cascade_consistent_with_scaled_links(self):
-        stats = build_statistics(small_geometry(), default_fading(blocked=False))
-        real = ChannelSampler(stats).sample(np.random.default_rng(9))
-        for k in range(stats.n_users):
-            b_unit = real.b[k] / np.sqrt(stats.rho_b[k])
-            g_unit = real.g[k] / np.sqrt(stats.rho_g[k])
-            a_unit = real.A / np.sqrt(stats.rho_a)
-            expected = np.concatenate([b_unit, (a_unit * g_unit[None, :]).reshape(-1)])
-            np.testing.assert_allclose(real.s[k], expected, rtol=1e-12)
+    @pytest.mark.parametrize("name", ["blocked", "unblocked", "reference"])
+    def test_cascade_is_one_ris_bs_draw_times_each_users_ris_link(self, name):
+        """S_k[n, m] = a_m[n] g_k[n], so S_k[n, m] S_j[n, m'] = S_k[n, m'] S_j[n, m]."""
+        desk = desk_scenario()
+        scenario = {
+            "blocked": desk,
+            "unblocked": dataclasses.replace(
+                desk, fading=dataclasses.replace(desk.fading, direct_blocked=False)
+            ),
+            "reference": default_scenario(),
+        }[name]
+        sampler = ChannelSampler(scenario.statistics())
+        rows = np.random.default_rng(4).standard_normal((2, 3, sampler.n_normals))
+        cascade = sampler.sample(normals=rows).S[..., 1:, :]  # (2, 3, K, N, M)
+        # [..., k, j, n, m, m'] = S_k[n, m] S_j[n, m']
+        products = cascade[..., :, None, :, :, None] * cascade[..., None, :, :, None, :]
+        tol = 1e-13 * np.abs(products).max()
+        np.testing.assert_allclose(products, products.swapaxes(-1, -2), rtol=1e-13, atol=tol)
+        # a draw of another user's RIS-BS link breaks it
+        other = sampler.sample(normals=rows[::-1]).S[..., 1:, :]
+        cascade[..., 1, :, :] = other[..., 1, :, :]
+        products = cascade[..., :, None, :, :, None] * cascade[..., None, :, :, None, :]
+        assert not np.allclose(products, products.swapaxes(-1, -2), rtol=1e-6)
 
     def test_validate_catches_corruption(self):
         stats = desk_scenario().statistics()

@@ -427,12 +427,23 @@ def test_named_command_parser_prints_the_full_parsers_bytes(argv, monkeypatch, c
     ["--snr-min-db", "-4000", "--snr-max-db", "-4000"],
     # finite in dB, but the pilot power overflows
     ["--snr-min-db", "3100", "--snr-max-db", "3100"],
+    # the ungrouped kinds need G = N = 16, so no selected kind applies
+    ["--estimators", "ls", "--groups", "4"],
 ])
 def test_bad_input_is_usage_error(command, bad, desk_ini, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", desk_ini, "--out", "-"] + bad)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["theory", "sweep"])
+def test_unwritable_output_is_usage_error(command, desk_ini, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", desk_ini, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 @pytest.mark.parametrize("command", ["theory", "sweep"])

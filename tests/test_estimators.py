@@ -264,9 +264,7 @@ class TestGroupingBaselines:
         ls = make_estimator(EstimatorKind.LS, m, rho)
         shared = make_estimator(EstimatorKind.GROUPING_LS, m, rho)
         assert rule_kind(EstimatorKind.GROUPING_LS, m) == EstimatorKind.LS
-        assert (shared.kind, ls.degenerate, shared.innovation) == (
-            EstimatorKind.GROUPING_LS, False, False
-        )
+        assert (ls.degenerate, shared.innovation) == (False, False)
         assert (shared.mse_trace, shared.nmse) == (ls.mse_trace, ls.nmse)
         # the innovation form it stands for agrees with it to round-off
         own = grouping_ls_filter(m, rho)
@@ -535,9 +533,18 @@ class TestTheoryCurves:
         scenario, stats = desk
         m, rho = desk_moments(scenario, stats, n_groups=4), desk_power(scenario, stats)
         mi = desk_moments(scenario, stats, n_groups=4, ideal=True)
+        rules = {
+            EstimatorKind.LS: conventional_ls_filter(m, rho),
+            EstimatorKind.LMMSE: lmmse_filter(m, rho),
+            EstimatorKind.GROUPING_LS: grouping_ls_filter(m, rho),
+            EstimatorKind.GROUPING_LMMSE: grouping_lmmse_filter(m, rho, mi),
+        }
         for kind in EstimatorKind:
             est = make_estimator(kind, m, rho, mi)
-            assert est.kind == kind
+            want = rules[rule_kind(kind, m)]
+            assert (est.nmse, est.innovation, est.nmse_floor) == (
+                want.nmse, want.innovation, want.nmse_floor
+            )
             assert est.nmse >= 0
         with pytest.raises(ValueError):
             make_estimator(EstimatorKind.GROUPING_LMMSE, m, rho, None)

@@ -11,7 +11,7 @@ import pytest
 from riscest import cli
 from riscest.channel import ChannelSampler
 from riscest.errors import ConfigurationError, NumericalError
-from riscest.estimators import AffineEstimator, EstimatorKind, make_estimator
+from riscest.estimators import AffineEstimator, EstimatorKind, grouping_ls_filter, make_estimator
 from riscest.moments import antenna_basis, antenna_factor, build_moments, to_antenna_basis
 from riscest.montecarlo import (
     SweepConfig,
@@ -72,7 +72,7 @@ class TestConfig:
             desk_config(estimators=("lmmse", "ls", EstimatorKind.LMMSE))
 
     def test_estimator_coercion(self):
-        cfg = desk_config(estimators=("lmmse", "ls"))
+        cfg = desk_config(estimators=("lmmse", "ls"), n_groups=(16,))
         assert cfg.estimators == (EstimatorKind.LMMSE, EstimatorKind.LS)
 
     def test_applicability(self):
@@ -403,46 +403,39 @@ def test_bank_assembles_dense_arrays_only_when_read(n_groups):
     stats = scenario.statistics()
     rho = received_snr_to_power(20.0, stats, scenario.sigma_w2)
     bank = build_cell_bank(stats, scenario.sigma_w2, n_groups, rho, ALL_KINDS)
-    filters = [f for per_user in bank.filters.values() for f in per_user]
+    filters = [(kind, f) for kind, per_user in bank.filters.items() for f in per_user]
     assert len(filters) == stats.n_users * len(applicable_kinds(ALL_KINDS, n_groups, 16))
     lazy = ("W", "error_blocks", "error_cov")
-    for f in filters:
-        assert not set(lazy) & set(f.dense), f.kind
-    for f in filters:
-        assert f.W.flags.c_contiguous, f.kind
+    for kind, f in filters:
+        assert not set(lazy) & set(vars(f)), kind
+    for kind, f in filters:
+        assert f.W.flags.c_contiguous, kind
     engine = SweepEngine(desk_config(snr_db=(20.0,), n_groups=(n_groups,)))
     engine.run_cell_trial(0, 0, 0)
-    for per_user in engine.bank(0, 0).filters.values():
+    for kind, per_user in engine.bank(0, 0).filters.items():
         for f in per_user:
-            assert not set(lazy) & set(f.dense), f.kind
-
-
-def test_sweep_batch_forms_no_links():
-    """Trials read only the targets: a scored batch forms none of b, g and A."""
-    engine = SweepEngine(desk_config(n_groups=(4, 16), n_trials=100))
-    for gi in range(2):
-        engine.run_cell_trial(gi, 0, 0)
-    realization = engine._batch.realization
-    assert realization.S.shape[1] == engine.block_size
-    assert "_links" not in vars(realization)
-    real = engine.sampler.sample(engine.trial_rng(0, 0))
-    for field in ("b", "g", "A"):
-        assert np.array_equal(getattr(realization, field)[0, 0], getattr(real, field)), field
+            assert not set(lazy) & set(vars(f)), kind
 
 
 def test_full_group_count_pairs_share_their_dense_arrays():
-    """Each G = N pair of one rule assembles W, error_blocks and error_cov once for both."""
+    """Each G = N pair of one rule is one estimator, which assembles W, error_blocks and
+    error_cov once for both; at G < N every kind has its own."""
     scenario = desk_scenario()
     stats = scenario.statistics()
     rho = received_snr_to_power(20.0, stats, scenario.sigma_w2)
+    grouped = build_cell_bank(stats, scenario.sigma_w2, 4, rho, ALL_KINDS).filters
+    for k in range(stats.n_users):
+        assert len({id(per_user[k]) for per_user in grouped.values()}) == len(grouped)
     filters = build_cell_bank(stats, scenario.sigma_w2, 16, rho, ALL_KINDS).filters
+    for k in range(stats.n_users):
+        assert len({id(per_user[k]) for per_user in filters.values()}) == len(filters) - 2
     pairs = [
         (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE),
         (EstimatorKind.LS, EstimatorKind.GROUPING_LS),
     ]
     for kind_a, kind_c in pairs:
         for a, c in zip(filters[kind_a], filters[kind_c], strict=True):
-            assert (a.kind, c.kind) == (kind_a, kind_c)
+            assert a is c, kind_c
             assert a.W is c.W, kind_c
             assert c.error_blocks is a.error_blocks, kind_c
             assert a.error_cov is c.error_cov, kind_c
@@ -456,10 +449,10 @@ def test_full_group_count_builds_and_scores_one_lmmse_rule(monkeypatch, estimato
     lmmse = filters[EstimatorKind.LMMSE]
     correlated = filters[EstimatorKind.CORRELATED_GROUPING_LMMSE]
     for a, b in zip(lmmse, correlated, strict=True):
-        assert (a.kind, b.kind) == (EstimatorKind.LMMSE, EstimatorKind.CORRELATED_GROUPING_LMMSE)
+        assert a is b
         assert b.w_blocks is a.w_blocks
     for a, b in zip(filters[EstimatorKind.LS], filters[EstimatorKind.GROUPING_LS], strict=True):
-        assert (a.kind, b.kind) == (EstimatorKind.LS, EstimatorKind.GROUPING_LS)
+        assert a is b
         assert not a.degenerate
         assert b.w_blocks is a.w_blocks and b.offset is a.offset
         assert (b.innovation, b.mse_trace, b.nmse) == (a.innovation, a.mse_trace, a.nmse)
@@ -467,12 +460,13 @@ def test_full_group_count_builds_and_scores_one_lmmse_rule(monkeypatch, estimato
     original = AffineEstimator.squared_error
 
     def counting(self, *args, **kwargs):
-        scored.append(self.kind)
+        scored.append(id(self))
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(AffineEstimator, "squared_error", counting)
     errors, _ = engine.run_cell_trial(0, 0, 0)
     assert len(scored) == (len(ALL_KINDS) - 2) * engine.stats.n_users
+    assert len(set(scored)) == len(scored)
     assert np.array_equal(
         errors[EstimatorKind.LMMSE], errors[EstimatorKind.CORRELATED_GROUPING_LMMSE]
     )
@@ -538,7 +532,7 @@ def test_engine_derives_the_moments_and_filters_of_a_fresh_build(make_scenario, 
                 for kind, per_user in bank.filters.items():
                     got = per_user[k]
                     want = make_estimator(kind, fresh[False], rho, fresh[True])
-                    assert got.kind == want.kind
+                    assert (got.innovation, got.degenerate) == (want.innovation, want.degenerate)
                     for field in ("mse_trace", "nmse", "nmse_floor"):
                         assert getattr(got, field) == getattr(want, field), (kind, field)
                     pairs = zip(got.w_blocks, want.w_blocks, strict=True)
@@ -678,14 +672,21 @@ class TestRunSweep:
     def test_estimator_failure_recorded_not_fatal(self, monkeypatch):
         cfg = desk_config(n_trials=5, snr_db=(10.0,), estimators=GROUPED)
         original = AffineEstimator.squared_error
+        grouping_ls = []  # every grouping LS estimator built
+
+        def recording(*args):
+            grouping_ls.append(grouping_ls_filter(*args))
+            return grouping_ls[-1]
 
         def flaky(self, y, s_true, out=None):
-            if self.kind == EstimatorKind.GROUPING_LS:
+            if any(self is f for f in grouping_ls):
                 raise NumericalError("injected")
             return original(self, y, s_true, out)
 
+        monkeypatch.setattr("riscest.estimators.grouping_ls_filter", recording)
         monkeypatch.setattr(AffineEstimator, "squared_error", flaky)
         by_kind = {r.estimator: r for r in run_sweep(cfg)}
+        assert len(grouping_ls) == cfg.scenario.geometry.n_users
         assert np.isnan(by_kind[EstimatorKind.GROUPING_LS].nmse_empirical)
         assert by_kind[EstimatorKind.CORRELATED_GROUPING_LMMSE].nmse_empirical > 0
 
@@ -764,14 +765,16 @@ class TestBankLifetime:
         filters = []
         for gi in range(len(cfg.n_groups)):
             for si in range(len(cfg.snr_db)):
-                filters += [f for fs in engine.bank(gi, si).filters.values() for f in fs]
-        for f in filters:
-            assert "error_blocks" not in f.dense and "error_cov" not in f.dense, f.kind
-        for f in filters:
+                filters += [
+                    (kind, f) for kind, fs in engine.bank(gi, si).filters.items() for f in fs
+                ]
+        for kind, f in filters:
+            assert "error_blocks" not in vars(f) and "error_cov" not in vars(f), kind
+        for kind, f in filters:
             blocks = zip(f.error_blocks, f.moments.blocks, strict=True)
             traces = [mult * np.trace(c).real for c, (_, mult) in blocks]
-            assert sum(traces) == pytest.approx(f.mse_trace, rel=1e-12), f.kind
-            assert np.trace(f.error_cov).real == pytest.approx(f.mse_trace, rel=1e-12), f.kind
+            assert sum(traces) == pytest.approx(f.mse_trace, rel=1e-12), kind
+            assert np.trace(f.error_cov).real == pytest.approx(f.mse_trace, rel=1e-12), kind
 
     def test_serial_sweep_builds_each_cell_once(self, monkeypatch):
         calls = self.count_builds(monkeypatch)
