@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import ConfigurationError, DomainError
@@ -63,6 +64,25 @@ def write_csv(path, header: list[str], rows, comments: list[str] = ()) -> None:
             _dump(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
+def check_writable(path) -> None:
+    """Refuse, before any work, an output path whose file or directory cannot be written.
+
+    The file is neither created nor truncated; None and "-" (stdout) pass.
+    """
+    if path in (None, "-"):
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no directory {directory}"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigurationError(f"cannot write {path}: {reason}")
 
 
 def read_csv(path) -> tuple[list[str], list[dict]]:
@@ -129,7 +149,7 @@ def cmd_theory(config: RunConfig) -> int:
                 [kind, n_groups, snr, bank.rho, *theory_means(filters)]
                 for kind, filters in bank.filters.items()
             ]
-            del bank  # the engine drops this cell's bank when the next is built
+            del bank  # the engine drops its chunk's banks when another chunk is asked for
     comments = [f"config_hash={config_digest(config)}"] + _overhead_comments(config)
     write_csv(config.output_path, THEORY_COLUMNS, rows, comments)
     return 0
@@ -238,6 +258,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_validate()
         config = load_config(getattr(args, "config", None))
         config = _apply_overrides(config, args)
+        check_writable(config.output_path)
         if args.command == "theory":
             return cmd_theory(config)
         if args.command == "sweep":

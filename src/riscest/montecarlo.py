@@ -4,20 +4,23 @@ A sweep cell is one (group count, SNR) pair.  Within a trial every estimator
 consumes the same channel realization and the same synthesized observation,
 so estimator comparisons are paired.  Trials are drawn in fixed blocks of
 consecutive indices (see `SweepEngine`), and each block's random stream is
-derived from (base_seed, snr_index, block_index) through numpy's
-SeedSequence.  The partition depends on the trial index alone, which makes
-every result independent of execution order and worker count.  A block's
-generator draws its trials' channel normals, then their noise
+derived from (base_seed, 0, block_index) through numpy's SeedSequence.  The
+partition depends on the trial index alone, which makes every result
+independent of execution order and worker count.  Every SNR point scores
+the same draws (common random numbers), so the points are paired as the
+estimators are, and a point's rows do not depend on the rest of the grid.
+A block's generator draws its trials' channel normals, then their noise
 position-major; every cell takes the leading positions it needs, so its
 draws do not depend on the other cells.  The block size and this layout are
 part of the stream.
 
-Work runs in scoring batches of whole blocks: one `ChannelSampler.sample`
-call builds a batch's realizations, which the group cells share, and
-synthesis and every estimator's scoring run once per (cell, batch), in
-buffers the engine reuses from batch to batch.  The batch size is not part
-of the stream and changes no output byte; while one is scored, a helper
-thread draws the next one's normals (`_trial_block`).
+Work runs in scoring batches of whole blocks, over chunks of consecutive
+SNR points whose filters fit `SNR_CHUNK_BYTES`: a batch is drawn once per
+chunk, one `ChannelSampler.sample` call builds its realizations, which
+every cell of the chunk shares, and synthesis and every estimator's
+scoring run once per (cell, batch), in buffers the engine reuses from batch
+to batch, all on the calling thread.  The batch and chunk sizes are not
+part of the stream and change no output byte.
 
 Each group count keeps one power-free state (`build_group_state`): its
 training round, every user's mixing block and each user's moment sets,
@@ -42,8 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import queue
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -302,64 +303,87 @@ TRIAL_BLOCK_BYTES = 1 << 16
 # unit of work: every trial's draws are still its own block's, so this constant
 # changes no output byte, only the time and memory a sweep takes.
 SCORE_BATCH_BYTES = 1 << 18
+# Bytes of filters the engine keeps banks for at once, which fix how many
+# consecutive SNR points a chunk holds (at least one; `snr_chunk_size`).
+# Each scoring batch is drawn once per chunk, and every point reads the same
+# draws, so this constant changes no output byte either.
+SNR_CHUNK_BYTES = 1 << 21
+
+
+def snr_chunk_size(config: SweepConfig) -> int:
+    """SNR points per chunk: as many as the grid has and SNR_CHUNK_BYTES holds, at least one.
+
+    A point's filters take at most two (N+1, T) complex blocks per
+    (applicable kind, user) at each group count, T = G + 1.
+    """
+    geometry = config.scenario.geometry
+    n = geometry.n_elements
+    point_bytes = sum(
+        32 * (n + 1) * (g + 1) * geometry.n_users * len(applicable_kinds(config.estimators, g, n))
+        for g in config.n_groups
+    )
+    return min(len(config.snr_db), max(1, SNR_CHUNK_BYTES // point_bytes))
 
 
 @dataclass
 class _TrialBatch:
-    """One (SNR, scoring batch) of trials: its draws and the scores of the cells run on it."""
+    """One scoring batch of trials: its draws and the scores of the cells run on it."""
 
-    key: tuple[int, int]  # (snr_index, batch_index)
+    index: int  # the batch index
     lo: int  # first trial index
     realization: ChannelRealization  # stacked, leading axes (blocks, B) over the batch's trials
     normals: np.ndarray  # (blocks, B, 2 T_max K M) noise normals per trial, a view of the draws
     targets: np.ndarray  # (K, M, rows, N+1) the realization's targets in the antenna basis
-    # group index -> ((rows, n_kinds, K) squared errors, kinds in the order of
-    # the bank's filters; the cell's observations)
-    cells: dict[int, tuple[np.ndarray, ObservationSet]]
+    # group index -> (the SNR index scored last; (rows, n_kinds, K) squared
+    # errors, kinds in the order of the bank's filters; the cell's observations)
+    cells: dict[int, tuple[int, np.ndarray, ObservationSet]]
 
 
 class SweepEngine:
     """The one owner of cell banks; evaluates trials in fixed blocks and batches.
 
-    Only the banks of the SNR point served last are kept: asking for another
-    SNR point drops them, so memory does not grow with the grid.  Each group
-    count keeps one power-free state (`build_group_state`), built with its
-    first bank; every bank of that group count takes its training config,
-    mixing blocks, moment sets and cached power-free terms from it.  The
-    state is dropped once the grid's last SNR point is served, so a one-point
-    grid keeps none, and memory grows with the number of group counts only.
+    The SNR grid is cut into chunks of `chunk_size` consecutive points
+    (`snr_chunk_size`), and only the banks of the chunk served last are
+    kept: asking for a point of another chunk drops them, so memory does not
+    grow with the grid.  Each group count keeps one power-free state
+    (`build_group_state`), built with its first bank; every bank of that
+    group count takes its training config, mixing blocks, moment sets and
+    cached power-free terms from it.  The state is dropped once the grid's
+    last SNR point is served, so a one-point grid keeps none, and memory
+    grows with the number of group counts only.
 
     The random stream is fixed by the trial block: B = `block_size`
     consecutive indices, block b covering trials [b*B, (b+1)*B), so the
     partition never depends on the worker count.  Each block has one stream
-    (`trial_rng`) that draws, always for B trials, a (B, n_normals) array
-    whose row j holds trial b*B + j's channel normals, and then the noise
-    position-major, a (2*T_max*K*M, B) array whose column j holds that
-    trial's noise normals, T_max being the largest T over the group cells.
-    A cell with T reads the first 2*T*K*M positions, which the stream
-    draws first whatever T_max is, so a cell's draws depend neither on the
-    other group counts of the sweep nor on the trial count.  At B = 1 a
-    block's stream is its trial's own: its channel normals, then the noise a
-    lone `synthesize_received(realization, ..., rng)` would draw.  B and this
+    (`trial_rng`), the same at every SNR point, that draws, always for B
+    trials, a (B, n_normals) array whose row j holds trial b*B + j's channel
+    normals, and then the noise position-major, a (2*T_max*K*M, B) array
+    whose column j holds that trial's noise normals, T_max being the largest
+    T over the group cells.  A cell with T reads the first 2*T*K*M
+    positions, which the stream draws first whatever T_max is, so a cell's
+    draws depend neither on the other group counts and SNR points of the
+    sweep nor on the trial count.  At B = 1 a block's stream is its trial's
+    own: its channel normals, then the noise a lone
+    `synthesize_received(realization, ..., rng)` would draw.  B and this
     layout are part of the stream.
 
     Work is done in scoring batches of `batch_size` trials, a whole number of
     blocks: batch c covers blocks [c*NB, (c+1)*NB).  A batch draws each block
-    into a row of one of two arrays (`_rows`) with one call of the block's
-    generator; one `sample` call builds its realizations, and their targets
-    are rotated into the antenna basis (`moments.antenna_basis`) once, for
-    every group cell.  The first `run_cell_trial` of a cell in a batch
-    synthesizes the whole batch, rotates each user's observations with one
-    product and scores every (rule, user) with one `squared_error` call.
-    The normals, the synthesis of each group cell and the scoring write into
-    buffers the engine keeps (`_scratch`), a contiguous prefix for a clipped
-    last batch, so a sweep allocates them once.  The batch size is not part
-    of the stream and changes no output byte.  Only the batch served last is
-    kept, with its cells' scores, and its arrays are valid until the next
-    batch is built; the normals buffers hold its draws and the next batch's.
-    Calls may come in any order, but run_cell_trial mutates that cache, so an
-    engine is not safe to share between threads: `_trial_block`'s helper
-    thread only fills rows handed to it.  Each worker process builds its own.
+    into a row of one normals array with one call of the block's generator;
+    one `sample` call builds its realizations, and their targets are rotated
+    into the antenna basis (`moments.antenna_basis`) once, for every cell.
+    The first `run_cell_trial` of a (group count, SNR point) cell in a batch
+    synthesizes the whole batch at the point's pilot power, rotates each
+    user's observations with one product and scores every (rule, user) with
+    one `squared_error` call.  The normals, the synthesis of each group count
+    and the scoring write into buffers the engine keeps (`_scratch`), a
+    contiguous prefix for a clipped last batch, so a sweep allocates them
+    once.  The batch and chunk sizes are not part of the stream and change
+    no output byte.  Only the batch served last is kept, with the scores of
+    the SNR point each group count ran last on it, and its arrays are valid
+    until the next batch is built.  Calls may come in any order, but
+    run_cell_trial mutates that cache, so an engine is not safe to share
+    between threads; each worker process builds its own.
     """
 
     def __init__(self, config: SweepConfig):
@@ -370,10 +394,11 @@ class SweepEngine:
         self.block_size = max(1, TRIAL_BLOCK_BYTES // trial_bytes)
         block_bytes = self.block_size * trial_bytes
         self.batch_size = self.block_size * max(1, SCORE_BATCH_BYTES // block_bytes)
+        self.chunk_size = snr_chunk_size(config)
         # every cell trains with the minimum identifiable T = G + 1 (build_group_state)
         self._noise_size = 2 * (max(config.n_groups) + 1) * k * m
-        self._snr_index: int | None = None  # the SNR point whose banks are kept
-        self._banks: dict[int, _CellBank] = {}  # group index -> bank
+        self._chunk: int | None = None  # the chunk of SNR points whose banks are kept
+        self._banks: dict[tuple[int, int], _CellBank] = {}  # (group, SNR index) -> bank
         self._states: dict[int, _GroupState] = {}  # group index -> state
         self._batch: _TrialBatch | None = None
         self._buffers: dict[object, np.ndarray] = {}
@@ -385,10 +410,12 @@ class SweepEngine:
         return ChannelSampler(self.stats)
 
     def bank(self, group_index: int, snr_index: int) -> _CellBank:
-        if snr_index != self._snr_index:
-            self._banks.clear()  # before the new bank is built, so two points never coexist
-            self._snr_index = snr_index
-        if group_index not in self._banks:
+        chunk = snr_index // self.chunk_size
+        if chunk != self._chunk:
+            self._banks.clear()  # before the new bank is built, so two chunks never coexist
+            self._chunk = chunk
+        key = (group_index, snr_index)
+        if key not in self._banks:
             cfg = self.config
             n_groups, sigma_w2 = cfg.n_groups[group_index], cfg.scenario.sigma_w2
             rho = received_snr_to_power(cfg.snr_db[snr_index], self.stats, sigma_w2)
@@ -396,24 +423,22 @@ class SweepEngine:
                 self._states[group_index] = build_group_state(
                     self.stats, sigma_w2, n_groups, cfg.estimators
                 )
-            self._banks[group_index] = build_cell_bank(
+            self._banks[key] = build_cell_bank(
                 self.stats, sigma_w2, n_groups, rho, cfg.estimators, self._states[group_index]
             )
             if snr_index == len(cfg.snr_db) - 1:
                 del self._states[group_index]  # no later point of the grid reads it
-        return self._banks[group_index]
+        return self._banks[key]
 
-    def trial_rng(self, snr_index: int, trial_index: int) -> np.random.Generator:
-        """The generator of the block holding the trial.
+    def trial_rng(self, trial_index: int) -> np.random.Generator:
+        """The generator of the block holding the trial, which every SNR point reads.
 
-        It is seeded with SeedSequence((base_seed, snr_index, trial_index //
-        block_size)), so every trial of a block shares it; row j of the
-        block's channel draw and column j of its noise draw belong to its
-        trial j.
+        It is seeded with SeedSequence((base_seed, 0, trial_index //
+        block_size)), the stream SNR point 0 read when each point drew its
+        own, so every trial of a block shares it; row j of the block's
+        channel draw and column j of its noise draw belong to its trial j.
         """
-        seq = np.random.SeedSequence(
-            (self.config.base_seed, snr_index, trial_index // self.block_size)
-        )
+        seq = np.random.SeedSequence((self.config.base_seed, 0, trial_index // self.block_size))
         return np.random.default_rng(seq)
 
     def _scratch(self, name: object, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
@@ -428,44 +453,36 @@ class SweepEngine:
             buf = self._buffers[name] = np.empty(size, dtype=dtype)
         return buf[:size].reshape(shape)
 
-    def _rows(self, batch_index: int) -> np.ndarray:
-        """A batch's rows, in one of two buffers: per block, (B, n_channel) then (n_noise, B)."""
-        lo = batch_index * self.batch_size
-        n_blocks = -(-(min(lo + self.batch_size, self.config.n_trials) - lo) // self.block_size)
-        width = self.block_size * (self.sampler.n_normals + self._noise_size)
-        return self._scratch(("normals", batch_index % 2), (n_blocks, width), float)
-
-    def _fill_job(self, snr_index: int, batch_index: int) -> tuple[list, np.ndarray]:
-        """The generators of a batch's blocks and the rows they fill (`_fill`)."""
-        rows, b, lo = self._rows(batch_index), self.block_size, batch_index * self.batch_size
-        return [self.trial_rng(snr_index, lo + i * b) for i in range(len(rows))], rows
-
-    def _batch_of(self, snr_index: int, trial_index: int, filled: bool = False) -> _TrialBatch:
+    def _batch_of(self, trial_index: int) -> _TrialBatch:
         """The batch holding the trial, drawn when it is not the one kept.
 
-        Each block is filled by its own generator, so a trial's draws do not
-        depend on the batch it sits in.  A clipped last batch holds whole
-        blocks too; its rows past the last trial are scored and never read.
-        filled: a helper thread has filled the batch's rows (`_trial_block`).
+        Each block is filled by one draw of its own generator, its channel
+        rows and then its noise (the stream of the two draws in turn), so a
+        trial's draws do not depend on the batch it sits in.  A clipped last
+        batch holds whole blocks too; its rows past the last trial are scored
+        and never read.
         """
         if not 0 <= trial_index < self.config.n_trials:
             raise IndexError(f"trial {trial_index} outside 0..{self.config.n_trials - 1}")
-        key = (snr_index, trial_index // self.batch_size)
-        if self._batch is None or self._batch.key != key:
+        index = trial_index // self.batch_size
+        if self._batch is None or self._batch.index != index:
             self._batch = None  # before the next batch is built, so two never coexist
-            rows = self._rows(key[1]) if filled else _fill(*self._fill_job(*key))
             b, n_channel = self.block_size, self.sampler.n_normals
+            lo = index * self.batch_size
+            n_blocks = -(-(min(lo + self.batch_size, self.config.n_trials) - lo) // b)
+            rows = self._scratch("normals", (n_blocks, b * (n_channel + self._noise_size)), float)
+            for i, row in enumerate(rows):
+                self.trial_rng(lo + i * b).standard_normal(out=row)
             channel = rows[:, :b * n_channel].reshape(-1, b, n_channel)
             noise = rows[:, b * n_channel:].reshape(-1, self._noise_size, b)
             realization = self.sampler.sample(normals=channel)  # leading axes (blocks, B)
             s_antenna = realization.s_antenna  # (K, M, blocks, B, N+1), a view
             k_users, m = s_antenna.shape[:2]
-            targets = self._scratch("targets", (k_users, m, len(rows) * b, s_antenna.shape[-1]))
+            targets = self._scratch("targets", (k_users, m, n_blocks * b, s_antenna.shape[-1]))
             for k in range(k_users):
                 to_antenna_basis(self.basis, s_antenna[k], out=targets[k])
             # each trial's noise normals, a (blocks, B, 2 T_max K M) view of the draws
-            lo = key[1] * self.batch_size
-            self._batch = _TrialBatch(key, lo, realization, noise.swapaxes(1, 2), targets, {})
+            self._batch = _TrialBatch(index, lo, realization, noise.swapaxes(1, 2), targets, {})
         return self._batch
 
     def _score_batch(
@@ -473,8 +490,9 @@ class SweepEngine:
     ) -> tuple[np.ndarray, ObservationSet]:
         """Squared errors of every (trial, kind, user) of a batch, and its observations.
 
-        The cell synthesizes into its own workspace, so its observations last
-        as long as the batch; each user's observations are rotated into the
+        Each group count synthesizes into its own workspace, so its
+        observations last until it runs another SNR point on the batch, or
+        the batch is dropped; each user's observations are rotated into the
         antenna basis with one product, and every `squared_error` scores a
         (kind, user) over the batch in a residual buffer the cells share.  A
         kind whose entry is an earlier kind's estimator (at G = N, LMMSE's or
@@ -512,15 +530,20 @@ class SweepEngine:
     ) -> tuple[dict[EstimatorKind, np.ndarray], str | None]:
         """Squared errors per estimator and user for one paired trial.
 
-        The trial's batch is scored for this cell on first use and kept;
-        digest hashes this trial's own combined observation.  Failures of a
-        single estimator are recorded as NaN rather than aborting the sweep.
+        The trial's batch is scored for this cell on first use and kept
+        until the group count runs another SNR point on it, whose synthesis
+        takes the same workspace; digest hashes this trial's own combined
+        observation.  Failures of a single estimator are recorded as NaN
+        rather than aborting the sweep.
         """
         bank = self.bank(group_index, snr_index)
-        batch = self._batch_of(snr_index, trial_index)
-        if group_index not in batch.cells:
-            batch.cells[group_index] = self._score_batch(group_index, bank, batch)
-        errors, obs = batch.cells[group_index]
+        batch = self._batch_of(trial_index)
+        cell = batch.cells.get(group_index)
+        if cell is None or cell[0] != snr_index:
+            cell = batch.cells[group_index] = (
+                snr_index, *self._score_batch(group_index, bank, batch)
+            )
+        _, errors, obs = cell
         j = trial_index - batch.lo
         obs_digest = None
         if digest:
@@ -534,64 +557,31 @@ class SweepEngine:
 CellResult = tuple[float, dict[EstimatorKind, tuple[float, float, float]], np.ndarray]
 
 
-def _fill(rngs: list[np.random.Generator], rows: np.ndarray) -> np.ndarray:
-    """Fill each row with one draw of its generator, the stream of drawing its parts in turn."""
-    for rng, row in zip(rngs, rows):
-        rng.standard_normal(out=row)
-    return rows
+def _trial_block(
+    engine: SweepEngine, snrs: range, lo: int, hi: int
+) -> list[list[CellResult]]:
+    """Trials lo..hi-1 at a chunk of SNR points: per point, one CellResult per group cell.
 
-
-def _fill_ahead(jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
-    """`_trial_block`'s helper thread: runs each `_fill` job and puts None or its error on done."""
-    for job in iter(jobs.get, None):
-        try:
-            _fill(*job)
-        except BaseException as exc:  # re-raised on the main thread
-            done.put(exc)
-        else:
-            done.put(None)
-
-
-def _trial_block(engine: SweepEngine, snr_index: int, lo: int, hi: int) -> list[CellResult]:
-    """Trials lo..hi-1 at one SNR over every group cell, one CellResult per cell.
-
-    The cells run inside each scoring batch, so each batch is drawn once.
-    For each (cell, batch), `run_cell_trial` on the batch's first trial in
-    range scores the batch (it is also the span perfbench/tracing.py times),
-    and one slice copies the batch's rows in range.  Each result carries its
-    cell's theory, so no caller needs the bank again.  Over two or more
-    batches a helper thread (`_fill_ahead`) fills the next batch's normals
-    while this one is scored; it is joined before this call returns.
+    Each scoring batch is drawn once and every (SNR point, group count)
+    cell runs on it.  For each (cell, batch), `run_cell_trial` on the
+    batch's first trial in range scores the batch (it is also the span
+    perfbench/tracing.py times), and one slice copies the batch's rows in
+    range.  Each result carries its cell's theory, so no caller needs the
+    bank again.
     """
-    banks = [engine.bank(gi, snr_index) for gi in range(len(engine.config.n_groups))]
-    out = [np.empty((hi - lo, len(b.filters), engine.stats.n_users)) for b in banks]
-    size = engine.batch_size
-    batches = range(lo // size, -(-hi // size))
-    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
-    helper = None
-    if len(batches) > 1:
-        helper = threading.Thread(target=_fill_ahead, args=(jobs, done), daemon=True)
-        helper.start()
-    try:
-        for c in batches:
-            if c + 1 in batches:  # into the buffer of batch c-1, whose scores are copied out
-                jobs.put(engine._fill_job(snr_index, c + 1))
-            if c != batches[0]:  # the first batch is filled in run_cell_trial, the rest ahead
-                if (exc := done.get()) is not None:
-                    raise exc
-                engine._batch_of(snr_index, c * size, filled=True)
-            start, stop = max(lo, c * size), min(hi, (c + 1) * size)
-            for gi in range(len(banks)):
-                engine.run_cell_trial(gi, snr_index, start)
-                errors = engine._batch.cells[gi][0]
-                out[gi][start - lo:stop - lo] = errors[start - c * size:stop - c * size]
-    finally:
-        if helper is not None:
-            jobs.put(None)
-            helper.join()
+    n_cells, n_users, size = len(engine.config.n_groups), engine.stats.n_users, engine.batch_size
+    banks = [[engine.bank(gi, si) for gi in range(n_cells)] for si in snrs]
+    out = [[np.empty((hi - lo, len(b.filters), n_users)) for b in row] for row in banks]
+    for c in range(lo // size, -(-hi // size)):
+        start, stop = max(lo, c * size), min(hi, (c + 1) * size)
+        for si, row, point in zip(snrs, banks, out):
+            for gi, (bank, errors) in enumerate(zip(row, point)):
+                engine.run_cell_trial(gi, si, start)
+                scored = engine._batch.cells[gi][1][start - c * size:stop - c * size]
+                np.divide(scored, bank.prior_traces, out=errors[start - lo:stop - lo])
     return [
-        (b.rho, {kind: theory_means(f) for kind, f in b.filters.items()}, e / b.prior_traces)
-        for b, e in zip(banks, out)
+        [(b.rho, {kind: theory_means(f) for kind, f in b.filters.items()}, e) for b, e in zip(*p)]
+        for p in zip(banks, out)
     ]
 
 
@@ -603,28 +593,30 @@ def _init_worker(config: SweepConfig) -> None:
     _WORKER_ENGINE = SweepEngine(config)
 
 
-def _worker_block(args: tuple[int, int, int]) -> list[CellResult]:
-    snr_index, lo, hi = args
+def _worker_block(args: tuple[range, int, int]) -> list[list[CellResult]]:
     assert _WORKER_ENGINE is not None
-    return _trial_block(_WORKER_ENGINE, snr_index, lo, hi)
+    return _trial_block(_WORKER_ENGINE, *args)
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """Run all cells of a sweep and aggregate empirical and theoretical NMSE.
 
-    A task is one SNR point, split into trial chunks only when there are more
-    workers than SNR points.  Results are bit-identical for a given base seed
-    regardless of the worker count: each block of trials is seeded by its
-    index, a chunk that starts or ends inside a block draws the whole block,
-    and trials are reassembled in index order before any reduction.
+    A task is one chunk of SNR points (`snr_chunk_size`), split into trial
+    ranges only when there are more workers than chunks.  Results are
+    bit-identical for a given base seed regardless of the worker count: each
+    block of trials is seeded by its index, a range that starts or ends
+    inside a block draws the whole block, and trials are reassembled in
+    index order before any reduction.
     """
     if workers < 1:
         raise ConfigurationError(f"need at least one worker, got {workers}")
     n_trials, n_snr = config.n_trials, len(config.snr_db)
-    chunks_per_snr = -(-workers // n_snr)  # ceil; 1 unless workers outnumber SNR points
-    chunk = -(-n_trials // chunks_per_snr)
-    starts = range(0, n_trials, chunk)
-    tasks = [(si, lo, min(lo + chunk, n_trials)) for si in range(n_snr) for lo in starts]
+    size = snr_chunk_size(config)
+    chunks = [range(lo, min(lo + size, n_snr)) for lo in range(0, n_snr, size)]
+    ranges = -(-workers // len(chunks))  # ceil; 1 unless workers outnumber the chunks
+    step = -(-n_trials // ranges)
+    starts = range(0, n_trials, step)
+    tasks = [(snrs, lo, min(lo + step, n_trials)) for snrs in chunks for lo in starts]
     if workers == 1:
         engine = SweepEngine(config)
         results = [_trial_block(engine, *task) for task in tasks]
@@ -636,13 +628,16 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
         ) as pool:
             results = list(pool.map(_worker_block, tasks))
 
+    points: dict[int, list[list[CellResult]]] = {}  # SNR index -> its cells per trial range
+    for (snrs, _, _), cells in zip(tasks, results):
+        for si, point in zip(snrs, cells):
+            points.setdefault(si, []).append(point)
     rows = []
     for gi, n_groups in enumerate(config.n_groups):
         for si, snr in enumerate(config.snr_db):
-            # the tasks run SNR-major, len(starts) of them per SNR point
-            chunks = [cells[gi] for cells in results[si * len(starts):(si + 1) * len(starts)]]
-            rho, theory = chunks[0][:2]
-            samples = np.concatenate([c[2] for c in chunks], axis=0)  # (n_trials, n_kinds, K)
+            parts = [point[gi] for point in points[si]]  # in trial order
+            rho, theory = parts[0][:2]
+            samples = np.concatenate([p[2] for p in parts], axis=0)  # (n_trials, n_kinds, K)
             for ki, (kind, (nmse_theory, _, floor)) in enumerate(theory.items()):
                 user_samples = samples[:, ki, :]  # (n_trials, K)
                 trial_means = user_samples[~np.isnan(user_samples).any(axis=1)].mean(axis=1)

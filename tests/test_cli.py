@@ -447,6 +447,20 @@ def test_unwritable_output_is_usage_error(command, desk_ini, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["theory", "sweep"])
+def test_unwritable_output_is_refused_before_any_bank_or_trial(command, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr("riscest.cli.run_sweep", never)
+    monkeypatch.setattr(SweepEngine, "bank", never)
+    out = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(DESK_INI), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["theory", "sweep"])
 @pytest.mark.parametrize("old,new", [
     ("eta = 0.99", "eta = 0.9 0.9"),  # K = 2 needs K+1 = 3 coefficients
     ("n_x = 4", "n_x = 0"),
@@ -578,6 +592,16 @@ class TestSweepCommand:
             assert main(argv) == 0
             rows.append([row for row in read_csv(str(out))[1] if row["n_groups"] == 4])
         assert rows[0] and rows[0] == rows[1]
+
+    def test_a_points_rows_do_not_depend_on_the_grid(self, tmp_path):
+        """The 10 dB rows of the -10..40 dB desk sweep equal a one-point 10 dB sweep's, byte for byte."""
+        lines = []
+        for name, grid in (("grid", []), ("point", ["--snr-min-db", "10", "--snr-max-db", "10"])):
+            out = tmp_path / f"{name}.csv"
+            argv = ["sweep", "--config", str(DESK_INI), "--trials", "67", *grid, "--out", str(out)]
+            assert main(argv) == 0
+            lines.append([ln for ln in out.read_text().splitlines() if ln.split(",")[2:3] == ["10"]])
+        assert len(lines[0]) == 8 and lines[0] == lines[1]
 
     def test_schema_roundtrip(self, desk_ini, tmp_path):
         out = tmp_path / "sweep.csv"

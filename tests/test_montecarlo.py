@@ -21,6 +21,7 @@ from riscest.montecarlo import (
     build_cell_bank,
     received_snr_to_power,
     run_sweep,
+    snr_chunk_size,
 )
 from riscest.scenario import default_scenario, desk_scenario
 from riscest.training import make_training_config, mixing_blocks, synthesize_received
@@ -170,9 +171,9 @@ def noise_size(engine) -> int:
     return 2 * t_max * stats.n_users * stats.m_antennas
 
 
-def block_draws(engine, snr_index, trial) -> tuple[np.ndarray, np.ndarray]:
+def block_draws(engine, trial) -> tuple[np.ndarray, np.ndarray]:
     """A fresh draw of the trial's block: (B, n_normals) channel, then (2 T_max K M, B) noise."""
-    rng = engine.trial_rng(snr_index, trial)
+    rng = engine.trial_rng(trial)
     b = engine.block_size
     channel = rng.standard_normal((b, engine.sampler.n_normals))
     return channel, rng.standard_normal((noise_size(engine), b))
@@ -204,7 +205,7 @@ class TestTrialBlocks:
         q = antenna_basis(antenna_factor(engine.stats.a_bar))
         # the first block, a middle one and the last, clipped one
         for trial in (0, b + b // 2, cfg.n_trials - 1):
-            channel, noise = block_draws(engine, 0, trial)
+            channel, noise = block_draws(engine, trial)
             real = engine.sampler.sample(normals=channel[trial % b])
             for gi in range(len(cfg.n_groups)):
                 errors, _ = engine.run_cell_trial(gi, 0, trial)
@@ -241,7 +242,8 @@ class TestTrialBlocks:
         assert hashlib.sha256(block.tobytes()).hexdigest() == DESK_BLOCK0_SHA256
 
     def test_reference_blocks_keep_the_per_trial_streams(self, monkeypatch):
-        """At the reference setup B = 1, so trial t's normals are SeedSequence((seed, snr, t))'s."""
+        """At the reference setup B = 1, so at every SNR point trial t's normals are
+        SeedSequence((seed, 0, t))'s, the stream SNR point 0 read when each point drew its own."""
         drawn = capture_sample_normals(monkeypatch)
         cfg = SweepConfig(
             scenario=default_scenario(), estimators=ALL_KINDS, snr_db=(0.0, 20.0),
@@ -252,14 +254,15 @@ class TestTrialBlocks:
         noises = []
         keys = [(1, 0), (0, 8), (1, 3)]  # a full batch, a clipped one, the first again
         for snr_index, trial in keys:
-            noises.append(engine._batch_of(snr_index, trial).normals.copy())
-        for (snr_index, trial), channel, noise in zip(keys, drawn, noises, strict=True):
+            engine.run_cell_trial(0, snr_index, trial)
+            noises.append(engine._batch.normals.copy())
+        for (_, trial), channel, noise in zip(keys, drawn, noises, strict=True):
             lo = trial - trial % engine.batch_size
             rows = min(engine.batch_size, cfg.n_trials - lo)
             assert channel.shape == (rows, 1, engine.sampler.n_normals)
             assert noise.shape == (rows, 1, noise_size(engine))
             for j in range(rows):
-                seq = np.random.SeedSequence((cfg.base_seed, snr_index, lo + j))
+                seq = np.random.SeedSequence((cfg.base_seed, 0, lo + j))
                 row = np.concatenate([channel[j, 0], noise[j, 0]])
                 want = np.random.default_rng(seq).standard_normal(row.size)
                 np.testing.assert_array_equal(row, want)
@@ -273,13 +276,13 @@ class TestTrialBlocks:
         # the second batch holds a full block and a clipped one, drawn whole
         cfg = desk_config(n_groups=(4, 16), n_trials=n + b + 7)
         engine = SweepEngine(cfg)
-        noises = [engine._batch_of(1, t).normals.copy() for t in (0, cfg.n_trials - 1)]
+        noises = [engine._batch_of(t).normals.copy() for t in (0, cfg.n_trials - 1)]
         for lo, channel, noise in zip((0, n), drawn, noises, strict=True):
             n_blocks = -(-min(n, cfg.n_trials - lo) // b)
             assert channel.shape == (n_blocks, b, engine.sampler.n_normals)
             assert noise.shape == (n_blocks, b, noise_size(engine))
             for i in range(n_blocks):
-                want_channel, want_noise = block_draws(engine, 1, lo + i * b)
+                want_channel, want_noise = block_draws(engine, lo + i * b)
                 np.testing.assert_array_equal(channel[i], want_channel)
                 np.testing.assert_array_equal(noise[i].T, want_noise)
 
@@ -291,14 +294,14 @@ class TestTrialBlocks:
         engine, fresh = SweepEngine(cfg), SweepEngine(cfg)
         for gi in range(2):
             engine.run_cell_trial(gi, 0, 0)
-        assert engine._batch.key == (0, 0)
+        assert engine._batch.index == 0
         for gi in range(2):
             engine.run_cell_trial(gi, 0, n)
             fresh.run_cell_trial(gi, 0, n)
-        assert engine._batch.key == fresh._batch.key == (0, 1)
+        assert engine._batch.index == fresh._batch.index == 1
         np.testing.assert_array_equal(engine._batch.targets, fresh._batch.targets)
         for gi in range(2):
-            got, want = engine._batch.cells[gi][0], fresh._batch.cells[gi][0]
+            got, want = engine._batch.cells[gi][1], fresh._batch.cells[gi][1]
             assert got.shape == want.shape == (2 * b, len(engine.bank(gi, 0).filters), 2)
             np.testing.assert_array_equal(got, want)
 
@@ -314,14 +317,17 @@ class TestTrialBlocks:
 
 
 def assert_trial_block_matches_each_trial(cfg: SweepConfig, lo: int, hi: int) -> None:
-    """`_trial_block` over trials lo..hi-1 of SNR point 0 equals a walk over run_cell_trial."""
-    cells = _trial_block(SweepEngine(cfg), 0, lo, hi)
+    """`_trial_block` over trials lo..hi-1 of the whole grid equals a walk over run_cell_trial."""
+    snrs = range(len(cfg.snr_db))
+    points = _trial_block(SweepEngine(cfg), snrs, lo, hi)
+    assert len(points) == len(snrs)
     engine = SweepEngine(cfg)
-    for gi, (_, theory, got) in enumerate(cells):
-        bank = engine.bank(gi, 0)
-        assert list(theory) == list(bank.filters)
-        want = [list(engine.run_cell_trial(gi, 0, t)[0].values()) for t in range(lo, hi)]
-        np.testing.assert_array_equal(got, np.array(want) / bank.prior_traces)
+    for si, cells in zip(snrs, points):
+        for gi, (_, theory, got) in enumerate(cells):
+            bank = engine.bank(gi, si)
+            assert list(theory) == list(bank.filters)
+            want = [list(engine.run_cell_trial(gi, si, t)[0].values()) for t in range(lo, hi)]
+            np.testing.assert_array_equal(got, np.array(want) / bank.prior_traces)
 
 
 @pytest.fixture
@@ -338,16 +344,17 @@ def threads_made(monkeypatch) -> list[threading.Thread]:
     return made
 
 
-class TestFillAhead:
-    """One helper thread draws the next scoring batch's normals while this one is scored."""
+class TestOneThread:
+    """A sweep draws, samples and scores every batch on the calling thread, and starts none."""
 
-    def test_batches_filled_ahead_match_a_synchronous_walk(self, threads_made):
-        """From inside block 1 of batch 0 to inside block 8 of the clipped batch 2, bit for bit."""
-        cfg = desk_config(n_groups=(4, 16), snr_db=(10.0,), n_trials=250)
+    def test_batches_of_the_whole_grid_match_a_walk_over_each_trial(self, threads_made):
+        """From inside block 1 of batch 0 to inside block 8 of the clipped batch 2, at two
+        SNR points that score the same draws, bit for bit."""
+        cfg = desk_config(n_groups=(4, 16), snr_db=(10.0, 30.0), n_trials=250)
         engine = SweepEngine(cfg)
-        assert (engine.block_size, engine.batch_size) == (30, 120)
+        assert (engine.block_size, engine.batch_size, engine.chunk_size) == (30, 120, 2)
         assert_trial_block_matches_each_trial(cfg, 45, 245)
-        assert len(threads_made) == 1 and not threads_made[0].is_alive()  # one helper, joined
+        assert threads_made == []
 
     @pytest.mark.parametrize("make_scenario, block_size", [(desk_scenario, 30), (default_scenario, 1)])
     def test_one_draw_per_block_is_the_channel_then_the_noise_draw(self, make_scenario, block_size):
@@ -362,35 +369,34 @@ class TestFillAhead:
         noise = rng.standard_normal((n_noise, b))
         np.testing.assert_array_equal(row, np.concatenate([channel.ravel(), noise.ravel()]))
 
-    def test_a_failing_fill_propagates_and_the_helper_is_joined(self, monkeypatch):
-        class FillError(Exception):
+    def test_a_failing_draw_propagates_on_the_main_thread(self, monkeypatch, threads_made):
+        class DrawError(Exception):
             pass
 
-        fill_threads = []
+        draw_threads = []
 
         class FailingGenerator:
             def standard_normal(self, out):
-                fill_threads.append(threading.current_thread())
-                raise FillError("fill failed")
+                draw_threads.append(threading.current_thread())
+                raise DrawError("draw failed")
 
-        cfg = desk_config(snr_db=(10.0,), n_trials=250)
+        cfg = desk_config(snr_db=(10.0, 30.0), n_trials=250)
         trial_rng = SweepEngine.trial_rng
 
-        def failing_after_the_first_batch(engine, snr_index, trial_index):
+        def failing_after_the_first_batch(engine, trial_index):
             if trial_index < engine.batch_size:
-                return trial_rng(engine, snr_index, trial_index)
+                return trial_rng(engine, trial_index)
             return FailingGenerator()
 
         monkeypatch.setattr(SweepEngine, "trial_rng", failing_after_the_first_batch)
-        before = threading.active_count()
-        with pytest.raises(FillError, match="fill failed"):
+        with pytest.raises(DrawError, match="draw failed"):
             run_sweep(cfg, workers=1)
-        assert threading.active_count() == before
-        assert fill_threads and threading.main_thread() not in fill_threads  # the helper's fill
+        assert draw_threads == [threading.main_thread()]  # the first draw of batch 1 raised
+        assert threads_made == []
 
-    def test_no_thread_for_one_batch_or_for_theory(self, threads_made, tmp_path):
+    def test_no_thread_for_a_sweep_or_for_theory(self, threads_made, tmp_path):
         n = SweepEngine(desk_config(n_trials=1)).batch_size
-        rows = run_sweep(desk_config(n_groups=(4, 16), n_trials=n), workers=1)
+        rows = run_sweep(desk_config(n_groups=(4, 16), n_trials=2 * n + 1), workers=1)
         assert rows and threads_made == []
         args = ["theory", "--config", str(DESK_INI), "--groups", "4", "16"]
         assert cli.main([*args, "--out", str(tmp_path / "theory.csv")]) == 0
@@ -588,13 +594,13 @@ class TestRunSweep:
         serial, pooled = run_sweep(cfg, workers=1), run_sweep(cfg, workers=2)
         np.testing.assert_equal(fields(pooled), fields(serial))
 
-    def test_draws_each_realization_once_per_snr_and_trial(self, monkeypatch):
+    def test_draws_each_realization_once_for_the_whole_grid(self, monkeypatch):
         seeded, sampled = [], []
         trial_rng, sample = SweepEngine.trial_rng, ChannelSampler.sample
 
-        def counting_rng(self, snr_index, trial_index):
-            seeded.append((snr_index, trial_index // self.block_size))
-            return trial_rng(self, snr_index, trial_index)
+        def counting_rng(self, trial_index):
+            seeded.append(trial_index // self.block_size)
+            return trial_rng(self, trial_index)
 
         def counting_sample(self, rng=None, normals=None):
             sampled.append(1 if normals is None else int(np.prod(normals.shape[:-1])))
@@ -604,14 +610,14 @@ class TestRunSweep:
         monkeypatch.setattr(ChannelSampler, "sample", counting_sample)
         b = desk_block_size()
         n = SweepEngine(desk_config(n_trials=1)).batch_size
-        cfg = desk_config(n_trials=n + b + 7, snr_db=(0.0, 20.0), n_groups=(4, 16))
+        cfg = desk_config(n_trials=n + b + 7, snr_db=(0.0, 20.0, 40.0), n_groups=(4, 16))
         run_sweep(cfg)
-        n_blocks = len(cfg.snr_db) * -(-cfg.n_trials // b)
-        # every (SNR, block) is seeded once, every (SNR, batch) sampled with one
-        # call and every (SNR, block) realization drawn once and whole, so both
-        # group cells read the same draw
+        n_blocks = -(-cfg.n_trials // b)
+        # every block is seeded once, every batch sampled with one call and
+        # every block's realization drawn once and whole, so every (SNR point,
+        # group count) cell reads the same draw
         assert len(seeded) == len(set(seeded)) == n_blocks
-        assert len(sampled) == len(cfg.snr_db) * 2
+        assert len(sampled) == 2
         assert sum(sampled) == n_blocks * b
 
     def test_a_cells_rows_depend_on_neither_the_other_group_counts_nor_the_trial_count(self):
@@ -691,8 +697,36 @@ class TestRunSweep:
         assert by_kind[EstimatorKind.CORRELATED_GROUPING_LMMSE].nmse_empirical > 0
 
 
+def test_snr_chunks_change_no_row_and_bound_the_banks(monkeypatch):
+    """One point per chunk and the whole grid in one chunk write the same rows, and the
+    engine never keeps banks of more points than its chunk holds."""
+    cfg = SweepConfig(
+        scenario=default_scenario(), estimators=ALL_KINDS, snr_db=(0.0, 20.0, 40.0),
+        n_trials=9, n_groups=(16, 64), base_seed=4242,
+    )
+    assert snr_chunk_size(cfg) == 1  # 3.1 MB of filters per reference point
+    held = []  # (chunk size, the SNR points whose banks are kept) after each bank call
+    bank = SweepEngine.bank
+
+    def recording(engine, group_index, snr_index):
+        result = bank(engine, group_index, snr_index)
+        held.append((engine.chunk_size, {si for _, si in engine._banks}))
+        return result
+
+    monkeypatch.setattr(SweepEngine, "bank", recording)
+    rows = {}
+    for budget, chunk_size in ((1, 1), (1 << 40, 3)):
+        monkeypatch.setattr("riscest.montecarlo.SNR_CHUNK_BYTES", budget)
+        held.clear()
+        rows[chunk_size] = [dataclasses.asdict(r) for r in run_sweep(cfg)]
+        assert {size for size, _ in held} == {chunk_size}
+        assert all(len({si // chunk_size for si in points}) == 1 for _, points in held)
+        assert max(len(points) for _, points in held) == chunk_size
+    np.testing.assert_equal(rows[1], rows[3])
+
+
 class TestBankLifetime:
-    """The engine is the one owner of cell banks and keeps one SNR point's."""
+    """The engine is the one owner of cell banks and keeps one SNR chunk's."""
 
     @staticmethod
     def count_builds(monkeypatch) -> list[int]:
@@ -705,10 +739,17 @@ class TestBankLifetime:
         monkeypatch.setattr("riscest.montecarlo.build_cell_bank", counting)
         return calls
 
-    def test_bank_dropped_when_the_snr_point_changes(self):
+    def test_bank_dropped_when_the_snr_chunk_changes(self, monkeypatch):
         engine = SweepEngine(desk_config(snr_db=(0.0, 20.0)))
         first = weakref.ref(engine.bank(0, 0))
         assert engine.bank(0, 0) is first()
+        engine.bank(0, 1)  # the same chunk
+        gc.collect()
+        assert engine.bank(0, 0) is first()
+        monkeypatch.setattr("riscest.montecarlo.SNR_CHUNK_BYTES", 1)  # one point per chunk
+        engine = SweepEngine(desk_config(snr_db=(0.0, 20.0)))
+        assert engine.chunk_size == 1
+        first = weakref.ref(engine.bank(0, 0))
         engine.bank(0, 1)
         gc.collect()
         assert first() is None
@@ -788,23 +829,28 @@ class TestBankLifetime:
         assert calls == []
 
     def test_engine_keeps_one_trial_block(self):
-        """One scoring batch is kept, and dropped on the next batch or SNR point."""
+        """One scoring batch is kept and dropped on the next batch; each group count keeps
+        the scores of the SNR point it ran last on it."""
         n = SweepEngine(desk_config(n_trials=1)).batch_size
         engine = SweepEngine(desk_config(n_groups=(4, 16), n_trials=2 * n))
         for gi in range(2):
             engine.run_cell_trial(gi, 0, 0)
         batch = engine._batch
-        assert batch.key == (0, 0) and set(batch.cells) == {0, 1}
+        assert batch.index == 0 and set(batch.cells) == {0, 1}
         assert batch.normals.shape[:2] == (n // engine.block_size, engine.block_size)
         kept = [weakref.ref(a) for a in (batch, batch.normals, batch.realization.S, batch.targets)]
-        kept += [weakref.ref(a) for cell in batch.cells.values() for a in cell]
+        kept += [weakref.ref(a) for cell in batch.cells.values() for a in cell[1:]]
         del batch
         engine.run_cell_trial(0, 0, n)  # the next batch of the same SNR point
         gc.collect()
         assert all(ref() is None for ref in kept)
-        assert engine._batch.key == (0, 1) and set(engine._batch.cells) == {0}
+        assert engine._batch.index == 1 and set(engine._batch.cells) == {0}
         kept = weakref.ref(engine._batch)
-        engine.run_cell_trial(1, 1, n - 1)  # the first batch of the next SNR point
+        engine.run_cell_trial(1, 1, n - 1)  # the first batch again, at the next SNR point
         gc.collect()
         assert kept() is None
-        assert engine._batch.key == (1, 0) and set(engine._batch.cells) == {1}
+        batch = engine._batch
+        assert batch.index == 0 and [(gi, c[0]) for gi, c in batch.cells.items()] == [(1, 1)]
+        errors = batch.cells[1][1]
+        engine.run_cell_trial(1, 0, n - 1)  # the same group count at another point on it
+        assert engine._batch is batch and batch.cells[1][0] == 0 and batch.cells[1][1] is not errors
